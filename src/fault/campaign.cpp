@@ -5,8 +5,8 @@
 #include <chrono>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
+#include "fault/unit_driver.h"
 #include "fault/work_queue.h"
 #include "netlist/screening.h"
 #include "perf/profiler.h"
@@ -192,54 +192,18 @@ class ProgressTracker {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Run `body(worker_id)` on `threads` workers and join. With one thread the
-/// body runs on the calling thread — exactly the serial path, no spawn. The
-/// first exception a worker throws is rethrown after the join.
-void run_pool(unsigned threads, const std::function<void(unsigned)>& body) {
-  if (threads <= 1) {
-    body(0);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  std::mutex err_mu;
-  std::exception_ptr err;
-  for (unsigned w = 0; w < threads; ++w) {
-    pool.emplace_back([&body, &err_mu, &err, w] {
-      try {
-        body(w);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(err_mu);
-        if (!err) err = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  if (err) std::rethrow_exception(err);
-}
-
 }  // namespace
 
 std::vector<u8> CampaignResult::canonical_bytes() const {
   std::vector<u8> out;
   out.reserve(10 * 8 + outcomes.size());
-  const auto p64 = [&out](u64 v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-  };
-  const auto p32 = [&out](u32 v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-  };
-  p64(total_faults);
-  p64(simulated_faults);
-  p64(excited);
-  p64(detected);
-  p64(detected_signature);
-  p64(detected_verdict);
-  p64(detected_watchdog);
-  p64(good_cycles);
-  p32(good_verdict.status);
-  p32(good_verdict.signature);
-  p64(outcomes.size());
+  for (const u64 v : {total_faults, simulated_faults, excited, detected,
+                      detected_signature, detected_verdict, detected_watchdog,
+                      good_cycles})
+    put64(out, v);
+  put32(out, good_verdict.status);
+  put32(out, good_verdict.signature);
+  put64(out, outcomes.size());
   for (const FaultOutcome o : outcomes) out.push_back(static_cast<u8>(o));
   return out;
 }
@@ -267,9 +231,7 @@ Campaign::Campaign(const CampaignConfig& cfg, SocFactory factory)
 
 CampaignResult Campaign::run() {
   const u32 mailbox = cfg_.mailbox != 0 ? cfg_.mailbox : soc::mailbox_addr(cfg_.core_id);
-  const unsigned threads =
-      cfg_.threads != 0 ? cfg_.threads
-                        : std::max(1u, std::thread::hardware_concurrency());
+  const unsigned threads = resolve_threads(cfg_.threads);
   CampaignResult res;
   res.threads_used = threads;
   const auto wall_start = std::chrono::steady_clock::now();
@@ -314,41 +276,39 @@ CampaignResult Campaign::run() {
       break;
   }
 
-  // --- Crash-safe checkpoint/resume setup (fault/checkpoint.h) -----------------
+  // --- Fault list (deterministically sampled) ------------------------------
+  // It depends only on the netlist, so the journal below loads (and emits its
+  // kCkptLoad/kCkptReject events) before the good run starts tracing. The
+  // collapsed list interleaves SA0/SA1 per net; sampling strides over NETS
+  // and keeps both polarities of each sampled net, so no polarity bias.
+  const std::vector<netlist::Fault> all_faults = nl->fault_list();
+  res.total_faults = all_faults.size();
+  std::vector<netlist::Fault> faults;
+  for (std::size_t i = 0; i < all_faults.size(); ++i)
+    if ((i / 2) % cfg_.fault_stride == 0) faults.push_back(all_faults[i]);
+  res.simulated_faults = faults.size();
+  res.outcomes.assign(faults.size(), FaultOutcome::kNotExcited);
+
+  // --- Crash-safe checkpoint/resume (fault/unit_driver.h) ------------------
   // The manifest hash binds the on-disk checkpoint to this exact campaign:
   // netlist identity + routine image + every outcome-relevant config field.
   // The factory's SoC serves both the fingerprint and the good run below.
+  // Each record holds one FaultOutcome byte; a malformed one is dropped and
+  // its fault re-executes. Faults outside the shard range are done with the
+  // kNotExcited placeholder: screening skips whole out-of-range lane groups.
   soc::Soc good = factory_();
-  LoadedCheckpoint loaded;
-  std::optional<CheckpointWriter> writer;
-  const auto stop_requested = [this] {
-    return cfg_.interrupt != nullptr && cfg_.interrupt->stop_requested();
-  };
-  if (cfg_.checkpoint.enabled()) {
-    const u64 hash = checkpoint_config_hash(cfg_, *nl, good);
-    if (cfg_.checkpoint.resume)
-      loaded = load_checkpoint(cfg_.checkpoint, PayloadKind::kFaultOutcomes, hash,
-                               cfg_.sink);
-    writer.emplace(cfg_.checkpoint, PayloadKind::kFaultOutcomes, hash,
-                   loaded.next_shard, cfg_.sink);
-    res.ckpt.enabled = true;
-    res.ckpt.shards_loaded = loaded.shards_loaded;
-    res.ckpt.shards_corrupt = loaded.shards_corrupt;
-  }
-  if (!cfg_.merge_dirs.empty()) {
-    // Post-hoc shard merge: per-shard journals all share this campaign's
-    // manifest identity (the shard range is excluded from the hash), so their
-    // records drop into the same resume path as a single-dir checkpoint.
-    MultiLoadedCheckpoint merged =
-        load_checkpoint_dirs(cfg_.merge_dirs, PayloadKind::kFaultOutcomes,
-                             checkpoint_config_hash(cfg_, *nl, good), cfg_.sink);
-    loaded.records.insert(loaded.records.end(),
-                          std::make_move_iterator(merged.records.begin()),
-                          std::make_move_iterator(merged.records.end()));
-    res.ckpt.enabled = true;
-    res.ckpt.shards_loaded += merged.shards_loaded;
-    res.ckpt.shards_corrupt += merged.shards_corrupt;
-  }
+  UnitDriver driver(
+      "fault campaign", faults.size(), UnitPlumbing::of(cfg_),
+      {.kind = PayloadKind::kFaultOutcomes,
+       .config_hash = [&] { return checkpoint_config_hash(cfg_, *nl, good); },
+       .accept = [&](u64 i, const std::vector<u8>& payload) {
+         if (payload.size() != 1 ||
+             payload[0] > static_cast<u8>(FaultOutcome::kUndetected))
+           return false;
+         res.outcomes[i] = static_cast<FaultOutcome>(payload[0]);
+         return true;
+       }});
+  const std::vector<u8>& done = driver.done();
 
   // --- Phase 0: good run with trace recording + checkpoints ---------------------
   tracker.begin_phase(CampaignPhase::kGoodRun, 0);
@@ -380,44 +340,6 @@ CampaignResult Campaign::run() {
     throw std::runtime_error("fault campaign: fault-free run did not pass");
 
   const std::size_t ncalls = rec.calls();
-
-  // --- Fault list (deterministically sampled) -------------------------------------
-  // The collapsed list interleaves SA0/SA1 per net; sampling strides over
-  // NETS and keeps both polarities of each sampled net, so no polarity bias.
-  const std::vector<netlist::Fault> all_faults = nl->fault_list();
-  res.total_faults = all_faults.size();
-  std::vector<netlist::Fault> faults;
-  for (std::size_t i = 0; i < all_faults.size(); ++i)
-    if ((i / 2) % cfg_.fault_stride == 0) faults.push_back(all_faults[i]);
-  res.simulated_faults = faults.size();
-
-  // Apply resumed records: each holds one FaultOutcome byte for a completed
-  // fault. Out-of-range indices or malformed payloads are dropped (those
-  // faults simply re-execute) — the hash-verified manifest makes them
-  // unreachable short of corruption the shard checksums already screen for.
-  res.outcomes.assign(faults.size(), FaultOutcome::kNotExcited);
-  std::vector<u8> done(faults.size(), 0);
-  for (const ShardRecord& r : loaded.records) {
-    if (r.index >= faults.size() || r.payload.size() != 1 ||
-        r.payload[0] > static_cast<u8>(FaultOutcome::kUndetected))
-      continue;
-    if (done[r.index] == 0) {
-      done[r.index] = 1;
-      ++res.ckpt.records_resumed;
-    }
-    res.outcomes[r.index] = static_cast<FaultOutcome>(r.payload[0]);
-  }
-
-  // Shard range: everything outside [unit_begin, unit_end) is some other
-  // worker's slice — pre-marked done (placeholder kNotExcited, not counted as
-  // resumed, never journalled) so screening skips whole out-of-range lane
-  // groups and detection never claims those faults.
-  if (cfg_.unit_begin != 0 || cfg_.unit_end != 0) {
-    if (cfg_.unit_begin >= cfg_.unit_end)
-      throw std::runtime_error("fault campaign: empty shard range");
-    for (std::size_t i = 0; i < faults.size(); ++i)
-      if (i < cfg_.unit_begin || i >= cfg_.unit_end) done[i] = 1;
-  }
 
   // Encodes the c-th recorded module call into a screening state.
   const auto encode_call = [&](std::size_t c, netlist::EvalState& st) {
@@ -469,13 +391,8 @@ CampaignResult Campaign::run() {
 
   // Common tail of the complete and the drained (interrupted) exit paths:
   // journal everything completed so far and stamp the wall clock.
-  const auto finish = [&](bool interrupted) {
-    if (writer) {
-      writer->flush();
-      res.ckpt.shards_flushed = writer->shards_flushed();
-      res.ckpt.flush_ns = writer->flush_ns();
-    }
-    res.ckpt.interrupted = interrupted;
+  const auto finish = [&] {
+    res.ckpt = driver.finish();
     res.screen_calls = screen_calls_total.load(std::memory_order_relaxed);
     res.sim_cycles =
         res.good_cycles + detection_cycles_total.load(std::memory_order_relaxed);
@@ -490,7 +407,7 @@ CampaignResult Campaign::run() {
   WorkQueue group_queue(ngroups, 1);
   run_pool(std::min<std::size_t>(threads, std::max<std::size_t>(1, ngroups)),
            [&](unsigned w) {
-    while (!stop_requested()) {
+    while (!driver.stop_requested()) {
       const auto chunk = group_queue.next();
       if (!chunk) return;
       for (std::size_t g = chunk->begin; g < chunk->end; ++g) {
@@ -530,10 +447,10 @@ CampaignResult Campaign::run() {
   tracker.end_phase();
 
   merge_aggregates();
-  if (stop_requested()) {
+  if (driver.stop_requested()) {
     // Drained during screening: nothing new completed, but the resumed
     // outcomes (and their aggregates) are preserved in the partial result.
-    finish(true);
+    finish();
     return res;
   }
   emit_phase(trace::EventKind::kCampaignPhaseEnd, CampaignPhase::kScreening,
@@ -606,44 +523,36 @@ CampaignResult Campaign::run() {
              static_cast<u32>(static_cast<u64>(faults.size()) >> 32));
   // Small chunks: per-fault cost is wildly uneven (a watchdog fault costs
   // 2x the good run; a non-excited one is a single branch), and the queue's
-  // fetch_add is nanoseconds against milliseconds of simulation.
-  WorkQueue fault_queue(faults.size(), 4, &done);
-  run_pool(std::min<std::size_t>(threads, std::max<std::size_t>(1, faults.size())),
-           [&](unsigned w) {
-    while (!stop_requested()) {
-      const auto chunk = fault_queue.next();
-      if (!chunk) return;
-      u64 excited_here = 0, detected_here = 0;
-      for (std::size_t i = chunk->begin; i < chunk->end; ++i) {
-        if (done[i] != 0) continue;  // resumed shard already records this fault
-        // Workers write disjoint elements; counters are recomputed from the
-        // outcomes vector after the join so the result is order-independent.
-        // Non-excited faults are journalled too (a 1-byte kNotExcited
-        // record): a resumed run must know they are complete.
-        const FaultOutcome out =
-            first_div[i] == SIZE_MAX ? FaultOutcome::kNotExcited : detect_one(i);
-        res.outcomes[i] = out;
-        perf::sim_totals().add(perf::SimStat::kFaultUnits, 1);
-        if (writer) writer->add(i, {static_cast<u8>(out)});
-        if (cfg_.interrupt != nullptr) cfg_.interrupt->on_unit_complete();
-        if (out != FaultOutcome::kNotExcited) {
-          ++excited_here;
-          detected_here += out != FaultOutcome::kUndetected;
-        }
-      }
-      tracker.add(w, chunk->size(), excited_here, detected_here);
-    }
-    fault_queue.halt();
-  });
+  // fetch_add is nanoseconds against milliseconds of simulation. Workers
+  // write disjoint outcomes; counters are recomputed from the outcomes
+  // vector after the join so the result is order-independent. Non-excited
+  // faults are journalled too (a 1-byte kNotExcited record): a resumed run
+  // must know they are complete.
+  driver.run(
+      threads, 4,
+      {.run = [&](u64 i) {
+         res.outcomes[i] = first_div[i] == SIZE_MAX ? FaultOutcome::kNotExcited
+                                                    : detect_one(i);
+         perf::sim_totals().add(perf::SimStat::kFaultUnits, 1);
+       },
+       .encode = [&](u64 i) {
+         return std::vector<u8>{static_cast<u8>(res.outcomes[i])};
+       },
+       .on_done = [&](u64 i, unsigned w) {
+         const FaultOutcome o = res.outcomes[i];
+         tracker.add(w, 1, o != FaultOutcome::kNotExcited,
+                     o != FaultOutcome::kNotExcited &&
+                         o != FaultOutcome::kUndetected);
+       }});
   tracker.end_phase();
 
   // --- Deterministic merge: every aggregate derives from outcomes ----------------
   merge_aggregates();
-  if (stop_requested()) {
+  if (driver.stop_requested()) {
     // Cooperative drain: in-flight chunks finished and everything completed
     // is journalled. No phase-end / per-fault events — a partial stream is
     // outside the determinism contract by definition.
-    finish(true);
+    finish();
     return res;
   }
   emit_phase(trace::EventKind::kCampaignPhaseEnd, CampaignPhase::kDetection,
@@ -666,7 +575,7 @@ CampaignResult Campaign::run() {
                             .kind = trace::EventKind::kCampaignDone,
                             .a = static_cast<u32>(res.detected),
                             .b = static_cast<u32>(res.simulated_faults)});
-  finish(false);
+  finish();
   return res;
 }
 

@@ -36,7 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "common/bitutil.h"
+#include "common/bytes.h"
 
 namespace detstl::trace {
 class EventSink;
@@ -183,23 +183,26 @@ void arm_wallclock_timeout(unsigned seconds);
 // Hashing
 // -----------------------------------------------------------------------------
 
-inline constexpr u64 kFnvOffset = 0xcbf29ce484222325ull;
-
-/// FNV-1a 64 over a byte range, chainable via `h`.
-u64 fnv1a(const void* data, std::size_t n, u64 h = kFnvOffset);
+using detstl::fnv1a;  // common/bytes.h
+using detstl::kFnvOffset;
 
 /// Order-sensitive accumulator for the campaign config hashes. Every field
 /// is framed with its width so adjacent fields can never alias.
 class ConfigHasher {
  public:
   ConfigHasher& u8v(u8 v) { return bytes(&v, 1); }
-  ConfigHasher& u32v(u32 v);
-  ConfigHasher& u64v(u64 v);
+  ConfigHasher& u32v(u32 v) { return le(v, 4); }
+  ConfigHasher& u64v(u64 v) { return le(v, 8); }
   ConfigHasher& f64v(double v);  // hashed by bit pattern
   ConfigHasher& str(const std::string& s);
   u64 digest() const { return h_; }
 
  private:
+  ConfigHasher& le(u64 v, unsigned n) {
+    u8 b[8];
+    store_le(b, v, n);
+    return bytes(b, n);
+  }
   ConfigHasher& bytes(const void* data, std::size_t n) {
     h_ = fnv1a(data, n, h_);
     return *this;

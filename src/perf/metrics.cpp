@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/bytes.h"
 #include "common/table.h"
 
 namespace detstl::perf {
@@ -95,17 +96,13 @@ const Metric* Registry::find(const std::string& name,
 }
 
 u64 Registry::sim_fingerprint() const {
-  u64 h = 0xcbf29ce484222325ull;  // FNV-1a 64
+  u64 h = kFnvOffset;
   const auto mix_bytes = [&h](const void* p, std::size_t n) {
-    const u8* b = static_cast<const u8*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 0x100000001b3ull;
-    }
+    h = fnv1a(p, n, h);
   };
   const auto mix_u64 = [&mix_bytes](u64 v) {
     u8 le[8];
-    for (int i = 0; i < 8; ++i) le[i] = static_cast<u8>(v >> (8 * i));
+    store_le(le, v, 8);
     mix_bytes(le, 8);
   };
   for (const auto& [key, m] : series_) {

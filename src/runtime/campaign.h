@@ -1,13 +1,15 @@
 #pragma once
 // Disturbance campaign: many seeded supervisor runs, sharded over worker
-// threads with the PR 2 work-queue executor. Determinism contract (same as
-// the fault campaign's): the outcome vector — the concatenation of every
-// run's SupervisorResult::outcome_vector() — is byte-identical for a fixed
-// seed at ANY thread count. Per-run results are written by run index into a
-// pre-sized vector and every aggregate is derived from that vector after the
-// join, so scheduling order can never leak into the output.
+// threads by the unit-campaign driver (fault/unit_driver.h). Determinism
+// contract (same as the fault campaign's): the outcome vector — the
+// concatenation of every run's SupervisorResult::outcome_vector() — is
+// byte-identical for a fixed seed at ANY thread count. Per-run results are
+// written by run index into a pre-sized vector and every aggregate is
+// derived from that vector after the join, so scheduling order can never
+// leak into the output.
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,6 +99,33 @@ u64 checkpoint_config_hash(const CampaignSpec& spec, const SchedulePlan& plan);
 /// Per-run seed: splitmix64-style mix of the master seed and the run index,
 /// so runs are decorrelated but reproducible individually.
 u64 derive_run_seed(u64 master, unsigned run);
+
+// --- Setup shared by the runtime campaigns (disturbance, soak, mission) ----
+
+struct ResolvedRoutines {
+  std::vector<std::string> names;
+  std::vector<std::unique_ptr<core::SelfTestRoutine>> owned;
+  std::vector<const core::SelfTestRoutine*> ptrs;  // into `owned`
+};
+
+/// Resolve registry routine names (core/stl.h); empty = the default mix
+/// alu, rf-march, shifter, branch, muldiv. Throws std::runtime_error
+/// "<what>: unknown routine '<name>' ..." on an unknown name.
+ResolvedRoutines resolve_routines(const std::vector<std::string>& names,
+                                  const char* what);
+
+/// Default arrival horizon for disturbances and upsets: twice the slowest
+/// core's fault-free cached schedule time plus 1,000 cycles of slack, so
+/// arrivals land across the whole run including retries.
+u64 calibrated_horizon(const SchedulePlan& plan, unsigned cores);
+
+/// The manifest-hash prefix both runtime campaign kinds share, in on-disk
+/// order: schema, payload kind, seed, runs, cores, the resolved schedule and
+/// the supervisor config. Each kind appends its own knobs and the SoC image.
+fault::ConfigHasher schedule_hasher(fault::PayloadKind kind, u64 seed,
+                                    unsigned runs, unsigned cores,
+                                    const SchedulePlan& plan,
+                                    const SupervisorConfig& sup);
 
 CampaignResult run_disturbance_campaign(
     const CampaignSpec& spec,

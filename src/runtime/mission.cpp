@@ -1,12 +1,11 @@
 #include "runtime/mission.h"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "core/stl.h"
 #include "isa/assembler.h"
 #include "runtime/campaign.h"
 
@@ -117,60 +116,35 @@ u32 MissionResult::worst_wait() const {
 
 std::vector<u8> MissionResult::outcome_vector() const {
   std::vector<u8> out;
-  const auto put8 = [&out](u8 v) { out.push_back(v); };
-  const auto put32 = [&put8](u32 v) {
-    for (unsigned i = 0; i < 4; ++i) put8(static_cast<u8>(v >> (8 * i)));
-  };
-  const auto put64 = [&put8](u64 v) {
-    for (unsigned i = 0; i < 8; ++i) put8(static_cast<u8>(v >> (8 * i)));
-  };
   for (const MissionSliceRecord& r : records) {
-    put32(r.slice);
-    put8(r.tested_core);
-    put32(static_cast<u32>(r.routine.size()));
-    for (char ch : r.routine) put8(static_cast<u8>(ch));
-    for (u8 w : r.workload) put8(w);
-    put8(r.sig_ok);
-    put8(r.timed_out);
-    put8(r.bound_ok);
-    put32(r.signature);
-    put64(r.slice_cycles);
-    put32(r.stl_max_wait);
-    put32(r.mission_max_wait);
-    put64(r.mission_grants);
+    put32(out, r.slice);
+    put8(out, r.tested_core);
+    put_str(out, r.routine);
+    out.insert(out.end(), r.workload.begin(), r.workload.end());
+    put8(out, r.sig_ok);
+    put8(out, r.timed_out);
+    put8(out, r.bound_ok);
+    put32(out, r.signature);
+    put64(out, r.slice_cycles);
+    put32(out, r.stl_max_wait);
+    put32(out, r.mission_max_wait);
+    put64(out, r.mission_grants);
   }
-  put64(total_cycles);
+  put64(out, total_cycles);
   return out;
 }
 
-u64 MissionResult::digest() const {
-  u64 h = 0xcbf29ce484222325ull;  // FNV-1a 64
-  for (const u8 b : outcome_vector()) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+u64 MissionResult::digest() const { return fnv1a(outcome_vector()); }
 
 MissionResult run_mission(const MissionSpec& spec) {
   if (spec.cores < 1 || spec.cores > soc::kMaxCores)
     throw std::runtime_error("mission: cores must be 1..3");
 
-  std::vector<std::string> names = spec.routines;
-  if (names.empty()) names = {"alu", "rf-march", "shifter", "branch", "muldiv"};
-  std::vector<std::unique_ptr<core::SelfTestRoutine>> owned;
-  std::vector<const core::SelfTestRoutine*> ptrs;
-  for (const auto& n : names) {
-    const core::RoutineEntry* e = core::find_routine(n);
-    if (e == nullptr)
-      throw std::runtime_error("mission: unknown routine '" + n + "' (see stlint --list)");
-    owned.push_back(e->make());
-    ptrs.push_back(owned.back().get());
-  }
-  if (spec.cores * ptrs.size() > 15)
+  const ResolvedRoutines routines = resolve_routines(spec.routines, "mission");
+  if (spec.cores * routines.ptrs.size() > 15)
     throw std::runtime_error("mission: schedule would collide with the mission flash window");
 
-  SchedulePlan plan = plan_schedule(ptrs, spec.cores);
+  SchedulePlan plan = plan_schedule(routines.ptrs, spec.cores);
   // One kernel per (core, workload): the stream windows and chase rings are
   // per-core so concurrent mission tasks contend on distinct flash lines.
   std::array<std::array<u32, kNumMissionWorkloads>, soc::kMaxCores> kernel_entry{};
@@ -192,7 +166,7 @@ MissionResult run_mission(const MissionSpec& spec) {
   res.slices = spec.slices;
   res.cores = spec.cores;
   res.seed = spec.seed;
-  res.routine_names = names;
+  res.routine_names = routines.names;
   res.bound = analysis::interference_bound(soc.config().mem, spec.cores);
   res.records.reserve(spec.slices);
 

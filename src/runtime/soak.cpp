@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
-#include <optional>
 #include <stdexcept>
-#include <thread>
 
+#include "common/bytes.h"
 #include "common/table.h"
-#include "core/stl.h"
-#include "fault/work_queue.h"
+#include "fault/unit_driver.h"
 #include "perf/simstats.h"
 
 namespace detstl::runtime {
@@ -144,54 +141,6 @@ bool soak_run_diverged(const SupervisorResult& r) {
 
 namespace {
 
-const char* kDefaultRoutines[] = {"alu", "rf-march", "shifter", "branch", "muldiv"};
-
-void run_pool(unsigned threads, const std::function<void(unsigned)>& body) {
-  if (threads <= 1) {
-    body(0);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned w = 0; w < threads; ++w) pool.emplace_back(body, w);
-  for (auto& t : pool) t.join();
-}
-
-void put8(std::vector<u8>& out, u8 v) { out.push_back(v); }
-void put32(std::vector<u8>& out, u32 v) {
-  for (unsigned i = 0; i < 4; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-void put64(std::vector<u8>& out, u64 v) {
-  for (unsigned i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-struct Cursor {
-  const std::vector<u8>* b;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool take(std::size_t n) {
-    if (!ok || b->size() - pos < n) return ok = false;
-    return true;
-  }
-  u8 get8() {
-    if (!take(1)) return 0;
-    return (*b)[pos++];
-  }
-  u32 get32() {
-    if (!take(4)) return 0;
-    u32 v = 0;
-    for (unsigned i = 0; i < 4; ++i) v |= static_cast<u32>((*b)[pos++]) << (8 * i);
-    return v;
-  }
-  u64 get64() {
-    if (!take(8)) return 0;
-    u64 v = 0;
-    for (unsigned i = 0; i < 8; ++i) v |= static_cast<u64>((*b)[pos++]) << (8 * i);
-    return v;
-  }
-};
-
 /// One supervised run under the first `limit` upsets of `plan`. The SoC and
 /// schedule come fresh from the plan every time, so a bisection probe is
 /// exactly as deterministic as the original run.
@@ -267,18 +216,14 @@ SoakRunRecord run_soak_once(const SchedulePlan& sp, const SoakCampaignSpec& spec
   return rec;
 }
 
-}  // namespace
-
-std::vector<u8> serialize_soak_record(const SoakRunRecord& rec) {
-  const std::vector<u8> inner = serialize_run_record(RunRecord{rec.seed, rec.result});
-  std::vector<u8> out;
-  put32(out, static_cast<u32>(inner.size()));
-  out.insert(out.end(), inner.begin(), inner.end());
+/// The soak-specific tail shared by the journal record and the outcome
+/// vector: per-site upset stats, then the isolation verdict.
+void put_soak_tail(std::vector<u8>& out, const SoakRunRecord& r) {
   for (unsigned s = 0; s < kNumSoakSites; ++s) {
-    put64(out, rec.stats.applied[s]);
-    put64(out, rec.stats.skipped[s]);
+    put64(out, r.stats.applied[s]);
+    put64(out, r.stats.skipped[s]);
   }
-  const IsolationResult& iso = rec.isolation;
+  const IsolationResult& iso = r.isolation;
   put8(out, iso.diverged);
   put8(out, iso.isolated);
   put32(out, iso.upset_index);
@@ -288,19 +233,29 @@ std::vector<u8> serialize_soak_record(const SoakRunRecord& rec) {
   put32(out, iso.addr);
   put32(out, iso.bit);
   put32(out, iso.reruns);
+}
+
+}  // namespace
+
+std::vector<u8> serialize_soak_record(const SoakRunRecord& rec) {
+  const std::vector<u8> inner =
+      serialize_run_record(RunRecord{rec.seed, rec.result});
+  std::vector<u8> out;
+  put32(out, static_cast<u32>(inner.size()));
+  out.insert(out.end(), inner.begin(), inner.end());
+  put_soak_tail(out, rec);
   return out;
 }
 
 bool deserialize_soak_record(const std::vector<u8>& bytes, SoakRunRecord& out) {
-  Cursor c{&bytes};
+  ByteReader c(bytes);
   SoakRunRecord rec;
   const u32 inner_len = c.get32();
-  if (!c.take(inner_len)) return false;
-  const std::vector<u8> inner(bytes.begin() + static_cast<std::ptrdiff_t>(c.pos),
-                              bytes.begin() + static_cast<std::ptrdiff_t>(c.pos + inner_len));
-  c.pos += inner_len;
+  const u8* inner = c.take(inner_len);
   RunRecord rr;
-  if (!deserialize_run_record(inner, rr)) return false;
+  if (!c.ok() ||
+      !deserialize_run_record(std::vector<u8>(inner, inner + inner_len), rr))
+    return false;
   rec.seed = rr.seed;
   rec.result = std::move(rr.result);
   for (unsigned s = 0; s < kNumSoakSites; ++s) {
@@ -319,36 +274,15 @@ bool deserialize_soak_record(const std::vector<u8>& bytes, SoakRunRecord& out) {
   iso.reruns = c.get32();
   if (iso.diverged > 1 || iso.isolated > 1 || site >= kNumSoakSites) return false;
   iso.site = static_cast<SoakSite>(site);
-  if (!c.ok || c.pos != bytes.size()) return false;  // trailing garbage
+  if (!c.at_end()) return false;  // truncated, or trailing garbage
   out = std::move(rec);
   return true;
 }
 
 u64 soak_checkpoint_config_hash(const SoakCampaignSpec& spec, const SchedulePlan& plan) {
-  fault::ConfigHasher h;
-  h.u32v(fault::kCheckpointSchemaVersion)
-      .u32v(static_cast<u32>(fault::PayloadKind::kSoakRuns))
-      .u64v(spec.seed)
-      .u32v(spec.runs)
-      .u32v(spec.cores);
-  for (unsigned c = 0; c < spec.cores; ++c) {
-    h.u32v(static_cast<u32>(plan.schedule[c].size()));
-    for (const PlannedRoutine& r : plan.schedule[c]) {
-      h.str(r.name)
-          .u32v(r.cached_golden)
-          .u32v(r.fallback_golden)
-          .u64v(r.cached_calib)
-          .u64v(r.fallback_calib);
-    }
-  }
-  const SupervisorConfig& sup = spec.supervisor;
-  h.u32v(sup.margin_percent)
-      .u64v(sup.watchdog_floor)
-      .u32v(sup.max_attempts)
-      .u32v(sup.fallback_attempts)
-      .u64v(sup.backoff_base)
-      .u64v(sup.backoff_cap)
-      .u64v(sup.global_budget);
+  fault::ConfigHasher h =
+      schedule_hasher(fault::PayloadKind::kSoakRuns, spec.seed, spec.runs,
+                      spec.cores, plan, spec.supervisor);
   h.u64v(spec.soak.duration)
       .u32v(spec.soak.rates.ram)
       .u32v(spec.soak.rates.l1i)
@@ -365,31 +299,12 @@ std::vector<u8> SoakCampaignResult::outcome_vector() const {
     put64(out, r.seed);
     const std::vector<u8> v = r.result.outcome_vector();
     out.insert(out.end(), v.begin(), v.end());
-    for (unsigned s = 0; s < kNumSoakSites; ++s) {
-      put64(out, r.stats.applied[s]);
-      put64(out, r.stats.skipped[s]);
-    }
-    put8(out, r.isolation.diverged);
-    put8(out, r.isolation.isolated);
-    put32(out, r.isolation.upset_index);
-    put8(out, static_cast<u8>(r.isolation.site));
-    put8(out, r.isolation.core);
-    put64(out, r.isolation.cycle);
-    put32(out, r.isolation.addr);
-    put32(out, r.isolation.bit);
-    put32(out, r.isolation.reruns);
+    put_soak_tail(out, r);
   }
   return out;
 }
 
-u64 SoakCampaignResult::digest() const {
-  u64 h = 0xcbf29ce484222325ull;  // FNV-1a 64
-  for (const u8 b : outcome_vector()) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+u64 SoakCampaignResult::digest() const { return fnv1a(outcome_vector()); }
 
 SoakCampaignResult run_soak_campaign(const SoakCampaignSpec& spec_in) {
   SoakCampaignSpec spec = spec_in;
@@ -397,112 +312,45 @@ SoakCampaignResult run_soak_campaign(const SoakCampaignSpec& spec_in) {
     throw std::runtime_error("soak: cores must be 1..3");
 
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::string> names = spec.routines;
-  if (names.empty())
-    names.assign(std::begin(kDefaultRoutines), std::end(kDefaultRoutines));
-  std::vector<std::unique_ptr<core::SelfTestRoutine>> owned;
-  std::vector<const core::SelfTestRoutine*> ptrs;
-  for (const auto& n : names) {
-    const core::RoutineEntry* e = core::find_routine(n);
-    if (e == nullptr)
-      throw std::runtime_error("soak: unknown routine '" + n + "' (see stlint --list)");
-    owned.push_back(e->make());
-    ptrs.push_back(owned.back().get());
-  }
-  const SchedulePlan plan = plan_schedule(ptrs, spec.cores);
-
-  if (spec.soak.duration == 0) {
-    // Same derivation as the disturbance window: twice the slowest core's
-    // fault-free cached time plus slack, so arrivals cover retries too.
-    u64 longest = 0;
-    for (unsigned c = 0; c < spec.cores; ++c) {
-      u64 sum = 0;
-      for (const PlannedRoutine& r : plan.schedule[c]) sum += r.cached_calib;
-      longest = std::max(longest, sum);
-    }
-    spec.soak.duration = 2 * longest + 1'000;
-  }
+  const ResolvedRoutines routines = resolve_routines(spec.routines, "soak");
+  const SchedulePlan plan = plan_schedule(routines.ptrs, spec.cores);
+  if (spec.soak.duration == 0)
+    spec.soak.duration = calibrated_horizon(plan, spec.cores);
 
   SoakCampaignResult res;
   res.runs = spec.runs;
   res.cores = spec.cores;
   res.seed = spec.seed;
-  res.routine_names = names;
+  res.routine_names = routines.names;
   res.records.resize(spec.runs);
+  res.threads_used =
+      std::min(fault::resolve_threads(spec.threads), std::max(1u, spec.runs));
 
-  const unsigned threads =
-      spec.threads != 0 ? spec.threads : std::max(1u, std::thread::hardware_concurrency());
-  res.threads_used = std::min<unsigned>(threads, std::max(1u, spec.runs));
-
-  fault::LoadedCheckpoint loaded;
-  std::optional<fault::CheckpointWriter> writer;
-  std::vector<u8> done(spec.runs, 0);
-  const auto stop_requested = [&spec] {
-    return spec.interrupt != nullptr && spec.interrupt->stop_requested();
-  };
-  const auto apply_record = [&](const fault::ShardRecord& sr) {
-    SoakRunRecord rec;
-    if (sr.index >= spec.runs || !deserialize_soak_record(sr.payload, rec) ||
-        rec.seed != derive_run_seed(spec.seed, static_cast<unsigned>(sr.index)))
-      return;
-    if (done[sr.index] == 0) {
-      done[sr.index] = 1;
-      ++res.ckpt.records_resumed;
-    }
-    res.records[sr.index] = std::move(rec);
-  };
-  if (spec.checkpoint.enabled()) {
-    const u64 hash = soak_checkpoint_config_hash(spec, plan);
-    if (spec.checkpoint.resume)
-      loaded = fault::load_checkpoint(spec.checkpoint, fault::PayloadKind::kSoakRuns, hash,
-                                      spec.sink);
-    writer.emplace(spec.checkpoint, fault::PayloadKind::kSoakRuns, hash, loaded.next_shard,
-                   spec.sink);
-    res.ckpt.enabled = true;
-    res.ckpt.shards_loaded = loaded.shards_loaded;
-    res.ckpt.shards_corrupt = loaded.shards_corrupt;
-    for (const fault::ShardRecord& sr : loaded.records) apply_record(sr);
-  }
-  if (!spec.merge_dirs.empty()) {
-    const fault::MultiLoadedCheckpoint merged = fault::load_checkpoint_dirs(
-        spec.merge_dirs, fault::PayloadKind::kSoakRuns,
-        soak_checkpoint_config_hash(spec, plan), spec.sink);
-    res.ckpt.enabled = true;
-    res.ckpt.shards_loaded += merged.shards_loaded;
-    res.ckpt.shards_corrupt += merged.shards_corrupt;
-    for (const fault::ShardRecord& sr : merged.records) apply_record(sr);
-  }
-
-  if (spec.unit_begin != 0 || spec.unit_end != 0) {
-    if (spec.unit_begin >= spec.unit_end)
-      throw std::runtime_error("soak: empty shard range");
-    for (u64 i = 0; i < spec.runs; ++i)
-      if (i < spec.unit_begin || i >= spec.unit_end) done[i] = 1;
-  }
-
-  fault::WorkQueue queue(spec.runs, 1, &done);
-  run_pool(res.threads_used, [&](unsigned) {
-    while (!stop_requested()) {
-      const auto chunk = queue.next();
-      if (!chunk) return;
-      for (u64 i = chunk->begin; i < chunk->end; ++i) {
-        if (done[i] != 0) continue;
-        const u64 run_seed = derive_run_seed(spec.seed, static_cast<unsigned>(i));
-        res.records[i] = run_soak_once(plan, spec, run_seed);
-        if (writer) writer->add(i, serialize_soak_record(res.records[i]));
-        if (spec.on_run_complete) spec.on_run_complete(i);
-        if (spec.interrupt != nullptr) spec.interrupt->on_unit_complete();
-      }
-    }
-    queue.halt();
-  });
-
-  if (writer) {
-    writer->flush();
-    res.ckpt.shards_flushed = writer->shards_flushed();
-    res.ckpt.flush_ns = writer->flush_ns();
-  }
-  res.ckpt.interrupted = stop_requested();
+  // Same journal contract as the disturbance campaign: loss-less records,
+  // dropped (and re-executed) unless they parse and carry their run's seed.
+  fault::UnitDriver driver(
+      "soak", spec.runs, fault::UnitPlumbing::of(spec),
+      {.kind = fault::PayloadKind::kSoakRuns,
+       .config_hash = [&] { return soak_checkpoint_config_hash(spec, plan); },
+       .accept = [&](u64 i, const std::vector<u8>& payload) {
+         SoakRunRecord rec;
+         if (!deserialize_soak_record(payload, rec) ||
+             rec.seed != derive_run_seed(spec.seed, static_cast<unsigned>(i)))
+           return false;
+         res.records[i] = std::move(rec);
+         return true;
+       }});
+  driver.run(
+      res.threads_used, 1,
+      {.run = [&](u64 i) {
+         res.records[i] = run_soak_once(
+             plan, spec, derive_run_seed(spec.seed, static_cast<unsigned>(i)));
+       },
+       .encode = [&](u64 i) { return serialize_soak_record(res.records[i]); },
+       .on_done = [&](u64 i, unsigned) {
+         if (spec.on_run_complete) spec.on_run_complete(i);
+       }});
+  res.ckpt = driver.finish();
   res.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return res;

@@ -8,7 +8,8 @@
 // a commodity SoC). Everything is a deterministic function of (spec, seed):
 // the plan is compact (site, core, cycle, pick) and replayable, so a soak
 // campaign rides the same sharded + checkpointed executor as the
-// disturbance campaign and stays byte-identical at any thread count.
+// disturbance campaign (fault/unit_driver.h) and stays byte-identical at
+// any thread count.
 //
 // Differential isolation: when a supervised run under the full upset plan
 // diverges from a clean pass (any routine slot not kPassClean, a

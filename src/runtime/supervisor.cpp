@@ -4,6 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "common/bytes.h"
+
 namespace detstl::runtime {
 
 const char* attempt_status_name(AttemptStatus s) {
@@ -98,30 +100,23 @@ SchedulePlan plan_schedule(const std::vector<const core::SelfTestRoutine*>& rout
 
 std::vector<u8> SupervisorResult::outcome_vector() const {
   std::vector<u8> out;
-  const auto put8 = [&out](u8 v) { out.push_back(v); };
-  const auto put32 = [&put8](u32 v) {
-    for (unsigned i = 0; i < 4; ++i) put8(static_cast<u8>(v >> (8 * i)));
-  };
-  const auto put64 = [&put8](u64 v) {
-    for (unsigned i = 0; i < 8; ++i) put8(static_cast<u8>(v >> (8 * i)));
-  };
   for (const CoreReport& cr : cores) {
-    put8(cr.quarantined ? 1 : 0);
-    put32(static_cast<u32>(cr.records.size()));
+    put8(out, cr.quarantined ? 1 : 0);
+    put32(out, static_cast<u32>(cr.records.size()));
     for (const RoutineRecord& r : cr.records) {
-      put8(static_cast<u8>(r.outcome));
-      put8(static_cast<u8>(r.classification));
-      put8(static_cast<u8>(r.last_failure));
-      put8(static_cast<u8>(std::min(r.cached_attempts, 255u)));
-      put8(static_cast<u8>(std::min(r.fallback_attempts, 255u)));
-      put32(r.final_signature);
-      put64(r.cycles);
+      put8(out, static_cast<u8>(r.outcome));
+      put8(out, static_cast<u8>(r.classification));
+      put8(out, static_cast<u8>(r.last_failure));
+      put8(out, static_cast<u8>(std::min(r.cached_attempts, 255u)));
+      put8(out, static_cast<u8>(std::min(r.fallback_attempts, 255u)));
+      put32(out, r.final_signature);
+      put64(out, r.cycles);
     }
   }
-  put64(total_cycles);
-  put8(budget_exhausted ? 1 : 0);
-  for (u64 v : injections.applied) put64(v);
-  for (u64 v : injections.skipped) put64(v);
+  put64(out, total_cycles);
+  put8(out, budget_exhausted ? 1 : 0);
+  for (u64 v : injections.applied) put64(out, v);
+  for (u64 v : injections.skipped) put64(out, v);
   return out;
 }
 

@@ -18,6 +18,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/bytes.h"
 #include "core/routines.h"
 #include "exp/experiments.h"
 #include "fault/checkpoint.h"
@@ -60,8 +61,7 @@ void append_run_index(const std::string& path, u64 unit) {
   std::FILE* f = std::fopen(path.c_str(), "ab");
   if (f == nullptr) return;  // heartbeat loss degrades to the wall-clock budget
   u8 rec[kHeartbeatRecordBytes];
-  for (unsigned i = 0; i < sizeof rec; ++i)
-    rec[i] = static_cast<u8>(unit >> (8 * i));
+  store_le(rec, unit, sizeof rec);
   std::fwrite(rec, 1, sizeof rec, f);
   std::fclose(f);
 }
@@ -80,9 +80,7 @@ bool last_run_index(const std::string& path, u64& out) {
     u8 buf[kHeartbeatRecordBytes];
     if (whole >= rec && std::fseek(f, whole - rec, SEEK_SET) == 0 &&
         std::fread(buf, 1, sizeof buf, f) == sizeof buf) {
-      out = 0;
-      for (unsigned i = 0; i < sizeof buf; ++i)
-        out |= static_cast<u64>(buf[i]) << (8 * i);
+      out = load64(buf);
       ok = true;
     }
   }

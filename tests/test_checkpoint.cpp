@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -17,7 +18,9 @@
 #include "fault/campaign.h"
 #include "fault/checkpoint.h"
 #include "fault/work_queue.h"
+#include "netlist/modules.h"
 #include "runtime/campaign.h"
+#include "runtime/soak.h"
 #include "trace/capture.h"
 
 namespace fs = std::filesystem;
@@ -461,6 +464,75 @@ TEST(CheckpointDisturbance, KillAndResumeMatchesStraightRun) {
   EXPECT_EQ(resumed.digest(), straight.digest());
   EXPECT_EQ(runtime::render_recovery_report(resumed),
             runtime::render_recovery_report(straight));
+}
+
+// A journal write failing on a worker thread must surface as an exception
+// from the campaign, never as std::terminate, at any thread count.
+TEST(CheckpointDisturbance, JournalWriteFailureThrowsAtAnyThreadCount) {
+  for (const unsigned threads : {1u, 2u}) {
+    const auto dir = scratch_dir("dist-write-failure");
+    auto spec = small_disturbance_spec();
+    spec.threads = threads;
+    spec.checkpoint = make_cfg(dir, 1);
+    std::atomic<bool> removed{false};
+    spec.on_run_complete = [&](u64) {
+      std::error_code ec;
+      if (!removed.exchange(true)) fs::remove_all(dir, ec);
+    };
+    EXPECT_THROW(runtime::run_disturbance_campaign(spec), std::runtime_error)
+        << "threads=" << threads;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// On-disk compatibility: journals written by earlier builds must still resume
+// ---------------------------------------------------------------------------
+
+std::vector<const core::SelfTestRoutine*> alu_shifter() {
+  static const auto alu = core::find_routine("alu")->make();
+  static const auto shifter = core::find_routine("shifter")->make();
+  return {alu.get(), shifter.get()};
+}
+
+runtime::SoakCampaignSpec pinned_soak_spec() {
+  runtime::SoakCampaignSpec spec;
+  spec.seed = 0x50AF0001;
+  spec.runs = 4;
+  spec.threads = 1;
+  spec.cores = 2;
+  spec.routines = {"alu", "shifter"};
+  return spec;
+}
+
+// Absolute manifest hashes, not just comparisons between them: a changed
+// value means every checkpoint directory already on disk stops resuming.
+TEST(CheckpointCompat, ConfigHashesArePinned) {
+  const auto routine = core::make_fwd_test(/*with_perf_counters=*/false);
+  exp::Scenario sc{1, {0, 0, 0}, 0, 0, "ckpt"};
+  auto tests = exp::build_scenario_tests(*routine, WrapperKind::kPlain, sc, 0,
+                                         /*use_pcs=*/false);
+  CampaignConfig cc;
+  cc.fault_stride = 8;
+  const netlist::FwdNetlist fwd(isa::CoreKind::kA);
+  EXPECT_EQ(checkpoint_config_hash(cc, fwd.nl(),
+                                   exp::scenario_factory(std::move(tests), sc, 0)()),
+            0xa77c'b1ec'31ce'00b7ull);
+
+  const runtime::SchedulePlan plan = runtime::plan_schedule(alu_shifter(), 2);
+  EXPECT_EQ(runtime::checkpoint_config_hash(small_disturbance_spec(), plan),
+            0xa14b'9f72'ba19'1726ull);
+  EXPECT_EQ(runtime::soak_checkpoint_config_hash(pinned_soak_spec(), plan),
+            0x7561'0fdf'6eb4'68e2ull);
+}
+
+TEST(CheckpointCompat, SoakShardBytesArePinned) {
+  const auto dir = scratch_dir("soak-pinned");
+  runtime::SoakCampaignSpec spec = pinned_soak_spec();
+  spec.checkpoint = make_cfg(dir, 256);
+  const runtime::SoakCampaignResult res = runtime::run_soak_campaign(spec);
+  ASSERT_EQ(res.ckpt.shards_flushed, 1u);
+  const std::vector<u8> shard = read_all(dir / "shard-000000.ckpt");
+  EXPECT_EQ(fnv1a(shard.data(), shard.size()), 0x735b'ec68'1ff7'b65eull);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
-// Common utilities: bit helpers, deterministic RNG, table rendering.
+// Common utilities: bit helpers, the byte codec and FNV-1a, deterministic
+// RNG, table rendering.
 
 #include <gtest/gtest.h>
 
 #include "common/bitutil.h"
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "common/table.h"
 
@@ -36,6 +38,57 @@ TEST(BitUtil, Alignment) {
   EXPECT_TRUE(is_pow2(64));
   EXPECT_FALSE(is_pow2(96));
   EXPECT_EQ(log2u(4096), 12u);
+}
+
+TEST(Bytes, Fnv1aKnownAnswers) {
+  EXPECT_EQ(fnv1a("", 0), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a(std::vector<u8>{'a'}), 0xaf63dc4c8601ec8cull);
+  // Chaining over a split buffer equals one pass over the whole.
+  EXPECT_EQ(fnv1a("b", 1, fnv1a("a", 1)), fnv1a("ab", 2));
+}
+
+TEST(Bytes, LittleEndianRoundTrip) {
+  std::vector<u8> out;
+  put8(out, 0xa5);
+  put32(out, 0x01020304u);
+  put64(out, 0x1122334455667788ull);
+  put_str(out, "hi");
+  const std::vector<u8> want{0xa5, 0x04, 0x03, 0x02, 0x01, 0x88, 0x77, 0x66, 0x55,
+                             0x44, 0x33, 0x22, 0x11, 2,    0,    0,    0,    'h', 'i'};
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(load32(out.data() + 1), 0x01020304u);
+  EXPECT_EQ(load64(out.data() + 5), 0x1122334455667788ull);
+
+  ByteReader rd(out);
+  EXPECT_EQ(rd.get8(), 0xa5u);
+  EXPECT_EQ(rd.get32(), 0x01020304u);
+  EXPECT_EQ(rd.get64(), 0x1122334455667788ull);
+  EXPECT_EQ(rd.get_str(), "hi");
+  EXPECT_TRUE(rd.at_end());
+}
+
+TEST(Bytes, ReaderFailsStickyOnTruncation) {
+  const std::vector<u8> three{1, 2, 3};
+  ByteReader rd(three);
+  EXPECT_EQ(rd.get32(), 0u);  // needs 4 bytes, only 3 left
+  EXPECT_FALSE(rd.ok());
+  EXPECT_EQ(rd.get8(), 0u);  // sticky: even a read that would fit fails now
+  EXPECT_FALSE(rd.ok());
+  EXPECT_FALSE(rd.at_end());
+
+  // A length prefix promising more bytes than remain.
+  std::vector<u8> str;
+  put_str(str, "abc");
+  str.pop_back();
+  ByteReader rs(str);
+  EXPECT_EQ(rs.get_str(), "");
+  EXPECT_FALSE(rs.ok());
+
+  ByteReader partial(three);
+  EXPECT_EQ(partial.get8(), 1u);
+  EXPECT_TRUE(partial.ok());
+  EXPECT_FALSE(partial.at_end());  // bytes left over
 }
 
 TEST(Rng, DeterministicStreams) {

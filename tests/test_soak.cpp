@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <vector>
@@ -169,6 +170,25 @@ TEST(SoakCampaign, ShardRangesMergeToTheStraightResult) {
   const SoakCampaignResult merged = run_soak_campaign(merge);
   EXPECT_EQ(merged.ckpt.records_resumed, 4u);
   EXPECT_EQ(merged.outcome_vector(), straight.outcome_vector());
+}
+
+// A journal write failing on a worker thread must surface as an exception
+// from the campaign, never as std::terminate, at any thread count.
+TEST(SoakCampaign, JournalWriteFailureThrowsAtAnyThreadCount) {
+  for (const unsigned threads : {1u, 2u}) {
+    const fs::path dir = scratch_dir("write-failure");
+    SoakCampaignSpec spec = small_spec();
+    spec.threads = threads;
+    spec.checkpoint.dir = dir.string();
+    spec.checkpoint.interval = 1;
+    spec.checkpoint.fsync = fault::FsyncPolicy::kNone;
+    std::atomic<bool> removed{false};
+    spec.on_run_complete = [&](u64) {
+      std::error_code ec;
+      if (!removed.exchange(true)) fs::remove_all(dir, ec);
+    };
+    EXPECT_THROW(run_soak_campaign(spec), std::runtime_error) << "threads=" << threads;
+  }
 }
 
 TEST(SoakCampaign, BisectionNamesAMinimalCulprit) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cli_util.h"
+#include "common/bytes.h"
 #include "common/table.h"
 #include "core/stl.h"
 #include "perf/collect.h"
@@ -338,12 +339,8 @@ int cmd_campaign(int argc, char** argv) {
   }
   if (digest_only) {
     // Digest of the verified reference vector.
-    u64 h = 0xcbf29ce484222325ull;
-    for (const u8 b : reference) {
-      h ^= b;
-      h *= 0x100000001b3ull;
-    }
-    std::printf("outcome digest: %s\n", TextTable::fmt_hex(h).c_str());
+    std::printf("outcome digest: %s\n",
+                TextTable::fmt_hex(fnv1a(reference)).c_str());
   } else {
     std::fputs(reference_report.c_str(), stdout);
   }
@@ -503,12 +500,8 @@ int cmd_soak(int argc, char** argv) {
     }
   }
   if (digest_only) {
-    u64 h = 0xcbf29ce484222325ull;
-    for (const u8 b : reference) {
-      h ^= b;
-      h *= 0x100000001b3ull;
-    }
-    std::printf("outcome digest: %s\n", TextTable::fmt_hex(h).c_str());
+    std::printf("outcome digest: %s\n",
+                TextTable::fmt_hex(fnv1a(reference)).c_str());
   } else {
     std::fputs(reference_report.c_str(), stdout);
   }
