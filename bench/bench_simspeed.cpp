@@ -181,7 +181,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--probe-only") == 0) {
       probe_only = true;
     } else if (std::strcmp(argv[i], "--probe-reps") == 0 && i + 1 < argc) {
-      reps = bench::parse_unsigned_or_die("--probe-reps", argv[++i]);
+      reps = cli::require_unsigned("bench_simspeed", "--probe-reps", argv[++i],
+                                   0, ~0u);
     } else {
       fwd.push_back(argv[i]);
     }

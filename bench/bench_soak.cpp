@@ -18,36 +18,15 @@
 #include "bench_util.h"
 #include "runtime/soak.h"
 
-namespace {
-
-using namespace detstl;
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace detstl;
   const bench::BenchOptions opts = bench::parse_options(argc, argv);
   bench::PerfSession session(opts, "soak");
 
   runtime::SoakCampaignSpec spec;
-  spec.runs = bench::env_unsigned("DETSTL_SOAK_RUNS", 24);
-  spec.seed = bench::env_unsigned("DETSTL_SOAK_SEED", 0x5EA5BEAC);
-  spec.threads = opts.threads;
-  if (!opts.checkpoint_dir.empty()) {
-    spec.checkpoint.dir = opts.checkpoint_dir;
-    spec.checkpoint.interval = opts.checkpoint_interval;
-    spec.checkpoint.resume = opts.resume;
-    spec.checkpoint.fsync = opts.no_fsync ? fault::FsyncPolicy::kNone
-                                          : fault::FsyncPolicy::kEveryShard;
-  }
-  if (!opts.checkpoint_dir.empty() || opts.interrupt_after != 0 ||
-      opts.timeout != 0) {
-    spec.interrupt = &fault::global_interrupt();
-    spec.interrupt->clear();
-    if (opts.interrupt_after != 0)
-      spec.interrupt->arm_after(opts.interrupt_after);
-    fault::install_drain_handlers();
-    if (opts.timeout != 0) fault::arm_wallclock_timeout(opts.timeout);
-  }
+  spec.runs = bench::env_unsigned(opts, "DETSTL_SOAK_RUNS", 24);
+  spec.seed = bench::env_unsigned(opts, "DETSTL_SOAK_SEED", 0x5EA5BEAC);
+  opts.campaign.apply(spec);
 
   session.hash_knob("runs", spec.runs);
   session.hash_knob("seed", spec.seed);
@@ -60,10 +39,8 @@ int main(int argc, char** argv) {
       bench::run_resumable([&] { return runtime::run_soak_campaign(spec); });
   session.mark_phase("soak-campaign");
   if (res.ckpt.interrupted) {
-    std::fprintf(stderr, "interrupted but resumable: %llu/%u run(s) journalled\n",
-                 static_cast<unsigned long long>(res.ckpt.records_resumed),
-                 spec.runs);
-    return session.finish(3);
+    cli::report_interrupted(opts.tool.c_str(), res, spec.checkpoint);
+    return session.finish(cli::kExitInterrupted);
   }
 
   std::fputs(runtime::render_soak_report(res).c_str(), stdout);

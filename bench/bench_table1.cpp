@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
                       "1 core: 200,679 IF / 117,965 MEM; 2: 717,538 / 305,801; "
                       "3: 1,878,336 / 663,386");
 
-  const unsigned samples = bench::env_unsigned("DETSTL_STAGGERS", 3);
+  const unsigned samples = bench::env_unsigned(opts, "DETSTL_STAGGERS", 3);
   bench::PerfSession perf(opts, "table1");
   perf.hash_knob("staggers", samples);
   const auto rows = bench::run_resumable([&] {

@@ -23,8 +23,9 @@ int main(int argc, char** argv) {
       "A: 53,298 faults, 64.14-75.19% no-cache, 79.61% cached; "
       "B: 57,506, 63.61-79.59%, 82.08%; C: 113,212, 56.24-66.48%, 68.79%");
 
-  const unsigned stride = bench::env_unsigned("DETSTL_FAULT_STRIDE", 1);
-  const unsigned scenarios = bench::env_unsigned("DETSTL_SCENARIOS", 0);
+  const unsigned stride =
+      bench::env_unsigned(opts, "DETSTL_FAULT_STRIDE", 1, /*lo=*/1);
+  const unsigned scenarios = bench::env_unsigned(opts, "DETSTL_SCENARIOS", 0);
   bench::PerfSession perf(opts, "table2");
   perf.hash_knob("fault_stride", stride);
   perf.hash_knob("scenarios", scenarios);
@@ -46,8 +47,9 @@ int main(int argc, char** argv) {
            TextTable::fmt_fixed(r.fc_cached, 2), r.cached_stable ? "yes" : "NO"});
   }
   t.print();
-  std::printf("\nwall-clock: %.1f s (threads=%u%s)\n", wall, opts.threads,
-              opts.threads == 0 ? " = all hardware threads" : "");
+  const unsigned threads = opts.campaign.threads;
+  std::printf("\nwall-clock: %.1f s (threads=%u%s)\n", wall, threads,
+              threads == 0 ? " = all hardware threads" : "");
 
   bool shape_ok = true;
   for (const auto& r : rows) {

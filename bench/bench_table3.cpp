@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
       "A: ICU 46.57->51.36%, HDCU 62.53->70.37%; B: ICU 46.39->50.97%, "
       "HDCU 63.84->70.12%; C: ICU 54.94->60.91%, HDCU 65.66->68.09%");
 
-  const unsigned stride = bench::env_unsigned("DETSTL_FAULT_STRIDE", 1);
+  const unsigned stride =
+      bench::env_unsigned(opts, "DETSTL_FAULT_STRIDE", 1, /*lo=*/1);
   bench::PerfSession perf(opts, "table3");
   perf.hash_knob("fault_stride", stride);
   const auto t0 = std::chrono::steady_clock::now();
@@ -48,8 +49,9 @@ int main(int argc, char** argv) {
                std::to_string(r.stability_runs)});
   }
   t.print();
-  std::printf("\nwall-clock: %.1f s (threads=%u%s)\n", wall, opts.threads,
-              opts.threads == 0 ? " = all hardware threads" : "");
+  const unsigned threads = opts.campaign.threads;
+  std::printf("\nwall-clock: %.1f s (threads=%u%s)\n", wall, threads,
+              threads == 0 ? " = all hardware threads" : "");
 
   bool shape_ok = true;
   double icu_ab_cached = 0, icu_c_cached = 0;

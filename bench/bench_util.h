@@ -1,13 +1,12 @@
 #pragma once
 // Shared helpers for the table-reproduction binaries.
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
+#include "cli_util.h"
 #include "common/table.h"
 #include "common/version.h"
 #include "exp/experiments.h"
@@ -20,87 +19,56 @@
 
 namespace detstl::bench {
 
-/// Strict unsigned parse: digits only, no trailing junk. Exits 2 on garbage
-/// so a typo'd DETSTL_THREADS or --threads never silently becomes 0.
-inline unsigned parse_unsigned_or_die(const char* what, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long v = std::strtoul(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0' || *text == '-') {
-    std::fprintf(stderr, "error: %s expects an unsigned integer, got '%s'\n",
-                 what, text);
-    std::exit(2);
-  }
-  return static_cast<unsigned>(v);
-}
-
-/// Environment-variable override with default (fault-sampling stride etc.).
-inline unsigned env_unsigned(const char* name, unsigned def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  return parse_unsigned_or_die(name, v);
-}
-
 /// Command-line options shared by the table benches.
 struct BenchOptions {
+  std::string tool;         // argv[0]'s basename; prefixes diagnostics
   bool progress = false;    // --progress: live campaign progress on stderr
-  unsigned threads = 0;     // --threads N / DETSTL_THREADS (0 = all cores)
   std::string trace_path;   // --trace FILE: Chrome-trace JSON of the run
   // stlperf trajectory (src/perf/perf_report.h, tools/stlperf.cpp).
   std::string metrics_out;  // --metrics-out FILE: BENCH_<name>.json
   bool profile = false;     // --profile: subsystem profiler (slower; never
                             // combined with the sim-MHz gate numbers)
-  // Crash-safe checkpoint/resume (fault/checkpoint.h); see the exit-code
-  // contract in tools/cli_util.h — an interrupted bench exits 3 (resumable).
-  std::string checkpoint_dir;      // --checkpoint-dir DIR (empty = off)
-  unsigned checkpoint_interval = 256;  // --checkpoint-interval N
-  bool resume = false;             // --resume
-  bool no_fsync = false;           // --no-fsync
-  unsigned interrupt_after = 0;    // --interrupt-after N (drain drill)
-  unsigned timeout = 0;            // --timeout SEC wall-clock budget (exit 3)
+  /// --threads (default DETSTL_THREADS, 0 = all cores) and the crash-safe
+  /// checkpoint/drain group, parsed and applied exactly like stlrun's; an
+  /// interrupted bench exits 3 (resumable, tools/cli_util.h).
+  cli::CampaignFlags campaign;
 };
+
+/// Environment-variable knob with a default (fault-sampling stride etc.),
+/// parsed like a flag: exit 2 when malformed or outside [lo, hi].
+inline unsigned env_unsigned(const BenchOptions& o, const char* name,
+                             unsigned def, unsigned lo = 0, unsigned hi = ~0u) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return def;
+  return cli::require_unsigned(o.tool.c_str(), name, v, lo, hi);
+}
 
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions o;
-  o.threads = env_unsigned("DETSTL_THREADS", 0);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--progress") == 0) {
+  const std::string arg0 = argv[0];
+  o.tool = arg0.substr(arg0.find_last_of('/') + 1);
+  o.campaign.threads = env_unsigned(o, "DETSTL_THREADS", 0, 0, 256);
+  cli::Args args(o.tool.c_str(), argc - 1, argv + 1);
+  while (args.next()) {
+    if (args.is("--progress")) {
       o.progress = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      o.threads = parse_unsigned_or_die("--threads", argv[++i]);
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      o.trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      o.metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
+    } else if (args.is("--trace")) {
+      o.trace_path = args.value();
+    } else if (args.is("--metrics-out")) {
+      o.metrics_out = args.value();
+    } else if (args.is("--profile")) {
       o.profile = true;
-    } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0 && i + 1 < argc) {
-      o.checkpoint_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--checkpoint-interval") == 0 && i + 1 < argc) {
-      o.checkpoint_interval =
-          parse_unsigned_or_die("--checkpoint-interval", argv[++i]);
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      o.resume = true;
-    } else if (std::strcmp(argv[i], "--no-fsync") == 0) {
-      o.no_fsync = true;
-    } else if (std::strcmp(argv[i], "--interrupt-after") == 0 && i + 1 < argc) {
-      o.interrupt_after = parse_unsigned_or_die("--interrupt-after", argv[++i]);
-    } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
-      o.timeout = parse_unsigned_or_die("--timeout", argv[++i]);
-    } else {
+    } else if (!o.campaign.parse(args)) {
       std::fprintf(stderr,
                    "usage: %s [--progress] [--threads N] [--trace FILE]\n"
                    "          [--metrics-out FILE] [--profile] [--timeout SEC]\n"
                    "          [--checkpoint-dir DIR [--checkpoint-interval N]\n"
                    "           [--resume] [--no-fsync] [--interrupt-after N]]\n",
                    argv[0]);
-      std::exit(2);
+      std::exit(cli::kExitUsage);
     }
   }
-  if (o.resume && o.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "error: --resume requires --checkpoint-dir\n");
-    std::exit(2);
-  }
+  if (!o.campaign.valid(o.tool.c_str())) std::exit(cli::kExitUsage);
   // Probe the output paths up front: a bench can run for minutes, and an
   // unwritable destination should fail before the campaign, not after it.
   for (const std::string* path : {&o.trace_path, &o.metrics_out}) {
@@ -163,33 +131,19 @@ inline void print_progress(const fault::CampaignProgress& p) {
   std::fflush(stderr);
 }
 
-/// ExecOptions for the table drivers: campaign threads from the options,
-/// progress + per-scenario narration when --progress was given, events into
-/// `sink` when --trace was given.
+/// ExecOptions for the table drivers: threads, journal and drain from the
+/// campaign flags, progress + per-scenario narration when --progress was
+/// given, events into `sink` when --trace was given.
 inline exp::ExecOptions exec_options(const BenchOptions& o,
                                      trace::EventSink* sink = nullptr) {
   exp::ExecOptions e;
-  e.threads = o.threads;
+  o.campaign.apply(e);
   e.sink = sink;
   if (o.progress) {
     e.progress = print_progress;
     e.log = [](const std::string& line) {
       std::fprintf(stderr, "\r%s\033[K\n", line.c_str());
     };
-  }
-  if (!o.checkpoint_dir.empty()) {
-    e.checkpoint.dir = o.checkpoint_dir;
-    e.checkpoint.interval = o.checkpoint_interval;
-    e.checkpoint.resume = o.resume;
-    e.checkpoint.fsync =
-        o.no_fsync ? fault::FsyncPolicy::kNone : fault::FsyncPolicy::kEveryShard;
-  }
-  if (!o.checkpoint_dir.empty() || o.interrupt_after != 0 || o.timeout != 0) {
-    e.interrupt = &fault::global_interrupt();
-    e.interrupt->clear();
-    if (o.interrupt_after != 0) e.interrupt->arm_after(o.interrupt_after);
-    fault::install_drain_handlers();
-    if (o.timeout != 0) fault::arm_wallclock_timeout(o.timeout);
   }
   return e;
 }

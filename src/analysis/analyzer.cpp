@@ -376,7 +376,6 @@ Report analyze_impl(const isa::Program& prog, const AnalysisConfig& cfg,
 
   // --- layer 2: abstract-interpretation obligations (absint.h) ----------------
 
-  if (!cfg.abstract_interpretation) return rep;
   const AbsIntResult ai = interpret(prog, cfg, m);
   if (!ai.analyzable) return rep;
 

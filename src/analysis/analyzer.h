@@ -39,10 +39,6 @@ struct AnalysisConfig {
   bool write_allocate = true;
   bool use_perf_counters = false;
 
-  /// Run the abstract cache-state interpreter (layer 2, absint.h) on top of
-  /// the syntactic rules. Only meaningful with check_cache_determinism.
-  bool abstract_interpretation = true;
-
   /// Label of the execution-loop head (e.g. "t0_loop"). When empty or
   /// undefined in the program, the loop is inferred as the outermost
   /// back-edge interval.

@@ -32,7 +32,6 @@ struct AVal {
   u32 lo = 0;
   u32 hi = 0;
 
-  static AVal bot() { return {}; }
   static AVal top() { return {kTop, 0, 0xffffffffu}; }
   static AVal cst(u32 v) { return {kConst, v, v}; }
   static AVal range(u32 lo, u32 hi) {

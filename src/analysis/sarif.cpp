@@ -3,33 +3,12 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json_escape.h"
 #include "common/version.h"
 
 namespace detstl::analysis {
 
 namespace {
-
-std::string esc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 const char* sarif_level(Severity s) {
   switch (s) {
@@ -78,7 +57,8 @@ std::string to_sarif(const std::vector<SarifTarget>& targets) {
       os << "        {\n"
          << "          \"ruleId\": \"" << rule_id(d.rule) << "\",\n"
          << "          \"level\": \"" << sarif_level(d.severity) << "\",\n"
-         << "          \"message\": {\"text\": \"" << esc(text) << "\"},\n"
+         << "          \"message\": {\"text\": \"" << json_escape(text)
+         << "\"},\n"
          << "          \"locations\": [\n            {\n"
          << "              \"physicalLocation\": {\n"
          << "                \"artifactLocation\": {\"uri\": "
@@ -86,8 +66,10 @@ std::string to_sarif(const std::vector<SarifTarget>& targets) {
          << "                \"region\": {\"startLine\": 1}\n"
          << "              },\n"
          << "              \"logicalLocations\": [\n"
-         << "                {\"name\": \"" << esc(d.where.empty() ? pc : d.where)
-         << "\", \"fullyQualifiedName\": \"" << esc(t.name) << "@" << pc
+         << "                {\"name\": \""
+         << json_escape(d.where.empty() ? pc : d.where)
+         << "\", \"fullyQualifiedName\": \"" << json_escape(t.name) << "@"
+         << pc
          << "\"}\n"
          << "              ]\n            }\n          ]\n        }";
     }

@@ -226,6 +226,26 @@ u64 checkpoint_config_hash(const CampaignConfig& cfg, const netlist::Netlist& nl
   return h.digest();
 }
 
+std::vector<netlist::Fault> sample_faults(const netlist::Netlist& nl,
+                                          u32 stride) {
+  if (stride == 0)
+    throw std::invalid_argument("fault campaign: fault_stride must be >= 1");
+  const std::vector<netlist::Fault> all = nl.fault_list();
+  std::vector<netlist::Fault> sampled;
+  for (std::size_t i = 0; i < all.size(); ++i)
+    if ((i / 2) % stride == 0) sampled.push_back(all[i]);
+  return sampled;
+}
+
+netlist::Netlist module_netlist(Module m, isa::CoreKind kind) {
+  switch (m) {
+    case Module::kHdcu: return netlist::HdcuNetlist(kind).nl();
+    case Module::kIcu: return netlist::IcuNetlist(kind).nl();
+    case Module::kFwd: break;
+  }
+  return netlist::FwdNetlist(kind).nl();
+}
+
 Campaign::Campaign(const CampaignConfig& cfg, SocFactory factory)
     : cfg_(cfg), factory_(std::move(factory)) {}
 
@@ -278,14 +298,10 @@ CampaignResult Campaign::run() {
 
   // --- Fault list (deterministically sampled) ------------------------------
   // It depends only on the netlist, so the journal below loads (and emits its
-  // kCkptLoad/kCkptReject events) before the good run starts tracing. The
-  // collapsed list interleaves SA0/SA1 per net; sampling strides over NETS
-  // and keeps both polarities of each sampled net, so no polarity bias.
-  const std::vector<netlist::Fault> all_faults = nl->fault_list();
-  res.total_faults = all_faults.size();
-  std::vector<netlist::Fault> faults;
-  for (std::size_t i = 0; i < all_faults.size(); ++i)
-    if ((i / 2) % cfg_.fault_stride == 0) faults.push_back(all_faults[i]);
+  // kCkptLoad/kCkptReject events) before the good run starts tracing.
+  res.total_faults = nl->fault_list().size();
+  const std::vector<netlist::Fault> faults =
+      sample_faults(*nl, cfg_.fault_stride);
   res.simulated_faults = faults.size();
   res.outcomes.assign(faults.size(), FaultOutcome::kNotExcited);
 
@@ -298,7 +314,7 @@ CampaignResult Campaign::run() {
   // kNotExcited placeholder: screening skips whole out-of-range lane groups.
   soc::Soc good = factory_();
   UnitDriver driver(
-      "fault campaign", faults.size(), UnitPlumbing::of(cfg_),
+      "fault campaign", faults.size(), cfg_,
       {.kind = PayloadKind::kFaultOutcomes,
        .config_hash = [&] { return checkpoint_config_hash(cfg_, *nl, good); },
        .accept = [&](u64 i, const std::vector<u8>& payload) {

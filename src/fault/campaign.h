@@ -30,6 +30,7 @@
 #include "core/wrapper.h"
 #include "fault/checkpoint.h"
 #include "fault/progress.h"
+#include "fault/unit_driver.h"
 #include "netlist/adapters.h"
 #include "soc/soc.h"
 
@@ -39,7 +40,15 @@ enum class Module : u8 { kFwd, kHdcu, kIcu };
 
 const char* module_name(Module m);
 
-struct CampaignConfig {
+/// Executor plumbing (checkpoint, merge_dirs, shard range, interrupt, sink)
+/// comes from UnitPlumbing. Fault-specific readings: the shard range is over
+/// the *simulated* fault list, and out-of-range faults hold a kNotExcited
+/// placeholder. The good run traces live into `sink`; faulty replicas never
+/// emit (the campaign clears the sink on every restored checkpoint copy),
+/// and per-fault events are emitted after the worker pool joins, in
+/// fault-index order with a sequence-number clock, so the stream is
+/// byte-identical for every `threads` value.
+struct CampaignConfig : UnitPlumbing {
   Module module = Module::kFwd;
   unsigned core_id = 0;  // core under grade
   isa::CoreKind kind = isa::CoreKind::kA;
@@ -47,7 +56,8 @@ struct CampaignConfig {
   u64 max_cycles = 20'000'000;  // good-run bound
   u32 checkpoint_every = 4096;  // cycles between checkpoints
   /// Simulate every Nth fault of the collapsed list (deterministic sampling
-  /// speed knob for the benches; 1 = exhaustive).
+  /// speed knob for the benches; 1 = exhaustive; 0 is rejected, see
+  /// sample_faults).
   u32 fault_stride = 1;
   /// Cache-based wrapper: signature writes before the execution loop (the
   /// loading loop) are architecturally discarded by the re-seed and must not
@@ -63,40 +73,6 @@ struct CampaignConfig {
   /// `progress_every` completed work units.
   ProgressFn progress;
   u32 progress_every = 64;
-  /// detscope event sink (non-owning; null = off). The good run traces live;
-  /// faulty replicas never emit (the campaign clears the sink on every
-  /// restored checkpoint copy), and per-fault events are emitted after the
-  /// worker pool joins, in fault-index order with a sequence-number clock —
-  /// so the stream is byte-identical for every `threads` value.
-  trace::EventSink* sink = nullptr;
-  /// Crash-safe checkpoint/journal (fault/checkpoint.h). With a directory
-  /// set, completed fault outcomes are persisted into checksummed shards
-  /// every `checkpoint.interval` faults; with `checkpoint.resume` the
-  /// campaign loads the verified shards first and only simulates the
-  /// remainder. Neither affects the (completed) result: straight and
-  /// resumed runs are byte-identical.
-  CheckpointConfig checkpoint;
-  /// Cooperative drain request (fault/checkpoint.h). Workers stop claiming
-  /// work once it fires, finish in-flight faults, flush a final shard and
-  /// the campaign returns a partial result with ckpt.interrupted set.
-  /// Null = never interrupted. Not part of the config hash.
-  InterruptToken* interrupt = nullptr;
-  /// Half-open shard range [unit_begin, unit_end) over the *simulated* fault
-  /// list this process executes; (0, 0) = everything. Out-of-range faults are
-  /// pre-marked done with a kNotExcited placeholder (never journalled, never
-  /// simulated), so a shard worker screens and detects only its slice.
-  /// Deliberately EXCLUDED from the checkpoint config hash: every shard of a
-  /// partitioned campaign shares one manifest identity, which is what lets
-  /// src/serve/ reassign a dead worker's subdir to a fresh worker and merge
-  /// all subdirs back into the full result.
-  u64 unit_begin = 0;
-  u64 unit_end = 0;
-  /// Post-hoc merge: additionally load the journals of these per-shard
-  /// checkpoint directories (fault/checkpoint.h load_checkpoint_dirs) and
-  /// treat their records as resumed. Faults no journal covers are simply
-  /// re-executed in-process, so the merged result is byte-identical to the
-  /// single-process run by the same contract as --resume. Not hashed.
-  std::vector<std::string> merge_dirs;
 };
 
 /// The scenario under grade: builds a fresh SoC with all programs loaded and
@@ -162,6 +138,16 @@ struct CampaignResult {
   /// for straight vs killed-and-resumed vs multi-resume executions.
   std::vector<u8> canonical_bytes() const;
 };
+
+/// The campaign's fault-sampling rule. The collapsed list interleaves
+/// SA0/SA1 per net; every `stride`-th NET is kept with both polarities, so
+/// there is no polarity bias. Throws std::invalid_argument on stride 0.
+std::vector<netlist::Fault> sample_faults(const netlist::Netlist& nl,
+                                          u32 stride);
+
+/// The gate-level netlist of `m` for core kind `kind`, as graded by a
+/// campaign with that module.
+netlist::Netlist module_netlist(Module m, isa::CoreKind kind);
 
 /// The hash a checkpoint manifest binds this campaign to: every
 /// outcome-relevant CampaignConfig field (module, graded core, mailbox,

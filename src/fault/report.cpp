@@ -43,12 +43,8 @@ CampaignReport make_report(const CampaignResult& result, const netlist::Netlist&
   CampaignReport rep;
   rep.result = result;
 
-  // Reconstruct the sampled fault list the campaign used (same rule:
-  // net-strided, both polarities kept).
-  const auto all = nl.fault_list();
-  std::vector<netlist::Fault> sampled;
-  for (std::size_t i = 0; i < all.size(); ++i)
-    if ((i / 2) % fault_stride == 0) sampled.push_back(all[i]);
+  // Reconstruct the sampled fault list the campaign used.
+  const std::vector<netlist::Fault> sampled = sample_faults(nl, fault_stride);
 
   std::map<netlist::GateOp, GateClassCoverage> classes;
   for (std::size_t i = 0; i < sampled.size() && i < result.outcomes.size(); ++i) {

@@ -36,22 +36,34 @@ unsigned resolve_threads(unsigned threads);
 /// first exception a worker throws is rethrown after the join.
 void run_pool(unsigned threads, const std::function<void(unsigned)>& body);
 
-/// The executor plumbing every campaign spec carries under these names
-/// (fault::CampaignConfig, runtime::CampaignSpec, runtime::SoakCampaignSpec).
-/// None of it enters a config hash.
+/// The executor plumbing every campaign spec inherits (fault::CampaignConfig,
+/// runtime::CampaignSpec, runtime::SoakCampaignSpec). None of it enters a
+/// config hash: resuming, sharding or merging never re-keys a campaign.
 struct UnitPlumbing {
+  /// Crash-safe journal (fault/checkpoint.h): completed units persist into
+  /// checksummed shards every `checkpoint.interval` units; with
+  /// `checkpoint.resume` the verified shards load first and only the
+  /// remainder runs. Straight and resumed runs are byte-identical.
   CheckpointConfig checkpoint;
+  /// Post-hoc merge: additionally load these per-shard checkpoint
+  /// directories and treat their records as resumed. Units no journal covers
+  /// re-execute in-process, so the merged result is byte-identical to the
+  /// single-process run by the same contract as resume.
   std::vector<std::string> merge_dirs;
-  u64 unit_begin = 0;  // shard range; (0, 0) = every unit
+  /// Half-open shard range [unit_begin, unit_end) this process executes;
+  /// (0, 0) = every unit. Out-of-range units are pre-marked done (never
+  /// executed, never journalled). Because the range is not hashed, every
+  /// shard of a partitioned campaign shares one manifest identity, which is
+  /// what lets src/serve/ reassign a dead worker's subdir and merge them all.
+  u64 unit_begin = 0;
   u64 unit_end = 0;
+  /// Cooperative drain request: workers stop claiming units once it fires,
+  /// finish in-flight ones and flush a final shard; the campaign returns a
+  /// partial result with ckpt.interrupted set. Null = never interrupted.
   InterruptToken* interrupt = nullptr;
+  /// detscope sink (non-owning; null = off) for the driver's
+  /// kCkptFlush/kCkptLoad/kCkptReject telemetry; a kind may trace more.
   trace::EventSink* sink = nullptr;
-
-  template <class Spec>
-  static UnitPlumbing of(const Spec& s) {
-    return {s.checkpoint, s.merge_dirs, s.unit_begin, s.unit_end,
-            s.interrupt, s.sink};
-  }
 };
 
 /// What one campaign kind journals.

@@ -16,15 +16,6 @@ namespace detstl::isa {
 /// extension and a wider ICU cause register.
 enum class CoreKind : u8 { kA = 0, kB = 1, kC = 2 };
 
-inline const char* core_name(CoreKind k) {
-  switch (k) {
-    case CoreKind::kA: return "A";
-    case CoreKind::kB: return "B";
-    case CoreKind::kC: return "C";
-  }
-  return "?";
-}
-
 inline bool core_has_r64(CoreKind k) { return k == CoreKind::kC; }
 
 /// Synchronous imprecise interrupt sources (index = bit in kMip / kMie).

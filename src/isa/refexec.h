@@ -55,7 +55,6 @@ class RefExec {
 
   bool halted() const { return halted_; }
   u32 pc() const { return pc_; }
-  void set_pc(u32 pc) { pc_ = pc; }
 
   u32 reg(unsigned idx) const { return regs_[idx]; }
   void set_reg(unsigned idx, u32 v) {

@@ -53,7 +53,6 @@ struct BusStats {
 class SharedBus {
  public:
   void submit(unsigned id, const BusReq& req);
-  bool has_pending(unsigned id) const { return slots_[id].state != SlotState::kIdle; }
   bool complete(unsigned id) const { return slots_[id].state == SlotState::kComplete; }
   /// Read data of a completed request, one 32-bit beat at a time.
   u32 rdata(unsigned id, unsigned beat) const { return slots_[id].rdata[beat]; }
@@ -70,8 +69,6 @@ class SharedBus {
 
   /// Total transactions granted (diagnostics).
   u64 transactions() const { return transactions_; }
-  /// True if any transaction is in flight (diagnostics / determinism checks).
-  bool busy() const { return grant_valid_; }
   /// Bus cycles elapsed (ticks 1:1 with SoC ticks once the SoC runs).
   u64 now() const { return now_; }
 

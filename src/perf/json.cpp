@@ -1,7 +1,6 @@
 #include "perf/json.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
 namespace detstl::perf::json {
@@ -16,29 +15,6 @@ const Value* Value::find(const std::string& key) const {
 u64 Value::as_u64() const {
   if (type != Type::kNumber) return 0;
   return std::strtoull(raw.c_str(), nullptr, 10);
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 namespace {

@@ -41,7 +41,4 @@ struct Value {
 /// non-null, stores a one-line reason with the byte offset.
 bool parse(const std::string& text, Value& out, std::string* err = nullptr);
 
-/// Escape a string for embedding into emitted JSON (quotes not included).
-std::string escape(const std::string& s);
-
 }  // namespace detstl::perf::json

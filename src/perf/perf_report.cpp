@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json_escape.h"
 #include "common/table.h"
 #include "common/version.h"
 #include "perf/json.h"
@@ -34,8 +35,8 @@ std::string fmt_fixed6(double v) {
 void emit_metric(std::string& out, const std::string& indent,
                  const std::string& name, const std::string& labels,
                  const Metric& m) {
-  out += indent + "{\"name\": \"" + json::escape(name) + "\", \"labels\": \"" +
-         json::escape(labels) + "\", \"kind\": \"" + metric_kind_name(m.kind) +
+  out += indent + "{\"name\": \"" + json_escape(name) + "\", \"labels\": \"" +
+         json_escape(labels) + "\", \"kind\": \"" + metric_kind_name(m.kind) +
          "\", ";
   switch (m.kind) {
     case MetricKind::kCounter:
@@ -84,7 +85,7 @@ std::string sim_canonical(const PerfReport& rep) {
   for (std::size_t i = 0; i < rep.phases.size(); ++i) {
     const PhaseStats& p = rep.phases[i];
     out += (i ? ",\n" : "\n");
-    out += "      {\"name\": \"" + json::escape(p.name) +
+    out += "      {\"name\": \"" + json_escape(p.name) +
            "\", \"cycles\": " + std::to_string(p.sim_cycles) +
            ", \"units\": " + std::to_string(p.units) + "}";
   }
@@ -100,9 +101,9 @@ std::string to_json(const PerfReport& rep) {
   std::string out;
   out += "{\n";
   out += "  \"stlperf_schema\": " + std::to_string(rep.schema) + ",\n";
-  out += "  \"name\": \"" + json::escape(rep.name) + "\",\n";
+  out += "  \"name\": \"" + json_escape(rep.name) + "\",\n";
   out += "  \"detstl_version\": \"" +
-         json::escape(rep.detstl_version.empty() ? kDetstlVersion
+         json_escape(rep.detstl_version.empty() ? kDetstlVersion
                                                  : rep.detstl_version) +
          "\",\n";
   out += "  \"config_hash\": \"" + hex64(rep.config_hash) + "\",\n";
@@ -115,7 +116,7 @@ std::string to_json(const PerfReport& rep) {
   out += "    \"phases\": [";
   for (std::size_t i = 0; i < rep.phases.size(); ++i) {
     out += (i ? ",\n" : "\n");
-    out += "      {\"name\": \"" + json::escape(rep.phases[i].name) +
+    out += "      {\"name\": \"" + json_escape(rep.phases[i].name) +
            "\", \"wall_s\": " + fmt_fixed6(rep.phases[i].wall_s) + "}";
   }
   out += rep.phases.empty() ? "],\n" : "\n    ],\n";

@@ -16,7 +16,6 @@ const char* prof_scope_name(ProfScope s) {
     case ProfScope::kBusArb: return "mem.bus_arb";
     case ProfScope::kNetlistScreen: return "fault.screen";
     case ProfScope::kSnapshotRestore: return "fault.snapshot_restore";
-    case ProfScope::kTraceEmit: return "trace.emit";
     case ProfScope::kCheckpointIO: return "ckpt.io";
     case ProfScope::kCount: break;
   }

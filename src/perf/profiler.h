@@ -1,8 +1,9 @@
 #pragma once
 // stlperf subsystem profiler: scoped host-time attribution across the
 // simulator's hot paths (fetch/decode/execute, cache model, bus arbitration,
-// trace emission, checkpoint I/O). Answers "where do the host cycles go?" —
-// the map the two-tier-engine work needs before touching anything.
+// fault screening and snapshot restore, checkpoint I/O). Answers "where do
+// the host cycles go?" — the map the two-tier-engine work needs before
+// touching anything.
 //
 // Cost model, mirroring DETSTL_TRACE (trace/event.h):
 //  * compiled out entirely under -DDETSTL_PROF_DISABLED (zero code);
@@ -33,7 +34,6 @@ enum class ProfScope : u8 {
   kBusArb,           // SharedBus::tick (arbitration + device access)
   kNetlistScreen,    // 64-lane excitation screening replay
   kSnapshotRestore,  // SoC checkpoint copy in fault detection
-  kTraceEmit,        // EventSink::on_event via ProfiledSink
   kCheckpointIO,     // shard serialisation + write + fsync, shard load
   kCount,
 };

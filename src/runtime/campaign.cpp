@@ -203,7 +203,7 @@ CampaignResult run_disturbance_campaign(
   // derived from the merged vector after the join — byte-identical results
   // at any thread count, straight or resumed.
   fault::UnitDriver driver(
-      "campaign", spec.runs, fault::UnitPlumbing::of(spec),
+      "campaign", spec.runs, spec,
       {.kind = fault::PayloadKind::kDisturbanceRuns,
        .config_hash = [&] { return checkpoint_config_hash(spec, plan); },
        .accept = [&](u64 i, const std::vector<u8>& payload) {

@@ -13,12 +13,15 @@
 #include <string>
 #include <vector>
 
-#include "fault/checkpoint.h"
+#include "fault/unit_driver.h"
 #include "runtime/supervisor.h"
 
 namespace detstl::runtime {
 
-struct CampaignSpec {
+/// Executor plumbing (checkpoint, merge_dirs, shard range over run indices,
+/// interrupt, sink) comes from fault::UnitPlumbing. The sink receives only
+/// the driver's checkpoint telemetry: supervised runs never trace there.
+struct CampaignSpec : fault::UnitPlumbing {
   u64 seed = 0xD15B0001;
   unsigned runs = 16;
   unsigned threads = 0;   // 0 = one per hardware thread, 1 = serial
@@ -28,28 +31,6 @@ struct CampaignSpec {
   std::vector<std::string> routines;
   SupervisorConfig supervisor{};
   DisturbanceSpec disturb{};  // window_hi 0 = derived from the calibration
-  /// Crash-safe checkpoint/journal (fault/checkpoint.h): completed run
-  /// records are persisted into checksummed shards and skipped on --resume.
-  /// Straight and killed-and-resumed campaigns are byte-identical.
-  fault::CheckpointConfig checkpoint;
-  /// Cooperative drain request; null = never interrupted. Not hashed.
-  fault::InterruptToken* interrupt = nullptr;
-  /// detscope sink for kCkptFlush/kCkptLoad/kCkptReject telemetry only (the
-  /// supervised runs themselves never trace here). Non-owning; null = off.
-  trace::EventSink* sink = nullptr;
-  /// Half-open shard range [unit_begin, unit_end) of run indices this process
-  /// executes; (0, 0) = all runs. Out-of-range runs are pre-marked done (never
-  /// executed, never journalled). EXCLUDED from the checkpoint config hash so
-  /// every shard of a partitioned campaign shares one manifest identity — the
-  /// property src/serve/ relies on to reassign and merge per-shard journals.
-  u64 unit_begin = 0;
-  u64 unit_end = 0;
-  /// Post-hoc merge: additionally load the journals of these per-shard
-  /// checkpoint directories and treat their records as resumed; runs no
-  /// journal covers are re-executed in-process. The merged result is
-  /// byte-identical to the single-process run by the --resume contract.
-  /// Not hashed.
-  std::vector<std::string> merge_dirs;
   /// Observability hook invoked once per run completed by THIS process (not
   /// for resumed records), with the run index. May be called concurrently
   /// from worker threads; must never affect the result. Not hashed. The

@@ -329,7 +329,7 @@ SoakCampaignResult run_soak_campaign(const SoakCampaignSpec& spec_in) {
   // Same journal contract as the disturbance campaign: loss-less records,
   // dropped (and re-executed) unless they parse and carry their run's seed.
   fault::UnitDriver driver(
-      "soak", spec.runs, fault::UnitPlumbing::of(spec),
+      "soak", spec.runs, spec,
       {.kind = fault::PayloadKind::kSoakRuns,
        .config_hash = [&] { return soak_checkpoint_config_hash(spec, plan); },
        .accept = [&](u64 i, const std::vector<u8>& payload) {

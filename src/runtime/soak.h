@@ -146,7 +146,8 @@ struct SoakRunRecord {
 /// not kPassClean, a quarantined core, or an exhausted budget.
 bool soak_run_diverged(const SupervisorResult& r);
 
-struct SoakCampaignSpec {
+/// Executor plumbing (fault::UnitPlumbing) is excluded from the config hash.
+struct SoakCampaignSpec : fault::UnitPlumbing {
   u64 seed = 0x5EA50001;
   unsigned runs = 8;
   unsigned threads = 0;  // 0 = one per hardware thread, 1 = serial
@@ -158,13 +159,7 @@ struct SoakCampaignSpec {
   /// Run differential bisection on every diverged run (log2(n) extra
   /// supervised runs per divergence). Part of the config hash.
   bool isolate = true;
-  // --- executor plumbing, all excluded from the config hash ----------------
-  fault::CheckpointConfig checkpoint;
-  fault::InterruptToken* interrupt = nullptr;
-  trace::EventSink* sink = nullptr;
-  u64 unit_begin = 0;  // half-open shard range of run indices; (0,0) = all
-  u64 unit_end = 0;
-  std::vector<std::string> merge_dirs;
+  /// Per-run completion hook, as runtime::CampaignSpec::on_run_complete.
   std::function<void(u64)> on_run_complete;
 };
 

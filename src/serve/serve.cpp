@@ -19,10 +19,11 @@
 #endif
 
 #include "common/bytes.h"
+#include "common/table.h"
 #include "core/routines.h"
 #include "exp/experiments.h"
 #include "fault/checkpoint.h"
-#include "netlist/modules.h"
+#include "fault/report.h"
 
 namespace fs = std::filesystem;
 
@@ -88,12 +89,6 @@ bool last_run_index(const std::string& path, u64& out) {
   return ok;
 }
 
-// ---------------------------------------------------------------------------
-// Fault-kind plumbing: the shard recipe unit-tested by tests/test_serve.cpp
-// (ServeFaultShards) — single-core plain-wrapper scenario over one graded
-// module, shard ranges over the sampled fault list, post-hoc merge.
-// ---------------------------------------------------------------------------
-
 fault::Module module_of(const ServeSpec& spec) {
   if (spec.module == "hdcu") return fault::Module::kHdcu;
   if (spec.module == "icu") return fault::Module::kIcu;
@@ -111,46 +106,123 @@ std::unique_ptr<core::SelfTestRoutine> routine_for(fault::Module m) {
   return core::make_fwd_test(false);
 }
 
-/// Outcome-relevant fault-campaign fields shared by every shard worker and
-/// the final merge; unit range, checkpoint dir and hooks are per-caller.
-fault::CampaignConfig fault_config(const ServeSpec& spec) {
-  fault::CampaignConfig cc;
-  cc.module = module_of(spec);
-  cc.core_id = 0;
-  cc.kind = isa::CoreKind::kA;
-  cc.fault_stride = std::max(1u, spec.stride);
-  return cc;
-}
+// ---------------------------------------------------------------------------
+// The served campaign kinds. A kind supplies its unit space, one run of the
+// campaign under given executor plumbing (a worker's shard range and journal,
+// or the post-hoc merge of every shard journal) and its stdout report;
+// worker_main, run_campaign and render_result never look at the kind again.
+// ---------------------------------------------------------------------------
 
-fault::SocFactory fault_factory(const ServeSpec& spec) {
-  const auto routine = routine_for(module_of(spec));
-  exp::Scenario sc{1, {0, 0, 0}, 0, 0, "serve"};
-  auto tests = exp::build_scenario_tests(*routine, core::WrapperKind::kPlain,
-                                         sc, 0, /*use_perf_counters=*/false);
-  return exp::scenario_factory(std::move(tests), sc, 0);
+using Beat = std::function<void(u64)>;
+
+struct ServedKind {
+  /// The units plan_shards partitions.
+  u64 (*units)(const ServeSpec&);
+  /// Run the campaign under `plumbing` on `threads` workers, calling `beat`
+  /// (when set) once per unit completed here; the result lands in `out`.
+  fault::CheckpointStats (*run)(const ServeSpec&, const fault::UnitPlumbing&,
+                                unsigned threads, const Beat& beat,
+                                ServeResult& out);
+  /// The stdout report of a merged result, or its digest line.
+  std::string (*render)(const ServeSpec&, const ServeResult&, bool digest_only);
+  const char* merge_gap_note;  // units the merge had to re-execute
+};
+
+/// "disturbance": runtime::run_disturbance_campaign over run indices.
+const ServedKind kDisturbance{
+    [](const ServeSpec& spec) -> u64 { return spec.runs; },
+    [](const ServeSpec& spec, const fault::UnitPlumbing& plumbing,
+       unsigned threads, const Beat& beat, ServeResult& out) {
+      runtime::CampaignSpec cs = to_campaign_spec(spec);
+      static_cast<fault::UnitPlumbing&>(cs) = plumbing;
+      cs.threads = threads;
+      cs.on_run_complete = beat;
+      out.result = runtime::run_disturbance_campaign(cs);
+      return out.result.ckpt;
+    },
+    [](const ServeSpec&, const ServeResult& r, bool digest_only) {
+      if (digest_only)
+        return "outcome digest: " + TextTable::fmt_hex(r.result.digest()) +
+               "\n";
+      return runtime::render_recovery_report(r.result);
+    },
+    "run(s) had no journal record — re-executed"};
+
+/// "fault": a stuck-at campaign over one module of core 0 in a single-core
+/// plain-wrapper scenario; units = the sampled fault list (the recipe
+/// tests/test_serve.cpp's ServeFaultShards unit-tests).
+const ServedKind kFault{
+    [](const ServeSpec& spec) -> u64 {
+      return fault::sample_faults(
+                 fault::module_netlist(module_of(spec), isa::CoreKind::kA),
+                 spec.stride)
+          .size();
+    },
+    [](const ServeSpec& spec, const fault::UnitPlumbing& plumbing,
+       unsigned threads, const Beat& beat, ServeResult& out) {
+      fault::CampaignConfig cc;
+      static_cast<fault::UnitPlumbing&>(cc) = plumbing;
+      cc.module = module_of(spec);
+      cc.core_id = 0;
+      cc.kind = isa::CoreKind::kA;
+      cc.fault_stride = spec.stride;
+      cc.threads = threads;
+      // The fault campaign reports progress in phase units (lane groups,
+      // then faults) rather than per-run callbacks; beat once per completed
+      // unit with the shard-relative ordinal so the supervisor's liveness,
+      // pace and "current run" views work unchanged.
+      u64 phase_done = 0;
+      auto last_phase = fault::CampaignPhase::kGoodRun;
+      if (beat) {
+        cc.progress_every = 1;
+        cc.progress = [&](const fault::CampaignProgress& p) {
+          if (p.phase != last_phase) {
+            last_phase = p.phase;
+            phase_done = 0;
+          }
+          if (p.phase == fault::CampaignPhase::kGoodRun) return;  // cycle units
+          for (; phase_done < p.done; ++phase_done)
+            beat(plumbing.unit_begin + phase_done);
+        };
+      }
+      const auto routine = routine_for(cc.module);
+      exp::Scenario sc{1, {0, 0, 0}, 0, 0, "serve"};
+      auto tests =
+          exp::build_scenario_tests(*routine, core::WrapperKind::kPlain, sc, 0,
+                                    /*use_perf_counters=*/false);
+      const fault::SocFactory factory =
+          exp::scenario_factory(std::move(tests), sc, 0);
+      out.fault_result = fault::Campaign(cc, factory).run();
+      return out.fault_result.ckpt;
+    },
+    [](const ServeSpec& spec, const ServeResult& r, bool digest_only) {
+      if (digest_only)
+        return "outcome digest: " +
+               TextTable::fmt_hex(fnv1a(r.fault_result.canonical_bytes())) +
+               "\n";
+      // Classified against the graded module's netlist (same core kind).
+      return fault::render_report(
+          fault::make_report(
+              r.fault_result,
+              fault::module_netlist(module_of(spec), isa::CoreKind::kA),
+              spec.stride),
+          "stlserve fault campaign (" + spec.module + ")");
+    },
+    "fault(s) had no journal record — re-simulated"};
+
+const ServedKind& served_kind(const ServeSpec& spec) {
+  return spec.kind == "fault" ? kFault : kDisturbance;
 }
 
 }  // namespace
 
 u64 spec_unit_count(const ServeSpec& spec) {
-  if (spec.kind != "fault") return spec.runs;
-  const auto count = [&spec](const netlist::Netlist& nl) {
-    // The campaign's sampling rule (fault/campaign.cpp): stride over NETS,
-    // keep both stuck-at polarities of each sampled net.
-    const u64 total = nl.fault_list().size();
-    u64 n = 0;
-    for (u64 i = 0; i < total; ++i)
-      if ((i / 2) % std::max(1u, spec.stride) == 0) ++n;
-    return n;
-  };
-  switch (module_of(spec)) {
-    case fault::Module::kHdcu:
-      return count(netlist::HdcuNetlist(isa::CoreKind::kA).nl());
-    case fault::Module::kIcu:
-      return count(netlist::IcuNetlist(isa::CoreKind::kA).nl());
-    case fault::Module::kFwd: break;
-  }
-  return count(netlist::FwdNetlist(isa::CoreKind::kA).nl());
+  return served_kind(spec).units(spec);
+}
+
+std::string render_result(const ServeSpec& spec, const ServeResult& r,
+                          bool digest_only) {
+  return served_kind(spec).render(spec, r, digest_only);
 }
 
 std::vector<ShardPlan> plan_shards(u64 runs, unsigned workers,
@@ -204,52 +276,18 @@ int worker_main(const WorkerArgs& a) {
       }
     };
 
-    if (a.spec.kind == "fault") {
-      fault::CampaignConfig cc = fault_config(a.spec);
-      cc.threads = 1;  // process-level parallelism only
-      cc.unit_begin = a.begin;
-      cc.unit_end = a.end;
-      cc.checkpoint.dir = a.dir;
-      cc.checkpoint.interval = a.spec.checkpoint_interval;
-      cc.checkpoint.fsync = a.no_fsync ? fault::FsyncPolicy::kNone
-                                       : fault::FsyncPolicy::kEveryShard;
-      cc.checkpoint.resume = fault::checkpoint_present(cc.checkpoint);
-      cc.interrupt = &fault::global_interrupt();
-      // The fault campaign reports progress in phase units (lane groups,
-      // then faults) rather than per-run callbacks; beat once per completed
-      // unit with the shard-relative ordinal so the supervisor's liveness,
-      // pace and "current run" views work unchanged.
-      cc.progress_every = 1;
-      u64 phase_done = 0;
-      auto last_phase = fault::CampaignPhase::kGoodRun;
-      cc.progress = [&](const fault::CampaignProgress& p) {
-        if (p.phase != last_phase) {
-          last_phase = p.phase;
-          phase_done = 0;
-        }
-        if (p.phase == fault::CampaignPhase::kGoodRun) return;  // cycle units
-        for (; phase_done < p.done; ++phase_done)
-          beat(a.begin + phase_done);
-      };
-      fault::Campaign campaign(cc, fault_factory(a.spec));
-      const fault::CampaignResult r = campaign.run();
-      return r.ckpt.interrupted ? 3 : 0;
-    }
-
-    runtime::CampaignSpec cs = to_campaign_spec(a.spec);
-    cs.threads = 1;  // process-level parallelism only; keeps workers preemptible
-    cs.unit_begin = a.begin;
-    cs.unit_end = a.end;
-    cs.checkpoint.dir = a.dir;
-    cs.checkpoint.interval = a.spec.checkpoint_interval;
-    cs.checkpoint.fsync =
+    fault::UnitPlumbing p;
+    p.unit_begin = a.begin;
+    p.unit_end = a.end;
+    p.checkpoint.dir = a.dir;
+    p.checkpoint.interval = a.spec.checkpoint_interval;
+    p.checkpoint.fsync =
         a.no_fsync ? fault::FsyncPolicy::kNone : fault::FsyncPolicy::kEveryShard;
-    cs.checkpoint.resume = fault::checkpoint_present(cs.checkpoint);
-    cs.interrupt = &fault::global_interrupt();
-    cs.on_run_complete = [&beat](u64 run) { beat(run); };
-
-    const runtime::CampaignResult r = runtime::run_disturbance_campaign(cs);
-    return r.ckpt.interrupted ? 3 : 0;
+    p.checkpoint.resume = fault::checkpoint_present(p.checkpoint);
+    p.interrupt = &fault::global_interrupt();
+    // One thread: process-level parallelism only; keeps workers preemptible.
+    ServeResult out;
+    return served_kind(a.spec).run(a.spec, p, 1, beat, out).interrupted ? 3 : 0;
   } catch (const fault::CheckpointMismatch& e) {
     std::fprintf(stderr, "stlserve worker: %s\n", e.what());
     return 2;
@@ -627,48 +665,25 @@ ServeResult run_campaign(const ServeSpec& spec, const ServeConfig& cfg) {
   // Post-hoc merge: load every shard journal; any unit no journal covers is
   // re-executed right here (the merge_dirs contract), so the result is
   // byte-identical to the single-process campaign.
-  if (spec.kind == "fault") {
-    fault::CampaignConfig mc = fault_config(spec);
-    for (const Shard& s : sup.shards) mc.merge_dirs.push_back(s.plan.dir);
-    mc.interrupt = &fault::global_interrupt();
-    fault::Campaign merge(mc, fault_factory(spec));
-    out.fault_result = merge.run();
-    if (out.fault_result.ckpt.interrupted) {
-      out.stats = sup.stats;
-      out.interrupted = true;
-      return out;
-    }
-    sup.stats.records_resumed = out.fault_result.ckpt.records_resumed;
-    sup.stats.shards_corrupt = out.fault_result.ckpt.shards_corrupt;
-    sup.stats.merge_reexecuted =
-        total_units >= out.fault_result.ckpt.records_resumed
-            ? total_units - out.fault_result.ckpt.records_resumed
-            : 0;
-    if (sup.stats.merge_reexecuted != 0)
-      sup.note("merge: %llu fault(s) had no journal record — re-simulated",
-               static_cast<unsigned long long>(sup.stats.merge_reexecuted));
-    out.stats = sup.stats;
-    return out;
-  }
-
-  runtime::CampaignSpec ms = to_campaign_spec(spec);
-  for (const Shard& s : sup.shards) ms.merge_dirs.push_back(s.plan.dir);
-  ms.interrupt = &fault::global_interrupt();
-  out.result = runtime::run_disturbance_campaign(ms);
-  if (out.result.ckpt.interrupted) {
+  fault::UnitPlumbing merge;
+  for (const Shard& s : sup.shards) merge.merge_dirs.push_back(s.plan.dir);
+  merge.interrupt = &fault::global_interrupt();
+  const ServedKind& kind = served_kind(spec);
+  const fault::CheckpointStats ckpt = kind.run(spec, merge, 0, nullptr, out);
+  if (ckpt.interrupted) {
     out.stats = sup.stats;
     out.interrupted = true;
     return out;
   }
-  sup.stats.records_resumed = out.result.ckpt.records_resumed;
-  sup.stats.shards_corrupt = out.result.ckpt.shards_corrupt;
-  sup.stats.merge_reexecuted =
-      spec.runs >= out.result.ckpt.records_resumed
-          ? spec.runs - out.result.ckpt.records_resumed
-          : 0;
+  sup.stats.records_resumed = ckpt.records_resumed;
+  sup.stats.shards_corrupt = ckpt.shards_corrupt;
+  sup.stats.merge_reexecuted = total_units >= ckpt.records_resumed
+                                   ? total_units - ckpt.records_resumed
+                                   : 0;
   if (sup.stats.merge_reexecuted != 0)
-    sup.note("merge: %llu run(s) had no journal record — re-executed",
-             static_cast<unsigned long long>(sup.stats.merge_reexecuted));
+    sup.note("merge: %llu %s",
+             static_cast<unsigned long long>(sup.stats.merge_reexecuted),
+             kind.merge_gap_note);
   out.stats = sup.stats;
   return out;
 }

@@ -30,10 +30,9 @@
 //
 // The journal IS the IPC: workers print nothing and share nothing but their
 // subdir. Post-hoc the supervisor merges every subdir
-// (runtime::CampaignSpec::merge_dirs) and re-executes any run no journal
-// covers, so the final CampaignResult is byte-identical to the
-// single-process run no matter what was killed, hung or corrupted along
-// the way.
+// (fault::UnitPlumbing::merge_dirs) and re-executes any unit no journal
+// covers, so the final result is byte-identical to the single-process run
+// no matter what was killed, hung or corrupted along the way.
 //
 // A SIGTERM/SIGINT to the supervisor is forwarded to the workers; everyone
 // drains cooperatively and `stlserve run --resume` continues the campaign
@@ -152,6 +151,12 @@ struct ServeResult {
 /// "disturbance"; the sampled fault-list size (netlist construction only,
 /// nothing simulated) for "fault". What plan_shards partitions.
 u64 spec_unit_count(const ServeSpec& spec);
+
+/// The merged result's stdout bytes for the spec's kind: the recovery
+/// report (byte-identical to `stlrun campaign`) or the fault-campaign
+/// report, or with `digest_only` just its "outcome digest:" line.
+std::string render_result(const ServeSpec& spec, const ServeResult& result,
+                          bool digest_only);
 
 /// Orchestrate the whole campaign: partition, spawn, supervise, heal,
 /// merge. Throws std::runtime_error / fault::CheckpointMismatch on

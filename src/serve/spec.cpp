@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/json_escape.h"
 #include "perf/json.h"
 
 namespace detstl::serve {
@@ -133,9 +134,9 @@ std::string spec_to_json(const ServeSpec& spec) {
   std::string routines;
   for (std::size_t i = 0; i < spec.routines.size(); ++i)
     routines += (i == 0 ? "\"" : ", \"") +
-                perf::json::escape(spec.routines[i]) + "\"";
+                json_escape(spec.routines[i]) + "\"";
   std::string out = "{\n";
-  out += "  \"kind\": \"" + perf::json::escape(spec.kind) + "\",\n";
+  out += "  \"kind\": \"" + json_escape(spec.kind) + "\",\n";
   out += "  \"seed\": \"" + std::string(seed) + "\",\n";
   out += "  \"runs\": " + std::to_string(spec.runs) + ",\n";
   out += "  \"cores\": " + std::to_string(spec.cores) + ",\n";
@@ -150,7 +151,7 @@ std::string spec_to_json(const ServeSpec& spec) {
   out += "  \"workers\": " + std::to_string(spec.workers) + ",\n";
   out += "  \"checkpoint_interval\": " + std::to_string(spec.checkpoint_interval) +
          ",\n";
-  out += "  \"module\": \"" + perf::json::escape(spec.module) + "\",\n";
+  out += "  \"module\": \"" + json_escape(spec.module) + "\",\n";
   out += "  \"stride\": " + std::to_string(spec.stride) + "\n";
   out += "}\n";
   return out;

@@ -147,6 +147,16 @@ TEST(Campaign, CheckpointConfigHashBindsOutcomeRelevantFieldsOnly) {
   EXPECT_NE(checkpoint_config_hash(cfg, fwd.nl(), soc2), base);
 }
 
+TEST(Campaign, ZeroStrideThrowsInsteadOfTrapping) {
+  // The sampling rule divides by the stride; zero must be a reportable
+  // configuration error, never an integer-division trap.
+  EXPECT_THROW(run_icu_campaign(WrapperKind::kPlain, 1, 0, 4096),
+               std::invalid_argument);
+  const netlist::IcuNetlist icu(isa::CoreKind::kA);
+  EXPECT_THROW(sample_faults(icu.nl(), 0), std::invalid_argument);
+  EXPECT_EQ(sample_faults(icu.nl(), 1).size(), icu.nl().fault_list().size());
+}
+
 TEST(Report, GateClassTotalsMatchCampaign) {
   const auto res = run_icu_campaign(WrapperKind::kPlain, 1, 2, 4096);
   const netlist::IcuNetlist icu(isa::CoreKind::kA);

@@ -1,7 +1,10 @@
 #pragma once
-// Strict CLI numeric parsing shared by the detstl tools (stlint, detscope,
-// stlrun). Malformed or out-of-range values are usage errors — reported on
-// stderr with exit code 2 — never silently clamped or ignored.
+// The command-line front end shared by the detstl tools and benches: strict
+// numeric parsing (malformed or out-of-range values are usage errors —
+// reported on stderr with exit code 2 — never silently clamped, wrapped or
+// ignored), an argument cursor, and the one parse-and-apply of --threads
+// plus the checkpoint/drain group that stlrun's unit campaigns and every
+// bench share.
 //
 // Exit-code contract (all tools and table benches):
 //   0  completed successfully
@@ -92,6 +95,127 @@ inline std::vector<unsigned> require_unsigned_list(const char* tool,
     std::exit(2);
   }
   return out;
+}
+
+/// Cursor over a command's arguments: the current flag and, on request, its
+/// value, parsed strictly (exit 2 naming the flag when absent or malformed).
+class Args {
+ public:
+  Args(const char* tool, int argc, char** argv)
+      : tool_(tool), argc_(argc), argv_(argv) {}
+
+  /// Advance to the next argument; false past the last one.
+  bool next() {
+    if (i_ + 1 >= argc_) return false;
+    flag_ = argv_[++i_];
+    return true;
+  }
+  const std::string& flag() const { return flag_; }
+  bool is(const char* name) const { return flag_ == name; }
+
+  /// The current flag's value; exit 2 when the command line ends first.
+  std::string value() {
+    if (i_ + 1 >= argc_) {
+      std::fprintf(stderr, "%s: %s requires a value\n", tool_, flag_.c_str());
+      std::exit(kExitUsage);
+    }
+    return argv_[++i_];
+  }
+  unsigned long long u64_in(unsigned long long lo, unsigned long long hi) {
+    const std::string v = value();
+    return require_u64(tool_, flag_.c_str(), v, lo, hi);
+  }
+  unsigned unsigned_in(unsigned lo, unsigned hi) {
+    return static_cast<unsigned>(u64_in(lo, hi));
+  }
+  std::vector<unsigned> unsigned_list(unsigned lo, unsigned hi) {
+    const std::string v = value();
+    return require_unsigned_list(tool_, flag_.c_str(), v, lo, hi);
+  }
+
+ private:
+  const char* tool_;
+  int argc_;
+  char** argv_;
+  int i_ = -1;
+  std::string flag_;
+};
+
+/// --threads and the checkpoint/drain group (--checkpoint-dir
+/// --checkpoint-interval --resume --no-fsync --interrupt-after --timeout),
+/// with one set of bounds for every front end that runs unit campaigns.
+struct CampaignFlags {
+  unsigned threads = 0;  // 0 = one worker per hardware thread
+  fault::CheckpointConfig checkpoint;
+  unsigned long long interrupt_after = 0;  // drain drill; 0 = off
+  unsigned timeout_s = 0;                  // wall-clock budget; 0 = off
+
+  /// Consume the current flag (and its value) if it belongs to the group.
+  bool parse(Args& a) {
+    if (a.is("--threads")) {
+      threads = a.unsigned_in(0, 256);
+    } else if (a.is("--checkpoint-dir")) {
+      checkpoint.dir = a.value();
+    } else if (a.is("--checkpoint-interval")) {
+      checkpoint.interval = a.unsigned_in(1, 1'000'000);
+    } else if (a.is("--resume")) {
+      checkpoint.resume = true;
+    } else if (a.is("--no-fsync")) {
+      checkpoint.fsync = fault::FsyncPolicy::kNone;
+    } else if (a.is("--interrupt-after")) {
+      interrupt_after = a.u64_in(1, ~0ull);
+    } else if (a.is("--timeout")) {
+      timeout_s = a.unsigned_in(1, 86'400);
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  /// The group's own usage rule; prints the error and returns false.
+  bool valid(const char* tool) const {
+    if (!checkpoint.resume || checkpoint.enabled()) return true;
+    std::fprintf(stderr, "%s: --resume requires --checkpoint-dir\n", tool);
+    return false;
+  }
+
+  /// Hand the worker count, the journal and the drain token to a campaign
+  /// spec (or exp::ExecOptions). A drain is armed only when a checkpoint
+  /// directory, --interrupt-after or --timeout asks for one: then the global
+  /// token is cleared and armed, SIGINT/SIGTERM drain cooperatively, and the
+  /// wall-clock alarm is set.
+  template <class Spec>
+  void apply(Spec& spec) const {
+    spec.threads = threads;
+    spec.checkpoint = checkpoint;
+    spec.interrupt = nullptr;
+    if (!checkpoint.enabled() && interrupt_after == 0 && timeout_s == 0) return;
+    spec.interrupt = &fault::global_interrupt();
+    spec.interrupt->clear();
+    if (interrupt_after != 0) spec.interrupt->arm_after(interrupt_after);
+    fault::install_drain_handlers();
+    if (timeout_s != 0) fault::arm_wallclock_timeout(timeout_s);
+  }
+};
+
+/// The stderr line of a drained unit campaign (exit 3 follows): its completed
+/// runs — resumed or finished this session, i.e. every filled record — and
+/// how to continue.
+template <class Result>
+void report_interrupted(const char* tool, const Result& res,
+                        const fault::CheckpointConfig& checkpoint) {
+  std::size_t completed = 0;
+  for (const auto& r : res.records) completed += r.seed != 0 ? 1 : 0;
+  if (checkpoint.enabled())
+    std::fprintf(stderr,
+                 "%s: interrupted after %zu/%u run(s); resume with "
+                 "--checkpoint-dir %s --resume\n",
+                 tool, completed, res.runs, checkpoint.dir.c_str());
+  else
+    std::fprintf(stderr,
+                 "%s: interrupted after %zu/%u run(s); add "
+                 "--checkpoint-dir to make such runs resumable\n",
+                 tool, completed, res.runs);
 }
 
 }  // namespace detstl::cli

@@ -23,6 +23,7 @@
 #include "analysis/fixtures.h"
 #include "analysis/sarif.h"
 #include "cli_util.h"
+#include "common/json_escape.h"
 #include "core/routines.h"
 #include "core/scenario_matrix.h"
 #include "core/stl.h"
@@ -179,28 +180,6 @@ bool parse(int argc, char** argv, Options& opt) {
     }
   }
   return true;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 int run_fixture(const Options& opt) {

@@ -16,7 +16,7 @@
 // 2 usage / setup error, 3 interrupted but resumable.
 
 #include <cstdio>
-#include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -125,118 +125,91 @@ bool require_seed(const char* cmd, bool seed_set, u64 seed) {
   return false;
 }
 
-int cmd_campaign(int argc, char** argv) {
-  CampaignSpec spec;
+/// Flags of every seeded command (campaign, soak, mission): --seed, --cores,
+/// --routine and --margin. Consumes the current flag if it is one of them.
+template <class Spec>
+bool parse_seeded_flag(cli::Args& a, Spec& spec, bool& seed_set) {
+  if (a.is("--seed")) {
+    spec.seed = a.u64_in(0, ~0ull);
+    seed_set = true;
+  } else if (a.is("--cores")) {
+    spec.cores = a.unsigned_in(1, 3);
+  } else if (a.is("--routine")) {
+    spec.routines.push_back(a.value());
+  } else if (a.is("--margin")) {
+    spec.supervisor.margin_percent = a.unsigned_in(0, 10'000);
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// What the unit-campaign commands (campaign, soak) differ in. Everything
+/// else — the shared flags, validation, drain wiring, interrupt report and
+/// the --verify-threads loop — is run_units.
+template <class Spec, class Result>
+struct UnitKind {
+  const char* cmd;
+  Result (*run)(const Spec&);
+  std::string (*render)(const Result&);
+  /// Consume one kind-only flag; false = unknown option.
+  std::function<bool(cli::Args&)> flag;
+  /// A given kind-only flag that only a straight run can honour, or null.
+  std::function<const char*()> straight_only;
+  /// stderr summary of a completed straight run (plus any report file it
+  /// asked for), given the simulated work and host usage it took. Returns
+  /// the exit code.
+  std::function<int(const Result&, const perf::SimSnapshot&,
+                    const perf::HostUsage&)>
+      finish;
+};
+
+template <class Spec, class Result>
+int run_units(const UnitKind<Spec, Result>& kind, Spec& spec, int argc,
+              char** argv) {
+  cli::Args args(kTool, argc, argv);
+  cli::CampaignFlags flags;
   std::vector<unsigned> verify_threads;
   bool digest_only = false;
   bool seed_set = false;
-  u64 interrupt_after = 0;
-  unsigned timeout_s = 0;
-  std::string metrics_out;
-
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", kTool, a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--seed") {
-      spec.seed = cli::require_u64(kTool, "--seed", need(), 0, ~0ull);
-      seed_set = true;
-    } else if (a == "--runs") {
-      spec.runs = cli::require_unsigned(kTool, "--runs", need(), 1, 100'000);
-    } else if (a == "--threads") {
-      spec.threads = cli::require_unsigned(kTool, "--threads", need(), 0, 256);
-    } else if (a == "--verify-threads") {
-      verify_threads =
-          cli::require_unsigned_list(kTool, "--verify-threads", need(), 1, 256);
-    } else if (a == "--cores") {
-      spec.cores = cli::require_unsigned(kTool, "--cores", need(), 1, 3);
-    } else if (a == "--routine") {
-      spec.routines.push_back(need());
-    } else if (a == "--events") {
-      spec.disturb.count = cli::require_unsigned(kTool, "--events", need(), 0, 1'000);
-    } else if (a == "--permanent") {
-      spec.disturb.permanent_chance =
-          cli::require_unsigned(kTool, "--permanent", need(), 0, 100) / 100.0;
-    } else if (a == "--stall") {
-      spec.disturb.stall_cycles =
-          cli::require_unsigned(kTool, "--stall", need(), 1, 100'000);
-    } else if (a == "--margin") {
-      spec.supervisor.margin_percent =
-          cli::require_unsigned(kTool, "--margin", need(), 0, 10'000);
-    } else if (a == "--attempts") {
-      spec.supervisor.max_attempts =
-          cli::require_unsigned(kTool, "--attempts", need(), 1, 16);
-    } else if (a == "--fallback-attempts") {
-      spec.supervisor.fallback_attempts =
-          cli::require_unsigned(kTool, "--fallback-attempts", need(), 0, 16);
-    } else if (a == "--digest-only") {
+  while (args.next()) {
+    if (args.is("--runs")) {
+      spec.runs = args.unsigned_in(1, 100'000);
+    } else if (args.is("--verify-threads")) {
+      verify_threads = args.unsigned_list(1, 256);
+    } else if (args.is("--digest-only")) {
       digest_only = true;
-    } else if (a == "--metrics-out") {
-      metrics_out = need();
-    } else if (a == "--checkpoint-dir") {
-      spec.checkpoint.dir = need();
-    } else if (a == "--checkpoint-interval") {
-      spec.checkpoint.interval = static_cast<u32>(
-          cli::require_u64(kTool, "--checkpoint-interval", need(), 1, 1'000'000));
-    } else if (a == "--resume") {
-      spec.checkpoint.resume = true;
-    } else if (a == "--no-fsync") {
-      spec.checkpoint.fsync = fault::FsyncPolicy::kNone;
-    } else if (a == "--interrupt-after") {
-      interrupt_after =
-          cli::require_u64(kTool, "--interrupt-after", need(), 1, ~0ull);
-    } else if (a == "--timeout") {
-      timeout_s = cli::require_unsigned(kTool, "--timeout", need(), 1, 86'400);
-    } else if (a == "--help" || a == "-h") {
+    } else if (args.is("--help") || args.is("-h")) {
       usage(stdout);
-      return 0;
-    } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool, a.c_str());
+      return cli::kExitSuccess;
+    } else if (!parse_seeded_flag(args, spec, seed_set) && !flags.parse(args) &&
+               !kind.flag(args)) {
+      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool,
+                   args.flag().c_str());
       usage(stderr);
       return cli::kExitUsage;
     }
   }
 
-  if (!require_seed("campaign", seed_set, spec.seed)) return cli::kExitUsage;
-  if (spec.checkpoint.resume && !spec.checkpoint.enabled()) {
-    std::fprintf(stderr, "%s: --resume requires --checkpoint-dir\n", kTool);
+  if (!require_seed(kind.cmd, seed_set, spec.seed) || !flags.valid(kTool))
+    return cli::kExitUsage;
+  // The verify loop runs the campaign several times: a shared journal would
+  // make every pass after the first a no-op, and one report could not say
+  // which pass it measured.
+  const char* straight_only = flags.checkpoint.enabled() ? "--checkpoint-dir"
+                              : kind.straight_only     ? kind.straight_only()
+                                                       : nullptr;
+  if (!verify_threads.empty() && straight_only != nullptr) {
+    std::fprintf(stderr, "%s: %s cannot be combined with --verify-threads\n",
+                 kTool, straight_only);
     return cli::kExitUsage;
   }
-  if (spec.checkpoint.enabled() && !verify_threads.empty()) {
-    // The verify loop runs the same campaign several times; sharing one
-    // journal across them would make every pass after the first a no-op.
-    std::fprintf(stderr,
-                 "%s: --checkpoint-dir cannot be combined with "
-                 "--verify-threads\n", kTool);
-    return cli::kExitUsage;
-  }
-
-  if (spec.checkpoint.enabled() || interrupt_after != 0 || timeout_s != 0) {
-    spec.interrupt = &fault::global_interrupt();
-    spec.interrupt->clear();
-    if (interrupt_after != 0) spec.interrupt->arm_after(interrupt_after);
-    fault::install_drain_handlers();
-    if (timeout_s != 0) fault::arm_wallclock_timeout(timeout_s);
-  }
-
-  if (!verify_threads.empty() && !metrics_out.empty()) {
-    // The verify loop runs the campaign several times; one report could not
-    // say which pass it measured.
-    std::fprintf(stderr,
-                 "%s: --metrics-out cannot be combined with --verify-threads\n",
-                 kTool);
-    return cli::kExitUsage;
-  }
+  flags.apply(spec);
 
   if (verify_threads.empty()) {
     const perf::SimSnapshot sim_before = perf::sim_totals().snapshot();
     perf::HostTimer host_timer;
-    const CampaignResult res = run_disturbance_campaign(spec);
+    const Result res = kind.run(spec);
     if (res.ckpt.enabled)
       std::fprintf(stderr,
                    "%s: checkpoint: %u shard(s) loaded, %llu run(s) resumed, "
@@ -245,71 +218,18 @@ int cmd_campaign(int argc, char** argv) {
                    static_cast<unsigned long long>(res.ckpt.records_resumed),
                    res.ckpt.shards_corrupt, res.ckpt.shards_flushed);
     if (res.ckpt.interrupted) {
-      std::size_t completed = 0;  // resumed + finished this session
-      for (const RunRecord& r : res.records) completed += r.seed != 0 ? 1 : 0;
-      if (spec.checkpoint.enabled())
-        std::fprintf(stderr,
-                     "%s: interrupted after %zu/%u run(s); resume with "
-                     "--checkpoint-dir %s --resume\n",
-                     kTool, completed, res.runs, spec.checkpoint.dir.c_str());
-      else
-        std::fprintf(stderr,
-                     "%s: interrupted after %zu/%u run(s); add "
-                     "--checkpoint-dir to make such runs resumable\n",
-                     kTool, completed, res.runs);
+      cli::report_interrupted(kTool, res, spec.checkpoint);
       return cli::kExitInterrupted;
     }
     if (digest_only)
       std::printf("outcome digest: %s\n", TextTable::fmt_hex(res.digest()).c_str());
     else
-      std::fputs(render_recovery_report(res).c_str(), stdout);
+      std::fputs(kind.render(res).c_str(), stdout);
     // Host timings go to stderr only: the stdout report is diffed across
     // thread counts and straight-vs-resumed runs by the CI drills.
-    const perf::SimSnapshot sim_delta =
+    const perf::SimSnapshot sim =
         perf::sim_totals().snapshot().since(sim_before);
-    const perf::HostUsage host = host_timer.sample();
-    const double sim_mhz = host.wall_s > 0.0
-                               ? static_cast<double>(sim_delta.sim_cycles()) /
-                                     host.wall_s / 1e6
-                               : 0.0;
-    std::fprintf(stderr,
-                 "%s: %u runs on %u thread(s) in %.2fs | %.1f Mcycles simulated, "
-                 "%.2f sim-MHz, peak RSS %ld KiB\n",
-                 kTool, res.runs, res.threads_used, res.wall_seconds,
-                 static_cast<double>(sim_delta.sim_cycles()) / 1e6, sim_mhz,
-                 perf::peak_rss_kb());
-    if (!metrics_out.empty()) {
-      perf::PerfReport rep;
-      rep.name = "stlrun-campaign";
-      rep.detstl_version = kDetstlVersion;
-      fault::ConfigHasher hash;
-      hash.str("stlrun-campaign").u64v(spec.seed).u32v(spec.runs).u32v(spec.cores);
-      for (const auto& r : spec.routines) hash.str(r);
-      hash.u32v(spec.disturb.count);
-      hash.f64v(spec.disturb.permanent_chance);
-      hash.u32v(spec.disturb.stall_cycles);
-      hash.u32v(spec.supervisor.margin_percent);
-      hash.u32v(spec.supervisor.max_attempts);
-      hash.u32v(spec.supervisor.fallback_attempts);
-      rep.config_hash = hash.digest();
-      rep.sim_cycles = sim_delta.sim_cycles();
-      rep.sim_units = sim_delta.units();
-      rep.phases.push_back(
-          {"campaign", sim_delta.sim_cycles(), sim_delta.units(), host.wall_s});
-      rep.wall_s = host.wall_s;
-      rep.cpu_s = host.cpu_s;
-      rep.peak_rss_kb = host.peak_rss_kb;
-      perf::collect_disturbance_result(rep.metrics, res, "");
-      perf::collect_sim_totals(rep.metrics, sim_delta);
-      perf::collect_host_usage(rep.metrics, host);
-      if (!perf::write_report_file(metrics_out, rep)) {
-        std::fprintf(stderr, "%s: cannot write %s\n", kTool, metrics_out.c_str());
-        return cli::kExitFailure;
-      }
-      std::fprintf(stderr, "%s: stlperf report written to %s\n", kTool,
-                   metrics_out.c_str());
-    }
-    return cli::kExitSuccess;
+    return kind.finish(res, sim, host_timer.sample());
   }
 
   // Determinism self-check: same spec at each requested thread count must
@@ -317,234 +237,156 @@ int cmd_campaign(int argc, char** argv) {
   std::vector<u8> reference;
   std::string reference_report;
   for (std::size_t t = 0; t < verify_threads.size(); ++t) {
-    CampaignSpec s = spec;
+    Spec s = spec;
     s.threads = verify_threads[t];
-    const CampaignResult res = run_disturbance_campaign(s);
+    const Result res = kind.run(s);
     std::fprintf(stderr, "%s: threads=%u digest=%s (%.2fs)\n", kTool,
                  res.threads_used, TextTable::fmt_hex(res.digest()).c_str(),
                  res.wall_seconds);
     if (t == 0) {
       reference = res.outcome_vector();
-      reference_report = render_recovery_report(res);
+      reference_report = kind.render(res);
       continue;
     }
     if (res.outcome_vector() != reference ||
-        render_recovery_report(res) != reference_report) {
+        kind.render(res) != reference_report) {
       std::fprintf(stderr,
                    "%s: DETERMINISM VIOLATION: threads=%u diverges from "
                    "threads=%u\n",
                    kTool, verify_threads[t], verify_threads[0]);
-      return 1;
+      return cli::kExitFailure;
     }
   }
-  if (digest_only) {
-    // Digest of the verified reference vector.
+  if (digest_only)  // digest of the verified reference vector
     std::printf("outcome digest: %s\n",
                 TextTable::fmt_hex(fnv1a(reference)).c_str());
-  } else {
+  else
     std::fputs(reference_report.c_str(), stdout);
-  }
   std::string counts;
   for (std::size_t t = 0; t < verify_threads.size(); ++t)
     counts += (t == 0 ? "" : ",") + std::to_string(verify_threads[t]);
   std::printf("determinism: outcome vector byte-identical across threads {%s}\n",
               counts.c_str());
-  return 0;
+  return cli::kExitSuccess;
+}
+
+int cmd_campaign(int argc, char** argv) {
+  CampaignSpec spec;
+  std::string metrics_out;
+  UnitKind<CampaignSpec, CampaignResult> kind{
+      "campaign", run_disturbance_campaign, render_recovery_report, {}, {}, {}};
+  kind.flag = [&](cli::Args& a) {
+    if (a.is("--events")) {
+      spec.disturb.count = a.unsigned_in(0, 1'000);
+    } else if (a.is("--permanent")) {
+      spec.disturb.permanent_chance = a.unsigned_in(0, 100) / 100.0;
+    } else if (a.is("--stall")) {
+      spec.disturb.stall_cycles = a.unsigned_in(1, 100'000);
+    } else if (a.is("--attempts")) {
+      spec.supervisor.max_attempts = a.unsigned_in(1, 16);
+    } else if (a.is("--fallback-attempts")) {
+      spec.supervisor.fallback_attempts = a.unsigned_in(0, 16);
+    } else if (a.is("--metrics-out")) {
+      metrics_out = a.value();
+    } else {
+      return false;
+    }
+    return true;
+  };
+  kind.straight_only = [&] {
+    return metrics_out.empty() ? nullptr : "--metrics-out";
+  };
+  kind.finish = [&](const CampaignResult& res, const perf::SimSnapshot& sim,
+                    const perf::HostUsage& host) {
+    const double sim_mhz =
+        host.wall_s > 0.0
+            ? static_cast<double>(sim.sim_cycles()) / host.wall_s / 1e6
+            : 0.0;
+    std::fprintf(stderr,
+                 "%s: %u runs on %u thread(s) in %.2fs | %.1f Mcycles simulated, "
+                 "%.2f sim-MHz, peak RSS %ld KiB\n",
+                 kTool, res.runs, res.threads_used, res.wall_seconds,
+                 static_cast<double>(sim.sim_cycles()) / 1e6, sim_mhz,
+                 perf::peak_rss_kb());
+    if (metrics_out.empty()) return cli::kExitSuccess;
+    perf::PerfReport rep;
+    rep.name = "stlrun-campaign";
+    rep.detstl_version = kDetstlVersion;
+    fault::ConfigHasher hash;
+    hash.str("stlrun-campaign").u64v(spec.seed).u32v(spec.runs).u32v(spec.cores);
+    for (const auto& r : spec.routines) hash.str(r);
+    hash.u32v(spec.disturb.count);
+    hash.f64v(spec.disturb.permanent_chance);
+    hash.u32v(spec.disturb.stall_cycles);
+    hash.u32v(spec.supervisor.margin_percent);
+    hash.u32v(spec.supervisor.max_attempts);
+    hash.u32v(spec.supervisor.fallback_attempts);
+    rep.config_hash = hash.digest();
+    rep.sim_cycles = sim.sim_cycles();
+    rep.sim_units = sim.units();
+    rep.phases.push_back({"campaign", sim.sim_cycles(), sim.units(), host.wall_s});
+    rep.wall_s = host.wall_s;
+    rep.cpu_s = host.cpu_s;
+    rep.peak_rss_kb = host.peak_rss_kb;
+    perf::collect_disturbance_result(rep.metrics, res, "");
+    perf::collect_sim_totals(rep.metrics, sim);
+    perf::collect_host_usage(rep.metrics, host);
+    if (!perf::write_report_file(metrics_out, rep)) {
+      std::fprintf(stderr, "%s: cannot write %s\n", kTool, metrics_out.c_str());
+      return cli::kExitFailure;
+    }
+    std::fprintf(stderr, "%s: stlperf report written to %s\n", kTool,
+                 metrics_out.c_str());
+    return cli::kExitSuccess;
+  };
+  return run_units(kind, spec, argc, argv);
 }
 
 int cmd_soak(int argc, char** argv) {
   SoakCampaignSpec spec;
-  std::vector<unsigned> verify_threads;
-  bool digest_only = false;
-  bool seed_set = false;
-  u64 interrupt_after = 0;
-  unsigned timeout_s = 0;
-
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", kTool, a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--seed") {
-      spec.seed = cli::require_u64(kTool, "--seed", need(), 0, ~0ull);
-      seed_set = true;
-    } else if (a == "--runs") {
-      spec.runs = cli::require_unsigned(kTool, "--runs", need(), 1, 100'000);
-    } else if (a == "--threads") {
-      spec.threads = cli::require_unsigned(kTool, "--threads", need(), 0, 256);
-    } else if (a == "--verify-threads") {
-      verify_threads =
-          cli::require_unsigned_list(kTool, "--verify-threads", need(), 1, 256);
-    } else if (a == "--cores") {
-      spec.cores = cli::require_unsigned(kTool, "--cores", need(), 1, 3);
-    } else if (a == "--routine") {
-      spec.routines.push_back(need());
-    } else if (a == "--duration") {
-      spec.soak.duration = cli::require_u64(kTool, "--duration", need(), 0, 1'000'000'000);
-    } else if (a == "--rate-ram") {
-      spec.soak.rates.ram = cli::require_unsigned(kTool, "--rate-ram", need(), 0, 1'000'000);
-    } else if (a == "--rate-l1i") {
-      spec.soak.rates.l1i = cli::require_unsigned(kTool, "--rate-l1i", need(), 0, 1'000'000);
-    } else if (a == "--rate-l1d") {
-      spec.soak.rates.l1d = cli::require_unsigned(kTool, "--rate-l1d", need(), 0, 1'000'000);
-    } else if (a == "--rate-pipe") {
-      spec.soak.rates.pipeline =
-          cli::require_unsigned(kTool, "--rate-pipe", need(), 0, 1'000'000);
-    } else if (a == "--no-isolate") {
+  UnitKind<SoakCampaignSpec, SoakCampaignResult> kind{
+      "soak", run_soak_campaign, render_soak_report, {}, {}, {}};
+  kind.flag = [&](cli::Args& a) {
+    if (a.is("--duration")) {
+      spec.soak.duration = a.u64_in(0, 1'000'000'000);
+    } else if (a.is("--rate-ram")) {
+      spec.soak.rates.ram = a.unsigned_in(0, 1'000'000);
+    } else if (a.is("--rate-l1i")) {
+      spec.soak.rates.l1i = a.unsigned_in(0, 1'000'000);
+    } else if (a.is("--rate-l1d")) {
+      spec.soak.rates.l1d = a.unsigned_in(0, 1'000'000);
+    } else if (a.is("--rate-pipe")) {
+      spec.soak.rates.pipeline = a.unsigned_in(0, 1'000'000);
+    } else if (a.is("--no-isolate")) {
       spec.isolate = false;
-    } else if (a == "--margin") {
-      spec.supervisor.margin_percent =
-          cli::require_unsigned(kTool, "--margin", need(), 0, 10'000);
-    } else if (a == "--digest-only") {
-      digest_only = true;
-    } else if (a == "--checkpoint-dir") {
-      spec.checkpoint.dir = need();
-    } else if (a == "--checkpoint-interval") {
-      spec.checkpoint.interval = static_cast<u32>(
-          cli::require_u64(kTool, "--checkpoint-interval", need(), 1, 1'000'000));
-    } else if (a == "--resume") {
-      spec.checkpoint.resume = true;
-    } else if (a == "--no-fsync") {
-      spec.checkpoint.fsync = fault::FsyncPolicy::kNone;
-    } else if (a == "--interrupt-after") {
-      interrupt_after = cli::require_u64(kTool, "--interrupt-after", need(), 1, ~0ull);
-    } else if (a == "--timeout") {
-      timeout_s = cli::require_unsigned(kTool, "--timeout", need(), 1, 86'400);
-    } else if (a == "--help" || a == "-h") {
-      usage(stdout);
-      return 0;
     } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool, a.c_str());
-      usage(stderr);
-      return cli::kExitUsage;
+      return false;
     }
-  }
-
-  if (!require_seed("soak", seed_set, spec.seed)) return cli::kExitUsage;
-  if (spec.checkpoint.resume && !spec.checkpoint.enabled()) {
-    std::fprintf(stderr, "%s: --resume requires --checkpoint-dir\n", kTool);
-    return cli::kExitUsage;
-  }
-  if (spec.checkpoint.enabled() && !verify_threads.empty()) {
-    std::fprintf(stderr,
-                 "%s: --checkpoint-dir cannot be combined with --verify-threads\n",
-                 kTool);
-    return cli::kExitUsage;
-  }
-
-  if (spec.checkpoint.enabled() || interrupt_after != 0 || timeout_s != 0) {
-    spec.interrupt = &fault::global_interrupt();
-    spec.interrupt->clear();
-    if (interrupt_after != 0) spec.interrupt->arm_after(interrupt_after);
-    fault::install_drain_handlers();
-    if (timeout_s != 0) fault::arm_wallclock_timeout(timeout_s);
-  }
-
-  if (verify_threads.empty()) {
-    const SoakCampaignResult res = run_soak_campaign(spec);
-    if (res.ckpt.enabled)
-      std::fprintf(stderr,
-                   "%s: checkpoint: %u shard(s) loaded, %llu run(s) resumed, "
-                   "%u corrupt shard(s) quarantined, %u shard(s) flushed\n",
-                   kTool, res.ckpt.shards_loaded,
-                   static_cast<unsigned long long>(res.ckpt.records_resumed),
-                   res.ckpt.shards_corrupt, res.ckpt.shards_flushed);
-    if (res.ckpt.interrupted) {
-      std::size_t completed = 0;
-      for (const SoakRunRecord& r : res.records) completed += r.seed != 0 ? 1 : 0;
-      if (spec.checkpoint.enabled())
-        std::fprintf(stderr,
-                     "%s: interrupted after %zu/%u run(s); resume with "
-                     "--checkpoint-dir %s --resume\n",
-                     kTool, completed, res.runs, spec.checkpoint.dir.c_str());
-      else
-        std::fprintf(stderr,
-                     "%s: interrupted after %zu/%u run(s); add "
-                     "--checkpoint-dir to make such runs resumable\n",
-                     kTool, completed, res.runs);
-      return cli::kExitInterrupted;
-    }
-    if (digest_only)
-      std::printf("outcome digest: %s\n", TextTable::fmt_hex(res.digest()).c_str());
-    else
-      std::fputs(render_soak_report(res).c_str(), stdout);
+    return true;
+  };
+  kind.finish = [](const SoakCampaignResult& res, const perf::SimSnapshot&,
+                   const perf::HostUsage&) {
     std::fprintf(stderr, "%s: %u soak run(s) on %u thread(s) in %.2fs\n", kTool,
                  res.runs, res.threads_used, res.wall_seconds);
     return cli::kExitSuccess;
-  }
-
-  std::vector<u8> reference;
-  std::string reference_report;
-  for (std::size_t t = 0; t < verify_threads.size(); ++t) {
-    SoakCampaignSpec s = spec;
-    s.threads = verify_threads[t];
-    const SoakCampaignResult res = run_soak_campaign(s);
-    std::fprintf(stderr, "%s: threads=%u digest=%s (%.2fs)\n", kTool,
-                 res.threads_used, TextTable::fmt_hex(res.digest()).c_str(),
-                 res.wall_seconds);
-    if (t == 0) {
-      reference = res.outcome_vector();
-      reference_report = render_soak_report(res);
-      continue;
-    }
-    if (res.outcome_vector() != reference ||
-        render_soak_report(res) != reference_report) {
-      std::fprintf(stderr,
-                   "%s: DETERMINISM VIOLATION: threads=%u diverges from threads=%u\n",
-                   kTool, verify_threads[t], verify_threads[0]);
-      return 1;
-    }
-  }
-  if (digest_only) {
-    std::printf("outcome digest: %s\n",
-                TextTable::fmt_hex(fnv1a(reference)).c_str());
-  } else {
-    std::fputs(reference_report.c_str(), stdout);
-  }
-  std::string counts;
-  for (std::size_t t = 0; t < verify_threads.size(); ++t)
-    counts += (t == 0 ? "" : ",") + std::to_string(verify_threads[t]);
-  std::printf("determinism: outcome vector byte-identical across threads {%s}\n",
-              counts.c_str());
-  return 0;
+  };
+  return run_units(kind, spec, argc, argv);
 }
 
 int cmd_mission(int argc, char** argv) {
   MissionSpec spec;
   bool seed_set = false;
-
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", kTool, a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--seed") {
-      spec.seed = cli::require_u64(kTool, "--seed", need(), 0, ~0ull);
-      seed_set = true;
-    } else if (a == "--slices") {
-      spec.slices = cli::require_unsigned(kTool, "--slices", need(), 1, 10'000);
-    } else if (a == "--gap") {
-      spec.gap_cycles = cli::require_u64(kTool, "--gap", need(), 0, 10'000'000);
-    } else if (a == "--cores") {
-      spec.cores = cli::require_unsigned(kTool, "--cores", need(), 1, 3);
-    } else if (a == "--routine") {
-      spec.routines.push_back(need());
-    } else if (a == "--margin") {
-      spec.supervisor.margin_percent =
-          cli::require_unsigned(kTool, "--margin", need(), 0, 10'000);
-    } else if (a == "--help" || a == "-h") {
+  cli::Args args(kTool, argc, argv);
+  while (args.next()) {
+    if (args.is("--slices")) {
+      spec.slices = args.unsigned_in(1, 10'000);
+    } else if (args.is("--gap")) {
+      spec.gap_cycles = args.u64_in(0, 10'000'000);
+    } else if (args.is("--help") || args.is("-h")) {
       usage(stdout);
       return 0;
-    } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool, a.c_str());
+    } else if (!parse_seeded_flag(args, spec, seed_set)) {
+      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool, args.flag().c_str());
       usage(stderr);
       return cli::kExitUsage;
     }

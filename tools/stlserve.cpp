@@ -20,9 +20,6 @@
 #endif
 
 #include "cli_util.h"
-#include "common/table.h"
-#include "fault/report.h"
-#include "netlist/modules.h"
 #include "serve/serve.h"
 
 namespace {
@@ -113,22 +110,6 @@ serve::ChaosRule parse_chaos(const std::string& text) {
   return rule;
 }
 
-/// Fault-kind rendering: the standard fault-campaign report, classified
-/// against the graded module's netlist (same kind the campaign used).
-std::string render_fault_report(const serve::ServeSpec& spec,
-                                const fault::CampaignResult& r) {
-  const auto render = [&](const netlist::Netlist& nl) {
-    return fault::render_report(
-        fault::make_report(r, nl, std::max(1u, spec.stride)),
-        "stlserve fault campaign (" + spec.module + ")");
-  };
-  if (spec.module == "hdcu")
-    return render(netlist::HdcuNetlist(isa::CoreKind::kA).nl());
-  if (spec.module == "icu")
-    return render(netlist::IcuNetlist(isa::CoreKind::kA).nl());
-  return render(netlist::FwdNetlist(isa::CoreKind::kA).nl());
-}
-
 serve::ServeSpec load_spec(const std::string& path) {
   serve::ServeSpec spec;
   std::string err;
@@ -145,55 +126,44 @@ int cmd_run(int argc, char** argv, const char* argv0) {
   bool fork_workers = false;
   bool digest_only = false;
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", kTool, a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--spec") {
-      spec_path = need();
-    } else if (a == "--dir") {
-      cfg.work_dir = need();
-    } else if (a == "--workers") {
-      cfg.workers = cli::require_unsigned(kTool, "--workers", need(), 1, 64);
-    } else if (a == "--resume") {
+  cli::Args args(kTool, argc, argv);
+  while (args.next()) {
+    if (args.is("--spec")) {
+      spec_path = args.value();
+    } else if (args.is("--dir")) {
+      cfg.work_dir = args.value();
+    } else if (args.is("--workers")) {
+      cfg.workers = args.unsigned_in(1, 64);
+    } else if (args.is("--resume")) {
       cfg.resume = true;
-    } else if (a == "--max-respawns") {
-      cfg.max_respawns =
-          cli::require_unsigned(kTool, "--max-respawns", need(), 0, 100);
-    } else if (a == "--backoff-base-ms") {
-      cfg.backoff_base_ms =
-          cli::require_unsigned(kTool, "--backoff-base-ms", need(), 1, 60'000);
-    } else if (a == "--backoff-cap-ms") {
-      cfg.backoff_cap_ms =
-          cli::require_unsigned(kTool, "--backoff-cap-ms", need(), 1, 600'000);
-    } else if (a == "--hang-timeout-ms") {
-      cfg.hang_timeout_ms =
-          cli::require_unsigned(kTool, "--hang-timeout-ms", need(), 50, 600'000);
-    } else if (a == "--shard-timeout-ms") {
-      cfg.shard_timeout_ms =
-          cli::require_u64(kTool, "--shard-timeout-ms", need(), 1, 86'400'000);
-    } else if (a == "--poll-ms") {
-      cfg.poll_ms = cli::require_unsigned(kTool, "--poll-ms", need(), 1, 10'000);
-    } else if (a == "--fork-workers") {
+    } else if (args.is("--max-respawns")) {
+      cfg.max_respawns = args.unsigned_in(0, 100);
+    } else if (args.is("--backoff-base-ms")) {
+      cfg.backoff_base_ms = args.unsigned_in(1, 60'000);
+    } else if (args.is("--backoff-cap-ms")) {
+      cfg.backoff_cap_ms = args.unsigned_in(1, 600'000);
+    } else if (args.is("--hang-timeout-ms")) {
+      cfg.hang_timeout_ms = args.unsigned_in(50, 600'000);
+    } else if (args.is("--shard-timeout-ms")) {
+      cfg.shard_timeout_ms = args.u64_in(1, 86'400'000);
+    } else if (args.is("--poll-ms")) {
+      cfg.poll_ms = args.unsigned_in(1, 10'000);
+    } else if (args.is("--fork-workers")) {
       fork_workers = true;
-    } else if (a == "--no-fsync") {
+    } else if (args.is("--no-fsync")) {
       cfg.no_fsync = true;
-    } else if (a == "--chaos") {
-      cfg.chaos.push_back(parse_chaos(need()));
-    } else if (a == "--digest-only") {
+    } else if (args.is("--chaos")) {
+      cfg.chaos.push_back(parse_chaos(args.value()));
+    } else if (args.is("--digest-only")) {
       digest_only = true;
-    } else if (a == "--quiet") {
+    } else if (args.is("--quiet")) {
       cfg.quiet = true;
-    } else if (a == "--help" || a == "-h") {
+    } else if (args.is("--help") || args.is("-h")) {
       usage(stdout);
       return 0;
     } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool, a.c_str());
+      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool,
+                   args.flag().c_str());
       usage(stderr);
       return cli::kExitUsage;
     }
@@ -228,22 +198,7 @@ int cmd_run(int argc, char** argv, const char* argv0) {
                  "--resume\n", kTool, cfg.work_dir.c_str());
     return cli::kExitInterrupted;
   }
-  if (spec.kind == "fault") {
-    if (digest_only) {
-      const std::vector<u8> bytes = sr.fault_result.canonical_bytes();
-      std::printf("outcome digest: %s\n",
-                  TextTable::fmt_hex(fault::fnv1a(bytes.data(), bytes.size()))
-                      .c_str());
-    } else {
-      std::fputs(render_fault_report(spec, sr.fault_result).c_str(), stdout);
-    }
-    return cli::kExitSuccess;
-  }
-  if (digest_only)
-    std::printf("outcome digest: %s\n",
-                TextTable::fmt_hex(sr.result.digest()).c_str());
-  else
-    std::fputs(runtime::render_recovery_report(sr.result).c_str(), stdout);
+  std::fputs(serve::render_result(spec, sr, digest_only).c_str(), stdout);
   return cli::kExitSuccess;
 }
 
@@ -251,31 +206,24 @@ int cmd_run(int argc, char** argv, const char* argv0) {
 int cmd_worker(int argc, char** argv) {
   serve::WorkerArgs wa;
   std::string spec_path;
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", kTool, a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--spec") {
-      spec_path = need();
-    } else if (a == "--shard") {
-      wa.shard = cli::require_unsigned(kTool, "--shard", need(), 0, 63);
-    } else if (a == "--begin") {
-      wa.begin = cli::require_u64(kTool, "--begin", need(), 0, ~0ull);
-    } else if (a == "--end") {
-      wa.end = cli::require_u64(kTool, "--end", need(), 1, ~0ull);
-    } else if (a == "--dir") {
-      wa.dir = need();
-    } else if (a == "--heartbeat") {
-      wa.heartbeat = need();
-    } else if (a == "--no-fsync") {
+  cli::Args args(kTool, argc, argv);
+  while (args.next()) {
+    if (args.is("--spec")) {
+      spec_path = args.value();
+    } else if (args.is("--shard")) {
+      wa.shard = args.unsigned_in(0, 63);
+    } else if (args.is("--begin")) {
+      wa.begin = args.u64_in(0, ~0ull);
+    } else if (args.is("--end")) {
+      wa.end = args.u64_in(1, ~0ull);
+    } else if (args.is("--dir")) {
+      wa.dir = args.value();
+    } else if (args.is("--heartbeat")) {
+      wa.heartbeat = args.value();
+    } else if (args.is("--no-fsync")) {
       wa.no_fsync = true;
-    } else if (a == "--chaos-self") {
-      const std::string v = need();
+    } else if (args.is("--chaos-self")) {
+      const std::string v = args.value();
       const std::size_t colon = v.rfind(':');
       if (colon == std::string::npos) {
         std::fprintf(stderr, "%s: --chaos-self expects ACTION:N\n", kTool);
@@ -285,7 +233,8 @@ int cmd_worker(int argc, char** argv) {
       wa.chaos_after =
           cli::require_u64(kTool, "--chaos-self", v.substr(colon + 1), 1, ~0ull);
     } else {
-      std::fprintf(stderr, "%s: unknown worker option '%s'\n", kTool, a.c_str());
+      std::fprintf(stderr, "%s: unknown worker option '%s'\n", kTool,
+                   args.flag().c_str());
       return cli::kExitUsage;
     }
   }
