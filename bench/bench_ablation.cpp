@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   bench::print_header("Methodology ablations (design rules of Sec. III)",
                       "not a paper exhibit: validates each rule's necessity");
   const auto routine = core::make_fwd_test(/*with_perf_counters=*/true);
-  bench::PerfSession perf(opts, "ablation");
+  perf::Session session("ablation", opts.profile);
   bool ok = true;
 
   {
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     ok &= two.distinct_signatures == 1 && two.passes == two.runs;
     ok &= three.distinct_signatures == 1 && three.passes == three.runs;
   }
-  perf.mark_phase("loading_loop");
+  session.mark_phase("loading_loop");
 
   {
     TextTable t("B. No-write-allocate dummy-load rule");
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
     ok &= nwa_fix.distinct_signatures == 1 && nwa_fix.passes == nwa_fix.runs;
     ok &= nwa_broken.distinct_signatures > 1 || nwa_broken.passes < nwa_broken.runs;
   }
-  perf.mark_phase("nwa_rule");
+  session.mark_phase("nwa_rule");
 
   {
     TextTable t("C. Cache-fitting rule (Sec. III step 2.2)");
@@ -175,8 +175,8 @@ int main(int argc, char** argv) {
     if (rejected) std::printf("rejection message: %s\n", msg.c_str());
     ok &= rejected && halves_ok;
   }
-  perf.mark_phase("cache_fitting");
+  session.mark_phase("cache_fitting");
 
   std::printf("\nablation checks: %s\n", ok ? "OK" : "MISMATCH");
-  return perf.finish(ok ? 0 : 1);
+  return session.finish(opts.metrics_out, ok ? 0 : 1);
 }

@@ -14,7 +14,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -65,13 +64,13 @@ int run_probe(const bench::BenchOptions& opts, unsigned reps) {
   for (unsigned c = 0; c < 3; ++c)
     plain.push_back(build_test(c, core::WrapperKind::kPlain));
 
-  bench::PerfSession perf(opts, "simspeed");
-  perf.hash_knob("probe_reps", reps);
+  perf::Session session("simspeed", opts.profile);
+  session.hash_knob("probe_reps", reps);
   u64 single = 0, triple = 0;
   for (unsigned r = 0; r < reps; ++r) single = run_single_core_cached(cached);
-  perf.mark_phase("single_core_cached");
+  session.mark_phase("single_core_cached");
   for (unsigned r = 0; r < reps; ++r) triple = run_triple_core_contended(plain);
-  perf.mark_phase("triple_core_contended");
+  session.mark_phase("triple_core_contended");
   std::printf("probe: single-core cached %llu cycles, triple-core contended "
               "%llu cycles, %u rep(s)\n",
               static_cast<unsigned long long>(single),
@@ -80,7 +79,7 @@ int run_probe(const bench::BenchOptions& opts, unsigned reps) {
   const bool ok = single > 0 && single < 10'000'000 && triple > 0 &&
                   triple < 20'000'000;
   if (!ok) std::printf("probe: FAILED (a workload hit its watchdog)\n");
-  return perf.finish(ok ? 0 : 1);
+  return session.finish(opts.metrics_out, ok ? 0 : 1);
 }
 
 void BM_SocCycles_SingleCoreCached(benchmark::State& state) {
@@ -172,28 +171,29 @@ int main(int argc, char** argv) {
   bench::BenchOptions opts;
   bool probe_only = false;
   unsigned reps = 1;
-  std::vector<char*> fwd = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      opts.metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
+  std::vector<std::string> gbench_args = {argv[0]};
+  cli::Args args("bench_simspeed", argc - 1, argv + 1);
+  while (args.next()) {
+    if (args.is("--metrics-out")) {
+      opts.metrics_out = args.value();
+    } else if (args.is("--profile")) {
       opts.profile = true;
-    } else if (std::strcmp(argv[i], "--probe-only") == 0) {
+    } else if (args.is("--probe-only")) {
       probe_only = true;
-    } else if (std::strcmp(argv[i], "--probe-reps") == 0 && i + 1 < argc) {
-      reps = cli::require_unsigned("bench_simspeed", "--probe-reps", argv[++i],
-                                   0, ~0u);
+    } else if (args.is("--probe-reps")) {
+      reps = args.unsigned_in(1, ~0u);
     } else {
-      fwd.push_back(argv[i]);
+      gbench_args.push_back(args.flag());
     }
   }
-  if (reps == 0) reps = 1;
 
   if (probe_only || !opts.metrics_out.empty()) {
     const int rc = run_probe(opts, reps);
     if (probe_only || rc != 0) return rc;
   }
 
+  std::vector<char*> fwd;
+  for (std::string& a : gbench_args) fwd.push_back(a.data());
   int fwd_argc = static_cast<int>(fwd.size());
   benchmark::Initialize(&fwd_argc, fwd.data());
   if (benchmark::ReportUnrecognizedArguments(fwd_argc, fwd.data())) return 2;

@@ -21,7 +21,7 @@
 int main(int argc, char** argv) {
   using namespace detstl;
   const bench::BenchOptions opts = bench::parse_options(argc, argv);
-  bench::PerfSession session(opts, "soak");
+  perf::Session session("soak", opts.profile);
 
   runtime::SoakCampaignSpec spec;
   spec.runs = bench::env_unsigned(opts, "DETSTL_SOAK_RUNS", 24);
@@ -40,11 +40,11 @@ int main(int argc, char** argv) {
   session.mark_phase("soak-campaign");
   if (res.ckpt.interrupted) {
     cli::report_interrupted(opts.tool.c_str(), res, spec.checkpoint);
-    return session.finish(cli::kExitInterrupted);
+    return session.finish(opts.metrics_out, cli::kExitInterrupted);
   }
 
   std::fputs(runtime::render_soak_report(res).c_str(), stdout);
   std::printf("wall: %.2fs across %u thread(s)\n", res.wall_seconds,
               res.threads_used);
-  return session.finish(0);
+  return session.finish(opts.metrics_out, 0);
 }

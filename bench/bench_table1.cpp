@@ -17,12 +17,12 @@ int main(int argc, char** argv) {
                       "3: 1,878,336 / 663,386");
 
   const unsigned samples = bench::env_unsigned(opts, "DETSTL_STAGGERS", 3);
-  bench::PerfSession perf(opts, "table1");
-  perf.hash_knob("staggers", samples);
+  perf::Session session("table1", opts.profile);
+  session.hash_knob("staggers", samples);
   const auto rows = bench::run_resumable([&] {
     return exp::run_table1(samples, bench::exec_options(opts, tracer.get()));
   });
-  perf.mark_phase("stagger_sweep");
+  session.mark_phase("stagger_sweep");
 
   TextTable t("Multi-core STL execution: stalls due to the memory subsystem");
   t.header({"# Active Cores", "IF Stalls [clock cycles]", "MEM Stalls [clock cycles]"});
@@ -43,5 +43,5 @@ int main(int argc, char** argv) {
   std::printf("\nshape check (super-linear IF-stall growth, IF >> MEM): %s\n",
               shape_ok ? "OK" : "MISMATCH");
   bench::finish_trace(opts, tracer);
-  return perf.finish(shape_ok ? 0 : 1);
+  return session.finish(opts.metrics_out, shape_ok ? 0 : 1);
 }

@@ -26,14 +26,14 @@ int main(int argc, char** argv) {
   const unsigned stride =
       bench::env_unsigned(opts, "DETSTL_FAULT_STRIDE", 1, /*lo=*/1);
   const unsigned scenarios = bench::env_unsigned(opts, "DETSTL_SCENARIOS", 0);
-  bench::PerfSession perf(opts, "table2");
-  perf.hash_knob("fault_stride", stride);
-  perf.hash_knob("scenarios", scenarios);
+  perf::Session session("table2", opts.profile);
+  session.hash_knob("fault_stride", stride);
+  session.hash_knob("scenarios", scenarios);
   const auto t0 = std::chrono::steady_clock::now();
   const auto rows = bench::run_resumable([&] {
     return exp::run_table2(stride, scenarios, bench::exec_options(opts, tracer.get()));
   });
-  perf.mark_phase("campaigns");
+  session.mark_phase("campaigns");
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
@@ -63,5 +63,5 @@ int main(int argc, char** argv) {
   std::printf("\nshape check (oscillation, cached max+stable, core C lower): %s\n",
               shape_ok ? "OK" : "MISMATCH");
   bench::finish_trace(opts, tracer);
-  return perf.finish(shape_ok ? 0 : 1);
+  return session.finish(opts.metrics_out, shape_ok ? 0 : 1);
 }

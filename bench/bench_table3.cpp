@@ -26,13 +26,13 @@ int main(int argc, char** argv) {
 
   const unsigned stride =
       bench::env_unsigned(opts, "DETSTL_FAULT_STRIDE", 1, /*lo=*/1);
-  bench::PerfSession perf(opts, "table3");
-  perf.hash_knob("fault_stride", stride);
+  perf::Session session("table3", opts.profile);
+  session.hash_knob("fault_stride", stride);
   const auto t0 = std::chrono::steady_clock::now();
   const auto rows = bench::run_resumable([&] {
     return exp::run_table3(stride, bench::exec_options(opts, tracer.get()));
   });
-  perf.mark_phase("campaigns");
+  session.mark_phase("campaigns");
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
@@ -72,5 +72,5 @@ int main(int argc, char** argv) {
               "core C ICU >= A/B): %s\n",
               shape_ok ? "OK" : "MISMATCH");
   bench::finish_trace(opts, tracer);
-  return perf.finish(shape_ok ? 0 : 1);
+  return session.finish(opts.metrics_out, shape_ok ? 0 : 1);
 }

@@ -23,11 +23,11 @@ int main(int argc, char** argv) {
       "TCM-based: 2,874 B overhead, 16,463 cycles; cache-based: 0 B, 18,043 "
       "cycles (8.25us @180MHz difference)");
 
-  bench::PerfSession perf(opts, "table4");
+  perf::Session session("table4", opts.profile);
   const auto rows = bench::run_resumable([&] {
     return exp::run_table4(bench::exec_options(opts, tracer.get()));
   });
-  perf.mark_phase("strategy_runs");
+  session.mark_phase("strategy_runs");
 
   TextTable t("TCM-based versus cache-based approaches");
   t.header({"Approach", "Overall Memory Overhead [bytes]",
@@ -46,5 +46,5 @@ int main(int argc, char** argv) {
   std::printf("\nshape check (TCM reserves memory, cache-based reserves none): %s\n",
               shape_ok ? "OK" : "MISMATCH");
   bench::finish_trace(opts, tracer);
-  return perf.finish(shape_ok ? 0 : 1);
+  return session.finish(opts.metrics_out, shape_ok ? 0 : 1);
 }

@@ -8,13 +8,8 @@
 
 #include "cli_util.h"
 #include "common/table.h"
-#include "common/version.h"
 #include "exp/experiments.h"
-#include "perf/collect.h"
-#include "perf/perf_report.h"
-#include "perf/profiler.h"
-#include "perf/sampler.h"
-#include "perf/simstats.h"
+#include "perf/session.h"
 #include "trace/chrome_trace.h"
 
 namespace detstl::bench {
@@ -24,7 +19,7 @@ struct BenchOptions {
   std::string tool;         // argv[0]'s basename; prefixes diagnostics
   bool progress = false;    // --progress: live campaign progress on stderr
   std::string trace_path;   // --trace FILE: Chrome-trace JSON of the run
-  // stlperf trajectory (src/perf/perf_report.h, tools/stlperf.cpp).
+  // stlperf trajectory (src/perf/session.h, tools/stlperf.cpp).
   std::string metrics_out;  // --metrics-out FILE: BENCH_<name>.json
   bool profile = false;     // --profile: subsystem profiler (slower; never
                             // combined with the sim-MHz gate numbers)
@@ -164,95 +159,6 @@ auto run_resumable(Fn&& fn) -> decltype(fn()) {
     std::exit(2);
   }
 }
-
-/// Brackets one bench invocation for the stlperf trajectory: sim-work deltas
-/// (perf/simstats.h) and wall-clock per phase, host usage, the workload
-/// config hash and an optional profiler snapshot, emitted as one
-/// BENCH_<name>.json via --metrics-out. Construct before the workload, call
-/// mark_phase() after each section, and return finish(exit_code) from main.
-/// Without --metrics-out the bookkeeping still runs (it is two snapshots per
-/// phase) but nothing is written.
-class PerfSession {
- public:
-  PerfSession(const BenchOptions& o, const std::string& name)
-      : opts_(o), name_(name) {
-    hash_.str(name);
-    if (opts_.profile) {
-      perf::prof_reset();
-      perf::set_prof_enabled(true);
-    }
-    start_ = phase_start_ = perf::sim_totals().snapshot();
-    phase_wall_s_ = 0.0;
-  }
-
-  /// Mix a workload knob into the config hash. Only outcome-relevant knobs
-  /// (strides, scenario counts, staggers) — never threads or observability
-  /// settings, mirroring the checkpoint config-hash exclusions.
-  void hash_knob(const char* key, u64 value) {
-    hash_.str(key);
-    hash_.u64v(value);
-  }
-
-  /// The work since the previous mark (or the start) was phase `label`.
-  void mark_phase(const std::string& label) {
-    const perf::SimSnapshot now = perf::sim_totals().snapshot();
-    const perf::HostUsage u = timer_.sample();
-    const perf::SimSnapshot d = now.since(phase_start_);
-    phases_.push_back(
-        {label, d.sim_cycles(), d.units(), u.wall_s - phase_wall_s_});
-    phase_start_ = now;
-    phase_wall_s_ = u.wall_s;
-  }
-
-  /// Close the trailing phase, write the report (when --metrics-out) and
-  /// pass `exit_code` through — `return perf_session.finish(rc);`.
-  int finish(int exit_code) {
-    if (opts_.profile) perf::set_prof_enabled(false);
-    const perf::SimSnapshot end = perf::sim_totals().snapshot();
-    if (end.since(phase_start_).sim_cycles() != 0)
-      mark_phase(phases_.empty() ? "all" : "tail");
-    if (opts_.metrics_out.empty()) return exit_code;
-
-    const perf::SimSnapshot delta = end.since(start_);
-    const perf::HostUsage u = timer_.sample();
-    perf::PerfReport rep;
-    rep.name = name_;
-    rep.detstl_version = kDetstlVersion;
-    rep.config_hash = hash_.digest();
-    rep.sim_cycles = delta.sim_cycles();
-    rep.sim_units = delta.units();
-    rep.phases = phases_;
-    rep.wall_s = u.wall_s;
-    rep.cpu_s = u.cpu_s;
-    rep.peak_rss_kb = u.peak_rss_kb;
-    perf::collect_sim_totals(rep.metrics, delta);
-    perf::collect_host_usage(rep.metrics, u);
-    if (opts_.profile) {
-      rep.profiled = true;
-      rep.profile = perf::prof_snapshot();
-    }
-    if (!perf::write_report_file(opts_.metrics_out, rep)) {
-      std::fprintf(stderr, "error: cannot write metrics file %s\n",
-                   opts_.metrics_out.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "stlperf: wrote %s (%.1f Mcycles in %.2fs, %.2f sim-MHz)\n",
-                 opts_.metrics_out.c_str(),
-                 static_cast<double>(rep.sim_cycles) / 1e6, rep.wall_s,
-                 rep.sim_mhz());
-    return exit_code;
-  }
-
- private:
-  BenchOptions opts_;
-  std::string name_;
-  fault::ConfigHasher hash_;
-  perf::HostTimer timer_;
-  perf::SimSnapshot start_{};
-  perf::SimSnapshot phase_start_{};
-  double phase_wall_s_ = 0.0;
-  std::vector<perf::PhaseStats> phases_;
-};
 
 inline void print_header(const char* exhibit, const char* paper_numbers) {
   std::printf("==============================================================\n");

@@ -14,7 +14,6 @@
 #include "core/routines.h"
 #include "core/stl.h"
 #include "trace/chrome_trace.h"
-#include "trace/metrics.h"
 
 int main(int argc, char** argv) {
   using namespace detstl;

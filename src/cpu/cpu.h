@@ -72,7 +72,6 @@ class Cpu {
   u32 csr_read(isa::Csr c) const;
   const PerfCounters& perf() const { return perf_; }
   PerfCounters& perf() { return perf_; }
-  u64 cycle_count() const { return perf_.cycles; }
 
   mem::MemSystem& memsys() { return memsys_; }
   const mem::MemSystem& memsys() const { return memsys_; }

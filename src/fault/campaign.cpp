@@ -261,10 +261,9 @@ CampaignResult Campaign::run() {
   // emissions happen on the serial control path (phase boundaries + the
   // post-join per-fault sweep), so the stream is identical for any thread
   // count. kCampaignFault carries the fault index instead (event.h).
-  [[maybe_unused]] u64 seq = 0;
-  const auto emit_phase = [&]([[maybe_unused]] trace::EventKind kind,
-                              [[maybe_unused]] CampaignPhase phase,
-                              [[maybe_unused]] u32 a, [[maybe_unused]] u32 b) {
+  u64 seq = 0;
+  const auto emit_phase = [&](trace::EventKind kind, CampaignPhase phase, u32 a,
+                              u32 b) {
     DETSTL_TRACE(cfg_.sink, trace::Event{.cycle = seq++,
                                          .kind = kind,
                                          .unit = static_cast<u8>(phase),

@@ -182,20 +182,6 @@ std::size_t shard_number(const std::string& name) {
 
 }  // namespace
 
-const char* reject_reason_name(RejectReason r) {
-  switch (r) {
-    case RejectReason::kTruncated: return "truncated";
-    case RejectReason::kBadMagic: return "bad-magic";
-    case RejectReason::kBadHeaderChecksum: return "bad-header-checksum";
-    case RejectReason::kVersionSkew: return "version-skew";
-    case RejectReason::kKindMismatch: return "kind-mismatch";
-    case RejectReason::kHashMismatch: return "hash-mismatch";
-    case RejectReason::kBadPayloadChecksum: return "bad-payload-checksum";
-    case RejectReason::kMalformedRecords: return "malformed-records";
-  }
-  return "?";
-}
-
 ConfigHasher& ConfigHasher::f64v(double v) {
   u64 bits = 0;
   static_assert(sizeof bits == sizeof v);

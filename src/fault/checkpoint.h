@@ -76,8 +76,6 @@ enum class RejectReason : u8 {
   kMalformedRecords = 8,    // framing does not add up to the payload size
 };
 
-const char* reject_reason_name(RejectReason r);
-
 enum class FsyncPolicy : u8 {
   kNone,        // rely on the OS; fastest, loses the tail on power cut
   kEveryShard,  // fsync shard before rename + directory after (default)

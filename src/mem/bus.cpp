@@ -29,7 +29,7 @@ void SharedBus::submit(unsigned id, const BusReq& req) {
 void SharedBus::perform(Slot& slot, Flash& flash, Sram& sram) {
   const BusReq& req = slot.req;
   const u32 base = req.addr;
-  const auto beat = [&]([[maybe_unused]] u32 i, [[maybe_unused]] u32 data) {
+  const auto beat = [&](u32 i, u32 data) {
     DETSTL_TRACE(sink_, trace::Event{.cycle = now_,
                                      .kind = trace::EventKind::kBusBeat,
                                      .core = static_cast<u8>(grant_id_ / 3),

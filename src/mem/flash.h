@@ -76,8 +76,6 @@ class Flash {
     return cycles;
   }
 
-  /// Diagnostic view of a master's line buffer (tests).
-  u32 buffered_line(unsigned master = 0) const { return buf_line_[master]; }
   void invalidate_buffer() { buf_line_.fill(kInvalidLine); }
 
  private:

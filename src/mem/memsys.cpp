@@ -4,8 +4,6 @@
 
 #include "common/bitutil.h"
 #include "isa/isa.h"
-#include "common/log.h"
-#include <ios>
 
 namespace detstl::mem {
 
@@ -19,11 +17,8 @@ MemSystem::MemSystem(unsigned core_id, const MemSystemConfig& cfg)
 // Request-path emissions are stamped now_ + 1 (the cycle being evaluated:
 // the CPU issues requests before this MemSystem's tick increments now_),
 // completion-path emissions with now_; both equal the SoC tick index.
-void MemSystem::emit_cache([[maybe_unused]] trace::EventKind kind,
-                           [[maybe_unused]] unsigned unit,
-                           [[maybe_unused]] u32 addr, [[maybe_unused]] u32 a,
-                           [[maybe_unused]] u32 b,
-                           [[maybe_unused]] bool request_path) const {
+void MemSystem::emit_cache(trace::EventKind kind, unsigned unit, u32 addr,
+                           u32 a, u32 b, bool request_path) const {
   DETSTL_TRACE(sink_, trace::Event{.cycle = request_path ? now_ + 1 : now_,
                                    .kind = kind,
                                    .core = static_cast<u8>(core_id_),
@@ -37,16 +32,10 @@ void MemSystem::emit_cache([[maybe_unused]] trace::EventKind kind,
 // access; its arguments (set/way lookups) must not be evaluated when tracing
 // is off, so every call goes through this guard — same laziness contract as
 // DETSTL_TRACE itself.
-#ifdef DETSTL_TRACE_DISABLED
-#define EMIT_CACHE(...) \
-  do {                  \
-  } while (0)
-#else
 #define EMIT_CACHE(...)                        \
   do {                                         \
     if (sink_ != nullptr) emit_cache(__VA_ARGS__); \
   } while (0)
-#endif
 
 void MemSystem::cache_op(u32 op_bits) {
   if (op_bits & isa::kCacheOpInvI) {
@@ -189,11 +178,7 @@ void MemSystem::data_request(const DataOp& op, SharedBus& bus) {
     dstate_ = DState::kDone;
     return;
   }
-  if (!is_bus(op.addr)) {
-    DETSTL_ERROR << "core " << core_id_ << ": data access to unmapped address 0x"
-                 << std::hex << op.addr;
-    assert(false && "data access to unmapped address");
-  }
+  assert(is_bus(op.addr) && "data access to unmapped address");
 
   if (op.amo_add) {
     assert(is_sram(op.addr) && op.size == 4);

@@ -14,6 +14,7 @@
 
 #include "fault/campaign.h"
 #include "perf/metrics.h"
+#include "perf/profiler.h"
 #include "perf/sampler.h"
 #include "perf/simstats.h"
 #include "runtime/campaign.h"
@@ -66,8 +67,28 @@ inline void collect_soc(Registry& reg, const soc::Soc& soc) {
   reg.add_counter("bus.stall_ticks", "", soc.bus().stall_ticks());
 }
 
-/// Fault-campaign outcome counters (+ checkpoint bookkeeping, host-tagged:
-/// shard counts depend on interrupt timing, not on the simulation).
+/// What both campaign kinds report beside their outcomes: throughput and
+/// worker count (host gauges) and checkpoint bookkeeping (host-tagged: shard
+/// counts depend on interrupt timing, not on the simulation).
+inline void collect_campaign_host(Registry& reg, u64 units, double wall_seconds,
+                                  unsigned threads_used,
+                                  const fault::CheckpointStats& ckpt,
+                                  const std::string& labels) {
+  if (wall_seconds > 0)
+    reg.set_gauge("campaign.units_per_s", labels,
+                  static_cast<double>(units) / wall_seconds);
+  reg.set_gauge("campaign.workers", labels, threads_used);
+  if (ckpt.enabled) {
+    reg.add_counter("ckpt.shards_flushed", labels, ckpt.shards_flushed,
+                    MetricSource::kHost);
+    reg.add_counter("ckpt.shards_loaded", labels, ckpt.shards_loaded,
+                    MetricSource::kHost);
+    reg.add_counter("ckpt.records_resumed", labels, ckpt.records_resumed,
+                    MetricSource::kHost);
+  }
+}
+
+/// Fault-campaign outcome counters.
 inline void collect_fault_result(Registry& reg, const fault::CampaignResult& r,
                                  const std::string& labels) {
   reg.add_counter("campaign.faults.total", labels, r.total_faults);
@@ -82,18 +103,8 @@ inline void collect_fault_result(Registry& reg, const fault::CampaignResult& r,
   reg.add_counter("campaign.good_cycles", labels, r.good_cycles);
   reg.add_counter("campaign.sim_cycles", labels, r.sim_cycles);
   reg.add_counter("campaign.screen_calls", labels, r.screen_calls);
-  if (r.wall_seconds > 0)
-    reg.set_gauge("campaign.units_per_s", labels,
-                  static_cast<double>(r.simulated_faults) / r.wall_seconds);
-  reg.set_gauge("campaign.workers", labels, r.threads_used);
-  if (r.ckpt.enabled) {
-    reg.add_counter("ckpt.shards_flushed", labels, r.ckpt.shards_flushed,
-                    MetricSource::kHost);
-    reg.add_counter("ckpt.shards_loaded", labels, r.ckpt.shards_loaded,
-                    MetricSource::kHost);
-    reg.add_counter("ckpt.records_resumed", labels, r.ckpt.records_resumed,
-                    MetricSource::kHost);
-  }
+  collect_campaign_host(reg, r.simulated_faults, r.wall_seconds, r.threads_used,
+                        r.ckpt, labels);
 }
 
 /// Disturbance-campaign recovery counters: retries, degradations, recovery
@@ -130,18 +141,8 @@ inline void collect_disturbance_result(Registry& reg,
   reg.add_counter("campaign.degraded", labels, degraded);
   reg.add_counter("campaign.quarantined_runs", labels, quarantined_runs);
   reg.add_counter("campaign.budget_exhausted", labels, budget_exhausted);
-  if (r.wall_seconds > 0)
-    reg.set_gauge("campaign.units_per_s", labels,
-                  static_cast<double>(r.runs) / r.wall_seconds);
-  reg.set_gauge("campaign.workers", labels, r.threads_used);
-  if (r.ckpt.enabled) {
-    reg.add_counter("ckpt.shards_flushed", labels, r.ckpt.shards_flushed,
-                    MetricSource::kHost);
-    reg.add_counter("ckpt.shards_loaded", labels, r.ckpt.shards_loaded,
-                    MetricSource::kHost);
-    reg.add_counter("ckpt.records_resumed", labels, r.ckpt.records_resumed,
-                    MetricSource::kHost);
-  }
+  collect_campaign_host(reg, r.runs, r.wall_seconds, r.threads_used, r.ckpt,
+                        labels);
 }
 
 /// Total simulated work accumulated by the engines (perf/simstats.h),
@@ -159,6 +160,20 @@ inline void collect_host_usage(Registry& reg, const HostUsage& u) {
   reg.set_gauge("host.wall_s", "", u.wall_s);
   reg.set_gauge("host.cpu_s", "", u.cpu_s);
   reg.set_gauge("host.peak_rss_kb", "", static_cast<double>(u.peak_rss_kb));
+}
+
+/// Subsystem-profiler totals (perf/profiler.h) as the host counters
+/// prof.calls and prof.ns, labelled with the scope (scope=cpu.fetch, ...);
+/// scopes that never ran are left out.
+inline void collect_profile(Registry& reg, const ProfSnapshot& snap) {
+  for (unsigned i = 0; i < kNumProfScopes; ++i) {
+    const ScopeTotals& s = snap.scopes[i];
+    if (s.calls == 0) continue;
+    const std::string labels =
+        std::string("scope=") + prof_scope_name(static_cast<ProfScope>(i));
+    reg.add_counter("prof.calls", labels, s.calls, MetricSource::kHost);
+    reg.add_counter("prof.ns", labels, s.ns, MetricSource::kHost);
+  }
 }
 
 }  // namespace detstl::perf

@@ -1,10 +1,10 @@
 #pragma once
 // stlperf metrics core: a standalone, label-aware registry of counters,
-// gauges and fixed-bucket histograms. Extends the trace-sink MetricsRegistry
-// idiom (trace/metrics.h) from "fixed per-core/per-phase counter matrix" to
-// arbitrary named series, so instrumentation in cpu/, mem/, fault/ and
-// runtime/ can publish into one place and every consumer (bench JSON,
-// detscope metrics, stlrun --metrics-out) renders the same data.
+// gauges and fixed-bucket histograms — the one store every reported counter
+// lives in. Instrumentation in cpu/, mem/, fault/, runtime/, the trace
+// layer's per-phase sink (trace/phase_metrics.h) and the profiler publish
+// into it, and every consumer (bench JSON, detscope metrics, stlrun
+// --metrics-out) renders the same data.
 //
 // Determinism contract: every metric carries a MetricSource tag. kSim values
 // derive only from simulation state (cycles, hits, misses, units) and must

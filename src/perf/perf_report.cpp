@@ -1,6 +1,6 @@
 #include "perf/perf_report.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -73,6 +73,45 @@ void emit_metric_list(std::string& out, const Registry& metrics,
   if (!first) out += "\n" + indent.substr(2);
 }
 
+/// Hotspot table of the profiler's prof.calls / prof.ns series, scopes
+/// sorted by time; empty for an unprofiled report. Scopes nest, so the
+/// %-of-wall column can legitimately sum past 100%.
+std::string render_profile(const Registry& metrics, double wall_s) {
+  struct Row {
+    std::string scope;
+    u64 calls, ns;
+  };
+  std::vector<Row> rows;
+  metrics.visit([&](const std::string& name, const std::string& labels,
+                    const Metric& m) {
+    if (name != "prof.ns") return;
+    const Metric* calls = metrics.find("prof.calls", labels);
+    rows.push_back({labels.substr(labels.find('=') + 1),
+                    calls != nullptr ? calls->counter : 0, m.counter});
+  });
+  if (rows.empty()) return "";
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const Row& a, const Row& b) { return a.ns > b.ns; });
+
+  TextTable t("subsystem profile (host time)");
+  if (wall_s > 0)
+    t.header({"scope", "calls", "time [ms]", "ns/call", "% of wall"});
+  else
+    t.header({"scope", "calls", "time [ms]", "ns/call"});
+  for (const Row& r : rows) {
+    const double ns = static_cast<double>(r.ns);
+    const double per_call =
+        r.calls != 0 ? ns / static_cast<double>(r.calls) : 0.0;
+    std::vector<std::string> row{
+        r.scope, TextTable::fmt_int(static_cast<long long>(r.calls)),
+        TextTable::fmt_fixed(ns / 1e6, 2), TextTable::fmt_fixed(per_call, 1)};
+    if (wall_s > 0)
+      row.push_back(TextTable::fmt_fixed(100.0 * ns / 1e9 / wall_s, 1));
+    t.row(std::move(row));
+  }
+  return t.str();
+}
+
 }  // namespace
 
 std::string sim_canonical(const PerfReport& rep) {
@@ -122,24 +161,6 @@ std::string to_json(const PerfReport& rep) {
   out += rep.phases.empty() ? "],\n" : "\n    ],\n";
   out += "    \"metrics\": [";
   emit_metric_list(out, rep.metrics, MetricSource::kHost, "      ");
-  out += "],\n";
-  out += "    \"profiled\": " + std::string(rep.profiled ? "true" : "false") +
-         ",\n";
-  out += "    \"profile\": [";
-  if (rep.profiled) {
-    bool first = true;
-    for (unsigned i = 0; i < kNumProfScopes; ++i) {
-      const ScopeTotals& s = rep.profile.scopes[i];
-      if (s.calls == 0) continue;
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "      {\"scope\": \"";
-      out += prof_scope_name(static_cast<ProfScope>(i));
-      out += "\", \"calls\": " + std::to_string(s.calls) +
-             ", \"ns\": " + std::to_string(s.ns) + "}";
-    }
-    if (!first) out += "\n    ";
-  }
   out += "]\n";
   out += "  }\n";
   out += "}\n";
@@ -268,21 +289,6 @@ bool from_json(const std::string& text, PerfReport& out, std::string* err) {
     if (!parse_metric_list(*v, MetricSource::kHost, rep.metrics, err))
       return false;
   }
-  if (const json::Value* v = host->find("profiled"); v != nullptr)
-    rep.profiled = v->boolean;
-  if (const json::Value* v = host->find("profile"); v != nullptr && v->is_array()) {
-    for (const json::Value& e : v->arr) {
-      const json::Value* scope = e.find("scope");
-      if (scope == nullptr) continue;
-      for (unsigned i = 0; i < kNumProfScopes; ++i) {
-        if (scope->str != prof_scope_name(static_cast<ProfScope>(i))) continue;
-        if (const json::Value* c = e.find("calls"); c != nullptr)
-          rep.profile.scopes[i].calls = c->as_u64();
-        if (const json::Value* n = e.find("ns"); n != nullptr)
-          rep.profile.scopes[i].ns = n->as_u64();
-      }
-    }
-  }
   out = std::move(rep);
   return true;
 }
@@ -336,7 +342,7 @@ std::string render_report(const PerfReport& rep) {
     out += pt.str();
   }
   if (!rep.metrics.empty()) out += rep.metrics.render();
-  if (rep.profiled) out += rep.profile.render(rep.wall_s);
+  out += render_profile(rep.metrics, rep.wall_s);
   return out;
 }
 
@@ -365,10 +371,6 @@ CompareOutcome compare_reports(const PerfReport& baseline,
         "): workloads differ, sim-MHz comparison is indicative only");
   }
   c.sim_identical = sim_canonical(baseline) == sim_canonical(current);
-  if (!c.sim_identical && !c.config_changed)
-    c.notes.push_back(
-        "sim subtree diverged under the SAME config hash — this is a "
-        "determinism break, not a performance change");
   if (c.baseline_mhz > 0.0)
     c.regression_pct =
         100.0 * (c.baseline_mhz - c.current_mhz) / c.baseline_mhz;
@@ -404,14 +406,16 @@ std::string render_diff(const PerfReport& baseline, const PerfReport& current,
   for (const std::string& n : cmp.notes) out += "note: " + n + "\n";
   if (!cmp.comparable) {
     out += "stlperf: NOT COMPARABLE\n";
+  } else if (cmp.determinism_break()) {
+    out += "stlperf: DETERMINISM BREAK — sim subtree diverged under the same "
+           "config hash (not a performance change)\n";
   } else if (cmp.regressed(threshold_pct)) {
     out += "stlperf: REGRESSION — sim-MHz dropped " +
            TextTable::fmt_fixed(cmp.regression_pct, 1) + "% (threshold " +
            TextTable::fmt_fixed(threshold_pct, 1) + "%)\n";
   } else {
-    const double delta = -cmp.regression_pct;  // positive = current is faster
-    out += "stlperf: OK — sim-MHz delta " + std::string(delta >= 0 ? "+" : "") +
-           TextTable::fmt_fixed(delta, 1) + "% (allowed drop " +
+    out += "stlperf: OK — sim-MHz delta " +
+           pct(cmp.baseline_mhz, cmp.current_mhz) + " (allowed drop " +
            TextTable::fmt_fixed(threshold_pct, 1) + "%)\n";
   }
   return out;

@@ -9,16 +9,16 @@
 //    machines and thread counts (sim_canonical() extracts exactly these
 //    bytes; tests/test_perf.cpp enforces the invariance at 1/2/8 threads).
 //  * the top-level "host" object holds everything timing-dependent:
-//    wall-clock, CPU time, peak RSS, sim-MHz, per-phase wall times,
-//    kHost-tagged metrics and the optional profiler snapshot. It may vary
-//    freely between runs and is ignored by the determinism checks.
+//    wall-clock, CPU time, peak RSS, sim-MHz, per-phase wall times and
+//    kHost-tagged metrics (among them the profiler's prof.* series). It may
+//    vary freely between runs and is ignored by the determinism checks.
+// Reports are written by perf::Session (perf/session.h).
 // Consumers must reject reports whose "stlperf_schema" they don't know.
 
 #include <string>
 #include <vector>
 
 #include "perf/metrics.h"
-#include "perf/profiler.h"
 
 namespace detstl::perf {
 
@@ -49,8 +49,6 @@ struct PerfReport {
   double wall_s = 0.0;
   double cpu_s = 0.0;
   long peak_rss_kb = 0;
-  bool profiled = false;
-  ProfSnapshot profile;
 
   /// The KPI: simulated cycles per host second, in MHz.
   double sim_mhz() const {
@@ -73,8 +71,8 @@ bool write_report_file(const std::string& path, const PerfReport& rep);
 bool load_report_file(const std::string& path, PerfReport& out,
                       std::string* err = nullptr);
 
-/// Human rendering: summary table + metric table (+ hotspot table when
-/// profiled).
+/// Human rendering: summary table + metric table (+ hotspot table of the
+/// prof.* series when profiled).
 std::string render_report(const PerfReport& rep);
 
 /// stlperf diff/check semantics.
@@ -90,6 +88,11 @@ struct CompareOutcome {
 
   bool regressed(double threshold_pct) const {
     return regression_pct > threshold_pct;
+  }
+  /// The sim subtree diverged under an unchanged config hash: the same
+  /// workload simulated differently. Fails diff and check like a regression.
+  bool determinism_break() const {
+    return comparable && !config_changed && !sim_identical;
   }
 };
 

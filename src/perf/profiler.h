@@ -5,14 +5,17 @@
 // the host cycles go?" — the map the two-tier-engine work needs before
 // touching anything.
 //
-// Cost model, mirroring DETSTL_TRACE (trace/event.h):
-//  * compiled out entirely under -DDETSTL_PROF_DISABLED (zero code);
-//  * compiled in but disabled (the default): one relaxed atomic load per
-//    scope, no clock reads;
+// Cost model:
+//  * disabled (the default): one relaxed atomic load per scope, no clock
+//    reads;
 //  * enabled (set_prof_enabled(true)): two steady_clock reads per scope.
 //    Profiled runs are therefore slower — the sim-MHz KPI and the CI gate
 //    always use non-profiled runs, and bench --profile is a separate switch
 //    from --metrics-out.
+//
+// Reports carry a snapshot as the kHost series prof.calls / prof.ns
+// (perf/collect.h collect_profile), rendered as a hotspot table by
+// stlperf report.
 //
 // Accumulation is a relaxed fetch_add into process-global per-scope totals:
 // thread-safe, and commutative so totals don't depend on scheduling (the
@@ -20,7 +23,6 @@
 
 #include <array>
 #include <atomic>
-#include <string>
 
 #include "common/bitutil.h"
 
@@ -54,12 +56,8 @@ struct ProfSnapshot {
     return scopes[static_cast<unsigned>(s)];
   }
   u64 total_ns() const;
-  /// Hotspot table, scopes sorted by time; `wall_s` > 0 adds a %-of-wall
-  /// column (scopes nest, so the column can legitimately sum past 100%).
-  std::string render(double wall_s = 0.0) const;
 };
 
-bool prof_enabled();
 void set_prof_enabled(bool on);
 void prof_reset();
 ProfSnapshot prof_snapshot();
@@ -103,16 +101,10 @@ class ProfTimer {
   u64 t0_ = 0;
 };
 
-#ifdef DETSTL_PROF_DISABLED
-#define DETSTL_PROF_SCOPE(scope) \
-  do {                           \
-  } while (false)
-#else
 #define DETSTL_PROF_CAT2(a, b) a##b
 #define DETSTL_PROF_CAT(a, b) DETSTL_PROF_CAT2(a, b)
 #define DETSTL_PROF_SCOPE(scope)                       \
   ::detstl::perf::ProfTimer DETSTL_PROF_CAT(           \
       detstl_prof_scope_, __LINE__)(scope)
-#endif
 
 }  // namespace detstl::perf

@@ -8,25 +8,6 @@
 
 namespace detstl::runtime {
 
-const char* attempt_status_name(AttemptStatus s) {
-  switch (s) {
-    case AttemptStatus::kPass: return "pass";
-    case AttemptStatus::kMismatch: return "mismatch";
-    case AttemptStatus::kCrash: return "crash";
-    case AttemptStatus::kTimeout: return "timeout";
-  }
-  return "?";
-}
-
-const char* classification_name(Classification c) {
-  switch (c) {
-    case Classification::kNone: return "-";
-    case Classification::kTransient: return "transient";
-    case Classification::kPermanent: return "permanent";
-  }
-  return "?";
-}
-
 const char* outcome_name(RecoveryOutcome o) {
   switch (o) {
     case RecoveryOutcome::kPassClean: return "pass";
@@ -35,18 +16,6 @@ const char* outcome_name(RecoveryOutcome o) {
     case RecoveryOutcome::kQuarantined: return "quarantined";
     case RecoveryOutcome::kSkipped: return "skipped";
     case RecoveryOutcome::kBudgetExhausted: return "budget-exhausted";
-  }
-  return "?";
-}
-
-const char* decision_name(Decision d) {
-  switch (d) {
-    case Decision::kAccept: return "accept";
-    case Decision::kRetry: return "retry";
-    case Decision::kFallback: return "fallback";
-    case Decision::kQuarantine: return "quarantine";
-    case Decision::kSkip: return "skip";
-    case Decision::kGiveUp: return "give-up";
   }
   return "?";
 }

@@ -65,10 +65,7 @@ enum class RecoveryOutcome : u8 {
 /// Decisions emitted as kSupDecision events.
 enum class Decision : u8 { kAccept, kRetry, kFallback, kQuarantine, kSkip, kGiveUp };
 
-const char* attempt_status_name(AttemptStatus s);
-const char* classification_name(Classification c);
 const char* outcome_name(RecoveryOutcome o);
-const char* decision_name(Decision d);
 
 /// One scheduled routine on one core, with both ladder rungs already built
 /// and loaded into the SoC template (plan_schedule).

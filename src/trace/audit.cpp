@@ -4,7 +4,7 @@
 
 #include "core/stl.h"
 #include "mem/bus.h"
-#include "trace/metrics.h"
+#include "trace/phase_metrics.h"
 
 namespace detstl::trace {
 
@@ -49,7 +49,8 @@ RunOutcome run_once(const core::BuiltTest& graded,
   }
 
   StreamCapture cap(static_cast<u8>(opts.graded_core));
-  MetricsRegistry metrics;
+  perf::Registry registry;
+  PhaseMetrics metrics(registry);
   FanoutSink fan;
   fan.add(&cap);
   fan.add(&metrics);

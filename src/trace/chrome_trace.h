@@ -25,7 +25,7 @@ class ChromeTraceWriter final : public EventSink {
 
   /// Per-cycle cache hits and bus data beats dominate the event volume of a
   /// cache-resident run; both are dropped from the JSON unless requested
-  /// (they are still captured and still count in MetricsRegistry).
+  /// (they are still captured and still count in PhaseMetrics).
   void set_include_hits(bool on) { include_hits_ = on; }
   void set_include_beats(bool on) { include_beats_ = on; }
 

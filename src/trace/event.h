@@ -10,9 +10,7 @@
 // (soc::Soc::set_trace_sink). The fault campaign clears it on every restored
 // faulty replica so worker threads never emit concurrently.
 //
-// The DETSTL_TRACE macro is the only emission idiom; configuring the build
-// with DETSTL_TRACE_DISABLED compiles every emit site out entirely (the
-// event expression is never evaluated).
+// The DETSTL_TRACE macro is the only emission idiom.
 
 #include "common/bitutil.h"
 
@@ -157,16 +155,8 @@ class PhaseTracker {
 }  // namespace detstl::trace
 
 /// Emit an event iff a sink is installed. The event expression is evaluated
-/// only when the sink is non-null; with DETSTL_TRACE_DISABLED it is compiled
-/// out entirely.
-#ifndef DETSTL_TRACE_DISABLED
+/// only when the sink is non-null.
 #define DETSTL_TRACE(sink, ...)                            \
   do {                                                     \
     if ((sink) != nullptr) (sink)->on_event(__VA_ARGS__);  \
   } while (0)
-#else
-#define DETSTL_TRACE(sink, ...) \
-  do {                          \
-    (void)(sink);               \
-  } while (0)
-#endif

@@ -20,6 +20,7 @@
 #include "perf/perf_report.h"
 #include "perf/profiler.h"
 #include "perf/sampler.h"
+#include "perf/session.h"
 #include "perf/simstats.h"
 #include "runtime/campaign.h"
 
@@ -108,6 +109,10 @@ PerfReport sample_report() {
   rep.metrics.record_hist("campaign.run_cycles", "", {100, 1000}, 450);
   rep.metrics.record_hist("campaign.run_cycles", "", {100, 1000}, 40);
   rep.metrics.set_gauge("campaign.units_per_s", "", 21.5);
+  rep.metrics.add_counter("prof.calls", "scope=cpu.fetch", 700,
+                          MetricSource::kHost);
+  rep.metrics.add_counter("prof.ns", "scope=cpu.fetch", 35'000,
+                          MetricSource::kHost);
   rep.wall_s = 2.0;
   rep.cpu_s = 3.5;
   rep.peak_rss_kb = 4096;
@@ -149,6 +154,13 @@ TEST(PerfJson, RoundTripPreservesEverything) {
   EXPECT_EQ(sim_canonical(rep), sim_canonical(back));
   EXPECT_EQ(rep.metrics.sim_fingerprint(), back.metrics.sim_fingerprint());
   EXPECT_EQ(to_json(back), text);
+
+  // Profiler totals are ordinary host series; no bespoke "profile" section.
+  const Metric* ns = back.metrics.find("prof.ns", "scope=cpu.fetch");
+  ASSERT_NE(ns, nullptr);
+  EXPECT_EQ(ns->source, MetricSource::kHost);
+  EXPECT_EQ(ns->counter, 35'000u);
+  EXPECT_EQ(text.find("\"profile"), std::string::npos);
 }
 
 TEST(PerfJson, UnknownSchemaVersionIsRejected) {
@@ -229,7 +241,29 @@ TEST(PerfCompare, ConfigHashMismatchIsNotedButStillGates) {
   EXPECT_TRUE(cmp.comparable);
   EXPECT_TRUE(cmp.config_changed);
   EXPECT_FALSE(cmp.sim_identical);
+  EXPECT_FALSE(cmp.determinism_break());
   EXPECT_FALSE(cmp.notes.empty());
+}
+
+TEST(PerfCompare, SimDivergenceUnderSameConfigHashIsADeterminismBreak) {
+  const PerfReport baseline = sample_report();
+  const CompareOutcome same = compare_reports(baseline, baseline);
+  EXPECT_FALSE(same.determinism_break());
+  EXPECT_NE(render_diff(baseline, baseline, same, 15.0)
+                .find("stlperf: OK — sim-MHz delta +0.0%"),
+            std::string::npos);
+
+  PerfReport diverged = sample_report();
+  diverged.metrics.add_counter("cpu.instret", "core=A", 1);
+  const CompareOutcome cmp = compare_reports(baseline, diverged);
+  EXPECT_TRUE(cmp.comparable);
+  EXPECT_FALSE(cmp.config_changed);
+  EXPECT_FALSE(cmp.sim_identical);
+  EXPECT_FALSE(cmp.regressed(15.0));  // same speed, yet it must not pass
+  EXPECT_TRUE(cmp.determinism_break());
+  const std::string text = render_diff(baseline, diverged, cmp, 15.0);
+  EXPECT_NE(text.find("stlperf: DETERMINISM BREAK"), std::string::npos);
+  EXPECT_EQ(text.find("stlperf: OK"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -256,9 +290,53 @@ TEST(Profiler, EnabledScopesAccumulateCallsAndTime) {
   const ProfSnapshot snap = prof_snapshot();
   EXPECT_EQ(snap[ProfScope::kNetlistScreen].calls, 10u);
   // A scope armed mid-lifetime only counts completed scopes; time is >= 0 by
-  // construction (monotonic clock), so just require the table renders.
-  const std::string table = snap.render(1.0);
-  EXPECT_NE(table.find("fault.screen"), std::string::npos);
+  // construction (monotonic clock), so just require the hotspot table that
+  // stlperf report draws from the published series.
+  PerfReport rep;
+  rep.wall_s = 1.0;
+  collect_profile(rep.metrics, snap);
+  const Metric* calls = rep.metrics.find("prof.calls", "scope=fault.screen");
+  ASSERT_NE(calls, nullptr);
+  EXPECT_EQ(calls->counter, 10u);
+  EXPECT_EQ(rep.metrics.find("prof.calls", "scope=cpu.fetch"), nullptr);
+  const std::string table = render_report(rep);
+  EXPECT_NE(table.find("subsystem profile (host time)"), std::string::npos);
+  EXPECT_NE(table.find("| fault.screen"), std::string::npos);
+  prof_reset();
+}
+
+// ---------------------------------------------------------------------------
+// Session
+// ---------------------------------------------------------------------------
+
+TEST(Session, FillsPhasesTotalsHashAndProfileSeries) {
+  Session s("unit-session", /*profile=*/true);
+  s.hash_knob("stride", 3);
+  sim_totals().add(SimStat::kSocRunCycles, 100);
+  s.mark_phase("first");
+  sim_totals().add(SimStat::kSocRunCycles, 20);
+  { DETSTL_PROF_SCOPE(ProfScope::kFetch); }
+  const PerfReport& rep = s.close();
+
+  fault::ConfigHasher want;
+  want.str("unit-session").str("stride").u64v(3);
+  EXPECT_EQ(rep.name, "unit-session");
+  EXPECT_EQ(rep.config_hash, want.digest());
+  EXPECT_EQ(rep.sim_cycles, 120u);
+  ASSERT_EQ(rep.phases.size(), 2u);
+  EXPECT_EQ(rep.phases[0].sim_cycles, 100u);
+  EXPECT_EQ(rep.phases[1].name, "tail");
+  EXPECT_EQ(rep.phases[1].sim_cycles, 20u);
+  EXPECT_EQ(rep.metrics.find("sim.soc_run_cycles", "")->counter, 120u);
+  const Metric* fetch = rep.metrics.find("prof.calls", "scope=cpu.fetch");
+  ASSERT_NE(fetch, nullptr);
+  EXPECT_EQ(fetch->counter, 1u);
+  EXPECT_EQ(fetch->source, MetricSource::kHost);
+  EXPECT_EQ(&s.close(), &rep);  // closing twice changes nothing
+
+  // The profiler is off again: a scope after close() records nothing.
+  { DETSTL_PROF_SCOPE(ProfScope::kFetch); }
+  EXPECT_EQ(prof_snapshot()[ProfScope::kFetch].calls, 1u);
   prof_reset();
 }
 

@@ -3,7 +3,6 @@
 // attribution, the sink's checkpoint contract, and the two determinism
 // audits (solo-vs-contended execution loop, campaign thread-count sweep).
 
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
@@ -19,12 +18,13 @@
 #include "cpu/trace.h"
 #include "exp/experiments.h"
 #include "fault/campaign.h"
+#include "perf/json.h"
 #include "soc/soc.h"
 #include "trace/audit.h"
 #include "trace/capture.h"
 #include "trace/chrome_trace.h"
 #include "trace/event.h"
-#include "trace/metrics.h"
+#include "trace/phase_metrics.h"
 #include "trace/trace_io.h"
 #include "trace/xval.h"
 
@@ -197,23 +197,37 @@ bool run_cached(unsigned cores, trace::EventSink* sink) {
 }
 
 TEST(Metrics, ExecutionLoopIsBusSilent) {
-  trace::MetricsRegistry metrics;
+  perf::Registry reg;
+  trace::PhaseMetrics metrics(reg);
   ASSERT_TRUE(run_cached(1, &metrics));
 
-  const auto& exec = metrics.counters(0, trace::Phase::kExecutionLoop);
-  EXPECT_GT(exec.events, 0u);
-  EXPECT_EQ(exec.bus_submits, 0u);
-  EXPECT_EQ(exec.icache_misses, 0u);
-  EXPECT_EQ(exec.dcache_misses, 0u);
-  EXPECT_EQ(exec.dcache_writebacks, 0u);
+  const auto counter = [&](const char* name, const char* phase) {
+    const perf::Metric* m =
+        reg.find(name, std::string("core=A,phase=") + phase);
+    EXPECT_NE(m, nullptr) << name << " at " << phase;
+    return m != nullptr ? m->counter : ~0ull;
+  };
+  // The invariant's zeros are registered series, not absent ones.
+  EXPECT_GT(counter("phase.events", "execution-loop"), 0u);
+  EXPECT_EQ(counter("phase.bus_submits", "execution-loop"), 0u);
+  EXPECT_EQ(counter("phase.icache_misses", "execution-loop"), 0u);
+  EXPECT_EQ(counter("phase.dcache_misses", "execution-loop"), 0u);
+  EXPECT_EQ(counter("phase.dcache_writebacks", "execution-loop"), 0u);
 
-  // The loading loop is where the lines get pulled in.
-  const auto& loading = metrics.counters(0, trace::Phase::kLoadingLoop);
-  EXPECT_GT(loading.events, 0u);
+  // The loading loop is where the lines get pulled in; boot code runs
+  // outside the wrapper.
+  EXPECT_GT(counter("phase.events", "loading-loop"), 0u);
+  EXPECT_GT(counter("phase.icache_refills", "loading-loop"), 0u);
+  EXPECT_GT(counter("phase.events", "outside"), 0u);
 
+  // Every series is simulation-derived; only core A ran.
+  reg.visit([](const std::string& name, const std::string& labels,
+               const perf::Metric& m) {
+    EXPECT_EQ(m.source, perf::MetricSource::kSim) << name;
+    EXPECT_EQ(labels.rfind("core=A,phase=", 0), 0u) << name << " " << labels;
+  });
+  EXPECT_EQ(reg.find("phase.campaign_events", ""), nullptr);
   EXPECT_TRUE(metrics.violations().empty());
-  EXPECT_GT(metrics.total_events(), 0u);
-  EXPECT_EQ(metrics.campaign_events(), 0u);
 
   // render() must mention every phase bucket.
   const std::string r = metrics.render();
@@ -221,155 +235,32 @@ TEST(Metrics, ExecutionLoopIsBusSilent) {
             std::string::npos);
 }
 
+TEST(Metrics, ExecutionLoopTrafficIsAViolation) {
+  perf::Registry reg;
+  trace::PhaseMetrics metrics(reg);
+  const auto ev = [](trace::EventKind kind, u8 unit) {
+    return trace::Event{.kind = kind, .core = 1, .unit = unit};
+  };
+  metrics.on_event(ev(trace::EventKind::kPhaseBegin,
+                      static_cast<u8>(trace::Phase::kExecutionLoop)));
+  metrics.on_event(ev(trace::EventKind::kBusSubmit, 3));
+  metrics.on_event(ev(trace::EventKind::kCacheMiss, 1));
+  metrics.on_event(trace::Event{.kind = trace::EventKind::kCampaignDone});
+
+  const std::vector<std::string> want = {
+      "core B: 1 bus submit(s) during its execution loop",
+      "core B: 1 D-cache miss(es) during its execution loop"};
+  EXPECT_EQ(metrics.violations(), want);
+  EXPECT_EQ(reg.find("phase.bus_reads", "core=B,phase=execution-loop")->counter,
+            1u);
+  EXPECT_EQ(reg.find("phase.campaign_events", "")->counter, 1u);
+  EXPECT_NE(metrics.render().find("campaign lifecycle events: 1"),
+            std::string::npos);
+}
+
 // -----------------------------------------------------------------------------
 // Chrome-trace JSON: parse it back, one monotone timeline per track
 // -----------------------------------------------------------------------------
-
-struct Json {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string string;
-  std::vector<Json> array;
-  std::vector<std::pair<std::string, Json>> object;
-
-  const Json* find(const std::string& key) const {
-    for (const auto& [k, v] : object)
-      if (k == key) return &v;
-    return nullptr;
-  }
-};
-
-// Minimal strict JSON parser — enough to re-read what ChromeTraceWriter
-// emits and fail loudly on malformed output.
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  bool parse(Json& out) {
-    skip_ws();
-    if (!value(out)) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value(Json& out) {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
-      case '"': out.kind = Json::Kind::kString; return string(out.string);
-      case 't': out.kind = Json::Kind::kBool; out.boolean = true; return literal("true");
-      case 'f': out.kind = Json::Kind::kBool; out.boolean = false; return literal("false");
-      case 'n': out.kind = Json::Kind::kNull; return literal("null");
-      default: return number(out);
-    }
-  }
-
-  bool object(Json& out) {
-    out.kind = Json::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek('}')) return true;
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (pos_ >= s_.size() || s_[pos_] != '"' || !string(key)) return false;
-      skip_ws();
-      if (!peek(':')) return false;
-      skip_ws();
-      Json v;
-      if (!value(v)) return false;
-      out.object.emplace_back(std::move(key), std::move(v));
-      skip_ws();
-      if (peek('}')) return true;
-      if (!peek(',')) return false;
-    }
-  }
-
-  bool array(Json& out) {
-    out.kind = Json::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (peek(']')) return true;
-    while (true) {
-      skip_ws();
-      Json v;
-      if (!value(v)) return false;
-      out.array.push_back(std::move(v));
-      skip_ws();
-      if (peek(']')) return true;
-      if (!peek(',')) return false;
-    }
-  }
-
-  bool string(std::string& out) {
-    ++pos_;  // opening quote
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        const char esc = s_[pos_++];
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u':
-            if (pos_ + 4 > s_.size()) return false;
-            pos_ += 4;
-            c = '?';  // code point itself is irrelevant to these tests
-            break;
-          default: return false;
-        }
-      }
-      out.push_back(c);
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool number(Json& out) {
-    const char* start = s_.c_str() + pos_;
-    char* end = nullptr;
-    out.number = std::strtod(start, &end);
-    if (end == start) return false;
-    out.kind = Json::Kind::kNumber;
-    pos_ += static_cast<std::size_t>(end - start);
-    return true;
-  }
-
-  bool literal(const char* lit) {
-    const std::size_t n = std::string(lit).size();
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  bool peek(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' || s_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 TEST(ChromeTrace, JsonParsesBackAndTimelinesAreMonotone) {
   trace::ChromeTraceWriter writer;
@@ -378,39 +269,42 @@ TEST(ChromeTrace, JsonParsesBackAndTimelinesAreMonotone) {
 
   std::ostringstream os;
   writer.write(os);
-  const std::string text = os.str();
 
-  Json root;
-  ASSERT_TRUE(JsonParser(text).parse(root)) << "trace JSON failed to parse";
-  ASSERT_EQ(root.kind, Json::Kind::kObject);
-  const Json* events = root.find("traceEvents");
+  // The strict reader: malformed output or trailing garbage fails the parse.
+  perf::json::Value root;
+  std::string err;
+  ASSERT_TRUE(perf::json::parse(os.str(), root, &err)) << err;
+  ASSERT_TRUE(root.is_object());
+  const perf::json::Value* events = root.find("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->kind, Json::Kind::kArray);
-  ASSERT_FALSE(events->array.empty());
+  ASSERT_TRUE(events->is_array());
+  ASSERT_FALSE(events->arr.empty());
 
   std::map<int, double> last_ts;
   std::set<int> named_tracks;
-  for (const Json& ev : events->array) {
-    ASSERT_EQ(ev.kind, Json::Kind::kObject);
-    const Json* ph = ev.find("ph");
-    const Json* tid = ev.find("tid");
-    const Json* pid = ev.find("pid");
+  for (const perf::json::Value& ev : events->arr) {
+    ASSERT_TRUE(ev.is_object());
+    const perf::json::Value* ph = ev.find("ph");
+    const perf::json::Value* tid = ev.find("tid");
+    const perf::json::Value* pid = ev.find("pid");
     ASSERT_NE(ph, nullptr);
     ASSERT_NE(tid, nullptr);
     ASSERT_NE(pid, nullptr);
-    ASSERT_EQ(ph->kind, Json::Kind::kString);
-    const int track = static_cast<int>(tid->number);
-    if (ph->string == "M") {
+    ASSERT_TRUE(ph->is_string());
+    const int track = static_cast<int>(tid->as_double());
+    if (ph->str == "M") {
       named_tracks.insert(track);
       continue;
     }
-    const Json* ts = ev.find("ts");
+    const perf::json::Value* ts = ev.find("ts");
     ASSERT_NE(ts, nullptr);
-    ASSERT_EQ(ts->kind, Json::Kind::kNumber);
+    ASSERT_TRUE(ts->is_number());
     const auto it = last_ts.find(track);
-    if (it != last_ts.end())
-      EXPECT_GE(ts->number, it->second) << "non-monotone ts on track " << track;
-    last_ts[track] = ts->number;
+    if (it != last_ts.end()) {
+      EXPECT_GE(ts->as_double(), it->second)
+          << "non-monotone ts on track " << track;
+    }
+    last_ts[track] = ts->as_double();
   }
   // Both traced cores produced events, and every track that carries events
   // announced its name via thread_name metadata.

@@ -13,14 +13,14 @@
 //                  vector must be byte-identical for every worker-thread
 //                  count.
 //   metrics        execute the quickstart scenario and dump the full stlperf
-//                  metrics registry (per-core pipeline counters, cache and
-//                  bus statistics, sim totals, host usage) as one
-//                  stlperf-schema JSON document (src/perf/perf_report.h).
+//                  metrics registry (per-phase event counters, per-core
+//                  pipeline counters, cache and bus statistics, sim totals,
+//                  host usage) as one stlperf-schema JSON document
+//                  (src/perf/perf_report.h).
 //
 // Exit codes: 0 = pass, 1 = a check failed, 2 = usage/build error.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,14 +29,11 @@
 #include "core/routines.h"
 #include "core/stl.h"
 #include "exp/experiments.h"
-#include "perf/collect.h"
-#include "perf/perf_report.h"
-#include "perf/sampler.h"
-#include "perf/simstats.h"
+#include "perf/session.h"
 #include "trace/audit.h"
 #include "trace/capture.h"
 #include "trace/chrome_trace.h"
-#include "trace/metrics.h"
+#include "trace/phase_metrics.h"
 #include "trace/trace_io.h"
 
 namespace {
@@ -69,12 +66,19 @@ void usage(std::FILE* os) {
       "  --version        print suite + checkpoint schema version\n");
 }
 
-bool require_on_off(const char* opt, const std::string& v) {
+bool require_on_off(cli::Args& a) {
+  const std::string v = a.value();
   if (v == "on") return true;
   if (v == "off") return false;
-  std::fprintf(stderr, "detscope: %s expects 'on' or 'off', got '%s'\n", opt,
-               v.c_str());
+  std::fprintf(stderr, "detscope: %s expects 'on' or 'off', got '%s'\n",
+               a.flag().c_str(), v.c_str());
   std::exit(2);
+}
+
+int unknown_option(const cli::Args& a) {
+  std::fprintf(stderr, "detscope: unknown option '%s'\n", a.flag().c_str());
+  usage(stderr);
+  return 2;
 }
 
 const core::RoutineEntry* routine_or_die(const std::string& name) {
@@ -93,54 +97,59 @@ std::string requester_name(unsigned id) {
          port[id % 3];
 }
 
-int cmd_run(const std::vector<std::string>& args) {
-  std::string routine_name = "fwd-pc";
+/// The quickstart scenario `run` and `metrics` execute: one routine,
+/// cache-wrapped on the first `cores` cores, resets skewed by 0/3/7 cycles.
+struct Quickstart {
+  std::string routine = "fwd-pc";
   unsigned cores = 3;
   bool wa = true;
+  std::vector<core::BuiltTest> tests;  // per active core, golden calibrated
+
+  /// Consume the current flag if it is --routine, --cores or --wa.
+  bool parse(cli::Args& a) {
+    if (a.is("--routine")) routine = a.value();
+    else if (a.is("--cores")) cores = a.unsigned_in(1, 3);
+    else if (a.is("--wa")) wa = require_on_off(a);
+    else return false;
+    return true;
+  }
+
+  /// Wrap the routine per core and return the loaded SoC (not yet reset).
+  soc::Soc build() {
+    const auto r = routine_or_die(routine)->make();
+    for (unsigned c = 0; c < cores; ++c)
+      tests.push_back(core::build_wrapped(*r, core::WrapperKind::kCacheBased,
+                                          core::quickstart_env(c, wa)));
+    soc::SocConfig cfg;
+    cfg.start_delay = {0, 3, 7};
+    soc::Soc soc(cfg);
+    for (const auto& t : tests) {
+      soc.load_program(t.prog);
+      soc.set_boot(t.env.core_id, t.prog.entry());
+    }
+    for (unsigned c = cores; c < 3; ++c) soc.set_active(c, false);
+    return soc;
+  }
+};
+
+int cmd_run(cli::Args& args) {
+  Quickstart q;
   std::string trace_path;
   std::string events_path;
   bool hits = false, beats = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const auto need = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        usage(stderr);
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (args[i] == "--routine") routine_name = need();
-    else if (args[i] == "--cores")
-      cores = cli::require_unsigned("detscope", "--cores", need(), 1, 3);
-    else if (args[i] == "--wa") wa = require_on_off("--wa", need());
-    else if (args[i] == "--trace") trace_path = need();
-    else if (args[i] == "--events") events_path = need();
-    else if (args[i] == "--hits") hits = true;
-    else if (args[i] == "--beats") beats = true;
-    else {
-      std::fprintf(stderr, "detscope: unknown option '%s'\n", args[i].c_str());
-      usage(stderr);
-      return 2;
-    }
+  while (args.next()) {
+    if (q.parse(args)) continue;
+    if (args.is("--trace")) trace_path = args.value();
+    else if (args.is("--events")) events_path = args.value();
+    else if (args.is("--hits")) hits = true;
+    else if (args.is("--beats")) beats = true;
+    else return unknown_option(args);
   }
+  soc::Soc soc = q.build();
 
-  const auto routine = routine_or_die(routine_name)->make();
-  std::vector<core::BuiltTest> tests;
-  for (unsigned c = 0; c < cores; ++c) {
-    tests.push_back(core::build_wrapped(*routine, core::WrapperKind::kCacheBased,
-                                        core::quickstart_env(c, wa)));
-  }
-
-  soc::SocConfig cfg;
-  cfg.start_delay = {0, 3, 7};
-  soc::Soc soc(cfg);
-  for (const auto& t : tests) {
-    soc.load_program(t.prog);
-    soc.set_boot(t.env.core_id, t.prog.entry());
-  }
-  for (unsigned c = cores; c < 3; ++c) soc.set_active(c, false);
-
+  perf::Registry registry;
+  trace::PhaseMetrics metrics(registry);
   trace::FanoutSink fan;
-  trace::MetricsRegistry metrics;
   trace::ChromeTraceWriter writer;
   trace::StreamCapture capture;
   writer.set_include_hits(hits);
@@ -158,19 +167,20 @@ int cmd_run(const std::vector<std::string>& args) {
   }
 
   bool all_pass = true;
-  for (unsigned c = 0; c < cores; ++c) {
+  for (unsigned c = 0; c < q.cores; ++c) {
     const auto v = core::read_verdict(soc, soc::mailbox_addr(c));
-    const bool pass = v.status == soc::kStatusPass && v.signature == tests[c].golden;
+    const u32 golden = q.tests[c].golden;
+    const bool pass = v.status == soc::kStatusPass && v.signature == golden;
     all_pass &= pass;
     std::printf("core %c: %s  signature 0x%08x (golden 0x%08x)\n", 'A' + c,
-                pass ? "PASS" : "FAIL", v.signature, tests[c].golden);
+                pass ? "PASS" : "FAIL", v.signature, golden);
   }
 
   std::printf("\n%s", metrics.render().c_str());
 
   TextTable bus("shared bus, per requester");
   bus.header({"requester", "submits", "grants", "wait cyc", "occupancy cyc"});
-  for (unsigned id = 0; id < cores * 3; ++id) {
+  for (unsigned id = 0; id < q.cores * 3; ++id) {
     const auto& st = soc.bus().stats(id);
     if (st.submits == 0) continue;
     bus.row({requester_name(id),
@@ -208,24 +218,13 @@ int cmd_run(const std::vector<std::string>& args) {
   return all_pass && violations.empty() ? 0 : 1;
 }
 
-int cmd_audit(const std::vector<std::string>& args) {
+int cmd_audit(cli::Args& args) {
   std::string routine_name = "all";
   trace::AuditOptions opts;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const auto need = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        usage(stderr);
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (args[i] == "--routine") routine_name = need();
-    else if (args[i] == "--wa") opts.write_allocate = require_on_off("--wa", need());
-    else {
-      std::fprintf(stderr, "detscope: unknown option '%s'\n", args[i].c_str());
-      usage(stderr);
-      return 2;
-    }
+  while (args.next()) {
+    if (args.is("--routine")) routine_name = args.value();
+    else if (args.is("--wa")) opts.write_allocate = require_on_off(args);
+    else return unknown_option(args);
   }
 
   std::vector<const core::RoutineEntry*> targets;
@@ -253,20 +252,13 @@ int cmd_audit(const std::vector<std::string>& args) {
   return all_pass ? 0 : 1;
 }
 
-int cmd_campaign_audit(const std::vector<std::string>& args) {
+int cmd_campaign_audit(cli::Args& args) {
   fault::Module module = fault::Module::kFwd;
   std::vector<unsigned> threads = {1, 2, 8};
   u32 stride = 8;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const auto need = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        usage(stderr);
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (args[i] == "--module") {
-      const std::string m = need();
+  while (args.next()) {
+    if (args.is("--module")) {
+      const std::string m = args.value();
       if (m == "fwd") module = fault::Module::kFwd;
       else if (m == "hdcu") module = fault::Module::kHdcu;
       else if (m == "icu") module = fault::Module::kIcu;
@@ -277,14 +269,12 @@ int cmd_campaign_audit(const std::vector<std::string>& args) {
         usage(stderr);
         return 2;
       }
-    } else if (args[i] == "--threads") {
-      threads = cli::require_unsigned_list("detscope", "--threads", need(), 1, 256);
-    } else if (args[i] == "--stride") {
-      stride = cli::require_unsigned("detscope", "--stride", need(), 1, 1u << 20);
+    } else if (args.is("--threads")) {
+      threads = args.unsigned_list(1, 256);
+    } else if (args.is("--stride")) {
+      stride = args.unsigned_in(1, 1u << 20);
     } else {
-      std::fprintf(stderr, "detscope: unknown option '%s'\n", args[i].c_str());
-      usage(stderr);
-      return 2;
+      return unknown_option(args);
     }
   }
 
@@ -316,83 +306,32 @@ int cmd_campaign_audit(const std::vector<std::string>& args) {
   return r.passed() ? 0 : 1;
 }
 
-int cmd_metrics(const std::vector<std::string>& args) {
-  std::string routine_name = "fwd-pc";
-  unsigned cores = 3;
-  bool wa = true;
+int cmd_metrics(cli::Args& args) {
+  Quickstart q;
   std::string out_path;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const auto need = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        usage(stderr);
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (args[i] == "--routine") routine_name = need();
-    else if (args[i] == "--cores")
-      cores = cli::require_unsigned("detscope", "--cores", need(), 1, 3);
-    else if (args[i] == "--wa") wa = require_on_off("--wa", need());
-    else if (args[i] == "--out") out_path = need();
-    else {
-      std::fprintf(stderr, "detscope: unknown option '%s'\n", args[i].c_str());
-      usage(stderr);
-      return 2;
-    }
+  while (args.next()) {
+    if (q.parse(args)) continue;
+    if (args.is("--out")) out_path = args.value();
+    else return unknown_option(args);
   }
+  soc::Soc soc = q.build();
 
-  const auto routine = routine_or_die(routine_name)->make();
-  std::vector<core::BuiltTest> tests;
-  for (unsigned c = 0; c < cores; ++c) {
-    tests.push_back(core::build_wrapped(*routine, core::WrapperKind::kCacheBased,
-                                        core::quickstart_env(c, wa)));
-  }
-
-  soc::SocConfig cfg;
-  cfg.start_delay = {0, 3, 7};
-  soc::Soc soc(cfg);
-  for (const auto& t : tests) {
-    soc.load_program(t.prog);
-    soc.set_boot(t.env.core_id, t.prog.entry());
-  }
-  for (unsigned c = cores; c < 3; ++c) soc.set_active(c, false);
-
-  const perf::SimSnapshot before = perf::sim_totals().snapshot();
-  perf::HostTimer timer;
+  perf::Session session("detscope-metrics");
+  session.hash().str(q.routine).u32v(q.cores).u8v(q.wa ? 1 : 0);
+  trace::PhaseMetrics phases(session.metrics());
+  soc.set_trace_sink(&phases);
   soc.reset();
-  const auto res = soc.run(10'000'000);
-  if (res.timed_out) {
+  if (soc.run(10'000'000).timed_out) {
     std::fprintf(stderr, "detscope: watchdog expired\n");
     return 1;
   }
-  const perf::SimSnapshot delta = perf::sim_totals().snapshot().since(before);
-  const perf::HostUsage usage_now = timer.sample();
-
-  perf::PerfReport rep;
-  rep.name = "detscope-metrics";
-  rep.detstl_version = kDetstlVersion;
-  fault::ConfigHasher hash;
-  hash.str("detscope-metrics").str(routine_name).u32v(cores).u8v(wa ? 1 : 0);
-  rep.config_hash = hash.digest();
-  rep.sim_cycles = delta.sim_cycles();
-  rep.sim_units = delta.units();
-  rep.phases.push_back({"quickstart", delta.sim_cycles(), delta.units(),
-                        usage_now.wall_s});
-  rep.wall_s = usage_now.wall_s;
-  rep.cpu_s = usage_now.cpu_s;
-  rep.peak_rss_kb = usage_now.peak_rss_kb;
-  perf::collect_soc(rep.metrics, soc);
-  perf::collect_sim_totals(rep.metrics, delta);
-  perf::collect_host_usage(rep.metrics, usage_now);
-
-  const std::string json = perf::to_json(rep);
+  session.mark_phase("quickstart");
+  perf::collect_soc(session.metrics(), soc);
   if (out_path.empty()) {
-    std::fputs(json.c_str(), stdout);
-  } else if (!perf::write_report_file(out_path, rep)) {
-    std::fprintf(stderr, "detscope: cannot write %s\n", out_path.c_str());
-    return 1;
+    std::fputs(perf::to_json(session.close()).c_str(), stdout);
+    return 0;
   }
-  return 0;
+  return session.finish(out_path, 0);
 }
 
 }  // namespace
@@ -403,7 +342,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
+  cli::Args args("detscope", argc - 2, argv + 2);
   if (cmd == "-h" || cmd == "--help") {
     usage(stdout);
     return 0;

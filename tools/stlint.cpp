@@ -11,7 +11,6 @@
 //   2  usage error / unknown routine / build failure
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -90,92 +89,70 @@ void usage(std::ostream& os) {
 }
 
 bool parse(int argc, char** argv, Options& opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "stlint: option '" << a << "' requires a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (a == "--routine") {
-      const char* v = next();
-      if (!v) return false;
-      opt.routines.push_back(v);
-    } else if (a == "--wrapper") {
-      const char* v = next();
-      if (!v) return false;
-      if (!strcmp(v, "plain")) opt.wrapper = core::WrapperKind::kPlain;
-      else if (!strcmp(v, "cache")) opt.wrapper = core::WrapperKind::kCacheBased;
-      else if (!strcmp(v, "tcm")) opt.wrapper = core::WrapperKind::kTcmBased;
+  cli::Args args("stlint", argc - 1, argv + 1);
+  while (args.next()) {
+    if (args.is("--routine")) {
+      opt.routines.push_back(args.value());
+    } else if (args.is("--wrapper")) {
+      const std::string v = args.value();
+      if (v == "plain") opt.wrapper = core::WrapperKind::kPlain;
+      else if (v == "cache") opt.wrapper = core::WrapperKind::kCacheBased;
+      else if (v == "tcm") opt.wrapper = core::WrapperKind::kTcmBased;
       else {
         std::cerr << "stlint: --wrapper expects plain|cache|tcm, got '" << v
                   << "'\n";
         return false;
       }
-    } else if (a == "--wa") {
-      const char* v = next();
-      if (!v) return false;
-      if (!strcmp(v, "on")) opt.wa = 1;
-      else if (!strcmp(v, "off")) opt.wa = 0;
-      else if (!strcmp(v, "both")) opt.wa = 2;
+    } else if (args.is("--wa")) {
+      const std::string v = args.value();
+      if (v == "on") opt.wa = 1;
+      else if (v == "off") opt.wa = 0;
+      else if (v == "both") opt.wa = 2;
       else {
         std::cerr << "stlint: --wa expects on|off|both, got '" << v << "'\n";
         return false;
       }
-    } else if (a == "--perf") {
+    } else if (args.is("--perf")) {
       opt.perf = true;
-    } else if (a == "--core") {
-      const char* v = next();
-      if (!v) return false;
-      if (!strcmp(v, "A")) opt.kind = isa::CoreKind::kA;
-      else if (!strcmp(v, "B")) opt.kind = isa::CoreKind::kB;
-      else if (!strcmp(v, "C")) opt.kind = isa::CoreKind::kC;
+    } else if (args.is("--core")) {
+      const std::string v = args.value();
+      if (v == "A") opt.kind = isa::CoreKind::kA;
+      else if (v == "B") opt.kind = isa::CoreKind::kB;
+      else if (v == "C") opt.kind = isa::CoreKind::kC;
       else {
         std::cerr << "stlint: --core expects A|B|C, got '" << v << "'\n";
         return false;
       }
-    } else if (a == "-q" || a == "--quiet") {
+    } else if (args.is("-q") || args.is("--quiet")) {
       opt.quiet = true;
-    } else if (a == "-v" || a == "--verbose") {
+    } else if (args.is("-v") || args.is("--verbose")) {
       opt.verbose = true;
-    } else if (a == "--json") {
+    } else if (args.is("--json")) {
       opt.json = true;
-    } else if (a == "--list") {
+    } else if (args.is("--list")) {
       opt.list = true;
-    } else if (a == "--fixtures") {
+    } else if (args.is("--fixtures")) {
       opt.fixtures_selfcheck = true;
-    } else if (a == "--fixture") {
-      const char* v = next();
-      if (!v) return false;
-      opt.fixture = v;
-    } else if (a == "--matrix") {
+    } else if (args.is("--fixture")) {
+      opt.fixture = args.value();
+    } else if (args.is("--matrix")) {
       opt.matrix = true;
-    } else if (a == "--golden") {
-      const char* v = next();
-      if (!v) return false;
-      opt.golden = v;
-    } else if (a == "--sarif") {
-      const char* v = next();
-      if (!v) return false;
-      opt.sarif_path = v;
-    } else if (a == "--xval") {
-      const char* v = next();
-      if (!v) return false;
-      opt.xval_path = v;
-    } else if (a == "--cores") {
-      const char* v = next();
-      if (!v) return false;
-      opt.cores = cli::require_unsigned("stlint", "--cores", v, 1, 3);
-    } else if (a == "--version") {
+    } else if (args.is("--golden")) {
+      opt.golden = args.value();
+    } else if (args.is("--sarif")) {
+      opt.sarif_path = args.value();
+    } else if (args.is("--xval")) {
+      opt.xval_path = args.value();
+    } else if (args.is("--cores")) {
+      opt.cores = args.unsigned_in(1, 3);
+    } else if (args.is("--version")) {
       cli::print_version("stlint");
       std::exit(0);
-    } else if (a == "-h" || a == "--help") {
+    } else if (args.is("-h") || args.is("--help")) {
       usage(std::cout);
       std::exit(0);
     } else {
-      std::cerr << "stlint: unknown option '" << a << "'\n";
+      std::cerr << "stlint: unknown option '" << args.flag() << "'\n";
       return false;
     }
   }

@@ -7,14 +7,15 @@
 //
 // diff and check share the regression semantics: exit 0 when the current
 // sim-MHz is within --threshold percent (default 15) of the baseline, exit 1
-// on a regression or when the reports are not comparable (different bench
-// name or schema), exit 2 on usage errors and unreadable/malformed files
-// (tools/cli_util.h exit-code contract). A config-hash mismatch is reported
-// as a note — the workload changed, so a slowdown may be intentional — but
-// still gates on the threshold.
+// on a regression, on a sim subtree that diverged under an unchanged config
+// hash (a determinism break) or when the reports are not comparable
+// (different bench name or schema), exit 2 on usage errors and
+// unreadable/malformed files (tools/cli_util.h exit-code contract). A
+// config-hash mismatch is reported as a note — the workload changed, so a
+// slowdown or a different sim subtree may be intentional — but still gates
+// on the threshold.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,9 +24,10 @@
 
 namespace {
 
-using detstl::cli::kExitFailure;
-using detstl::cli::kExitSuccess;
-using detstl::cli::kExitUsage;
+using namespace detstl;
+using cli::kExitFailure;
+using cli::kExitSuccess;
+using cli::kExitUsage;
 
 void usage(std::FILE* to) {
   std::fprintf(to,
@@ -36,114 +38,90 @@ void usage(std::FILE* to) {
                "\n"
                "  report   validate a BENCH_<name>.json and render it as tables\n"
                "  diff     compare two reports; exit 1 when CURRENT's sim-MHz\n"
-               "           dropped more than PCT%% (default 15) below BASELINE\n"
+               "           dropped more than PCT%% (default 15) below\n"
+               "           BASELINE, or its sim subtree diverged under the\n"
+               "           same config hash\n"
                "  check    diff against a committed baseline (the CI perf gate)\n");
 }
 
 /// Load or exit(2): an unreadable or malformed report is a setup error, not
 /// a regression verdict.
-detstl::perf::PerfReport load_or_die(const std::string& path) {
-  detstl::perf::PerfReport rep;
+perf::PerfReport load_or_die(const std::string& path) {
+  perf::PerfReport rep;
   std::string err;
-  if (!detstl::perf::load_report_file(path, rep, &err)) {
+  if (!perf::load_report_file(path, rep, &err)) {
     std::fprintf(stderr, "stlperf: %s: %s\n", path.c_str(), err.c_str());
     std::exit(kExitUsage);
   }
   return rep;
 }
 
-/// Threshold in percent; strict like the numeric options of the other tools.
-double parse_threshold(const std::string& text) {
-  const unsigned long long v =
-      detstl::cli::require_u64("stlperf", "--threshold", text, 0, 1000);
-  return static_cast<double>(v);
-}
-
-int cmd_report(const std::vector<std::string>& args) {
-  if (args.size() != 1) {
+int cmd_report(cli::Args& args) {
+  std::vector<std::string> files;
+  while (args.next()) files.push_back(args.flag());
+  if (files.size() != 1) {
     usage(stderr);
     return kExitUsage;
   }
-  const detstl::perf::PerfReport rep = load_or_die(args[0]);
-  std::fputs(detstl::perf::render_report(rep).c_str(), stdout);
+  const perf::PerfReport rep = load_or_die(files[0]);
+  std::fputs(perf::render_report(rep).c_str(), stdout);
   return kExitSuccess;
 }
 
-int cmd_compare(const std::string& baseline_path, const std::string& current_path,
-                double threshold) {
-  const detstl::perf::PerfReport baseline = load_or_die(baseline_path);
-  const detstl::perf::PerfReport current = load_or_die(current_path);
-  const detstl::perf::CompareOutcome cmp =
-      detstl::perf::compare_reports(baseline, current);
-  std::fputs(detstl::perf::render_diff(baseline, current, cmp, threshold).c_str(),
-             stdout);
-  if (!cmp.comparable) return kExitFailure;
-  return cmp.regressed(threshold) ? kExitFailure : kExitSuccess;
-}
-
-int cmd_diff(const std::vector<std::string>& args) {
-  std::vector<std::string> files;
-  double threshold = 15.0;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--threshold" && i + 1 < args.size())
-      threshold = parse_threshold(args[++i]);
-    else if (args[i].rfind("--", 0) == 0) {
-      std::fprintf(stderr, "stlperf: unknown option '%s'\n", args[i].c_str());
-      return kExitUsage;
-    } else
-      files.push_back(args[i]);
-  }
-  if (files.size() != 2) {
-    usage(stderr);
-    return kExitUsage;
-  }
-  return cmd_compare(files[0], files[1], threshold);
-}
-
-int cmd_check(const std::vector<std::string>& args) {
+/// diff and check: BASELINE CURRENT as positionals (diff) or CURRENT plus
+/// --baseline FILE (check), and --threshold PCT.
+int cmd_compare(cli::Args& args, bool check) {
   std::vector<std::string> files;
   std::string baseline;
   double threshold = 15.0;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--baseline" && i + 1 < args.size())
-      baseline = args[++i];
-    else if (args[i] == "--threshold" && i + 1 < args.size())
-      threshold = parse_threshold(args[++i]);
-    else if (args[i].rfind("--", 0) == 0) {
-      std::fprintf(stderr, "stlperf: unknown option '%s'\n", args[i].c_str());
+  while (args.next()) {
+    if (args.is("--threshold")) {
+      threshold = static_cast<double>(args.u64_in(0, 1000));
+    } else if (check && args.is("--baseline")) {
+      baseline = args.value();
+    } else if (args.flag().rfind("--", 0) == 0) {
+      std::fprintf(stderr, "stlperf: unknown option '%s'\n",
+                   args.flag().c_str());
       return kExitUsage;
-    } else
-      files.push_back(args[i]);
+    } else {
+      files.push_back(args.flag());
+    }
   }
-  if (files.size() != 1 || baseline.empty()) {
+  if (check ? baseline.empty() || files.size() != 1 : files.size() != 2) {
     usage(stderr);
     return kExitUsage;
   }
-  return cmd_compare(baseline, files[0], threshold);
+  if (check) files.insert(files.begin(), baseline);
+  const perf::PerfReport base = load_or_die(files[0]);
+  const perf::PerfReport current = load_or_die(files[1]);
+  const perf::CompareOutcome cmp = perf::compare_reports(base, current);
+  std::fputs(perf::render_diff(base, current, cmp, threshold).c_str(), stdout);
+  const bool ok = cmp.comparable && !cmp.determinism_break() &&
+                  !cmp.regressed(threshold);
+  return ok ? kExitSuccess : kExitFailure;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  if (args.empty()) {
+  if (argc < 2) {
     usage(stderr);
     return kExitUsage;
   }
-  if (args[0] == "--version") {
-    detstl::cli::print_version("stlperf");
-    std::printf("stlperf schema %u\n", detstl::perf::kPerfSchemaVersion);
+  const std::string cmd = argv[1];
+  if (cmd == "--version") {
+    cli::print_version("stlperf");
+    std::printf("stlperf schema %u\n", perf::kPerfSchemaVersion);
     return kExitSuccess;
   }
-  if (args[0] == "--help" || args[0] == "-h") {
+  if (cmd == "--help" || cmd == "-h") {
     usage(stdout);
     return kExitSuccess;
   }
-  const std::string cmd = args[0];
-  args.erase(args.begin());
+  cli::Args args("stlperf", argc - 2, argv + 2);
   if (cmd == "report") return cmd_report(args);
-  if (cmd == "diff") return cmd_diff(args);
-  if (cmd == "check") return cmd_check(args);
+  if (cmd == "diff") return cmd_compare(args, /*check=*/false);
+  if (cmd == "check") return cmd_compare(args, /*check=*/true);
   std::fprintf(stderr, "stlperf: unknown command '%s'\n", cmd.c_str());
   usage(stderr);
   return kExitUsage;

@@ -24,10 +24,7 @@
 #include "common/bytes.h"
 #include "common/table.h"
 #include "core/stl.h"
-#include "perf/collect.h"
-#include "perf/perf_report.h"
-#include "perf/sampler.h"
-#include "perf/simstats.h"
+#include "perf/session.h"
 #include "runtime/campaign.h"
 #include "runtime/mission.h"
 #include "runtime/soak.h"
@@ -157,11 +154,9 @@ struct UnitKind {
   /// A given kind-only flag that only a straight run can honour, or null.
   std::function<const char*()> straight_only;
   /// stderr summary of a completed straight run (plus any report file it
-  /// asked for), given the simulated work and host usage it took. Returns
-  /// the exit code.
-  std::function<int(const Result&, const perf::SimSnapshot&,
-                    const perf::HostUsage&)>
-      finish;
+  /// asked for), given the stlperf session that bracketed it. Returns the
+  /// exit code.
+  std::function<int(const Result&, perf::Session&)> finish;
 };
 
 template <class Spec, class Result>
@@ -207,8 +202,7 @@ int run_units(const UnitKind<Spec, Result>& kind, Spec& spec, int argc,
   flags.apply(spec);
 
   if (verify_threads.empty()) {
-    const perf::SimSnapshot sim_before = perf::sim_totals().snapshot();
-    perf::HostTimer host_timer;
+    perf::Session session(std::string(kTool) + "-" + kind.cmd);
     const Result res = kind.run(spec);
     if (res.ckpt.enabled)
       std::fprintf(stderr,
@@ -227,9 +221,7 @@ int run_units(const UnitKind<Spec, Result>& kind, Spec& spec, int argc,
       std::fputs(kind.render(res).c_str(), stdout);
     // Host timings go to stderr only: the stdout report is diffed across
     // thread counts and straight-vs-resumed runs by the CI drills.
-    const perf::SimSnapshot sim =
-        perf::sim_totals().snapshot().since(sim_before);
-    return kind.finish(res, sim, host_timer.sample());
+    return kind.finish(res, session);
   }
 
   // Determinism self-check: same spec at each requested thread count must
@@ -296,24 +288,10 @@ int cmd_campaign(int argc, char** argv) {
   kind.straight_only = [&] {
     return metrics_out.empty() ? nullptr : "--metrics-out";
   };
-  kind.finish = [&](const CampaignResult& res, const perf::SimSnapshot& sim,
-                    const perf::HostUsage& host) {
-    const double sim_mhz =
-        host.wall_s > 0.0
-            ? static_cast<double>(sim.sim_cycles()) / host.wall_s / 1e6
-            : 0.0;
-    std::fprintf(stderr,
-                 "%s: %u runs on %u thread(s) in %.2fs | %.1f Mcycles simulated, "
-                 "%.2f sim-MHz, peak RSS %ld KiB\n",
-                 kTool, res.runs, res.threads_used, res.wall_seconds,
-                 static_cast<double>(sim.sim_cycles()) / 1e6, sim_mhz,
-                 perf::peak_rss_kb());
-    if (metrics_out.empty()) return cli::kExitSuccess;
-    perf::PerfReport rep;
-    rep.name = "stlrun-campaign";
-    rep.detstl_version = kDetstlVersion;
-    fault::ConfigHasher hash;
-    hash.str("stlrun-campaign").u64v(spec.seed).u32v(spec.runs).u32v(spec.cores);
+  kind.finish = [&](const CampaignResult& res, perf::Session& session) {
+    session.mark_phase("campaign");
+    fault::ConfigHasher& hash = session.hash();
+    hash.u64v(spec.seed).u32v(spec.runs).u32v(spec.cores);
     for (const auto& r : spec.routines) hash.str(r);
     hash.u32v(spec.disturb.count);
     hash.f64v(spec.disturb.permanent_chance);
@@ -321,23 +299,15 @@ int cmd_campaign(int argc, char** argv) {
     hash.u32v(spec.supervisor.margin_percent);
     hash.u32v(spec.supervisor.max_attempts);
     hash.u32v(spec.supervisor.fallback_attempts);
-    rep.config_hash = hash.digest();
-    rep.sim_cycles = sim.sim_cycles();
-    rep.sim_units = sim.units();
-    rep.phases.push_back({"campaign", sim.sim_cycles(), sim.units(), host.wall_s});
-    rep.wall_s = host.wall_s;
-    rep.cpu_s = host.cpu_s;
-    rep.peak_rss_kb = host.peak_rss_kb;
-    perf::collect_disturbance_result(rep.metrics, res, "");
-    perf::collect_sim_totals(rep.metrics, sim);
-    perf::collect_host_usage(rep.metrics, host);
-    if (!perf::write_report_file(metrics_out, rep)) {
-      std::fprintf(stderr, "%s: cannot write %s\n", kTool, metrics_out.c_str());
-      return cli::kExitFailure;
-    }
-    std::fprintf(stderr, "%s: stlperf report written to %s\n", kTool,
-                 metrics_out.c_str());
-    return cli::kExitSuccess;
+    perf::collect_disturbance_result(session.metrics(), res, "");
+    const perf::PerfReport& rep = session.close();
+    std::fprintf(stderr,
+                 "%s: %u runs on %u thread(s) in %.2fs | %.1f Mcycles simulated, "
+                 "%.2f sim-MHz, peak RSS %ld KiB\n",
+                 kTool, res.runs, res.threads_used, res.wall_seconds,
+                 static_cast<double>(rep.sim_cycles) / 1e6, rep.sim_mhz(),
+                 rep.peak_rss_kb);
+    return session.finish(metrics_out, cli::kExitSuccess);
   };
   return run_units(kind, spec, argc, argv);
 }
@@ -364,8 +334,7 @@ int cmd_soak(int argc, char** argv) {
     }
     return true;
   };
-  kind.finish = [](const SoakCampaignResult& res, const perf::SimSnapshot&,
-                   const perf::HostUsage&) {
+  kind.finish = [](const SoakCampaignResult& res, perf::Session&) {
     std::fprintf(stderr, "%s: %u soak run(s) on %u thread(s) in %.2fs\n", kTool,
                  res.runs, res.threads_used, res.wall_seconds);
     return cli::kExitSuccess;
