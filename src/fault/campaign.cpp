@@ -5,6 +5,7 @@
 #include <chrono>
 #include <mutex>
 #include <stdexcept>
+#include <type_traits>
 
 #include "fault/unit_driver.h"
 #include "fault/work_queue.h"
@@ -25,20 +26,14 @@ const char* module_name(Module m) {
 
 namespace {
 
-/// Records the graded module's input trace and the r29 write sequence.
+/// Records the graded module's input trace (one `In` per module call) and
+/// the r29 write sequence.
+template <class In>
 class RecorderTap final : public cpu::ModuleTap {
  public:
-  explicit RecorderTap(Module which) : which_(which) {}
-
-  void on_hdcu(u64, const cpu::HdcuIn& in, const cpu::HdcuOut&) override {
-    if (which_ == Module::kHdcu) hdcu_.push_back(in);
-  }
-  void on_fwd(u64, const cpu::FwdIn& in, const cpu::FwdOut&) override {
-    if (which_ == Module::kFwd) fwd_.push_back(in);
-  }
-  void on_icu(u64, const cpu::IcuIn& in, const cpu::IcuOut&) override {
-    if (which_ == Module::kIcu) icu_.push_back(in);
-  }
+  void on_hdcu(u64, const cpu::HdcuIn& in, const cpu::HdcuOut&) override { record(in); }
+  void on_fwd(u64, const cpu::FwdIn& in, const cpu::FwdOut&) override { record(in); }
+  void on_icu(u64, const cpu::IcuIn& in, const cpu::IcuOut&) override { record(in); }
   void on_wb(u64, unsigned rd, u32 v) override {
     if (rd == core::kSignatureReg) r29_.push_back(v);
     // Execution-loop marker: the wrapper's loop counter reaching 1 ends the
@@ -47,28 +42,19 @@ class RecorderTap final : public cpu::ModuleTap {
       marker_idx_ = r29_.size();
   }
 
-  std::size_t calls() const {
-    switch (which_) {
-      case Module::kFwd: return fwd_.size();
-      case Module::kHdcu: return hdcu_.size();
-      case Module::kIcu: return icu_.size();
-    }
-    return 0;
-  }
-
-  const std::vector<cpu::HdcuIn>& hdcu() const { return hdcu_; }
-  const std::vector<cpu::FwdIn>& fwd() const { return fwd_; }
-  const std::vector<cpu::IcuIn>& icu() const { return icu_; }
+  const std::vector<In>& calls() const { return calls_; }
   const std::vector<u32>& r29() const { return r29_; }
   /// Index into r29() where the execution loop's writes start (SIZE_MAX if
   /// the marker never appeared — plain/TCM wrappers have no loading loop).
   std::size_t marker_idx() const { return marker_idx_; }
 
  private:
-  Module which_;
-  std::vector<cpu::HdcuIn> hdcu_;
-  std::vector<cpu::FwdIn> fwd_;
-  std::vector<cpu::IcuIn> icu_;
+  template <class T>
+  void record(const T& in) {
+    if constexpr (std::is_same_v<T, In>) calls_.push_back(in);
+  }
+
+  std::vector<In> calls_;
   std::vector<u32> r29_;
   std::size_t marker_idx_ = SIZE_MAX;
 };
@@ -192,6 +178,27 @@ class ProgressTracker {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// Hooks a faulty module model into the graded core, in its module's slot.
+/// The sequential ICU resumes from the restored core's flop state.
+void install(cpu::Cpu& core, cpu::ForwardModel& m) { core.hooks().fwd = &m; }
+void install(cpu::Cpu& core, cpu::HazardModel& m) { core.hooks().hazard = &m; }
+void install(cpu::Cpu& core, cpu::IcuModel& m) {
+  m.load_state(core.icu_state().state());
+  core.hooks().icu = &m;
+}
+
+/// Calls `f` with the netlist of module `m` for core kind `kind` — the one
+/// place a Module selects a netlist type.
+template <class F>
+auto with_module(Module m, isa::CoreKind kind, F&& f) {
+  switch (m) {
+    case Module::kHdcu: return f(netlist::HdcuNetlist(kind));
+    case Module::kIcu: return f(netlist::IcuNetlist(kind));
+    case Module::kFwd: break;
+  }
+  return f(netlist::FwdNetlist(kind));
+}
+
 }  // namespace
 
 std::vector<u8> CampaignResult::canonical_bytes() const {
@@ -238,24 +245,22 @@ std::vector<netlist::Fault> sample_faults(const netlist::Netlist& nl,
 }
 
 netlist::Netlist module_netlist(Module m, isa::CoreKind kind) {
-  switch (m) {
-    case Module::kHdcu: return netlist::HdcuNetlist(kind).nl();
-    case Module::kIcu: return netlist::IcuNetlist(kind).nl();
-    case Module::kFwd: break;
-  }
-  return netlist::FwdNetlist(kind).nl();
+  return with_module(m, kind, [](const auto& mod) { return mod.nl(); });
 }
 
-Campaign::Campaign(const CampaignConfig& cfg, SocFactory factory)
-    : cfg_(cfg), factory_(std::move(factory)) {}
+namespace {
 
-CampaignResult Campaign::run() {
-  const u32 mailbox = cfg_.mailbox != 0 ? cfg_.mailbox : soc::mailbox_addr(cfg_.core_id);
-  const unsigned threads = resolve_threads(cfg_.threads);
+/// The whole campaign over the graded module's netlist `mod`: one body for
+/// every module, written against Mod's In/Model types and its codec.
+template <class Mod>
+CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory,
+                            const Mod& mod) {
+  const u32 mailbox = cfg.mailbox != 0 ? cfg.mailbox : soc::mailbox_addr(cfg.core_id);
+  const unsigned threads = resolve_threads(cfg.threads);
   CampaignResult res;
   res.threads_used = threads;
   const auto wall_start = std::chrono::steady_clock::now();
-  ProgressTracker tracker(cfg_.progress, cfg_.progress_every, threads);
+  ProgressTracker tracker(cfg.progress, cfg.progress_every, threads);
 
   // Campaign events use an emission sequence number as their clock: all
   // emissions happen on the serial control path (phase boundaries + the
@@ -264,43 +269,19 @@ CampaignResult Campaign::run() {
   u64 seq = 0;
   const auto emit_phase = [&](trace::EventKind kind, CampaignPhase phase, u32 a,
                               u32 b) {
-    DETSTL_TRACE(cfg_.sink, trace::Event{.cycle = seq++,
-                                         .kind = kind,
-                                         .unit = static_cast<u8>(phase),
-                                         .a = a,
-                                         .b = b});
+    DETSTL_TRACE(cfg.sink, trace::Event{.cycle = seq++,
+                                        .kind = kind,
+                                        .unit = static_cast<u8>(phase),
+                                        .a = a,
+                                        .b = b});
   };
-
-  // Module netlist for the graded core's physical-design instance.
-  std::optional<netlist::FwdNetlist> fwd_mod;
-  std::optional<netlist::HdcuNetlist> hdcu_mod;
-  std::optional<netlist::IcuNetlist> icu_mod;
-  const netlist::Netlist* nl = nullptr;
-  const std::vector<netlist::NetId>* outs = nullptr;
-  switch (cfg_.module) {
-    case Module::kFwd:
-      fwd_mod.emplace(cfg_.kind);
-      nl = &fwd_mod->nl();
-      outs = &fwd_mod->outputs();
-      break;
-    case Module::kHdcu:
-      hdcu_mod.emplace(cfg_.kind);
-      nl = &hdcu_mod->nl();
-      outs = &hdcu_mod->outputs();
-      break;
-    case Module::kIcu:
-      icu_mod.emplace(cfg_.kind);
-      nl = &icu_mod->nl();
-      outs = &icu_mod->outputs();
-      break;
-  }
 
   // --- Fault list (deterministically sampled) ------------------------------
   // It depends only on the netlist, so the journal below loads (and emits its
   // kCkptLoad/kCkptReject events) before the good run starts tracing.
-  res.total_faults = nl->fault_list().size();
-  const std::vector<netlist::Fault> faults =
-      sample_faults(*nl, cfg_.fault_stride);
+  const netlist::Netlist& nl = mod.nl();
+  res.total_faults = nl.fault_list().size();
+  const std::vector<netlist::Fault> faults = sample_faults(nl, cfg.fault_stride);
   res.simulated_faults = faults.size();
   res.outcomes.assign(faults.size(), FaultOutcome::kNotExcited);
 
@@ -311,11 +292,11 @@ CampaignResult Campaign::run() {
   // Each record holds one FaultOutcome byte; a malformed one is dropped and
   // its fault re-executes. Faults outside the shard range are done with the
   // kNotExcited placeholder: screening skips whole out-of-range lane groups.
-  soc::Soc good = factory_();
+  soc::Soc good = factory();
   UnitDriver driver(
-      "fault campaign", faults.size(), cfg_,
+      "fault campaign", faults.size(), cfg,
       {.kind = PayloadKind::kFaultOutcomes,
-       .config_hash = [&] { return checkpoint_config_hash(cfg_, *nl, good); },
+       .config_hash = [&] { return checkpoint_config_hash(cfg, nl, good); },
        .accept = [&](u64 i, const std::vector<u8>& payload) {
          if (payload.size() != 1 ||
              payload[0] > static_cast<u8>(FaultOutcome::kUndetected))
@@ -328,22 +309,22 @@ CampaignResult Campaign::run() {
   // --- Phase 0: good run with trace recording + checkpoints ---------------------
   tracker.begin_phase(CampaignPhase::kGoodRun, 0);
   emit_phase(trace::EventKind::kCampaignPhaseBegin, CampaignPhase::kGoodRun, 0, 0);
-  RecorderTap rec(cfg_.module);
+  RecorderTap<typename Mod::In> rec;
   // The good run traces live (it is serial); checkpoints copy the sink
   // pointer, so detect_one clears it on every restored replica.
-  good.set_trace_sink(cfg_.sink);
+  good.set_trace_sink(cfg.sink);
   good.reset();
-  good.core(cfg_.core_id).hooks().tap = &rec;
+  good.core(cfg.core_id).hooks().tap = &rec;
 
   std::vector<Checkpoint> cps;
   cps.push_back(Checkpoint{good, 0, 0});
-  while (!good.core(cfg_.core_id).halted()) {
-    if (good.now() >= cfg_.max_cycles)
+  while (!good.core(cfg.core_id).halted()) {
+    if (good.now() >= cfg.max_cycles)
       throw std::runtime_error("fault campaign: good run exceeded max_cycles");
     good.tick();
-    if (good.now() % cfg_.checkpoint_every == 0) {
-      cps.push_back(Checkpoint{good, rec.calls(), rec.r29().size()});
-      tracker.add(0, cfg_.checkpoint_every);
+    if (good.now() % cfg.checkpoint_every == 0) {
+      cps.push_back(Checkpoint{good, rec.calls().size(), rec.r29().size()});
+      tracker.add(0, cfg.checkpoint_every);
     }
   }
   tracker.end_phase();
@@ -354,16 +335,7 @@ CampaignResult Campaign::run() {
   if (res.good_verdict.status != soc::kStatusPass)
     throw std::runtime_error("fault campaign: fault-free run did not pass");
 
-  const std::size_t ncalls = rec.calls();
-
-  // Encodes the c-th recorded module call into a screening state.
-  const auto encode_call = [&](std::size_t c, netlist::EvalState& st) {
-    switch (cfg_.module) {
-      case Module::kFwd: fwd_mod->encode(rec.fwd()[c], st); break;
-      case Module::kHdcu: hdcu_mod->encode(rec.hdcu()[c], st); break;
-      case Module::kIcu: icu_mod->encode(rec.icu()[c], st); break;
-    }
-  };
+  const std::size_t ncalls = rec.calls().size();
 
   // --- Phase 1: 64-lane excitation screening, sharded by lane group ---------------
   // Each lane group (<= 63 faults + the golden lane) replays the trace in
@@ -437,14 +409,14 @@ CampaignResult Campaign::run() {
           tracker.add(w, 1);
           continue;
         }
-        LaneGroupScreen screen(*nl, *outs, {faults.data() + base, n});
+        LaneGroupScreen screen(nl, mod.outputs(), {faults.data() + base, n});
         std::size_t replayed = 0;
         {
           DETSTL_PROF_SCOPE(perf::ProfScope::kNetlistScreen);
           for (; replayed < ncalls && !screen.done(); ++replayed) {
-            encode_call(replayed, screen.state());
+            mod.encode(rec.calls()[replayed], screen.state());
             screen.observe(replayed);
-            if (cfg_.module == Module::kIcu) screen.clock();
+            screen.clock();  // a no-op for the flop-free modules
           }
         }
         screen_calls_total.fetch_add(replayed, std::memory_order_relaxed);
@@ -491,41 +463,21 @@ CampaignResult Campaign::run() {
     // The checkpoint copy carries the good run's sink; faulty replicas run on
     // worker threads and must never emit (trace/event.h checkpoint contract).
     s.set_trace_sink(nullptr);
-    const std::size_t arm_at = cfg_.signature_from_marker ? rec.marker_idx() : 0;
+    const std::size_t arm_at = cfg.signature_from_marker ? rec.marker_idx() : 0;
     CompareTap cmp(rec.r29(), cp.r29_idx, arm_at);
-    cpu::CpuHooks hooks;
-    hooks.tap = &cmp;
-    std::optional<netlist::NetlistForward> fw;
-    std::optional<netlist::NetlistHazard> hz;
-    std::optional<netlist::NetlistIcu> ni;
-    switch (cfg_.module) {
-      case Module::kFwd:
-        fw.emplace(*fwd_mod);
-        fw->set_fault(faults[i]);
-        hooks.fwd = &*fw;
-        break;
-      case Module::kHdcu:
-        hz.emplace(*hdcu_mod);
-        hz->set_fault(faults[i]);
-        hooks.hazard = &*hz;
-        break;
-      case Module::kIcu:
-        ni.emplace(*icu_mod);
-        ni->set_fault(faults[i]);
-        ni->load_state(s.core(cfg_.core_id).icu_state().state());
-        hooks.icu = &*ni;
-        break;
-    }
-    s.core(cfg_.core_id).hooks() = hooks;
+    cpu::Cpu& graded = s.core(cfg.core_id);
+    graded.hooks() = cpu::CpuHooks{.tap = &cmp};
+    netlist::NetlistModelFor<Mod> model(mod);
+    model.set_fault(faults[i]);
+    install(graded, model);
 
-    while (!s.core(cfg_.core_id).halted() && !cmp.detected() && s.now() < watchdog)
-      s.tick();
+    while (!graded.halted() && !cmp.detected() && s.now() < watchdog) s.tick();
     detection_cycles_total.fetch_add(s.now() - resume_cycle,
                                      std::memory_order_relaxed);
     perf::sim_totals().add(perf::SimStat::kDetectionCycles, s.now() - resume_cycle);
 
     if (cmp.detected()) return FaultOutcome::kDetectedSignature;
-    if (!s.core(cfg_.core_id).halted()) return FaultOutcome::kDetectedWatchdog;
+    if (!graded.halted()) return FaultOutcome::kDetectedWatchdog;
     const core::TestVerdict v = core::read_verdict(s, mailbox);
     if (v.status != res.good_verdict.status || v.signature != res.good_verdict.signature)
       return FaultOutcome::kDetectedVerdict;
@@ -575,9 +527,9 @@ CampaignResult Campaign::run() {
 
   // Per-fault events, post-join in fault-index order: identical for every
   // thread count because they derive only from the merged outcomes vector.
-  if (cfg_.sink != nullptr) {
+  if (cfg.sink != nullptr) {
     for (std::size_t i = 0; i < faults.size(); ++i) {
-      DETSTL_TRACE(cfg_.sink,
+      DETSTL_TRACE(cfg.sink,
                    trace::Event{.cycle = i,
                                 .kind = trace::EventKind::kCampaignFault,
                                 .unit = static_cast<u8>(res.outcomes[i]),
@@ -585,13 +537,24 @@ CampaignResult Campaign::run() {
                                 .addr = static_cast<u32>(faults[i].net)});
     }
   }
-  DETSTL_TRACE(cfg_.sink,
+  DETSTL_TRACE(cfg.sink,
                trace::Event{.cycle = seq++,
                             .kind = trace::EventKind::kCampaignDone,
                             .a = static_cast<u32>(res.detected),
                             .b = static_cast<u32>(res.simulated_faults)});
   finish();
   return res;
+}
+
+}  // namespace
+
+Campaign::Campaign(const CampaignConfig& cfg, SocFactory factory)
+    : cfg_(cfg), factory_(std::move(factory)) {}
+
+CampaignResult Campaign::run() {
+  return with_module(cfg_.module, cfg_.kind, [this](const auto& mod) {
+    return run_campaign(cfg_, factory_, mod);
+  });
 }
 
 }  // namespace detstl::fault

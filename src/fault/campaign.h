@@ -24,7 +24,6 @@
 // recomputed from that vector after the pool joins.
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "core/wrapper.h"

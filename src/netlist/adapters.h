@@ -5,14 +5,18 @@
 // lane; lane 0 is read back).
 
 #include <optional>
+#include <type_traits>
 
 #include "netlist/modules.h"
 
 namespace detstl::netlist {
 
-class NetlistHazard final : public cpu::HazardModel {
+/// `Mod::Model` computed by the module netlist `Mod`: encode the call's
+/// inputs, settle the logic, decode lane 0.
+template <class Mod>
+class NetlistModel : public Mod::Model {
  public:
-  explicit NetlistHazard(const HdcuNetlist& mod)
+  explicit NetlistModel(const Mod& mod)
       : mod_(&mod), state_(mod.nl().make_state()) {}
 
   void set_fault(std::optional<Fault> f) {
@@ -20,65 +24,40 @@ class NetlistHazard final : public cpu::HazardModel {
     if (f) Netlist::inject(state_, *f, ~0ull);
   }
 
-  HdcuOut eval(const HdcuIn& in) override {
-    mod_->encode(in, state_);
-    mod_->nl().eval(state_);
+  typename Mod::Out eval(const typename Mod::In& in) override {
+    settle(in);
     return mod_->decode(state_, 0);
   }
 
- private:
-  const HdcuNetlist* mod_;
+ protected:
+  void settle(const typename Mod::In& in) {
+    mod_->encode(in, state_);
+    mod_->nl().eval(state_);
+  }
+
+  const Mod* mod_;
   EvalState state_;
 };
 
-class NetlistForward final : public cpu::ForwardModel {
+using NetlistHazard = NetlistModel<HdcuNetlist>;
+using NetlistForward = NetlistModel<FwdNetlist>;
+
+/// The ICU, the only sequential module, also commits and restores its flops.
+class NetlistIcu final : public NetlistModel<IcuNetlist> {
  public:
-  explicit NetlistForward(const FwdNetlist& mod)
-      : mod_(&mod), state_(mod.nl().make_state()) {}
-
-  void set_fault(std::optional<Fault> f) {
-    Netlist::clear_faults(state_);
-    if (f) Netlist::inject(state_, *f, ~0ull);
-  }
-
-  FwdOut eval(const FwdIn& in) override {
-    mod_->encode(in, state_);
-    mod_->nl().eval(state_);
-    return mod_->decode(state_, 0);
-  }
-
- private:
-  const FwdNetlist* mod_;
-  EvalState state_;
-};
-
-class NetlistIcu final : public cpu::IcuModel {
- public:
-  explicit NetlistIcu(const IcuNetlist& mod)
-      : mod_(&mod), state_(mod.nl().make_state()) {}
-
-  void set_fault(std::optional<Fault> f) {
-    Netlist::clear_faults(state_);
-    if (f) Netlist::inject(state_, *f, ~0ull);
-  }
-
-  IcuOut eval(const IcuIn& in) override {
-    mod_->encode(in, state_);
-    mod_->nl().eval(state_);
-    return mod_->decode(state_, 0);
-  }
+  using NetlistModel::NetlistModel;
 
   void clock(const IcuIn& in) override {
-    mod_->encode(in, state_);
-    mod_->nl().eval(state_);
+    settle(in);
     mod_->nl().clock(state_);
   }
 
   void load_state(u16 state) override { mod_->load_state(state_, state); }
-
- private:
-  const IcuNetlist* mod_;
-  EvalState state_;
 };
+
+/// The model a fault campaign installs for module `Mod`.
+template <class Mod>
+using NetlistModelFor =
+    std::conditional_t<std::is_same_v<Mod, IcuNetlist>, NetlistIcu, NetlistModel<Mod>>;
 
 }  // namespace detstl::netlist

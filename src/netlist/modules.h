@@ -1,7 +1,11 @@
 #pragma once
 // Gate-level netlists of the three graded modules, built per core kind and
 // per physical-design instance (Style). Each wrapper owns its Netlist plus
-// the input/output net bindings and struct<->lane codecs.
+// the input/output net bindings and struct<->lane codecs, and names the CPU
+// side it stands in for: the `In`/`Out` structs of one module call and the
+// `Model` interface a campaign hooks into the pipeline (netlist/adapters.h).
+// Everything the fault campaign does with a module goes through these names
+// plus encode/decode/outputs; the sequential ICU adds load_state.
 //
 // The input encodings are the contract between the CPU-side structs
 // (cpu::FwdIn / HdcuIn / IcuIn) and the recorded traces replayed by the
@@ -36,6 +40,10 @@ Style instance_style(CoreKind kind);
 
 class FwdNetlist {
  public:
+  using In = FwdIn;
+  using Out = FwdOut;
+  using Model = cpu::ForwardModel;
+
   explicit FwdNetlist(CoreKind kind);
 
   CoreKind kind() const { return kind_; }
@@ -70,6 +78,10 @@ class FwdNetlist {
 
 class HdcuNetlist {
  public:
+  using In = HdcuIn;
+  using Out = HdcuOut;
+  using Model = cpu::HazardModel;
+
   explicit HdcuNetlist(CoreKind kind);
 
   CoreKind kind() const { return kind_; }
@@ -109,6 +121,10 @@ class HdcuNetlist {
 
 class IcuNetlist {
  public:
+  using In = IcuIn;
+  using Out = IcuOut;
+  using Model = cpu::IcuModel;
+
   explicit IcuNetlist(CoreKind kind);
 
   CoreKind kind() const { return kind_; }

@@ -222,6 +222,7 @@ CampaignResult run_disturbance_campaign(
          DisturbanceInjector injector(make_plan(dspec, run_seed, spec.cores));
          StlSupervisor sup(plan.soc, plan.schedule, spec.supervisor);
          res.records[i] = RunRecord{run_seed, sup.run(&injector)};
+         res.records[i].result.injections = injector.stats();
          perf::sim_totals().add(perf::SimStat::kDisturbRuns, 1);
          perf::sim_totals().add(perf::SimStat::kDisturbCycles,
                                 res.records[i].result.total_cycles);

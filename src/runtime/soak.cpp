@@ -149,7 +149,7 @@ SupervisorResult run_prefix(const SchedulePlan& sp, const SupervisorConfig& cfg,
                             std::vector<AppliedUpset>* log) {
   SoakInjector inj(plan, limit);
   StlSupervisor sup(sp.soc, sp.schedule, cfg);
-  SupervisorResult r = sup.run(nullptr, &inj);
+  SupervisorResult r = sup.run(&inj);
   if (stats != nullptr) *stats = inj.stats();
   if (log != nullptr) *log = inj.applied_log();
   return r;

@@ -230,7 +230,7 @@ void StlSupervisor::finish_attempt(unsigned c, AttemptStatus status, u32 signatu
   quarantine(c);
 }
 
-SupervisorResult StlSupervisor::run(DisturbanceInjector* injector, InjectorHook* hook) {
+SupervisorResult StlSupervisor::run(InjectorHook* hook) {
   soc_.reset();
   result_ = SupervisorResult{};
   targets_ = InjectTargets{};
@@ -267,7 +267,6 @@ SupervisorResult StlSupervisor::run(DisturbanceInjector* injector, InjectorHook*
     }
 
     soc_.tick();
-    if (injector != nullptr) injector->poll(soc_, targets_);
     if (hook != nullptr) hook->poll(soc_, targets_);
 
     for (unsigned c = 0; c < soc_.num_cores(); ++c) {
@@ -295,7 +294,6 @@ SupervisorResult StlSupervisor::run(DisturbanceInjector* injector, InjectorHook*
   }
 
   result_.total_cycles = soc_.now();
-  if (injector != nullptr) result_.injections = injector->stats();
   return result_;
 }
 

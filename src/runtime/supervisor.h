@@ -116,7 +116,7 @@ struct SupervisorResult {
   std::array<CoreReport, soc::kMaxCores> cores;
   u64 total_cycles = 0;
   bool budget_exhausted = false;
-  InjectionStats injections{};  // copied from the injector when one was used
+  InjectionStats injections{};  // filled by run_disturbance_campaign
 
   /// Canonical byte serialisation of everything above except wall-clock —
   /// the unit of the campaign's byte-identical determinism contract.
@@ -127,12 +127,12 @@ class StlSupervisor {
  public:
   StlSupervisor(soc::Soc soc, Schedule schedule, const SupervisorConfig& cfg = {});
 
-  /// Run the whole schedule to completion (or budget exhaustion). The
-  /// injector may be null for an undisturbed run. `hook` is an additional
-  /// generic per-tick perturbation source polled after the injector — the
-  /// rate-based SEU soak model (runtime/soak.h) attaches here without
-  /// entering the disturbance statistics.
-  SupervisorResult run(DisturbanceInjector* injector = nullptr, InjectorHook* hook = nullptr);
+  /// Run the whole schedule to completion (or budget exhaustion). `hook` is
+  /// the per-tick perturbation source polled after every SoC tick — a
+  /// DisturbanceInjector or the SEU soak's injector (runtime/soak.h) — and
+  /// may be null for an undisturbed run. The result's `injections` stay
+  /// zero; a caller that wants them copies its injector's stats.
+  SupervisorResult run(InjectorHook* hook = nullptr);
 
  private:
   enum class CoreState : u8 { kIdle, kRunning, kBackoff, kDone, kQuarantined };

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "trace/event.h"
 
 namespace detstl::trace {
@@ -31,24 +32,39 @@ class StreamCapture final : public EventSink {
   bool filter_ = false;
 };
 
-/// Field-wise little-endian serialisation (no struct padding leaks).
+/// Size of one serialised event record.
+inline constexpr std::size_t kEventRecordBytes = 24;
+
+/// Appends `e` as one field-wise little-endian record (no struct padding
+/// leaks): cycle 8 B, kind, core, unit, flags 1 B each, addr, a, b 4 B each.
 inline void append_bytes(const Event& e, std::string& out) {
-  const auto put = [&out](u64 v, unsigned bytes) {
-    for (unsigned i = 0; i < bytes; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-  };
-  put(e.cycle, 8);
-  put(static_cast<u8>(e.kind), 1);
-  put(e.core, 1);
-  put(e.unit, 1);
-  put(e.flags, 1);
-  put(e.addr, 4);
-  put(e.a, 4);
-  put(e.b, 4);
+  out.resize(out.size() + kEventRecordBytes);
+  u8* p = reinterpret_cast<u8*>(out.data() + out.size() - kEventRecordBytes);
+  store_le(p, e.cycle, 8);
+  p[8] = static_cast<u8>(e.kind);
+  p[9] = e.core;
+  p[10] = e.unit;
+  p[11] = e.flags;
+  store_le(p + 12, e.addr, 4);
+  store_le(p + 16, e.a, 4);
+  store_le(p + 20, e.b, 4);
+}
+
+/// Inverse of append_bytes: the event recorded at `p`.
+inline Event decode_event(const u8* p) {
+  return Event{.cycle = load64(p),
+               .kind = static_cast<EventKind>(p[8]),
+               .core = p[9],
+               .unit = p[10],
+               .flags = p[11],
+               .addr = load32(p + 12),
+               .a = load32(p + 16),
+               .b = load32(p + 20)};
 }
 
 inline std::string serialize(const std::vector<Event>& events) {
   std::string out;
-  out.reserve(events.size() * 24);
+  out.reserve(events.size() * kEventRecordBytes);
   for (const Event& e : events) append_bytes(e, out);
   return out;
 }

@@ -8,29 +8,17 @@ namespace detstl::trace {
 namespace {
 
 constexpr char kMagic[4] = {'D', 'S', 'E', 'V'};
-constexpr std::size_t kRecordBytes = 24;
-
-void put_u32(u32 v, std::string& out) {
-  for (unsigned i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-u64 get_u64(const unsigned char* p, unsigned bytes) {
-  u64 v = 0;
-  for (unsigned i = 0; i < bytes; ++i) v |= static_cast<u64>(p[i]) << (8 * i);
-  return v;
-}
+constexpr std::size_t kHeaderBytes = 16;
 
 }  // namespace
 
 bool write_events_file(const std::string& path,
                        const std::vector<Event>& events) {
-  std::string blob;
-  blob.reserve(16 + events.size() * kRecordBytes);
-  blob.append(kMagic, sizeof kMagic);
-  put_u32(kEventFileVersion, blob);
-  const u64 count = events.size();
-  for (unsigned i = 0; i < 8; ++i)
-    blob.push_back(static_cast<char>(count >> (8 * i)));
+  std::string blob(kHeaderBytes, '\0');
+  auto* h = reinterpret_cast<u8*>(blob.data());
+  std::memcpy(h, kMagic, sizeof kMagic);
+  store_le(h + 4, kEventFileVersion, 4);
+  store_le(h + 8, events.size(), 8);
   blob += serialize(events);
 
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -52,37 +40,27 @@ EventFileResult read_events_file(const std::string& path) {
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) blob.append(buf, n);
   std::fclose(f);
 
-  if (blob.size() < 16 || std::memcmp(blob.data(), kMagic, sizeof kMagic) != 0) {
+  if (blob.size() < kHeaderBytes ||
+      std::memcmp(blob.data(), kMagic, sizeof kMagic) != 0) {
     r.error = path + ": not a DSEV event file";
     return r;
   }
-  const auto* p = reinterpret_cast<const unsigned char*>(blob.data());
-  const u32 version = static_cast<u32>(get_u64(p + 4, 4));
+  const auto* p = reinterpret_cast<const u8*>(blob.data());
+  const u32 version = load32(p + 4);
   if (version != kEventFileVersion) {
     r.error = path + ": unsupported event-file version " +
               std::to_string(version);
     return r;
   }
-  const u64 count = get_u64(p + 8, 8);
-  if (blob.size() != 16 + count * kRecordBytes) {
+  const u64 count = load64(p + 8);
+  if (blob.size() != kHeaderBytes + count * kEventRecordBytes) {
     r.error = path + ": truncated (" + std::to_string(blob.size()) +
               " bytes for " + std::to_string(count) + " records)";
     return r;
   }
   r.events.reserve(static_cast<std::size_t>(count));
-  for (u64 i = 0; i < count; ++i) {
-    const unsigned char* rec = p + 16 + i * kRecordBytes;
-    Event e;
-    e.cycle = get_u64(rec, 8);
-    e.kind = static_cast<EventKind>(rec[8]);
-    e.core = rec[9];
-    e.unit = rec[10];
-    e.flags = rec[11];
-    e.addr = static_cast<u32>(get_u64(rec + 12, 4));
-    e.a = static_cast<u32>(get_u64(rec + 16, 4));
-    e.b = static_cast<u32>(get_u64(rec + 20, 4));
-    r.events.push_back(e);
-  }
+  for (u64 i = 0; i < count; ++i)
+    r.events.push_back(decode_event(p + kHeaderBytes + i * kEventRecordBytes));
   r.ok = true;
   return r;
 }

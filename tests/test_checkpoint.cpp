@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -467,18 +466,16 @@ TEST(CheckpointDisturbance, KillAndResumeMatchesStraightRun) {
 }
 
 // A journal write failing on a worker thread must surface as an exception
-// from the campaign, never as std::terminate, at any thread count.
+// from the campaign, never as std::terminate, at any thread count. A
+// directory squatting on the first shard's temp-file name makes the first
+// journal write fail, whichever worker makes it.
 TEST(CheckpointDisturbance, JournalWriteFailureThrowsAtAnyThreadCount) {
   for (const unsigned threads : {1u, 2u}) {
     const auto dir = scratch_dir("dist-write-failure");
+    fs::create_directory(dir / "shard-000000.ckpt.tmp");
     auto spec = small_disturbance_spec();
     spec.threads = threads;
     spec.checkpoint = make_cfg(dir, 1);
-    std::atomic<bool> removed{false};
-    spec.on_run_complete = [&](u64) {
-      std::error_code ec;
-      if (!removed.exchange(true)) fs::remove_all(dir, ec);
-    };
     EXPECT_THROW(runtime::run_disturbance_campaign(spec), std::runtime_error)
         << "threads=" << threads;
   }

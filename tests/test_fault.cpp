@@ -1,6 +1,7 @@
 // Fault-simulation engine: detection of known-bad faults, excitation
 // screening soundness, checkpoint-placement invariance (the engine's central
-// correctness property), marker-mode loading-loop immunity, and sampling.
+// correctness property), marker-mode loading-loop immunity, sampling, and
+// pinned outcome digests of every graded module's campaign.
 
 #include <gtest/gtest.h>
 
@@ -172,6 +173,53 @@ TEST(Report, GateClassTotalsMatchCampaign) {
   const std::string text = render_report(rep, "icu");
   EXPECT_NE(text.find("fault coverage"), std::string::npos);
   EXPECT_NE(text.find("dff"), std::string::npos);  // ICU has flops
+}
+
+// ---------------------------------------------------------------------------
+// Golden outcome digests: every module's campaign, byte for byte
+// ---------------------------------------------------------------------------
+
+// fnv1a(canonical_bytes()) of one strided campaign. Single-core plain
+// campaigns follow stlserve's "fault" recipe (serve.cpp) on one worker; the
+// cached ones are Table III's three-core scenario at stagger {0,3,7}, graded
+// from the execution-loop marker on two workers.
+u64 campaign_digest(Module module, bool cached, unsigned graded, u32 stride) {
+  const auto routine = module == Module::kIcu ? core::make_icu_test()
+                                              : core::make_fwd_test(module == Module::kHdcu);
+  const exp::Scenario sc = cached ? exp::Scenario{3, {0, 3, 7}, 0, 0, "multi"}
+                                  : exp::Scenario{1, {0, 0, 0}, 0, 0, "serve"};
+  auto tests = exp::build_scenario_tests(
+      *routine, cached ? WrapperKind::kCacheBased : WrapperKind::kPlain, sc, graded,
+      /*use_perf_counters=*/cached && module == Module::kHdcu);
+  CampaignConfig cc;
+  cc.module = module;
+  cc.core_id = graded;
+  cc.kind = static_cast<isa::CoreKind>(graded);
+  cc.fault_stride = stride;
+  cc.signature_from_marker = cached;
+  cc.threads = cached ? 2 : 1;
+  return fnv1a(Campaign(cc, exp::scenario_factory(std::move(tests), sc, graded))
+                   .run()
+                   .canonical_bytes());
+}
+
+TEST(CampaignGolden, FwdPlainCoreA) {
+  EXPECT_EQ(campaign_digest(Module::kFwd, false, 0, 8), 0x805d'7912'4d99'65e2ull);
+}
+TEST(CampaignGolden, HdcuPlainCoreA) {
+  EXPECT_EQ(campaign_digest(Module::kHdcu, false, 0, 8), 0x8471'050f'43f5'0d83ull);
+}
+TEST(CampaignGolden, IcuPlainCoreA) {
+  EXPECT_EQ(campaign_digest(Module::kIcu, false, 0, 8), 0xde9b'1a19'1d64'f4b6ull);
+}
+TEST(CampaignGolden, FwdCachedCoreB) {
+  EXPECT_EQ(campaign_digest(Module::kFwd, true, 1, 16), 0xb8c9'4045'fc4b'fa4bull);
+}
+TEST(CampaignGolden, HdcuCachedCoreC) {
+  EXPECT_EQ(campaign_digest(Module::kHdcu, true, 2, 8), 0x2aef'c498'c819'd795ull);
+}
+TEST(CampaignGolden, IcuCachedCoreA) {
+  EXPECT_EQ(campaign_digest(Module::kIcu, true, 0, 3), 0xbddc'5118'db3d'1c25ull);
 }
 
 }  // namespace

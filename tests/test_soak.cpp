@@ -96,7 +96,7 @@ TEST(SoakInjector, HookStatsStayOutOfDisturbanceStats) {
   ASSERT_FALSE(splan.upsets.empty());
   SoakInjector inj(splan);
   StlSupervisor sup(plan.soc, plan.schedule, SupervisorConfig{});
-  const SupervisorResult r = sup.run(nullptr, &inj);
+  const SupervisorResult r = sup.run(&inj);
   EXPECT_GT(inj.stats().total_applied() +
                 inj.stats().skipped[0] + inj.stats().skipped[1] +
                 inj.stats().skipped[2] + inj.stats().skipped[3],
@@ -230,7 +230,7 @@ TEST(SoakCampaign, BisectionNamesAMinimalCulprit) {
     const auto replay = [&](std::size_t limit) {
       SoakInjector inj(splan, limit);
       StlSupervisor sup(plan.soc, plan.schedule, spec.supervisor);
-      return soak_run_diverged(sup.run(nullptr, &inj));
+      return soak_run_diverged(sup.run(&inj));
     };
     EXPECT_TRUE(replay(culprit + 1)) << "culprit prefix must diverge";
     EXPECT_FALSE(replay(culprit)) << "prefix without the culprit must be clean";
