@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
       bench::run_resumable([&] { return runtime::run_soak_campaign(spec); });
   session.mark_phase("soak-campaign");
   if (res.ckpt.interrupted) {
-    cli::report_interrupted(opts.tool.c_str(), res, spec.checkpoint);
+    cli::report_interrupted(opts.tool.c_str(), res.completed(), res.runs,
+                            spec.checkpoint);
     return session.finish(opts.metrics_out, cli::kExitInterrupted);
   }
 

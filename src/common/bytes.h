@@ -82,6 +82,13 @@ class ByteReader {
     const u8* p = take(1);
     return p != nullptr ? *p : 0;
   }
+  /// A 0/1 flag byte. Any other value fails the reader: a loss-less codec
+  /// must not accept a flag it would write back differently.
+  bool get_flag() {
+    const u8 v = get8();
+    if (v > 1) ok_ = false;
+    return v == 1;
+  }
   u32 get32() {
     const u8* p = take(4);
     return p != nullptr ? load32(p) : 0;

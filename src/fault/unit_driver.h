@@ -37,8 +37,8 @@ unsigned resolve_threads(unsigned threads);
 void run_pool(unsigned threads, const std::function<void(unsigned)>& body);
 
 /// The executor plumbing every campaign spec inherits (fault::CampaignConfig,
-/// runtime::CampaignSpec, runtime::SoakCampaignSpec). None of it enters a
-/// config hash: resuming, sharding or merging never re-keys a campaign.
+/// runtime::RunCampaignSpec). None of it enters a config hash: resuming,
+/// sharding or merging never re-keys a campaign.
 struct UnitPlumbing {
   /// Crash-safe journal (fault/checkpoint.h): completed units persist into
   /// checksummed shards every `checkpoint.interval` units; with

@@ -1,13 +1,6 @@
 #include "runtime/campaign.h"
 
-#include <algorithm>
-#include <chrono>
-#include <stdexcept>
-
-#include "common/bytes.h"
 #include "common/table.h"
-#include "fault/unit_driver.h"
-#include "perf/simstats.h"
 
 namespace detstl::runtime {
 
@@ -18,17 +11,11 @@ u64 derive_run_seed(u64 master, unsigned run) {
   return z ^ (z >> 31);
 }
 
-std::vector<u8> CampaignResult::outcome_vector() const {
-  std::vector<u8> out;
-  for (const RunRecord& r : records) {
-    put64(out, r.seed);
-    const std::vector<u8> v = r.result.outcome_vector();
-    out.insert(out.end(), v.begin(), v.end());
-  }
-  return out;
+void RunRecord::put_outcome(std::vector<u8>& out) const {
+  put64(out, seed);
+  const std::vector<u8> v = result.outcome_vector();
+  out.insert(out.end(), v.begin(), v.end());
 }
-
-u64 CampaignResult::digest() const { return fnv1a(outcome_vector()); }
 
 ResolvedRoutines resolve_routines(const std::vector<std::string>& names,
                                   const char* what) {
@@ -67,9 +54,8 @@ fault::ConfigHasher schedule_hasher(fault::PayloadKind kind, u64 seed,
       .u64v(seed)
       .u32v(runs)
       .u32v(cores);
-  // The resolved schedule, not the routine names: the routine-pointer
-  // overload ignores the name list, and the calibrations feed the watchdog
-  // budgets.
+  // The resolved schedule, not just the routine names: the calibrations
+  // feed the watchdog budgets.
   for (unsigned c = 0; c < cores; ++c) {
     h.u32v(static_cast<u32>(plan.schedule[c].size()));
     for (const PlannedRoutine& r : plan.schedule[c]) {
@@ -123,7 +109,7 @@ bool deserialize_run_record(const std::vector<u8>& bytes, RunRecord& out) {
   rec.seed = c.get64();
   if (c.get8() != soc::kMaxCores) return false;
   for (CoreReport& cr : rec.result.cores) {
-    cr.quarantined = c.get8() != 0;
+    cr.quarantined = c.get_flag();
     const u32 n = c.get32();
     if (!c.ok() || n > bytes.size()) return false;  // cheap amplification guard
     cr.records.resize(n);
@@ -143,12 +129,12 @@ bool deserialize_run_record(const std::vector<u8>& bytes, RunRecord& out) {
     }
   }
   rec.result.total_cycles = c.get64();
-  rec.result.budget_exhausted = c.get8() != 0;
+  rec.result.budget_exhausted = c.get_flag();
   for (unsigned k = 0; k < kNumDisturbanceKinds; ++k) {
     rec.result.injections.applied[k] = c.get64();
     rec.result.injections.skipped[k] = c.get64();
   }
-  if (!c.at_end()) return false;  // truncated, or trailing garbage
+  if (!c.at_end()) return false;  // bad flag, truncated, or trailing garbage
   out = std::move(rec);
   return true;
 }
@@ -172,85 +158,44 @@ u64 checkpoint_config_hash(const CampaignSpec& spec, const SchedulePlan& plan) {
   return h.digest();
 }
 
-CampaignResult run_disturbance_campaign(
-    const CampaignSpec& spec,
-    const std::vector<const core::SelfTestRoutine*>& routines) {
-  if (spec.cores < 1 || spec.cores > soc::kMaxCores)
-    throw std::runtime_error("campaign: cores must be 1..3");
-  if (routines.empty()) throw std::runtime_error("campaign: no routines");
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const SchedulePlan plan = plan_schedule(routines, spec.cores);
-
-  DisturbanceSpec dspec = spec.disturb;
-  if (dspec.window_hi == 0)
-    dspec.window_hi = dspec.window_lo + calibrated_horizon(plan, spec.cores);
-
-  CampaignResult res;
-  res.runs = spec.runs;
-  res.cores = spec.cores;
-  res.seed = spec.seed;
-  for (const auto* r : routines) res.routine_names.push_back(r->name());
-  res.records.resize(spec.runs);
-
-  res.threads_used =
-      std::min(fault::resolve_threads(spec.threads), std::max(1u, spec.runs));
-
-  // Crash-safe checkpoint/resume (fault/unit_driver.h). Journal payloads are
-  // loss-less serialised RunRecords; a record that fails deserialisation or
-  // carries the wrong derived seed is dropped and its run re-executed.
-  // Outcomes are written by run index; aggregates (report, digest) are
-  // derived from the merged vector after the join — byte-identical results
-  // at any thread count, straight or resumed.
-  fault::UnitDriver driver(
-      "campaign", spec.runs, spec,
-      {.kind = fault::PayloadKind::kDisturbanceRuns,
-       .config_hash = [&] { return checkpoint_config_hash(spec, plan); },
-       .accept = [&](u64 i, const std::vector<u8>& payload) {
-         RunRecord rec;
-         if (!deserialize_run_record(payload, rec) ||
-             rec.seed != derive_run_seed(spec.seed, static_cast<unsigned>(i)))
-           return false;
-         res.records[i] = std::move(rec);
-         return true;
-       }});
-  driver.run(
-      res.threads_used, 1,
-      {.run = [&](u64 i) {
-         const u64 run_seed =
-             derive_run_seed(spec.seed, static_cast<unsigned>(i));
-         DisturbanceInjector injector(make_plan(dspec, run_seed, spec.cores));
-         StlSupervisor sup(plan.soc, plan.schedule, spec.supervisor);
-         res.records[i] = RunRecord{run_seed, sup.run(&injector)};
-         res.records[i].result.injections = injector.stats();
-         perf::sim_totals().add(perf::SimStat::kDisturbRuns, 1);
-         perf::sim_totals().add(perf::SimStat::kDisturbCycles,
-                                res.records[i].result.total_cycles);
+CampaignResult run_disturbance_campaign(const CampaignSpec& spec) {
+  return run_supervised_campaign<RunRecord>(
+      spec,
+      {.what = "campaign",
+       .payload = fault::PayloadKind::kDisturbanceRuns,
+       .config_hash = [&](const SchedulePlan& plan) {
+         return checkpoint_config_hash(spec, plan);
        },
-       .encode = [&](u64 i) { return serialize_run_record(res.records[i]); },
-       .on_done = [&](u64 i, unsigned) {
-         if (spec.on_run_complete) spec.on_run_complete(i);
-       }});
-  res.ckpt = driver.finish();
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return res;
+       .run = [&](const SchedulePlan& plan, u64 run_seed) {
+         DisturbanceSpec d = spec.disturb;
+         if (d.window_hi == 0)
+           d.window_hi = d.window_lo + calibrated_horizon(plan, spec.cores);
+         DisturbanceInjector injector(make_plan(d, run_seed, spec.cores));
+         StlSupervisor sup(plan.soc, plan.schedule, spec.supervisor);
+         RunRecord rec{run_seed, sup.run(&injector)};
+         rec.result.injections = injector.stats();
+         return rec;
+       },
+       .encode = serialize_run_record,
+       .decode = deserialize_run_record});
 }
 
-CampaignResult run_disturbance_campaign(const CampaignSpec& spec) {
-  return run_disturbance_campaign(
-      spec, resolve_routines(spec.routines, "campaign").ptrs);
+std::string frame_report(const std::string& title, u64 seed, unsigned cores,
+                         const std::vector<std::string>& routines,
+                         const std::string& body, u64 digest) {
+  std::string out = "stlrun " + title + ", seed " + TextTable::fmt_hex(seed) +
+                    ", " + std::to_string(cores) + " cores\nroutines: ";
+  for (std::size_t i = 0; i < routines.size(); ++i)
+    out += (i == 0 ? "" : ", ") + routines[i];
+  return out + "\n" + body + digest_line(digest);
+}
+
+std::string digest_line(u64 digest) {
+  return "outcome digest: " + TextTable::fmt_hex(digest) + "\n";
 }
 
 std::string render_recovery_report(const CampaignResult& r) {
-  std::string routines;
-  for (std::size_t i = 0; i < r.routine_names.size(); ++i)
-    routines += (i == 0 ? "" : ", ") + r.routine_names[i];
-
-  std::string out = "stlrun disturbance campaign: " + std::to_string(r.runs) +
-                    " runs, seed " + TextTable::fmt_hex(r.seed) + ", " +
-                    std::to_string(r.cores) + " cores\nroutines: " + routines +
-                    "\n\n";
+  std::string out = "\n";
 
   // Injection totals per disturbance kind.
   InjectionStats inj;
@@ -311,8 +256,9 @@ std::string render_recovery_report(const CampaignResult& r) {
          std::to_string(permanent) + " permanent";
   if (budget != 0)
     out += ", " + std::to_string(budget) + " budget-exhausted routine slots";
-  out += "\noutcome digest: " + TextTable::fmt_hex(r.digest()) + "\n";
-  return out;
+  return frame_report(
+      "disturbance campaign: " + std::to_string(r.runs) + " runs", r.seed,
+      r.cores, r.routine_names, out + "\n", r.digest());
 }
 
 }  // namespace detstl::runtime

@@ -1,64 +1,104 @@
 #pragma once
-// Disturbance campaign: many seeded supervisor runs, sharded over worker
-// threads by the unit-campaign driver (fault/unit_driver.h). Determinism
-// contract (same as the fault campaign's): the outcome vector — the
-// concatenation of every run's SupervisorResult::outcome_vector() — is
-// byte-identical for a fixed seed at ANY thread count. Per-run results are
-// written by run index into a pre-sized vector and every aggregate is
-// derived from that vector after the join, so scheduling order can never
-// leak into the output.
+// The supervised-run campaign: many seeded StlSupervisor runs over one
+// planned schedule, sharded over worker threads by the unit-campaign driver
+// (fault/unit_driver.h). Two kinds run through it — count-based disturbance
+// campaigns (below) and rate-based SEU soak campaigns (runtime/soak.h). They
+// share the spec base, the result type, the driver body
+// (run_supervised_campaign) and the report frame; a kind supplies only its
+// payload kind, config hash, per-run function, record codec and report body.
+//
+// Determinism contract (same as the fault campaign's): the outcome vector —
+// the concatenation of every run's canonical record — is byte-identical for
+// a fixed seed at ANY thread count. Per-run results are written by run index
+// into a pre-sized vector and every aggregate is derived from that vector
+// after the join, so scheduling order can never leak into the output.
 
+#include <algorithm>
+#include <chrono>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "fault/unit_driver.h"
+#include "perf/simstats.h"
 #include "runtime/supervisor.h"
 
 namespace detstl::runtime {
 
-/// Executor plumbing (checkpoint, merge_dirs, shard range over run indices,
-/// interrupt, sink) comes from fault::UnitPlumbing. The sink receives only
-/// the driver's checkpoint telemetry: supervised runs never trace there.
-struct CampaignSpec : fault::UnitPlumbing {
-  u64 seed = 0xD15B0001;
-  unsigned runs = 16;
-  unsigned threads = 0;   // 0 = one per hardware thread, 1 = serial
+/// What every supervised-run campaign is configured by. Executor plumbing
+/// (checkpoint, merge_dirs, shard range over run indices, interrupt, sink)
+/// comes from fault::UnitPlumbing and enters no config hash. The sink
+/// receives only the driver's checkpoint telemetry: supervised runs never
+/// trace there.
+struct RunCampaignSpec : fault::UnitPlumbing {
+  u64 seed;
+  unsigned runs;
+  unsigned threads = 0;  // 0 = one per hardware thread, 1 = serial
   unsigned cores = 3;
   /// Registry routine names (core/stl.h); empty = a default mix of the
-  /// built-in routines. The overload taking routine pointers ignores this.
+  /// built-in routines.
   std::vector<std::string> routines;
   SupervisorConfig supervisor{};
-  DisturbanceSpec disturb{};  // window_hi 0 = derived from the calibration
   /// Observability hook invoked once per run completed by THIS process (not
   /// for resumed records), with the run index. May be called concurrently
   /// from worker threads; must never affect the result. Not hashed. The
   /// stlserve workers bump their heartbeat file here.
   std::function<void(u64)> on_run_complete;
+
+ protected:
+  /// Each kind has its own default master seed and run count.
+  RunCampaignSpec(u64 default_seed, unsigned default_runs)
+      : seed(default_seed), runs(default_runs) {}
+};
+
+struct CampaignSpec : RunCampaignSpec {
+  CampaignSpec() : RunCampaignSpec(0xD15B0001, 16) {}
+  DisturbanceSpec disturb{};  // window_hi 0 = derived from the calibration
 };
 
 struct RunRecord {
   u64 seed = 0;
   SupervisorResult result;
+
+  /// This run's slice of the campaign outcome vector: the seed, then the
+  /// canonical supervisor result.
+  void put_outcome(std::vector<u8>& out) const;
 };
 
-struct CampaignResult {
+/// The result of a supervised-run campaign: one Record per run.
+template <class Record>
+struct RunCampaignResult {
   unsigned runs = 0;
   unsigned cores = 0;
   unsigned threads_used = 0;
   u64 seed = 0;
   std::vector<std::string> routine_names;
-  std::vector<RunRecord> records;  // indexed by run
-  double wall_seconds = 0.0;       // excluded from the determinism contract
+  std::vector<Record> records;  // indexed by run
+  double wall_seconds = 0.0;    // excluded from the determinism contract
   /// Checkpoint/resume bookkeeping; excluded from the determinism contract.
   fault::CheckpointStats ckpt;
 
-  /// Concatenated canonical run results (byte-identical across thread counts).
-  std::vector<u8> outcome_vector() const;
+  /// Concatenated canonical run records (byte-identical across thread counts).
+  std::vector<u8> outcome_vector() const {
+    std::vector<u8> out;
+    for (const Record& r : records) r.put_outcome(out);
+    return out;
+  }
   /// FNV-1a 64 of outcome_vector().
-  u64 digest() const;
+  u64 digest() const { return fnv1a(outcome_vector()); }
+  /// Runs holding a record, resumed or finished by this process; fewer than
+  /// `runs` only after a drain.
+  std::size_t completed() const {
+    std::size_t n = 0;
+    for (const Record& r : records) n += r.seed != 0 ? 1 : 0;
+    return n;
+  }
 };
+
+using CampaignResult = RunCampaignResult<RunRecord>;
 
 /// Full round-trip serialisation of one run record (seed + every
 /// SupervisorResult field, including routine names) — the shard payload of a
@@ -67,14 +107,16 @@ struct CampaignResult {
 std::vector<u8> serialize_run_record(const RunRecord& rec);
 
 /// Inverse of serialize_run_record. Returns false (leaving `out`
-/// unspecified) on any framing error — the campaign then re-executes that
-/// run instead of trusting a half-parsed record.
+/// unspecified) on any framing error, a flag byte other than 0 or 1
+/// included — the campaign then re-executes that run instead of trusting a
+/// half-parsed record.
 bool deserialize_run_record(const std::vector<u8>& bytes, RunRecord& out);
 
 /// The hash a disturbance-campaign checkpoint manifest binds to: seed, run
-/// count, cores, routine names, the full supervisor and disturbance configs,
-/// and the schedule plan's SoC image fingerprint. Deliberately EXCLUDES
-/// threads, checkpoint, interrupt and sink.
+/// count, cores, routine names, the full supervisor and disturbance configs
+/// (window_hi as given, before calibration), and the schedule plan's SoC
+/// image fingerprint. Deliberately EXCLUDES threads, checkpoint, interrupt
+/// and sink.
 u64 checkpoint_config_hash(const CampaignSpec& spec, const SchedulePlan& plan);
 
 /// Per-run seed: splitmix64-style mix of the master seed and the run index,
@@ -108,12 +150,93 @@ fault::ConfigHasher schedule_hasher(fault::PayloadKind kind, u64 seed,
                                     const SchedulePlan& plan,
                                     const SupervisorConfig& sup);
 
-CampaignResult run_disturbance_campaign(
-    const CampaignSpec& spec,
-    const std::vector<const core::SelfTestRoutine*>& routines);
+/// The frame of every runtime report (recovery, soak, mission): the title
+/// line "stlrun <title>, seed S, N cores", the routine list, `body`, then
+/// the outcome digest line.
+std::string frame_report(const std::string& title, u64 seed, unsigned cores,
+                         const std::vector<std::string>& routines,
+                         const std::string& body, u64 digest);
 
-/// Convenience overload resolving spec.routines from the registry; throws
-/// std::runtime_error on an unknown name.
+/// "outcome digest: 0x…\n" — the last line of every report, and the whole
+/// output of --digest-only.
+std::string digest_line(u64 digest);
+
+// --- The one driver body ---------------------------------------------------
+
+/// What a supervised-run campaign kind supplies to run_supervised_campaign.
+template <class Record>
+struct RunCampaignKind {
+  const char* what;  // error prefix and journal label: "campaign", "soak"
+  fault::PayloadKind payload;
+  /// The checkpoint manifest hash, given the planned schedule.
+  std::function<u64(const SchedulePlan&)> config_hash;
+  /// One supervised run under its derived seed; called from worker threads.
+  std::function<Record(const SchedulePlan&, u64 run_seed)> run;
+  /// Loss-less journal codec; decode returns false on any framing error.
+  std::vector<u8> (*encode)(const Record&);
+  bool (*decode)(const std::vector<u8>&, Record&);
+};
+
+/// Check the core count, resolve the routines, plan the schedule, size the
+/// result and execute every pending run through fault::UnitDriver. A
+/// journalled record is taken only when it decodes and carries its run's
+/// derived seed; anything else re-executes the run. Throws
+/// std::runtime_error "<what>: ..." on a bad core count or routine name.
+template <class Record>
+RunCampaignResult<Record> run_supervised_campaign(
+    const RunCampaignSpec& spec, const RunCampaignKind<Record>& kind) {
+  if (spec.cores < 1 || spec.cores > soc::kMaxCores)
+    throw std::runtime_error(std::string(kind.what) + ": cores must be 1..3");
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const ResolvedRoutines routines = resolve_routines(spec.routines, kind.what);
+  const SchedulePlan plan = plan_schedule(routines.ptrs, spec.cores);
+
+  RunCampaignResult<Record> res;
+  res.runs = spec.runs;
+  res.cores = spec.cores;
+  res.seed = spec.seed;
+  res.routine_names = routines.names;
+  res.records.resize(spec.runs);
+  res.threads_used =
+      std::min(fault::resolve_threads(spec.threads), std::max(1u, spec.runs));
+
+  const auto run_seed = [&](u64 i) {
+    return derive_run_seed(spec.seed, static_cast<unsigned>(i));
+  };
+  fault::UnitDriver driver(
+      kind.what, spec.runs, spec,
+      {.kind = kind.payload,
+       .config_hash = [&] { return kind.config_hash(plan); },
+       .accept = [&](u64 i, const std::vector<u8>& payload) {
+         Record rec;
+         if (!kind.decode(payload, rec) || rec.seed != run_seed(i))
+           return false;
+         res.records[i] = std::move(rec);
+         return true;
+       }});
+  driver.run(
+      res.threads_used, 1,
+      {.run = [&](u64 i) {
+         res.records[i] = kind.run(plan, run_seed(i));
+         perf::sim_totals().add(perf::SimStat::kDisturbRuns, 1);
+         perf::sim_totals().add(perf::SimStat::kDisturbCycles,
+                                res.records[i].result.total_cycles);
+       },
+       .encode = [&](u64 i) { return kind.encode(res.records[i]); },
+       .on_done = [&](u64 i, unsigned) {
+         if (spec.on_run_complete) spec.on_run_complete(i);
+       }});
+  res.ckpt = driver.finish();
+  res.wall_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+  return res;
+}
+
+/// The disturbance kind: each run replays make_plan(disturb, run seed)
+/// through a DisturbanceInjector. Throws std::runtime_error on an unknown
+/// routine name or a bad core count.
 CampaignResult run_disturbance_campaign(const CampaignSpec& spec);
 
 /// Deterministic per-core recovery report (no wall-clock, no thread count —

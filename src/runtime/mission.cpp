@@ -207,9 +207,7 @@ MissionResult run_mission(const MissionSpec& spec) {
                               .b = s});
 
     const u64 start = soc.now();
-    const u64 deadline = start + r.cached_calib +
-                         r.cached_calib * spec.supervisor.margin_percent / 100 +
-                         spec.supervisor.watchdog_floor;
+    const u64 deadline = start + watchdog_budget(r.cached_calib, spec.supervisor);
     while (!soc.core(tested).halted() && soc.now() < deadline) soc.tick();
     rec.slice_cycles = soc.now() - start;
 
@@ -258,14 +256,7 @@ MissionResult run_mission(const MissionSpec& spec) {
 }
 
 std::string render_mission_report(const MissionResult& r) {
-  std::string routines;
-  for (std::size_t i = 0; i < r.routine_names.size(); ++i)
-    routines += (i == 0 ? "" : ", ") + r.routine_names[i];
-
-  std::string out = "stlrun mission mode: " + std::to_string(r.slices) +
-                    " STL slices, seed " + TextTable::fmt_hex(r.seed) + ", " +
-                    std::to_string(r.cores) + " cores\nroutines: " + routines +
-                    "\npredicted bound (stlint): t_max " + std::to_string(r.bound.t_max) +
+  std::string out = "predicted bound (stlint): t_max " + std::to_string(r.bound.t_max) +
                     ", d_max " + std::to_string(r.bound.d_max) + " cycles across " +
                     std::to_string(r.bound.requesters) + " requesters\n\n";
 
@@ -299,8 +290,8 @@ std::string render_mission_report(const MissionResult& r) {
   if (r.bound.d_max != 0)
     out += " (" + std::to_string(worst * 100 / r.bound.d_max) + "% of bound, " +
            std::to_string(r.bound_violations()) + " violations)";
-  out += "\noutcome digest: " + TextTable::fmt_hex(r.digest()) + "\n";
-  return out;
+  return frame_report("mission mode: " + std::to_string(r.slices) + " STL slices",
+                      r.seed, r.cores, r.routine_names, out + "\n", r.digest());
 }
 
 }  // namespace detstl::runtime

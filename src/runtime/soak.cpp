@@ -1,12 +1,9 @@
 #include "runtime/soak.h"
 
 #include <algorithm>
-#include <chrono>
-#include <stdexcept>
 
 #include "common/bytes.h"
 #include "common/table.h"
-#include "fault/unit_driver.h"
 #include "perf/simstats.h"
 
 namespace detstl::runtime {
@@ -155,15 +152,15 @@ SupervisorResult run_prefix(const SchedulePlan& sp, const SupervisorConfig& cfg,
   return r;
 }
 
+/// The soak kind's per-run function: the run under its whole upset plan
+/// (`soak` carries the calibrated duration), then bisection if it diverged.
 SoakRunRecord run_soak_once(const SchedulePlan& sp, const SoakCampaignSpec& spec,
-                            u64 run_seed) {
+                            const SoakSpec& soak, u64 run_seed) {
   SoakRunRecord rec;
   rec.seed = run_seed;
-  const SoakPlan plan = make_soak_plan(spec.soak, run_seed, spec.cores);
+  const SoakPlan plan = make_soak_plan(soak, run_seed, spec.cores);
   std::vector<AppliedUpset> log;
   rec.result = run_prefix(sp, spec.supervisor, plan, plan.upsets.size(), &rec.stats, &log);
-  perf::sim_totals().add(perf::SimStat::kDisturbRuns, 1);
-  perf::sim_totals().add(perf::SimStat::kDisturbCycles, rec.result.total_cycles);
 
   IsolationResult& iso = rec.isolation;
   iso.diverged = soak_run_diverged(rec.result) ? 1 : 0;
@@ -237,9 +234,13 @@ void put_soak_tail(std::vector<u8>& out, const SoakRunRecord& r) {
 
 }  // namespace
 
+void SoakRunRecord::put_outcome(std::vector<u8>& out) const {
+  RunRecord::put_outcome(out);
+  put_soak_tail(out, *this);
+}
+
 std::vector<u8> serialize_soak_record(const SoakRunRecord& rec) {
-  const std::vector<u8> inner =
-      serialize_run_record(RunRecord{rec.seed, rec.result});
+  const std::vector<u8> inner = serialize_run_record(rec);
   std::vector<u8> out;
   put32(out, static_cast<u32>(inner.size()));
   out.insert(out.end(), inner.begin(), inner.end());
@@ -252,19 +253,16 @@ bool deserialize_soak_record(const std::vector<u8>& bytes, SoakRunRecord& out) {
   SoakRunRecord rec;
   const u32 inner_len = c.get32();
   const u8* inner = c.take(inner_len);
-  RunRecord rr;
   if (!c.ok() ||
-      !deserialize_run_record(std::vector<u8>(inner, inner + inner_len), rr))
+      !deserialize_run_record(std::vector<u8>(inner, inner + inner_len), rec))
     return false;
-  rec.seed = rr.seed;
-  rec.result = std::move(rr.result);
   for (unsigned s = 0; s < kNumSoakSites; ++s) {
     rec.stats.applied[s] = c.get64();
     rec.stats.skipped[s] = c.get64();
   }
   IsolationResult& iso = rec.isolation;
-  iso.diverged = c.get8();
-  iso.isolated = c.get8();
+  iso.diverged = c.get_flag();
+  iso.isolated = c.get_flag();
   iso.upset_index = c.get32();
   const u8 site = c.get8();
   iso.core = c.get8();
@@ -272,9 +270,9 @@ bool deserialize_soak_record(const std::vector<u8>& bytes, SoakRunRecord& out) {
   iso.addr = c.get32();
   iso.bit = c.get32();
   iso.reruns = c.get32();
-  if (iso.diverged > 1 || iso.isolated > 1 || site >= kNumSoakSites) return false;
+  if (site >= kNumSoakSites || !c.at_end())
+    return false;  // bad flag or site, truncated, or trailing garbage
   iso.site = static_cast<SoakSite>(site);
-  if (!c.at_end()) return false;  // truncated, or trailing garbage
   out = std::move(rec);
   return true;
 }
@@ -293,77 +291,33 @@ u64 soak_checkpoint_config_hash(const SoakCampaignSpec& spec, const SchedulePlan
   return h.digest();
 }
 
-std::vector<u8> SoakCampaignResult::outcome_vector() const {
-  std::vector<u8> out;
-  for (const SoakRunRecord& r : records) {
-    put64(out, r.seed);
-    const std::vector<u8> v = r.result.outcome_vector();
-    out.insert(out.end(), v.begin(), v.end());
-    put_soak_tail(out, r);
-  }
-  return out;
-}
-
-u64 SoakCampaignResult::digest() const { return fnv1a(outcome_vector()); }
-
-SoakCampaignResult run_soak_campaign(const SoakCampaignSpec& spec_in) {
-  SoakCampaignSpec spec = spec_in;
-  if (spec.cores < 1 || spec.cores > soc::kMaxCores)
-    throw std::runtime_error("soak: cores must be 1..3");
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const ResolvedRoutines routines = resolve_routines(spec.routines, "soak");
-  const SchedulePlan plan = plan_schedule(routines.ptrs, spec.cores);
-  if (spec.soak.duration == 0)
-    spec.soak.duration = calibrated_horizon(plan, spec.cores);
-
-  SoakCampaignResult res;
-  res.runs = spec.runs;
-  res.cores = spec.cores;
-  res.seed = spec.seed;
-  res.routine_names = routines.names;
-  res.records.resize(spec.runs);
-  res.threads_used =
-      std::min(fault::resolve_threads(spec.threads), std::max(1u, spec.runs));
-
-  // Same journal contract as the disturbance campaign: loss-less records,
-  // dropped (and re-executed) unless they parse and carry their run's seed.
-  fault::UnitDriver driver(
-      "soak", spec.runs, spec,
-      {.kind = fault::PayloadKind::kSoakRuns,
-       .config_hash = [&] { return soak_checkpoint_config_hash(spec, plan); },
-       .accept = [&](u64 i, const std::vector<u8>& payload) {
-         SoakRunRecord rec;
-         if (!deserialize_soak_record(payload, rec) ||
-             rec.seed != derive_run_seed(spec.seed, static_cast<unsigned>(i)))
-           return false;
-         res.records[i] = std::move(rec);
-         return true;
-       }});
-  driver.run(
-      res.threads_used, 1,
-      {.run = [&](u64 i) {
-         res.records[i] = run_soak_once(
-             plan, spec, derive_run_seed(spec.seed, static_cast<unsigned>(i)));
+SoakCampaignResult run_soak_campaign(const SoakCampaignSpec& spec) {
+  // A zero duration is calibrated against the planned schedule; the
+  // manifest hash covers the calibrated value.
+  const auto calibrated = [&](const SchedulePlan& plan) {
+    SoakSpec soak = spec.soak;
+    if (soak.duration == 0)
+      soak.duration = calibrated_horizon(plan, spec.cores);
+    return soak;
+  };
+  return run_supervised_campaign<SoakRunRecord>(
+      spec,
+      {.what = "soak",
+       .payload = fault::PayloadKind::kSoakRuns,
+       .config_hash = [&](const SchedulePlan& plan) {
+         SoakCampaignSpec hashed = spec;
+         hashed.soak = calibrated(plan);
+         return soak_checkpoint_config_hash(hashed, plan);
        },
-       .encode = [&](u64 i) { return serialize_soak_record(res.records[i]); },
-       .on_done = [&](u64 i, unsigned) {
-         if (spec.on_run_complete) spec.on_run_complete(i);
-       }});
-  res.ckpt = driver.finish();
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return res;
+       .run = [&](const SchedulePlan& plan, u64 run_seed) {
+         return run_soak_once(plan, spec, calibrated(plan), run_seed);
+       },
+       .encode = serialize_soak_record,
+       .decode = deserialize_soak_record});
 }
 
 std::string render_soak_report(const SoakCampaignResult& r) {
-  std::string routines;
-  for (std::size_t i = 0; i < r.routine_names.size(); ++i)
-    routines += (i == 0 ? "" : ", ") + r.routine_names[i];
-
-  std::string out = "stlrun SEU soak campaign: " + std::to_string(r.runs) + " runs, seed " +
-                    TextTable::fmt_hex(r.seed) + ", " + std::to_string(r.cores) +
-                    " cores\nroutines: " + routines + "\n\n";
+  std::string out = "\n";
 
   SoakStats totals;
   u64 diverged = 0, isolated = 0;
@@ -404,9 +358,9 @@ std::string render_soak_report(const SoakCampaignResult& r) {
   out += iso.str() + "\n";
 
   out += "divergence: " + std::to_string(diverged) + " of " + std::to_string(r.runs) +
-         " runs diverged, " + std::to_string(isolated) + " isolated to a single upset";
-  out += "\noutcome digest: " + TextTable::fmt_hex(r.digest()) + "\n";
-  return out;
+         " runs diverged, " + std::to_string(isolated) + " isolated to a single upset\n";
+  return frame_report("SEU soak campaign: " + std::to_string(r.runs) + " runs",
+                      r.seed, r.cores, r.routine_names, out, r.digest());
 }
 
 }  // namespace detstl::runtime

@@ -17,9 +17,14 @@
 // plan bisected by prefix length until the minimal failing prefix is found;
 // its last upset is the responsible one, reported with its resolved landing
 // site (address + bit) from the injector's applied log.
+//
+// The soak is the second kind of the supervised-run campaign
+// (runtime/campaign.h): it shares the spec base, result type, driver body
+// and report frame with the disturbance campaign and supplies its own
+// payload kind, config hash, per-run function (upset plan, supervised run,
+// bisection), record codec and report body.
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -135,49 +140,28 @@ struct IsolationResult {
   u32 reruns = 0;  // bisection re-simulations spent
 };
 
-struct SoakRunRecord {
-  u64 seed = 0;
-  SupervisorResult result;
+struct SoakRunRecord : RunRecord {
   SoakStats stats;
   IsolationResult isolation;
+
+  /// RunRecord's slice of the outcome vector, then the per-site upset stats
+  /// and the isolation verdict.
+  void put_outcome(std::vector<u8>& out) const;
 };
 
 /// True when `r` differs from a clean undisturbed pass: any routine slot
 /// not kPassClean, a quarantined core, or an exhausted budget.
 bool soak_run_diverged(const SupervisorResult& r);
 
-/// Executor plumbing (fault::UnitPlumbing) is excluded from the config hash.
-struct SoakCampaignSpec : fault::UnitPlumbing {
-  u64 seed = 0x5EA50001;
-  unsigned runs = 8;
-  unsigned threads = 0;  // 0 = one per hardware thread, 1 = serial
-  unsigned cores = 3;
-  /// Registry routine names (core/stl.h); empty = the default mix.
-  std::vector<std::string> routines;
-  SupervisorConfig supervisor{};
+struct SoakCampaignSpec : RunCampaignSpec {
+  SoakCampaignSpec() : RunCampaignSpec(0x5EA50001, 8) {}
   SoakSpec soak{};
   /// Run differential bisection on every diverged run (log2(n) extra
   /// supervised runs per divergence). Part of the config hash.
   bool isolate = true;
-  /// Per-run completion hook, as runtime::CampaignSpec::on_run_complete.
-  std::function<void(u64)> on_run_complete;
 };
 
-struct SoakCampaignResult {
-  unsigned runs = 0;
-  unsigned cores = 0;
-  unsigned threads_used = 0;
-  u64 seed = 0;
-  std::vector<std::string> routine_names;
-  std::vector<SoakRunRecord> records;  // indexed by run
-  double wall_seconds = 0.0;           // excluded from the determinism contract
-  fault::CheckpointStats ckpt;         // excluded from the determinism contract
-
-  /// Concatenated canonical run results (byte-identical across thread counts).
-  std::vector<u8> outcome_vector() const;
-  /// FNV-1a 64 of outcome_vector().
-  u64 digest() const;
-};
+using SoakCampaignResult = RunCampaignResult<SoakRunRecord>;
 
 /// Loss-less shard payload of a soak-campaign checkpoint (framed
 /// serialize_run_record + soak stats + isolation verdict).
@@ -185,7 +169,8 @@ std::vector<u8> serialize_soak_record(const SoakRunRecord& rec);
 bool deserialize_soak_record(const std::vector<u8>& bytes, SoakRunRecord& out);
 
 /// Manifest identity of a soak checkpoint: seed, runs, cores, resolved
-/// schedule, supervisor config, soak spec, isolate flag and the SoC image
+/// schedule, supervisor config, soak spec (as given; run_soak_campaign
+/// passes the calibrated duration), isolate flag and the SoC image
 /// fingerprint. EXCLUDES threads, shard range, checkpoint and interrupt —
 /// the partitioned-campaign property stlserve relies on.
 u64 soak_checkpoint_config_hash(const SoakCampaignSpec& spec, const SchedulePlan& plan);

@@ -93,9 +93,8 @@ StlSupervisor::StlSupervisor(soc::Soc soc, Schedule schedule,
                              const SupervisorConfig& cfg)
     : soc_(std::move(soc)), schedule_(std::move(schedule)), cfg_(cfg) {}
 
-u64 StlSupervisor::watchdog(const PlannedRoutine& r, unsigned rung) const {
-  const u64 calib = rung == 0 ? r.cached_calib : r.fallback_calib;
-  return calib + calib * cfg_.margin_percent / 100 + cfg_.watchdog_floor;
+u64 watchdog_budget(u64 calib, const SupervisorConfig& cfg) {
+  return calib + calib * cfg.margin_percent / 100 + cfg.watchdog_floor;
 }
 
 void StlSupervisor::update_targets(unsigned c) {
@@ -123,7 +122,8 @@ void StlSupervisor::launch(unsigned c) {
   const u32 entry = x.rung == 0 ? r.cached_entry : r.fallback_entry;
   soc_.restart_core(c, entry);
   x.state = CoreState::kRunning;
-  x.deadline = soc_.now() + watchdog(r, x.rung);
+  const u64 calib = x.rung == 0 ? r.cached_calib : r.fallback_calib;
+  x.deadline = soc_.now() + watchdog_budget(calib, cfg_);
   update_targets(c);
   DETSTL_TRACE(soc_.trace_sink(),
                trace::Event{.cycle = soc_.now(),

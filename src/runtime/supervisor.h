@@ -39,10 +39,10 @@
 namespace detstl::runtime {
 
 struct SupervisorConfig {
-  /// Watchdog budget per attempt: calib + calib * margin_percent/100 + floor.
-  /// The margin absorbs bus interference the calibration run never saw
-  /// (calibration is single-core isolated; three contending cores can
-  /// stretch the bus-bound loading loop towards 3x).
+  /// Watchdog budget per attempt (watchdog_budget below). The margin
+  /// absorbs bus interference the calibration run never saw (calibration is
+  /// single-core isolated; three contending cores can stretch the bus-bound
+  /// loading loop towards 3x).
   unsigned margin_percent = 250;
   u64 watchdog_floor = 2'000;
   unsigned max_attempts = 3;        // attempts on the cached rung
@@ -51,6 +51,11 @@ struct SupervisorConfig {
   u64 backoff_cap = 4'096;
   u64 global_budget = 30'000'000;   // SoC-tick ceiling for the whole schedule
 };
+
+/// The watchdog budget of one attempt of a routine whose fault-free run
+/// takes `calib` cycles: calib + calib * margin_percent/100 + watchdog_floor.
+/// The supervisor's attempts and mission mode's slices both use it.
+u64 watchdog_budget(u64 calib, const SupervisorConfig& cfg);
 
 enum class AttemptStatus : u8 { kPass, kMismatch, kCrash, kTimeout };
 enum class Classification : u8 { kNone, kTransient, kPermanent };
@@ -151,7 +156,6 @@ class StlSupervisor {
   void finish_attempt(unsigned c, AttemptStatus status, u32 signature);
   void advance(unsigned c);       // record outcome written; next routine or done
   void quarantine(unsigned c);
-  u64 watchdog(const PlannedRoutine& r, unsigned rung) const;
   void emit_decision(unsigned c, Decision d, u32 b);
   void update_targets(unsigned c);
 

@@ -19,7 +19,6 @@
 #endif
 
 #include "common/bytes.h"
-#include "common/table.h"
 #include "core/routines.h"
 #include "exp/experiments.h"
 #include "fault/checkpoint.h"
@@ -141,10 +140,8 @@ const ServedKind kDisturbance{
       return out.result.ckpt;
     },
     [](const ServeSpec&, const ServeResult& r, bool digest_only) {
-      if (digest_only)
-        return "outcome digest: " + TextTable::fmt_hex(r.result.digest()) +
-               "\n";
-      return runtime::render_recovery_report(r.result);
+      return digest_only ? runtime::digest_line(r.result.digest())
+                         : runtime::render_recovery_report(r.result);
     },
     "run(s) had no journal record — re-executed"};
 
@@ -197,9 +194,7 @@ const ServedKind kFault{
     },
     [](const ServeSpec& spec, const ServeResult& r, bool digest_only) {
       if (digest_only)
-        return "outcome digest: " +
-               TextTable::fmt_hex(fnv1a(r.fault_result.canonical_bytes())) +
-               "\n";
+        return runtime::digest_line(fnv1a(r.fault_result.canonical_bytes()));
       // Classified against the graded module's netlist (same core kind).
       return fault::render_report(
           fault::make_report(

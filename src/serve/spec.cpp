@@ -1,9 +1,9 @@
 #include "serve/spec.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/json_escape.h"
+#include "common/parse.h"
 #include "perf/json.h"
 
 namespace detstl::serve {
@@ -12,21 +12,22 @@ namespace {
 
 using perf::json::Value;
 
-/// Range-checked unsigned field; mirrors the bounds of stlrun's flags.
+/// Range-checked unsigned field; mirrors the bounds of stlrun's flags. The
+/// number is read from its exact JSON text, so a fraction, an exponent, a
+/// sign or a value past 64 bits is an error, never truncated or wrapped.
 bool take_unsigned(const Value& v, const char* key, u64 lo, u64 hi, u64& out,
                    std::string* err) {
-  if (!v.is_number()) {
-    if (err) *err = std::string("spec: \"") + key + "\" must be a number";
+  if (!v.is_number() || !parse_u64(v.raw, 10, out)) {
+    if (err)
+      *err = std::string("spec: \"") + key + "\" must be an unsigned integer";
     return false;
   }
-  const u64 n = v.as_u64();
-  if (n < lo || n > hi || v.number < 0) {
+  if (out < lo || out > hi) {
     if (err)
       *err = std::string("spec: \"") + key + "\" out of range [" +
              std::to_string(lo) + ", " + std::to_string(hi) + "]";
     return false;
   }
-  out = n;
   return true;
 }
 
@@ -60,18 +61,17 @@ bool parse_spec(const std::string& json_text, ServeSpec& out, std::string* err) 
       s.stride = static_cast<unsigned>(n);
     } else if (key == "seed") {
       // A JSON number or a hex/decimal string ("0xd171" survives tooling
-      // that would round a 64-bit number through a double).
-      if (v.is_number()) {
-        s.seed = v.as_u64();
-      } else if (v.is_string() && !v.str.empty()) {
-        char* end = nullptr;
-        s.seed = std::strtoull(v.str.c_str(), &end, 0);
-        if (end == nullptr || *end != '\0') {
-          if (err) *err = "spec: \"seed\" string is not a number";
-          return false;
-        }
-      } else {
-        if (err) *err = "spec: \"seed\" must be a number or a numeric string";
+      // that would round a 64-bit number through a double). Non-zero, as
+      // stlrun requires: every run seed derives from it.
+      if (!(v.is_number() ? parse_u64(v.raw, 10, s.seed)
+                          : v.is_string() && parse_u64(v.str, 0, s.seed))) {
+        if (err)
+          *err = "spec: \"seed\" must be an unsigned 64-bit integer, as a "
+                 "number or a string";
+        return false;
+      }
+      if (s.seed == 0) {
+        if (err) *err = "spec: \"seed\" must be non-zero";
         return false;
       }
     } else if (key == "runs") {

@@ -28,11 +28,12 @@
 //   }
 //
 // Parsing is strict: unknown keys are rejected (a typo must not silently
-// run a different campaign), numbers are range-checked with the same
-// bounds as stlrun's flags, and `seed` accepts a JSON number or a hex
-// string. The parsed spec maps 1:1 onto runtime::CampaignSpec via
-// to_campaign_spec(), so `stlserve run` and `stlrun campaign` produce
-// byte-identical reports for the same parameters.
+// run a different campaign), numbers must be unsigned integers written out
+// in full (no fraction, exponent, sign or overflow) and are range-checked
+// with the same bounds as stlrun's flags, and `seed` accepts a non-zero
+// JSON number or a hex string. The parsed spec maps 1:1 onto
+// runtime::CampaignSpec via to_campaign_spec(), so `stlserve run` and
+// `stlrun campaign` produce byte-identical reports for the same parameters.
 
 #include <string>
 #include <vector>

@@ -434,6 +434,21 @@ TEST(CheckpointDisturbance, RunRecordSerialisationRoundTripsLosslessly) {
     EXPECT_FALSE(runtime::deserialize_run_record(padded, back));
     // ...and an empty payload.
     EXPECT_FALSE(runtime::deserialize_run_record({}, back));
+    // Flag bytes other than 0 and 1 would parse to `true` and re-serialise
+    // as 1, so they are framing errors too: core A's quarantined byte (after
+    // the seed and the core count) and the budget_exhausted byte (before the
+    // per-kind injection counters).
+    const std::size_t quarantined_at = 8 + 1;
+    const std::size_t budget_at =
+        bytes.size() - 1 - 16 * runtime::kNumDisturbanceKinds;
+    for (const std::size_t at : {quarantined_at, budget_at}) {
+      for (const u8 flag : {u8{2}, u8{7}}) {
+        auto bad = bytes;
+        bad[at] = flag;
+        EXPECT_FALSE(runtime::deserialize_run_record(bad, back))
+            << "offset " << at << " flag " << unsigned{flag};
+      }
+    }
   }
 }
 
@@ -520,6 +535,16 @@ TEST(CheckpointCompat, ConfigHashesArePinned) {
             0xa14b'9f72'ba19'1726ull);
   EXPECT_EQ(runtime::soak_checkpoint_config_hash(pinned_soak_spec(), plan),
             0x7561'0fdf'6eb4'68e2ull);
+}
+
+TEST(CheckpointCompat, DisturbanceShardBytesArePinned) {
+  const auto dir = scratch_dir("disturbance-pinned");
+  runtime::CampaignSpec spec = small_disturbance_spec();
+  spec.checkpoint = make_cfg(dir, 256);
+  const runtime::CampaignResult res = runtime::run_disturbance_campaign(spec);
+  ASSERT_EQ(res.ckpt.shards_flushed, 1u);
+  const std::vector<u8> shard = read_all(dir / "shard-000000.ckpt");
+  EXPECT_EQ(fnv1a(shard.data(), shard.size()), 0xd8a2'b938'572c'dd24ull);
 }
 
 TEST(CheckpointCompat, SoakShardBytesArePinned) {

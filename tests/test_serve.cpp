@@ -121,6 +121,34 @@ TEST(ServeSpecJson, StrictParseRejectsBadInput) {
   EXPECT_FALSE(parse_spec("[]", s, &err));
 }
 
+// Numbers are unsigned integers written out in full: a fraction, an
+// exponent, a sign or a value past 64 bits is an error with a one-line
+// reason, never truncated, wrapped or saturated. A zero seed is refused, as
+// stlrun refuses it.
+TEST(ServeSpecJson, NumbersAreStrictAndSeedIsNonZero) {
+  for (const char* json :
+       {"{\"runs\": 1e3}", "{\"runs\": 1.5}", "{\"runs\": -1}",
+        "{\"stride\": 2.9}", "{\"cores\": 2E0}", "{\"seed\": -5}",
+        "{\"seed\": \"-5\"}", "{\"seed\": \"+5\"}", "{\"seed\": \" 5\"}",
+        "{\"seed\": 1.5}", "{\"seed\": \"0x1ffffffffffffffff\"}",
+        "{\"seed\": 18446744073709551616}", "{\"seed\": 0}",
+        "{\"seed\": \"0\"}", "{\"seed\": \"0x0\"}"}) {
+    ServeSpec s;
+    std::string err;
+    EXPECT_FALSE(parse_spec(json, s, &err)) << json;
+    EXPECT_FALSE(err.empty()) << json;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+  }
+  // The full u64 range stays reachable, as a number and as a hex string.
+  ServeSpec s;
+  ASSERT_TRUE(parse_spec("{\"seed\": 18446744073709551615}", s, nullptr));
+  EXPECT_EQ(s.seed, ~0ull);
+  ASSERT_TRUE(parse_spec("{\"seed\": \"0xffffffffffffffff\", \"runs\": 100000}",
+                         s, nullptr));
+  EXPECT_EQ(s.seed, ~0ull);
+  EXPECT_EQ(s.runs, 100'000u);
+}
+
 TEST(ServeSpecJson, FaultKindParsesAndRoundTrips) {
   ServeSpec s;
   std::string err;

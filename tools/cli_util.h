@@ -1,10 +1,10 @@
 #pragma once
 // The command-line front end shared by the detstl tools and benches: strict
-// numeric parsing (malformed or out-of-range values are usage errors —
-// reported on stderr with exit code 2 — never silently clamped, wrapped or
-// ignored), an argument cursor, and the one parse-and-apply of --threads
-// plus the checkpoint/drain group that stlrun's unit campaigns and every
-// bench share.
+// numeric parsing (common/parse.h; malformed or out-of-range values are
+// usage errors — reported on stderr with exit code 2 — never silently
+// clamped, wrapped or ignored), an argument cursor, and the one
+// parse-and-apply of --threads plus the checkpoint/drain group that stlrun's
+// unit campaigns and every bench share.
 //
 // Exit-code contract (all tools and table benches):
 //   0  completed successfully
@@ -16,12 +16,12 @@
 //      --interrupt-after drill) stopped the run after flushing a final
 //      checkpoint shard; re-run with --resume to continue.
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/version.h"
 #include "fault/checkpoint.h"
 
@@ -39,27 +39,15 @@ inline void print_version(const char* tool) {
               detstl::kDetstlVersion, fault::kCheckpointSchemaVersion);
 }
 
-/// Parse a decimal (or 0x-prefixed hex) unsigned integer in [lo, hi].
-/// Returns false on garbage, trailing characters, sign or range violation.
-inline bool parse_u64(const std::string& text, unsigned long long lo,
-                      unsigned long long hi, unsigned long long& out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  if (v < lo || v > hi) return false;
-  out = v;
-  return true;
-}
-
-/// Parse or exit(2) with a diagnostic naming the tool and the option.
+/// Parse a decimal (or 0x-prefixed hex) unsigned integer in [lo, hi]
+/// strictly (common/parse.h), or exit(2) with a diagnostic naming the tool
+/// and the option.
 inline unsigned long long require_u64(const char* tool, const char* opt,
                                       const std::string& text,
                                       unsigned long long lo,
                                       unsigned long long hi) {
-  unsigned long long v = 0;
-  if (!parse_u64(text, lo, hi, v)) {
+  u64 v = 0;
+  if (!parse_u64(text, 0, v) || v < lo || v > hi) {
     std::fprintf(stderr, "%s: %s expects an integer in [%llu, %llu], got '%s'\n",
                  tool, opt, lo, hi, text.c_str());
     std::exit(2);
@@ -198,24 +186,22 @@ struct CampaignFlags {
   }
 };
 
-/// The stderr line of a drained unit campaign (exit 3 follows): its completed
-/// runs — resumed or finished this session, i.e. every filled record — and
-/// how to continue.
-template <class Result>
-void report_interrupted(const char* tool, const Result& res,
-                        const fault::CheckpointConfig& checkpoint) {
-  std::size_t completed = 0;
-  for (const auto& r : res.records) completed += r.seed != 0 ? 1 : 0;
+/// The stderr line of a drained unit campaign (exit 3 follows): how many of
+/// its runs completed — resumed or finished this session — and how to
+/// continue.
+inline void report_interrupted(const char* tool, std::size_t completed,
+                               unsigned runs,
+                               const fault::CheckpointConfig& checkpoint) {
   if (checkpoint.enabled())
     std::fprintf(stderr,
                  "%s: interrupted after %zu/%u run(s); resume with "
                  "--checkpoint-dir %s --resume\n",
-                 tool, completed, res.runs, checkpoint.dir.c_str());
+                 tool, completed, runs, checkpoint.dir.c_str());
   else
     std::fprintf(stderr,
                  "%s: interrupted after %zu/%u run(s); add "
                  "--checkpoint-dir to make such runs resumable\n",
-                 tool, completed, res.runs);
+                 tool, completed, runs);
 }
 
 }  // namespace detstl::cli

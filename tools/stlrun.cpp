@@ -141,26 +141,28 @@ bool parse_seeded_flag(cli::Args& a, Spec& spec, bool& seed_set) {
   return true;
 }
 
-/// What the unit-campaign commands (campaign, soak) differ in. Everything
+/// What the supervised-run commands (campaign, soak) differ in. Everything
 /// else — the shared flags, validation, drain wiring, interrupt report and
 /// the --verify-threads loop — is run_units.
-template <class Spec, class Result>
+template <class Spec, class Record>
 struct UnitKind {
+  using Result = RunCampaignResult<Record>;
   const char* cmd;
   Result (*run)(const Spec&);
   std::string (*render)(const Result&);
   /// Consume one kind-only flag; false = unknown option.
   std::function<bool(cli::Args&)> flag;
-  /// A given kind-only flag that only a straight run can honour, or null.
-  std::function<const char*()> straight_only;
   /// stderr summary of a completed straight run (plus any report file it
   /// asked for), given the stlperf session that bracketed it. Returns the
   /// exit code.
   std::function<int(const Result&, perf::Session&)> finish;
+  /// Set by `flag` to a consumed kind-only flag that only a straight run
+  /// can honour.
+  const char* straight_only = nullptr;
 };
 
-template <class Spec, class Result>
-int run_units(const UnitKind<Spec, Result>& kind, Spec& spec, int argc,
+template <class Spec, class Record>
+int run_units(const UnitKind<Spec, Record>& kind, Spec& spec, int argc,
               char** argv) {
   cli::Args args(kTool, argc, argv);
   cli::CampaignFlags flags;
@@ -191,9 +193,8 @@ int run_units(const UnitKind<Spec, Result>& kind, Spec& spec, int argc,
   // The verify loop runs the campaign several times: a shared journal would
   // make every pass after the first a no-op, and one report could not say
   // which pass it measured.
-  const char* straight_only = flags.checkpoint.enabled() ? "--checkpoint-dir"
-                              : kind.straight_only     ? kind.straight_only()
-                                                       : nullptr;
+  const char* straight_only =
+      flags.checkpoint.enabled() ? "--checkpoint-dir" : kind.straight_only;
   if (!verify_threads.empty() && straight_only != nullptr) {
     std::fprintf(stderr, "%s: %s cannot be combined with --verify-threads\n",
                  kTool, straight_only);
@@ -203,7 +204,7 @@ int run_units(const UnitKind<Spec, Result>& kind, Spec& spec, int argc,
 
   if (verify_threads.empty()) {
     perf::Session session(std::string(kTool) + "-" + kind.cmd);
-    const Result res = kind.run(spec);
+    const auto res = kind.run(spec);
     if (res.ckpt.enabled)
       std::fprintf(stderr,
                    "%s: checkpoint: %u shard(s) loaded, %llu run(s) resumed, "
@@ -212,13 +213,13 @@ int run_units(const UnitKind<Spec, Result>& kind, Spec& spec, int argc,
                    static_cast<unsigned long long>(res.ckpt.records_resumed),
                    res.ckpt.shards_corrupt, res.ckpt.shards_flushed);
     if (res.ckpt.interrupted) {
-      cli::report_interrupted(kTool, res, spec.checkpoint);
+      cli::report_interrupted(kTool, res.completed(), res.runs,
+                              spec.checkpoint);
       return cli::kExitInterrupted;
     }
-    if (digest_only)
-      std::printf("outcome digest: %s\n", TextTable::fmt_hex(res.digest()).c_str());
-    else
-      std::fputs(kind.render(res).c_str(), stdout);
+    std::fputs(
+        (digest_only ? digest_line(res.digest()) : kind.render(res)).c_str(),
+        stdout);
     // Host timings go to stderr only: the stdout report is diffed across
     // thread counts and straight-vs-resumed runs by the CI drills.
     return kind.finish(res, session);
@@ -231,7 +232,7 @@ int run_units(const UnitKind<Spec, Result>& kind, Spec& spec, int argc,
   for (std::size_t t = 0; t < verify_threads.size(); ++t) {
     Spec s = spec;
     s.threads = verify_threads[t];
-    const Result res = kind.run(s);
+    const auto res = kind.run(s);
     std::fprintf(stderr, "%s: threads=%u digest=%s (%.2fs)\n", kTool,
                  res.threads_used, TextTable::fmt_hex(res.digest()).c_str(),
                  res.wall_seconds);
@@ -249,11 +250,10 @@ int run_units(const UnitKind<Spec, Result>& kind, Spec& spec, int argc,
       return cli::kExitFailure;
     }
   }
-  if (digest_only)  // digest of the verified reference vector
-    std::printf("outcome digest: %s\n",
-                TextTable::fmt_hex(fnv1a(reference)).c_str());
-  else
-    std::fputs(reference_report.c_str(), stdout);
+  // --digest-only: the digest of the verified reference vector.
+  std::fputs(
+      (digest_only ? digest_line(fnv1a(reference)) : reference_report).c_str(),
+      stdout);
   std::string counts;
   for (std::size_t t = 0; t < verify_threads.size(); ++t)
     counts += (t == 0 ? "" : ",") + std::to_string(verify_threads[t]);
@@ -265,8 +265,8 @@ int run_units(const UnitKind<Spec, Result>& kind, Spec& spec, int argc,
 int cmd_campaign(int argc, char** argv) {
   CampaignSpec spec;
   std::string metrics_out;
-  UnitKind<CampaignSpec, CampaignResult> kind{
-      "campaign", run_disturbance_campaign, render_recovery_report, {}, {}, {}};
+  UnitKind<CampaignSpec, RunRecord> kind{
+      "campaign", run_disturbance_campaign, render_recovery_report, {}, {}};
   kind.flag = [&](cli::Args& a) {
     if (a.is("--events")) {
       spec.disturb.count = a.unsigned_in(0, 1'000);
@@ -280,13 +280,11 @@ int cmd_campaign(int argc, char** argv) {
       spec.supervisor.fallback_attempts = a.unsigned_in(0, 16);
     } else if (a.is("--metrics-out")) {
       metrics_out = a.value();
+      kind.straight_only = "--metrics-out";
     } else {
       return false;
     }
     return true;
-  };
-  kind.straight_only = [&] {
-    return metrics_out.empty() ? nullptr : "--metrics-out";
   };
   kind.finish = [&](const CampaignResult& res, perf::Session& session) {
     session.mark_phase("campaign");
@@ -314,8 +312,8 @@ int cmd_campaign(int argc, char** argv) {
 
 int cmd_soak(int argc, char** argv) {
   SoakCampaignSpec spec;
-  UnitKind<SoakCampaignSpec, SoakCampaignResult> kind{
-      "soak", run_soak_campaign, render_soak_report, {}, {}, {}};
+  UnitKind<SoakCampaignSpec, SoakRunRecord> kind{
+      "soak", run_soak_campaign, render_soak_report, {}, {}};
   kind.flag = [&](cli::Args& a) {
     if (a.is("--duration")) {
       spec.soak.duration = a.u64_in(0, 1'000'000'000);
