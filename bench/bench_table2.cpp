@@ -4,7 +4,7 @@
 //     (active cores x flash position x alignment) -> min/max columns;
 //   * the proposed cache-based strategy: a single, stable, higher value.
 //
-// Exhaustive by default (every collapsed fault), campaigns sharded over all
+// Exhaustive by default (every fault of the list), campaigns sharded over all
 // cores. Knobs: DETSTL_FAULT_STRIDE (default 1; N = every Nth fault),
 // DETSTL_SCENARIOS (default 0 = full 12-scenario grid), DETSTL_THREADS /
 // --threads N (0 = hardware concurrency, 1 = serial), --progress.

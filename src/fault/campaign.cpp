@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <type_traits>
 
 #include "fault/unit_driver.h"
 #include "fault/work_queue.h"
+#include "netlist/equivalence.h"
 #include "netlist/screening.h"
 #include "perf/profiler.h"
 #include "perf/simstats.h"
@@ -284,14 +286,27 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
   const std::vector<netlist::Fault> faults = sample_faults(nl, cfg.fault_stride);
   res.simulated_faults = faults.size();
   res.outcomes.assign(faults.size(), FaultOutcome::kNotExcited);
+  // Equivalent faults make the same faulty circuit, so every member of a
+  // class has its representative's first divergence and outcome: phases 1
+  // and 2 simulate representatives only. Units, journal records and every
+  // aggregate stay per fault.
+  const netlist::FaultClasses classes =
+      netlist::equivalence_classes(nl, mod.outputs(), faults);
+  const std::size_t nclasses = classes.size();
+  res.fault_classes = nclasses;
+  // A class's outcome once a journalled member or its detection decides it.
+  std::vector<FaultOutcome> class_outcome(nclasses, FaultOutcome::kNotExcited);
+  std::vector<u8> class_decided(nclasses, 0);
 
   // --- Crash-safe checkpoint/resume (fault/unit_driver.h) ------------------
   // The manifest hash binds the on-disk checkpoint to this exact campaign:
   // netlist identity + routine image + every outcome-relevant config field.
   // The factory's SoC serves both the fingerprint and the good run below.
   // Each record holds one FaultOutcome byte; a malformed one is dropped and
-  // its fault re-executes. Faults outside the shard range are done with the
-  // kNotExcited placeholder: screening skips whole out-of-range lane groups.
+  // its fault re-executes. A journalled (resumed or merged) record decides
+  // its whole class. Faults outside the shard range are done with the
+  // kNotExcited placeholder, which decides nothing: screening skips a lane
+  // group only once every member of its classes is done.
   soc::Soc good = factory();
   UnitDriver driver(
       "fault campaign", faults.size(), cfg,
@@ -302,6 +317,8 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
              payload[0] > static_cast<u8>(FaultOutcome::kUndetected))
            return false;
          res.outcomes[i] = static_cast<FaultOutcome>(payload[0]);
+         class_outcome[classes.class_of[i]] = res.outcomes[i];
+         class_decided[classes.class_of[i]] = 1;
          return true;
        }});
   const std::vector<u8>& done = driver.done();
@@ -338,12 +355,23 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
   const std::size_t ncalls = rec.calls().size();
 
   // --- Phase 1: 64-lane excitation screening, sharded by lane group ---------------
-  // Each lane group (<= 63 faults + the golden lane) replays the trace in
-  // its own EvalState and writes a disjoint slice of first_div, so workers
-  // share nothing but the immutable netlist, the trace, and the work queue.
+  // Each lane group (<= 63 class representatives + the golden lane) replays
+  // the trace in its own EvalState and writes a disjoint slice of class_div,
+  // so workers share nothing but the immutable netlist, the trace, and the
+  // work queue. Every member then takes its class's first divergence.
   using netlist::LaneGroupScreen;
-  const std::size_t ngroups = LaneGroupScreen::num_groups(faults.size());
-  std::vector<std::size_t> first_div(faults.size(), SIZE_MAX);
+  const std::size_t ngroups = LaneGroupScreen::num_groups(nclasses);
+  std::vector<netlist::Fault> rep_faults(nclasses);
+  std::vector<u32> class_size(nclasses, 0);
+  std::vector<u8> class_pending(nclasses, 0);  // some member is not done
+  for (std::size_t c = 0; c < nclasses; ++c)
+    rep_faults[c] = faults[classes.representative[c]];
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    ++class_size[classes.class_of[i]];
+    class_pending[classes.class_of[i]] |= done[i] == 0;
+  }
+  std::vector<std::size_t> class_div(nclasses, SIZE_MAX);
+  const auto first_div = [&](std::size_t i) { return class_div[classes.class_of[i]]; };
 
   // Every aggregate derives from the merged outcomes vector (plus the
   // screening verdict for faults detection has not reached), so the result
@@ -356,7 +384,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
     for (std::size_t i = 0; i < faults.size(); ++i) {
       res.excited += done[i] != 0
                          ? res.outcomes[i] != FaultOutcome::kNotExcited
-                         : first_div[i] != SIZE_MAX;
+                         : first_div(i) != SIZE_MAX;
       switch (res.outcomes[i]) {
         case FaultOutcome::kNotExcited:
         case FaultOutcome::kUndetected:
@@ -400,16 +428,16 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
       for (std::size_t g = chunk->begin; g < chunk->end; ++g) {
         const std::size_t base = g * LaneGroupScreen::kLanesPerGroup;
         const std::size_t n = std::min<std::size_t>(
-            LaneGroupScreen::kLanesPerGroup, faults.size() - base);
-        // A resumed checkpoint already records every outcome in this group;
-        // its screening verdicts could change nothing, skip the replay.
-        if (std::all_of(done.begin() + static_cast<std::ptrdiff_t>(base),
-                        done.begin() + static_cast<std::ptrdiff_t>(base + n),
-                        [](u8 d) { return d != 0; })) {
+            LaneGroupScreen::kLanesPerGroup, nclasses - base);
+        // Every member of every class in this group is already done; its
+        // screening verdicts could change nothing, skip the replay.
+        if (std::none_of(class_pending.begin() + static_cast<std::ptrdiff_t>(base),
+                         class_pending.begin() + static_cast<std::ptrdiff_t>(base + n),
+                         [](u8 p) { return p != 0; })) {
           tracker.add(w, 1);
           continue;
         }
-        LaneGroupScreen screen(nl, mod.outputs(), {faults.data() + base, n});
+        LaneGroupScreen screen(nl, mod.outputs(), {rep_faults.data() + base, n});
         std::size_t replayed = 0;
         {
           DETSTL_PROF_SCOPE(perf::ProfScope::kNetlistScreen);
@@ -423,8 +451,8 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
         perf::sim_totals().add(perf::SimStat::kScreenCalls, replayed);
         u64 excited_here = 0;
         for (std::size_t j = 0; j < n; ++j) {
-          first_div[base + j] = screen.first_divergence()[j];
-          excited_here += screen.first_divergence()[j] != SIZE_MAX;
+          class_div[base + j] = screen.first_divergence()[j];
+          if (class_div[base + j] != SIZE_MAX) excited_here += class_size[base + j];
         }
         tracker.add(w, 1, excited_here);
       }
@@ -451,7 +479,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
   const auto detect_one = [&](std::size_t i) -> FaultOutcome {
     // Latest checkpoint at or before the first divergent module call.
     const auto it = std::upper_bound(
-        cps.begin(), cps.end(), first_div[i],
+        cps.begin(), cps.end(), first_div(i),
         [](std::size_t call, const Checkpoint& c) { return call < c.call_idx; });
     const Checkpoint& cp = *std::prev(it);  // cps[0].call_idx == 0 <= any call
 
@@ -484,6 +512,20 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
     return FaultOutcome::kUndetected;
   };
 
+  // One detection per class and process. A journalled member decided its
+  // class before the pool starts; otherwise the first worker to reach a
+  // member detects the representative, and a worker reaching another member
+  // meanwhile waits in call_once for that outcome.
+  const auto class_once = std::make_unique<std::once_flag[]>(nclasses);
+  const auto detect_class = [&](std::size_t i) {
+    const u32 c = classes.class_of[i];
+    if (class_decided[c] == 0)
+      std::call_once(class_once[c], [&] {
+        class_outcome[c] = detect_one(classes.representative[c]);
+      });
+    return class_outcome[c];
+  };
+
   tracker.begin_phase(CampaignPhase::kDetection, faults.size());
   emit_phase(trace::EventKind::kCampaignPhaseBegin, CampaignPhase::kDetection,
              static_cast<u32>(faults.size()),
@@ -498,8 +540,8 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
   driver.run(
       threads, 4,
       {.run = [&](u64 i) {
-         res.outcomes[i] = first_div[i] == SIZE_MAX ? FaultOutcome::kNotExcited
-                                                    : detect_one(i);
+         res.outcomes[i] = first_div(i) == SIZE_MAX ? FaultOutcome::kNotExcited
+                                                    : detect_class(i);
          perf::sim_totals().add(perf::SimStat::kFaultUnits, 1);
        },
        .encode = [&](u64 i) {

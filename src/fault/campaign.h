@@ -17,7 +17,10 @@
 //     differs from the good sequence; otherwise the final mailbox verdict is
 //     compared; a watchdog timeout counts as detected (in-field behaviour).
 //
-// Phases 2 and 3 are embarrassingly parallel (lane groups / faults are
+// Phases 2 and 3 simulate one representative per structural equivalence
+// class (netlist/equivalence.h) and copy its first divergence and outcome to
+// every member; units, journal records and all counts stay per fault.
+// Both phases are embarrassingly parallel (lane groups / classes are
 // independent) and run on a worker pool when CampaignConfig::threads != 1.
 // The result is bit-identical for every thread count: workers write outcomes
 // into a pre-sized vector by fault index and all aggregate counters are
@@ -54,9 +57,8 @@ struct CampaignConfig : UnitPlumbing {
   u32 mailbox = 0;       // 0 = soc::mailbox_addr(core_id)
   u64 max_cycles = 20'000'000;  // good-run bound
   u32 checkpoint_every = 4096;  // cycles between checkpoints
-  /// Simulate every Nth fault of the collapsed list (deterministic sampling
-  /// speed knob for the benches; 1 = exhaustive; 0 is rejected, see
-  /// sample_faults).
+  /// Simulate every Nth net of the fault list (deterministic sampling speed
+  /// knob for the benches; 1 = exhaustive; 0 is rejected, see sample_faults).
   u32 fault_stride = 1;
   /// Cache-based wrapper: signature writes before the execution loop (the
   /// loading loop) are architecturally discarded by the re-seed and must not
@@ -87,7 +89,7 @@ enum class FaultOutcome : u8 {
 };
 
 struct CampaignResult {
-  u64 total_faults = 0;     // collapsed list size (before sampling)
+  u64 total_faults = 0;     // fault list size (before sampling)
   u64 simulated_faults = 0; // after sampling
   u64 excited = 0;
   u64 detected = 0;
@@ -106,6 +108,10 @@ struct CampaignResult {
   /// the stlperf sim subtree carries them instead (tests/test_perf.cpp).
   u64 sim_cycles = 0;
   u64 screen_calls = 0;
+  /// Equivalence classes among the sampled faults: how many faults phases 1
+  /// and 2 actually simulate (netlist/equivalence.h). A work count like
+  /// screen_calls, excluded from canonical_bytes().
+  u64 fault_classes = 0;
   double wall_seconds = 0;  // host wall-clock of the whole campaign
   unsigned threads_used = 0;  // resolved worker count (cfg.threads == 0 case)
   /// Checkpoint/resume bookkeeping; like wall_seconds, excluded from the
@@ -121,7 +127,7 @@ struct CampaignResult {
                      static_cast<double>(simulated_faults);
   }
 
-  /// Detected faults over the *full* collapsed list, in percent. Equal to
+  /// Detected faults over the *full* fault list, in percent. Equal to
   /// coverage_percent() for exhaustive campaigns; with sampling it is only
   /// a lower bound (unsampled faults count as undetected), so sampled and
   /// exhaustive runs are never conflated.
@@ -138,9 +144,9 @@ struct CampaignResult {
   std::vector<u8> canonical_bytes() const;
 };
 
-/// The campaign's fault-sampling rule. The collapsed list interleaves
-/// SA0/SA1 per net; every `stride`-th NET is kept with both polarities, so
-/// there is no polarity bias. Throws std::invalid_argument on stride 0.
+/// The campaign's fault-sampling rule. The fault list interleaves SA0/SA1
+/// per net; every `stride`-th NET is kept with both polarities, so there is
+/// no polarity bias. Throws std::invalid_argument on stride 0.
 std::vector<netlist::Fault> sample_faults(const netlist::Netlist& nl,
                                           u32 stride);
 

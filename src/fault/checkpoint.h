@@ -210,7 +210,7 @@ class ConfigHasher {
 
 /// Structural identity of a graded netlist: every gate's op and operands,
 /// plus the input/flop counts. Two netlists with the same fingerprint have
-/// the same collapsed fault list and evaluation behaviour.
+/// the same fault list and evaluation behaviour.
 u64 netlist_fingerprint(const netlist::Netlist& nl);
 
 /// Identity of the routine image under test: the full flash ROM plus the

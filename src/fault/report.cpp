@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 
 #include "common/table.h"
 #include "perf/sampler.h"
@@ -43,11 +44,17 @@ CampaignReport make_report(const CampaignResult& result, const netlist::Netlist&
   CampaignReport rep;
   rep.result = result;
 
-  // Reconstruct the sampled fault list the campaign used.
+  // Reconstruct the sampled fault list the campaign used. A netlist or
+  // stride other than the campaign's would give a table that does not sum
+  // to the campaign.
   const std::vector<netlist::Fault> sampled = sample_faults(nl, fault_stride);
+  if (nl.fault_list().size() != result.total_faults)
+    throw std::invalid_argument("make_report: not the netlist the campaign graded");
+  if (sampled.size() != result.outcomes.size())
+    throw std::invalid_argument("make_report: not the stride the campaign sampled with");
 
   std::map<netlist::GateOp, GateClassCoverage> classes;
-  for (std::size_t i = 0; i < sampled.size() && i < result.outcomes.size(); ++i) {
+  for (std::size_t i = 0; i < sampled.size(); ++i) {
     const netlist::GateOp op = nl.gate(sampled[i].net).op;
     auto& entry = classes[op];
     entry.op = op;

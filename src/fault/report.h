@@ -30,7 +30,9 @@ const char* gate_op_name(netlist::GateOp op);
 const char* outcome_name(FaultOutcome o);
 
 /// Classify the campaign's sampled faults against the module netlist the
-/// campaign graded (must be constructed with the same kind).
+/// campaign graded (must be constructed with the same kind). Throws
+/// std::invalid_argument when `nl` or `fault_stride` do not reproduce the
+/// campaign's fault list and sampled population.
 CampaignReport make_report(const CampaignResult& result, const netlist::Netlist& nl,
                            u32 fault_stride);
 

@@ -21,6 +21,7 @@
 #include <cassert>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitutil.h"
@@ -115,8 +116,12 @@ class Netlist {
   u32 num_inputs() const { return num_inputs_; }
   u32 num_flops() const { return num_flops_; }
   const Gate& gate(NetId id) const { return gates_[id]; }
+  /// (Q, D) nets of every flop, in declaration order.
+  std::span<const std::pair<NetId, NetId>> flops() const { return flop_qd_; }
 
-  /// Collapsed stuck-at fault list: SA0/SA1 on every net except constants.
+  /// Stuck-at fault list the coverage tables count: SA0 then SA1 on every
+  /// net except constants. Equivalent faults are all listed; a campaign
+  /// simulates one per class (netlist/equivalence.h).
   std::vector<Fault> fault_list() const;
 
   // --- evaluation -----------------------------------------------------------------

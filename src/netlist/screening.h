@@ -2,9 +2,9 @@
 // Excitation screening entry point (fault-campaign phase 1).
 //
 // A LaneGroupScreen owns the evaluation state for one *lane group*: up to 63
-// faults of the collapsed list packed into lanes 0..62 of the 64-lane
-// bit-parallel evaluator, with lane 63 left fault-free as the golden
-// reference. The caller replays the recorded module-call trace — encode the
+// faults (a campaign passes one representative per equivalence class) packed
+// into lanes 0..62 of the 64-lane bit-parallel evaluator, with lane 63 left
+// fault-free as the golden reference. The caller replays the recorded module-call trace — encode the
 // call's inputs into state(), then observe(call_idx) — and the screen records
 // the call index of each fault's first output divergence.
 //

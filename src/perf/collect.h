@@ -93,6 +93,9 @@ inline void collect_fault_result(Registry& reg, const fault::CampaignResult& r,
                                  const std::string& labels) {
   reg.add_counter("campaign.faults.total", labels, r.total_faults);
   reg.add_counter("campaign.faults.simulated", labels, r.simulated_faults);
+  // Equivalence classes among the simulated faults: what phases 1 and 2
+  // actually had to simulate.
+  reg.add_counter("campaign.faults.classes", labels, r.fault_classes);
   reg.add_counter("campaign.faults.excited", labels, r.excited);
   reg.add_counter("campaign.faults.detected", labels, r.detected);
   reg.add_counter("campaign.faults.detected_signature", labels,

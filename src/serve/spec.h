@@ -57,7 +57,7 @@ struct ServeSpec {
   unsigned workers = 2;               // default worker-process count
   u32 checkpoint_interval = 16;       // runs between shard flushes
   /// Fault kind only (ignored by "disturbance"): the graded module and the
-  /// deterministic sampling stride over the collapsed fault list
+  /// deterministic sampling stride over the module's fault list
   /// (fault::CampaignConfig::fault_stride; 1 = exhaustive).
   std::string module = "fwd";  // fwd | hdcu | icu
   unsigned stride = 8;

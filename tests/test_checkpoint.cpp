@@ -3,7 +3,8 @@
 // skew) with kCkptReject telemetry, the work-queue done-mask/halt extensions,
 // loss-less RunRecord serialisation — and the headline contract: straight,
 // killed-and-resumed and multi-resume campaigns are byte-identical at any
-// thread count, for both the fault campaign and the disturbance campaign.
+// thread count, for both the fault campaign and the disturbance campaign,
+// also when a kill point or shard boundary cuts a fault-equivalence class.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "fault/campaign.h"
 #include "fault/checkpoint.h"
 #include "fault/work_queue.h"
+#include "netlist/equivalence.h"
 #include "netlist/modules.h"
 #include "runtime/campaign.h"
 #include "runtime/soak.h"
@@ -382,6 +384,112 @@ TEST(CheckpointCampaign, CompleteCheckpointResumesWithoutRework) {
   EXPECT_EQ(resumed.canonical_bytes(), base.canonical_bytes());
 }
 
+// ---------------------------------------------------------------------------
+// Equivalence classes across kill points and shard boundaries
+// ---------------------------------------------------------------------------
+
+/// Exhaustive ICU campaign of core A, single-core plain (perfbench's table3
+/// recipe): about 40% of its faults share a class with an earlier fault.
+CampaignResult run_icu(unsigned threads, const CheckpointConfig& ckpt = {},
+                       InterruptToken* token = nullptr, u64 unit_begin = 0,
+                       u64 unit_end = 0, std::vector<std::string> merge_dirs = {}) {
+  const auto routine = core::make_icu_test();
+  exp::Scenario sc{1, {0, 0, 0}, 0, 0, "ckpt"};
+  auto tests = exp::build_scenario_tests(*routine, WrapperKind::kPlain, sc, 0,
+                                         /*use_pcs=*/false);
+  CampaignConfig cc;
+  cc.module = Module::kIcu;
+  cc.core_id = 0;
+  cc.kind = isa::CoreKind::kA;
+  cc.fault_stride = 1;
+  cc.threads = threads;
+  cc.checkpoint = ckpt;
+  cc.interrupt = token;
+  cc.unit_begin = unit_begin;
+  cc.unit_end = unit_end;
+  cc.merge_dirs = std::move(merge_dirs);
+  Campaign campaign(cc, exp::scenario_factory(std::move(tests), sc, 0));
+  return campaign.run();
+}
+
+const CampaignResult& icu_baseline() {
+  static const CampaignResult r = run_icu(1);
+  return r;
+}
+
+/// True when unit `split` cuts an excited class in two: one member lies
+/// before it, another at or after it.
+bool splits_an_excited_class(u64 split) {
+  static const netlist::FaultClasses classes = [] {
+    const netlist::IcuNetlist icu(isa::CoreKind::kA);
+    return netlist::equivalence_classes(icu.nl(), icu.outputs(),
+                                        sample_faults(icu.nl(), 1));
+  }();
+  for (u64 j = split; j < classes.class_of.size(); ++j)
+    if (classes.representative[classes.class_of[j]] < split &&
+        icu_baseline().outcomes[j] != FaultOutcome::kNotExcited)
+      return true;
+  return false;
+}
+
+/// The first multiple of `align` that cuts an excited class in two.
+u64 class_split_point(u64 align) {
+  for (u64 split = align; split < icu_baseline().simulated_faults; split += align)
+    if (splits_an_excited_class(split)) return split;
+  return 0;
+}
+
+/// Detection cycles a campaign simulated in this process.
+u64 detection_cycles(const CampaignResult& r) { return r.sim_cycles - r.good_cycles; }
+
+TEST(CheckpointCampaign, KillInsideAnEquivalenceClassResumesByteIdentical) {
+  const auto& base = icu_baseline();
+  // One worker claims the detection queue in index order, four units a
+  // chunk, so a kill armed at a multiple of four stops exactly there.
+  const u64 split = class_split_point(4);
+  ASSERT_GT(split, 0u);
+
+  const auto dir = scratch_dir("fault-class-kill");
+  InterruptToken token;
+  token.arm_after(split);
+  const auto killed = run_icu(1, make_cfg(dir, 4), &token);
+  ASSERT_TRUE(killed.ckpt.interrupted);
+
+  token.clear();
+  const auto resumed = run_icu(2, make_cfg(dir, 4, true), &token);
+  EXPECT_FALSE(resumed.ckpt.interrupted);
+  EXPECT_EQ(resumed.ckpt.records_resumed, split);
+  EXPECT_TRUE(splits_an_excited_class(resumed.ckpt.records_resumed));
+  EXPECT_EQ(resumed.canonical_bytes(), base.canonical_bytes());
+  // Each excited class was detected once over both processes: a class the
+  // kill cut in two takes its journalled member's outcome on resume.
+  EXPECT_EQ(detection_cycles(killed) + detection_cycles(resumed),
+            detection_cycles(base));
+}
+
+TEST(CheckpointCampaign, ShardSplitInsideAnEquivalenceClassMergesByteIdentical) {
+  const auto& base = icu_baseline();
+  const u64 split = class_split_point(1);
+  ASSERT_GT(split, 0u);
+
+  const auto a = scratch_dir("fault-class-shard-a");
+  const auto b = scratch_dir("fault-class-shard-b");
+  const auto first = run_icu(2, make_cfg(a, 8), nullptr, 0, split);
+  (void)run_icu(2, make_cfg(b, 8), nullptr, split, base.simulated_faults);
+
+  const auto merged = run_icu(2, {}, nullptr, 0, 0, {a.string(), b.string()});
+  EXPECT_EQ(merged.ckpt.records_resumed, base.simulated_faults);
+  EXPECT_EQ(detection_cycles(merged), 0u);  // nothing re-simulated
+  EXPECT_EQ(merged.canonical_bytes(), base.canonical_bytes());
+
+  // Merging the first shard alone re-executes the rest, except the classes
+  // a merged member already decides.
+  const auto partial = run_icu(2, {}, nullptr, 0, 0, {a.string()});
+  EXPECT_EQ(partial.ckpt.records_resumed, split);
+  EXPECT_EQ(partial.canonical_bytes(), base.canonical_bytes());
+  EXPECT_EQ(detection_cycles(first) + detection_cycles(partial), detection_cycles(base));
+}
+
 TEST(CheckpointCampaign, ForeignManifestRejectedEndToEnd) {
   const auto dir = scratch_dir("fault-foreign");
   {
@@ -535,6 +643,16 @@ TEST(CheckpointCompat, ConfigHashesArePinned) {
             0xa14b'9f72'ba19'1726ull);
   EXPECT_EQ(runtime::soak_checkpoint_config_hash(pinned_soak_spec(), plan),
             0x7561'0fdf'6eb4'68e2ull);
+}
+
+TEST(CheckpointCompat, FaultShardBytesArePinned) {
+  // Exhaustive, so the journal holds records of faults that were never
+  // simulated themselves, only their class representative.
+  const auto dir = scratch_dir("fault-pinned");
+  const CampaignResult res = run_icu(1, make_cfg(dir, 32));
+  ASSERT_GE(res.ckpt.shards_flushed, 1u);
+  const std::vector<u8> shard = read_all(dir / "shard-000000.ckpt");
+  EXPECT_EQ(fnv1a(shard.data(), shard.size()), 0x3fc2'e0e9'ea80'7671ull);
 }
 
 TEST(CheckpointCompat, DisturbanceShardBytesArePinned) {

@@ -1,7 +1,7 @@
 // Fault-simulation engine: detection of known-bad faults, excitation
 // screening soundness, checkpoint-placement invariance (the engine's central
-// correctness property), marker-mode loading-loop immunity, sampling, and
-// pinned outcome digests of every graded module's campaign.
+// correctness property), marker-mode loading-loop immunity, sampling, report
+// input checks, and pinned outcome digests of every graded module's campaign.
 
 #include <gtest/gtest.h>
 
@@ -175,6 +175,17 @@ TEST(Report, GateClassTotalsMatchCampaign) {
   EXPECT_NE(text.find("dff"), std::string::npos);  // ICU has flops
 }
 
+TEST(Report, RejectsAStrideOrNetlistTheCampaignDidNotUse) {
+  // A per-gate-class table built from another sampling or another netlist
+  // would not sum to the campaign; make_report refuses to print one.
+  const auto res = run_icu_campaign(WrapperKind::kPlain, 1, 2, 4096);
+  const netlist::IcuNetlist icu(isa::CoreKind::kA);
+  EXPECT_THROW(make_report(res, icu.nl(), 1), std::invalid_argument);
+  const netlist::IcuNetlist icu_b(isa::CoreKind::kB);
+  EXPECT_THROW(make_report(res, icu_b.nl(), 2), std::invalid_argument);
+  EXPECT_NO_THROW(make_report(res, icu.nl(), 2));
+}
+
 // ---------------------------------------------------------------------------
 // Golden outcome digests: every module's campaign, byte for byte
 // ---------------------------------------------------------------------------
@@ -220,6 +231,18 @@ TEST(CampaignGolden, HdcuCachedCoreC) {
 }
 TEST(CampaignGolden, IcuCachedCoreA) {
   EXPECT_EQ(campaign_digest(Module::kIcu, true, 0, 3), 0xbddc'5118'db3d'1c25ull);
+}
+
+// Exhaustive campaigns, where about half of the faults are members of a
+// class whose representative decides them: the perfbench table3 seed pins.
+TEST(CampaignGolden, IcuPlainCoreAExhaustive) {
+  EXPECT_EQ(campaign_digest(Module::kIcu, false, 0, 1), 0x5ba2'e095'37a1'5df4ull);
+}
+TEST(CampaignGolden, HdcuPlainCoreAExhaustive) {
+  EXPECT_EQ(campaign_digest(Module::kHdcu, false, 0, 1), 0x109c'babc'1fe2'3a54ull);
+}
+TEST(CampaignGolden, IcuCachedCoreCExhaustive) {
+  EXPECT_EQ(campaign_digest(Module::kIcu, true, 2, 1), 0x7e70'c592'92e5'b69bull);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Netlist engine + module netlists: gate evaluation, DFFs, fault overlays,
-// and exhaustive/randomised equivalence against the behavioural models.
+// exhaustive/randomised equivalence against the behavioural models, and the
+// structural stuck-at equivalence classes every member of which behaves like
+// its representative.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "netlist/adapters.h"
+#include "netlist/equivalence.h"
 
 namespace detstl::netlist {
 namespace {
@@ -344,6 +347,199 @@ TEST(ModuleFaults, IcuPendingStuckLowNeverInterrupts) {
   in.events = 0x1;
   in.mie = 0xf;
   EXPECT_FALSE(ni.eval(in).irq);
+}
+
+// ----------------------------------------------------------------------------
+// Fault equivalence (netlist/equivalence.h)
+// ----------------------------------------------------------------------------
+
+TEST(FaultEquivalence, MergeRulesFollowTheReaderGate) {
+  // x's only reader is the observed gate `out`. Each x fault shares a class
+  // with the listed `out` fault (0 = SA0, 1 = SA1) or with none (-1).
+  struct Rule {
+    const char* name;
+    NetId (*build)(Netlist&, NetId, NetId);
+    int sa0, sa1;
+  };
+  const Rule rules[] = {
+      {"buf", [](Netlist& nl, NetId x, NetId) { return nl.buf(x); }, 0, 1},
+      {"not", [](Netlist& nl, NetId x, NetId) { return nl.not_(x); }, 1, 0},
+      {"and", [](Netlist& nl, NetId x, NetId y) { return nl.and2(x, y); }, 0, -1},
+      {"nand", [](Netlist& nl, NetId x, NetId y) { return nl.nand2(x, y); }, 1, -1},
+      {"or", [](Netlist& nl, NetId x, NetId y) { return nl.or2(x, y); }, -1, 1},
+      {"nor", [](Netlist& nl, NetId x, NetId y) { return nl.nor2(x, y); }, -1, 0},
+      {"xor", [](Netlist& nl, NetId x, NetId y) { return nl.xor2(x, y); }, -1, -1},
+      {"xnor", [](Netlist& nl, NetId x, NetId y) { return nl.xnor2(x, y); }, -1, -1},
+  };
+  for (const Rule& r : rules) {
+    Netlist nl;
+    const NetId x = nl.input();
+    const NetId y = nl.input();
+    const std::vector<NetId> outputs = {r.build(nl, x, y)};
+    const FaultClasses classes = equivalence_classes(nl, outputs, nl.fault_list());
+    // No constants: fault 2n + s is net n stuck at s.
+    const auto cls = [&](NetId n, int s) { return classes.class_of[2 * n + s]; };
+    for (const int s : {0, 1}) {
+      const int partner = s == 0 ? r.sa0 : r.sa1;
+      for (const int o : {0, 1})
+        EXPECT_EQ(cls(x, s) == cls(outputs[0], o), partner == o)
+            << r.name << ": x SA" << s << " vs out SA" << o;
+    }
+  }
+}
+
+TEST(FaultEquivalence, ObservedFlopAndXorInputNetsStaySingletons) {
+  // Every net here has exactly one gate reader. A BUF reader would take both
+  // of its faults, except for an observed net, a D input and a Q net; an XOR
+  // reader takes neither.
+  Netlist nl;
+  const NetId q = nl.dff();
+  const NetId observed = nl.input();
+  const NetId to_d = nl.input();
+  const NetId xor_in = nl.input();
+  const NetId other = nl.input();
+  const NetId plain = nl.input();
+  nl.connect_dff(q, to_d);
+  const std::vector<NetId> outputs = {observed,   nl.buf(observed),
+                                      nl.buf(to_d), nl.buf(q),
+                                      nl.xor2(xor_in, other), nl.buf(plain)};
+  const FaultClasses classes = equivalence_classes(nl, outputs, nl.fault_list());
+  std::vector<unsigned> size(classes.size(), 0);
+  for (const u32 c : classes.class_of) ++size[c];
+  const auto members = [&](NetId n, int s) { return size[classes.class_of[2 * n + s]]; };
+  for (const NetId n : {observed, to_d, q, xor_in})
+    for (const int s : {0, 1}) EXPECT_EQ(members(n, s), 1u) << "net " << n << " SA" << s;
+  // The control: the same shape without an exclusion merges.
+  EXPECT_EQ(members(plain, 0), 2u);
+  EXPECT_EQ(members(plain, 1), 2u);
+}
+
+TEST(FaultEquivalence, DecodeReadsOnlyTheOutputNets) {
+  // The equivalence checks below compare outputs() lane by lane, which
+  // stands for comparing decode() only if decode reads nothing else:
+  // scrambling every other net must leave every lane's decoded call as is.
+  const auto check = [](const auto& mod) {
+    const Netlist& nl = mod.nl();
+    std::vector<u8> is_output(nl.num_nets(), 0);
+    for (const NetId o : mod.outputs()) is_output[o] = 1;
+    Rng rng(0xdec0de);
+    EvalState s = nl.make_state();
+    for (u64& v : s.value) v = rng.next_u64();
+    std::vector<decltype(mod.decode(s, 0))> before;
+    for (unsigned lane = 0; lane < 64; ++lane) before.push_back(mod.decode(s, lane));
+    for (NetId n = 0; n < nl.num_nets(); ++n)
+      if (is_output[n] == 0) s.value[n] = rng.next_u64();
+    for (unsigned lane = 0; lane < 64; ++lane)
+      EXPECT_TRUE(mod.decode(s, lane) == before[lane]) << "lane " << lane;
+  };
+  for (int k = 0; k < 3; ++k) {
+    SCOPED_TRACE(k);
+    check(FwdNetlist(static_cast<CoreKind>(k)));
+    check(HdcuNetlist(static_cast<CoreKind>(k)));
+    check(IcuNetlist(static_cast<CoreKind>(k)));
+  }
+}
+
+/// Drives `stimulus` through fault pairs, 32 per evaluation word (pair k in
+/// lanes 2k and 2k + 1), and counts the pairs whose two lanes ever differ:
+/// on an output net, and so in the decoded call, or after the clock in a
+/// flop.
+template <class Mod>
+std::size_t mismatched_pairs(const Mod& mod, std::span<const std::pair<Fault, Fault>> pairs,
+                             const std::vector<typename Mod::In>& stimulus) {
+  constexpr u64 kEvenLanes = 0x5555'5555'5555'5555ull;
+  const Netlist& nl = mod.nl();
+  std::vector<std::vector<u64>> encoded;
+  EvalState enc = nl.make_state();
+  for (const auto& in : stimulus) {
+    mod.encode(in, enc);
+    encoded.push_back(enc.inputs);
+  }
+  std::size_t mismatched = 0;
+  for (std::size_t base = 0; base < pairs.size(); base += 32) {
+    const unsigned n = static_cast<unsigned>(std::min<std::size_t>(32, pairs.size() - base));
+    EvalState s = nl.make_state();
+    for (unsigned k = 0; k < n; ++k) {
+      Netlist::inject(s, pairs[base + k].first, 1ull << (2 * k));
+      Netlist::inject(s, pairs[base + k].second, 2ull << (2 * k));
+    }
+    u64 differs = 0;  // bit 2k: pair k mismatched
+    for (const auto& in : encoded) {
+      s.inputs = in;
+      nl.eval(s);
+      for (const NetId o : mod.outputs())
+        differs |= (s.value[o] ^ (s.value[o] >> 1)) & kEvenLanes;
+      nl.clock(s);
+      for (const u64 f : s.flops) differs |= (f ^ (f >> 1)) & kEvenLanes;
+    }
+    mismatched += static_cast<std::size_t>(__builtin_popcountll(differs));
+  }
+  return mismatched;
+}
+
+/// Pins the class count of module `Mod` on core `kind` and shows that every
+/// member behaves like its representative over 2,000 random calls, while
+/// the representative's opposite polarity does not.
+template <class Mod, class Gen>
+void expect_members_equivalent(CoreKind kind, std::size_t classes_want,
+                               std::size_t faults_want, Gen random_in) {
+  const Mod mod(kind);
+  const std::vector<Fault> faults = mod.nl().fault_list();
+  const FaultClasses classes = equivalence_classes(mod.nl(), mod.outputs(), faults);
+  EXPECT_EQ(faults.size(), faults_want);
+  EXPECT_EQ(classes.size(), classes_want);
+
+  std::vector<std::pair<Fault, Fault>> same, opposite;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    const u32 r = classes.representative[classes.class_of[i]];
+    if (r == i) continue;
+    same.emplace_back(faults[i], faults[r]);
+    opposite.emplace_back(faults[i], Fault{faults[r].net, !faults[r].stuck1});
+  }
+  Rng rng(0xe9u + static_cast<u64>(kind));
+  std::vector<typename Mod::In> stimulus;
+  for (int v = 0; v < 2000; ++v) stimulus.push_back(random_in(rng));
+
+  EXPECT_EQ(mismatched_pairs<Mod>(mod, same, stimulus), 0u);
+  // The check has teeth: in one word of opposite-polarity pairs, some differ.
+  const std::size_t word = std::min<std::size_t>(32, opposite.size());
+  EXPECT_GT(mismatched_pairs<Mod>(mod, std::span(opposite).first(word), stimulus), 0u);
+}
+
+void expect_fwd_members_equivalent(CoreKind kind, std::size_t classes_want,
+                                   std::size_t faults_want) {
+  expect_members_equivalent<FwdNetlist>(kind, classes_want, faults_want,
+                                        [kind](Rng& rng) { return random_fwd_in(rng, kind); });
+}
+
+// One test per core: the forwarding netlists are the largest.
+TEST(FaultEquivalence, FwdCoreAMembersBehaveLikeTheirRepresentative) {
+  expect_fwd_members_equivalent(CoreKind::kA, 2300, 4622);
+}
+TEST(FaultEquivalence, FwdCoreBMembersBehaveLikeTheirRepresentative) {
+  expect_fwd_members_equivalent(CoreKind::kB, 2300, 4832);
+}
+TEST(FaultEquivalence, FwdCoreCMembersBehaveLikeTheirRepresentative) {
+  expect_fwd_members_equivalent(CoreKind::kC, 5636, 11122);
+}
+
+TEST(FaultEquivalence, HdcuMembersBehaveLikeTheirRepresentative) {
+  constexpr std::size_t kWant[3][2] = {{536, 906}, {536, 956}, {1232, 2048}};
+  for (int k = 0; k < 3; ++k) {
+    const auto kind = static_cast<CoreKind>(k);
+    SCOPED_TRACE(k);
+    expect_members_equivalent<HdcuNetlist>(
+        kind, kWant[k][0], kWant[k][1], [kind](Rng& rng) { return random_hdcu_in(rng, kind); });
+  }
+}
+
+TEST(FaultEquivalence, IcuMembersBehaveLikeTheirRepresentative) {
+  constexpr std::size_t kWant[3][2] = {{98, 160}, {98, 170}, {94, 146}};
+  for (int k = 0; k < 3; ++k) {
+    SCOPED_TRACE(k);
+    expect_members_equivalent<IcuNetlist>(static_cast<CoreKind>(k), kWant[k][0], kWant[k][1],
+                                          [](Rng& rng) { return random_icu_in(rng); });
+  }
 }
 
 TEST(ModuleStats, FaultListSizes) {

@@ -403,6 +403,9 @@ TEST(ThreadInvariance, FaultCampaignSimSubtreeByteIdenticalAt1_2_8Threads) {
   EXPECT_EQ(r1.sim_cycles, r8.sim_cycles);
   EXPECT_EQ(r1.screen_calls, r2.screen_calls);
   EXPECT_EQ(r1.screen_calls, r8.screen_calls);
+  EXPECT_GT(r1.fault_classes, 0u);
+  EXPECT_LE(r1.fault_classes, r1.simulated_faults);
+  EXPECT_EQ(r1.fault_classes, r8.fault_classes);
   // ...and excluded from the resume contract's canonical bytes.
   EXPECT_EQ(r1.canonical_bytes(), r2.canonical_bytes());
   EXPECT_EQ(r1.canonical_bytes(), r8.canonical_bytes());
@@ -425,6 +428,11 @@ TEST(ThreadInvariance, FaultCampaignSimSubtreeByteIdenticalAt1_2_8Threads) {
   EXPECT_EQ(sim1, sim2);
   EXPECT_EQ(sim1, sim8);
   EXPECT_NE(sim1.find("\"cycles\""), std::string::npos);
+  const PerfReport rep1 = report_for(r1, d1);
+  const Metric* classes = rep1.metrics.find("campaign.faults.classes", "module=fwd");
+  ASSERT_NE(classes, nullptr);
+  EXPECT_EQ(classes->source, MetricSource::kSim);
+  EXPECT_EQ(classes->counter, r1.fault_classes);
 }
 
 runtime::CampaignResult run_disturb(unsigned threads) {

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <vector>
@@ -173,20 +172,18 @@ TEST(SoakCampaign, ShardRangesMergeToTheStraightResult) {
 }
 
 // A journal write failing on a worker thread must surface as an exception
-// from the campaign, never as std::terminate, at any thread count.
+// from the campaign, never as std::terminate, at any thread count. A
+// directory squatting on the first shard's temp name makes that write fail
+// whichever worker reaches it.
 TEST(SoakCampaign, JournalWriteFailureThrowsAtAnyThreadCount) {
   for (const unsigned threads : {1u, 2u}) {
     const fs::path dir = scratch_dir("write-failure");
+    fs::create_directory(dir / "shard-000000.ckpt.tmp");
     SoakCampaignSpec spec = small_spec();
     spec.threads = threads;
     spec.checkpoint.dir = dir.string();
     spec.checkpoint.interval = 1;
     spec.checkpoint.fsync = fault::FsyncPolicy::kNone;
-    std::atomic<bool> removed{false};
-    spec.on_run_complete = [&](u64) {
-      std::error_code ec;
-      if (!removed.exchange(true)) fs::remove_all(dir, ec);
-    };
     EXPECT_THROW(run_soak_campaign(spec), std::runtime_error) << "threads=" << threads;
   }
 }
