@@ -18,7 +18,8 @@ namespace {
 
 using namespace detstl;
 
-void grade(const char* title, core::WrapperKind w, unsigned active_cores) {
+/// True when the fault-free run passed and the routine detected faults.
+bool grade(const char* title, core::WrapperKind w, unsigned active_cores) {
   const auto routine = core::make_icu_test();
   exp::Scenario sc{active_cores, {0, 3, 7}, 0, 0, "demo"};
   auto tests = exp::build_scenario_tests(*routine, w, sc, /*graded=*/0,
@@ -38,13 +39,15 @@ void grade(const char* title, core::WrapperKind w, unsigned active_cores) {
   const netlist::IcuNetlist icu(isa::CoreKind::kA);
   const auto report = fault::make_report(res, icu.nl(), cc.fault_stride);
   std::printf("\n%s", fault::render_report(report, title).c_str());
+  return res.good_verdict.status == soc::kStatusPass && res.detected > 0;
 }
 
 }  // namespace
 
 int main() {
   std::printf("stuck-at fault grading of core A's Interrupt Control Unit\n");
-  grade("single core, no caches (legacy)", core::WrapperKind::kPlain, 1);
-  grade("three cores, cache-based strategy", core::WrapperKind::kCacheBased, 3);
-  return 0;
+  const bool plain = grade("single core, no caches (legacy)", core::WrapperKind::kPlain, 1);
+  const bool cached =
+      grade("three cores, cache-based strategy", core::WrapperKind::kCacheBased, 3);
+  return plain && cached ? 0 : 1;
 }

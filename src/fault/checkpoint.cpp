@@ -475,7 +475,7 @@ void CheckpointWriter::flush() {
 void CheckpointWriter::flush_locked() {
   if (pending_.empty()) return;
   DETSTL_PROF_SCOPE(perf::ProfScope::kCheckpointIO);
-  const u64 flush_t0 = perf::detail::prof_now_ns();
+  const u64 flush_t0 = perf::wall_now_ns();
   std::vector<u8> payload;
   for (const ShardRecord& r : pending_) {
     put64(payload, r.index);
@@ -499,7 +499,7 @@ void CheckpointWriter::flush_locked() {
             static_cast<u32>(pending_.size()), shard);
   pending_.clear();
   flushed_.fetch_add(1, std::memory_order_relaxed);
-  flush_ns_.fetch_add(perf::detail::prof_now_ns() - flush_t0,
+  flush_ns_.fetch_add(perf::wall_now_ns() - flush_t0,
                       std::memory_order_relaxed);
 }
 

@@ -40,7 +40,7 @@ void run_pool(unsigned threads, const std::function<void(unsigned)>& body) {
 
 UnitDriver::UnitDriver(const char* what, u64 units, const UnitPlumbing& p,
                        const UnitJournal& journal)
-    : done_(units, 0), interrupt_(p.interrupt) {
+    : done_(units, 0), interrupt_(p.interrupt), on_run_complete_(p.on_run_complete) {
   std::optional<u64> hash;
   const auto config_hash = [&] {
     if (!hash) hash = journal.config_hash();
@@ -109,6 +109,7 @@ void UnitDriver::run(unsigned threads, std::size_t chunk,
         work.run(i);
         if (writer_) writer_->add(i, work.encode(i));
         if (work.on_done) work.on_done(i, w);
+        if (on_run_complete_) on_run_complete_(i);
         if (interrupt_ != nullptr) interrupt_->on_unit_complete();
       }
     }

@@ -11,8 +11,9 @@
 //  * the done mask: journalled units plus everything outside the shard range
 //    [unit_begin, unit_end);
 //  * the exception-safe worker pool pulling pending units from a WorkQueue
-//    (fault/work_queue.h), journal writes, the per-unit completion hook and
-//    the InterruptToken tick;
+//    (fault/work_queue.h), journal writes, the per-unit completion hooks
+//    (the kind's and UnitPlumbing::on_run_complete) and the InterruptToken
+//    tick;
 //  * the cooperative drain, the final shard flush and CheckpointStats.
 //
 // Aggregates are the caller's: it derives them from its by-index result
@@ -64,6 +65,12 @@ struct UnitPlumbing {
   /// detscope sink (non-owning; null = off) for the driver's
   /// kCkptFlush/kCkptLoad/kCkptReject telemetry; a kind may trace more.
   trace::EventSink* sink = nullptr;
+  /// Observability hook invoked once per unit completed by THIS process
+  /// (not for resumed or merged records), with the unit index: the fault
+  /// index or the run index. May be called concurrently from worker threads;
+  /// must never affect the result. The stlserve workers append their
+  /// heartbeat record here.
+  std::function<void(u64)> on_run_complete;
 };
 
 /// What one campaign kind journals.
@@ -84,8 +91,9 @@ struct UnitWork {
   std::function<void(u64 unit)> run;
   /// The unit's journal payload; called only when the campaign journals.
   std::function<std::vector<u8>(u64 unit)> encode;
-  /// Optional completion hook, called after the journal write.
-  std::function<void(u64 unit, unsigned worker)> on_done;
+  /// Optional completion hook, called after the journal write and before
+  /// UnitPlumbing::on_run_complete.
+  std::function<void(u64 unit, unsigned worker)> on_done = nullptr;
 };
 
 class UnitDriver {
@@ -113,6 +121,7 @@ class UnitDriver {
  private:
   std::vector<u8> done_;
   InterruptToken* interrupt_;
+  std::function<void(u64)> on_run_complete_;
   std::optional<CheckpointWriter> writer_;
   CheckpointStats stats_;
 };

@@ -1,9 +1,8 @@
 #include "isa/asmparser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <optional>
-#include <functional>
-#include <map>
 #include <vector>
 
 #include "isa/assembler.h"
@@ -11,10 +10,6 @@
 namespace detstl::isa {
 
 namespace {
-
-struct Token {
-  std::string text;
-};
 
 /// Split one logical line into comma/whitespace-separated operand tokens,
 /// keeping "off(base)" forms intact.
@@ -91,9 +86,9 @@ class Parser {
     if (op[0] == '.') {
       if (fragment_ && (op == ".org" || op == ".entry"))
         throw ParseError(ln, "'" + op + "' not allowed in a fragment");
-      directive(op, args, ln);
+      guarded(ln, [&] { directive(op, args, ln); });
     } else {
-      instruction(op, args, ln);
+      guarded(ln, [&] { instruction(op, args, ln); });
     }
   }
 
@@ -121,12 +116,30 @@ class Parser {
     return static_cast<Reg>(v);
   }
 
-  i64 imm(const std::string& t, unsigned ln) const {
+  /// A number in [lo, hi]: decimal, 0x hex or 0 octal.
+  i64 num(const std::string& t, i64 lo, i64 hi, unsigned ln) const {
     char* end = nullptr;
-    const long long v = std::strtoll(t.c_str(), &end, 0);  // base 0: dec/hex/oct
+    const long long v = std::strtoll(t.c_str(), &end, 0);
     if (end == t.c_str() || *end != '\0')
       throw ParseError(ln, "expected immediate, got '" + t + "'");
+    if (v < lo || v > hi)
+      throw ParseError(ln, "operand '" + t + "' out of range [" + std::to_string(lo) +
+                               ", " + std::to_string(hi) + "]");
     return v;
+  }
+
+  static constexpr i64 kMaxU32 = (i64{1} << 32) - 1;
+
+  /// A 32-bit operand: [-2^31, 2^32), read modulo 2^32.
+  u32 imm32(const std::string& t, unsigned ln) const {
+    return static_cast<u32>(num(t, -(i64{1} << 31), kMaxU32, ln));
+  }
+  /// A location or size (.org, .align, .space).
+  u32 size32(const std::string& t, unsigned ln) const {
+    return static_cast<u32>(num(t, 0, kMaxU32, ln));
+  }
+  Csr csr(const std::string& t, unsigned ln) const {
+    return static_cast<Csr>(num(t, 0, 0xffff, ln));
   }
 
   bool looks_numeric(const std::string& t) const {
@@ -142,7 +155,7 @@ class Parser {
       throw ParseError(ln, "expected offset(base), got '" + t + "'");
     const std::string off = t.substr(0, open);
     const std::string base = t.substr(open + 1, close - open - 1);
-    return {static_cast<i32>(off.empty() ? 0 : imm(off, ln)), reg(base, ln)};
+    return {static_cast<i32>(off.empty() ? 0 : imm32(off, ln)), reg(base, ln)};
   }
 
   void expect_argc(const std::vector<std::string>& args, std::size_t n, unsigned ln) {
@@ -153,166 +166,117 @@ class Parser {
 
   void directive(const std::string& op, const std::vector<std::string>& args,
                  unsigned ln) {
+    expect_argc(args, 1, ln);
     if (op == ".org") {
-      expect_argc(args, 1, ln);
-      a_->org(static_cast<u32>(imm(args[0], ln)));
+      a_->org(size32(args[0], ln));
     } else if (op == ".align") {
-      expect_argc(args, 1, ln);
-      guarded(ln, [&] { a_->align(static_cast<u32>(imm(args[0], ln))); });
+      a_->align(size32(args[0], ln));
     } else if (op == ".word") {
-      expect_argc(args, 1, ln);
       if (looks_numeric(args[0])) {
-        a_->word(static_cast<u32>(imm(args[0], ln)));
+        a_->word(imm32(args[0], ln));
       } else {
         a_->word_label(prefix_ + args[0]);
       }
     } else if (op == ".space") {
-      expect_argc(args, 1, ln);
-      a_->space(static_cast<u32>(imm(args[0], ln)));
+      a_->space(size32(args[0], ln));
     } else if (op == ".entry") {
-      expect_argc(args, 1, ln);
       a_->set_entry(prefix_ + args[0]);
     } else {
       throw ParseError(ln, "unknown directive '" + op + "'");
     }
   }
 
-  void instruction(const std::string& op, const std::vector<std::string>& args,
+  /// Operand count of each format; `jal target` may also drop its rd.
+  static std::size_t operand_count(Format f) {
+    switch (f) {
+      case Format::kNone:
+        return 0;
+      case Format::kLui: case Format::kLoad: case Format::kStore:
+      case Format::kJal: case Format::kCsrr: case Format::kCsrw:
+        return 2;
+      default:
+        return 3;
+    }
+  }
+
+  void instruction(const std::string& m, const std::vector<std::string>& args,
                    unsigned ln) {
-    using A = Assembler;
-    // R-type three-register ops.
-    static const std::map<std::string, void (A::*)(Reg, Reg, Reg)> r3 = {
-        {"add", &A::add}, {"sub", &A::sub}, {"and", &A::and_}, {"or", &A::or_},
-        {"xor", &A::xor_}, {"nor", &A::nor_}, {"slt", &A::slt}, {"sltu", &A::sltu},
-        {"sll", &A::sll}, {"srl", &A::srl}, {"sra", &A::sra}, {"mul", &A::mul},
-        {"mulh", &A::mulh}, {"div", &A::div}, {"divu", &A::divu}, {"rem", &A::rem},
-        {"addv", &A::addv}, {"subv", &A::subv},
-        {"add64", &A::add64}, {"sub64", &A::sub64}, {"and64", &A::and64},
-        {"or64", &A::or64}, {"xor64", &A::xor64}, {"slt64", &A::slt64},
-        {"sll64", &A::sll64}, {"srl64", &A::srl64}, {"sra64", &A::sra64},
-        {"addv64", &A::addv64}};
-    if (auto it = r3.find(op); it != r3.end()) {
-      expect_argc(args, 3, ln);
-      guarded(ln, [&] { ((*a_).*it->second)(reg(args[0], ln), reg(args[1], ln),
-                                         reg(args[2], ln)); });
-      return;
-    }
-
-    // I-type signed-immediate ops.
-    static const std::map<std::string, void (A::*)(Reg, Reg, i32)> i3 = {
-        {"addi", &A::addi}, {"slti", &A::slti}};
-    if (auto it = i3.find(op); it != i3.end()) {
-      expect_argc(args, 3, ln);
-      guarded(ln, [&] { ((*a_).*it->second)(reg(args[0], ln), reg(args[1], ln),
-                                         static_cast<i32>(imm(args[2], ln))); });
-      return;
-    }
-    // I-type unsigned-immediate ops.
-    static const std::map<std::string, void (A::*)(Reg, Reg, u32)> u3 = {
-        {"andi", &A::andi}, {"ori", &A::ori}, {"xori", &A::xori},
-        {"sltiu", &A::sltiu}, {"slli", &A::slli}, {"srli", &A::srli},
-        {"srai", &A::srai}};
-    if (auto it = u3.find(op); it != u3.end()) {
-      expect_argc(args, 3, ln);
-      guarded(ln, [&] { ((*a_).*it->second)(reg(args[0], ln), reg(args[1], ln),
-                                         static_cast<u32>(imm(args[2], ln))); });
-      return;
-    }
-
-    // Loads / stores: op rX, off(base).
-    static const std::map<std::string, void (A::*)(Reg, Reg, i32)> loads = {
-        {"lw", &A::lw}, {"lh", &A::lh}, {"lhu", &A::lhu}, {"lb", &A::lb},
-        {"lbu", &A::lbu}};
-    if (auto it = loads.find(op); it != loads.end()) {
+    const auto arg = [&](std::size_t i) { return reg(args[i], ln); };
+    const auto label = [&](std::size_t i) { return prefix_ + args[i]; };
+    // The pseudo-instructions.
+    if (m == "li" || m == "la") {
       expect_argc(args, 2, ln);
-      const auto [off, base] = mem_operand(args[1], ln);
-      guarded(ln, [&] { ((*a_).*it->second)(reg(args[0], ln), base, off); });
-      return;
-    }
-    static const std::map<std::string, void (A::*)(Reg, Reg, i32)> stores = {
-        {"sw", &A::sw}, {"sh", &A::sh}, {"sb", &A::sb}};
-    if (auto it = stores.find(op); it != stores.end()) {
-      expect_argc(args, 2, ln);
-      const auto [off, base] = mem_operand(args[1], ln);
-      guarded(ln, [&] { ((*a_).*it->second)(reg(args[0], ln), base, off); });
-      return;
-    }
-
-    // Branches: op rs1, rs2, label.
-    static const std::map<std::string, void (A::*)(Reg, Reg, const std::string&)> br = {
-        {"beq", &A::beq}, {"bne", &A::bne}, {"blt", &A::blt}, {"bge", &A::bge},
-        {"bltu", &A::bltu}, {"bgeu", &A::bgeu}};
-    if (auto it = br.find(op); it != br.end()) {
-      expect_argc(args, 3, ln);
-      guarded(ln, [&] { ((*a_).*it->second)(reg(args[0], ln), reg(args[1], ln), prefix_ + args[2]); });
-      return;
-    }
-
-    if (op == "jal") {
-      if (args.size() == 1) {
-        guarded(ln, [&] { a_->jal(prefix_ + args[0]); });
+      if (m == "li") {
+        a_->li(arg(0), imm32(args[1], ln));
       } else {
-        expect_argc(args, 2, ln);
-        guarded(ln, [&] { a_->jal(reg(args[0], ln), prefix_ + args[1]); });
+        a_->la(arg(0), label(1));
       }
       return;
     }
-    if (op == "jalr") {
-      expect_argc(args, args.size() == 3 ? 3 : 2, ln);
-      const i32 off = args.size() == 3 ? static_cast<i32>(imm(args[2], ln)) : 0;
-      guarded(ln, [&] { a_->jalr(reg(args[0], ln), reg(args[1], ln), off); });
+    if (m == "nop" || m == "ret") {
+      expect_argc(args, 0, ln);
+      if (m == "nop") {
+        a_->nop();
+      } else {
+        a_->ret();
+      }
       return;
     }
-    if (op == "ret") {
-      a_->ret();
-      return;
+
+    const auto row = std::find_if(kOpTable.begin(), kOpTable.end(), [&](const OpRow& r) {
+      return r.op != Op::kInvalid && r.mnemonic == m;
+    });
+    if (row == kOpTable.end()) throw ParseError(ln, "unknown mnemonic '" + m + "'");
+    const Op op = row->op;
+    const bool short_jal = row->fmt == Format::kJal && args.size() == 1;
+    expect_argc(args, short_jal ? 1 : operand_count(row->fmt), ln);
+    switch (row->fmt) {
+      case Format::kR: case Format::kR64:
+        a_->emit_r(op, arg(0), arg(1), arg(2));
+        break;
+      case Format::kAmo: {  // amoadd rd, (rs1), rs2
+        std::string addr = args[1];
+        if (addr.size() >= 2 && addr.front() == '(' && addr.back() == ')')
+          addr = addr.substr(1, addr.size() - 2);
+        a_->emit_r(op, arg(0), reg(addr, ln), arg(2));
+        break;
+      }
+      case Format::kI:
+        a_->emit_i(op, arg(0), arg(1), static_cast<i32>(imm32(args[2], ln)));
+        break;
+      case Format::kLui:
+        a_->emit_i(op, arg(0), R0, static_cast<i32>(imm32(args[1], ln)));
+        break;
+      case Format::kLoad:
+      case Format::kStore: {
+        const auto [off, base] = mem_operand(args[1], ln);
+        if (row->fmt == Format::kLoad) {
+          a_->emit_i(op, arg(0), base, off);
+        } else {
+          a_->emit_s(op, arg(0), base, off);
+        }
+        break;
+      }
+      case Format::kBranch:
+        a_->emit_b(op, arg(0), arg(1), label(2));
+        break;
+      case Format::kJal:
+        if (short_jal) {
+          a_->jal(label(0));
+        } else {
+          a_->jal(arg(0), label(1));
+        }
+        break;
+      case Format::kCsrr:
+        a_->csrr(arg(0), csr(args[1], ln));
+        break;
+      case Format::kCsrw:
+        a_->csrw(csr(args[0], ln), arg(1));
+        break;
+      case Format::kNone:
+        a_->emit(Instr{.op = op});
+        break;
     }
-    if (op == "amoadd") {
-      expect_argc(args, 3, ln);
-      // amoadd rd, (rs1), rs2
-      std::string addr = args[1];
-      if (addr.size() >= 2 && addr.front() == '(' && addr.back() == ')')
-        addr = addr.substr(1, addr.size() - 2);
-      guarded(ln, [&] { a_->amoadd(reg(args[0], ln), reg(addr, ln), reg(args[2], ln)); });
-      return;
-    }
-    if (op == "csrr") {
-      expect_argc(args, 2, ln);
-      guarded(ln, [&] {
-        a_->csrr(reg(args[0], ln), static_cast<Csr>(imm(args[1], ln)));
-      });
-      return;
-    }
-    if (op == "csrw") {
-      expect_argc(args, 2, ln);
-      guarded(ln, [&] {
-        a_->csrw(static_cast<Csr>(imm(args[0], ln)), reg(args[1], ln));
-      });
-      return;
-    }
-    if (op == "li") {
-      expect_argc(args, 2, ln);
-      guarded(ln, [&] { a_->li(reg(args[0], ln), static_cast<u32>(imm(args[1], ln))); });
-      return;
-    }
-    if (op == "la") {
-      expect_argc(args, 2, ln);
-      guarded(ln, [&] { a_->la(reg(args[0], ln), prefix_ + args[1]); });
-      return;
-    }
-    if (op == "nop") {
-      a_->nop();
-      return;
-    }
-    if (op == "eret") {
-      a_->eret();
-      return;
-    }
-    if (op == "halt") {
-      a_->halt();
-      return;
-    }
-    throw ParseError(ln, "unknown mnemonic '" + op + "'");
   }
 
   std::string_view src_;

@@ -3,10 +3,13 @@
 // builder Assembler. Lets self-test routines be written/maintained as .s
 // files alongside the programmatic generators.
 //
-// Syntax:
+// Every kOpTable mnemonic (isa.h) is accepted, with the operands of its
+// Format; li, la, nop and ret are the pseudo-instructions. Syntax:
 //   label:                      ; labels end with ':'
 //   add   r3, r1, r2            ; registers are r0..r31
 //   addi  r1, r0, -42           ; immediates: decimal or 0x... hex
+//   lui   r1, 0xdead
+//   amoadd r5, (r10), r2
 //   lw    r5, 8(r10)            ; loads/stores use offset(base)
 //   sw    r5, -4(r10)
 //   beq   r1, r2, target        ; control flow targets are labels
@@ -21,7 +24,11 @@
 //   .word label                 ; 32-bit absolute address of a label
 //   .space 64
 //   .entry main                 ; program entry point
-// Comments start with ';' or '#' and run to end of line.
+// Comments start with ';' or '#' and run to end of line. A 32-bit operand
+// (immediate, offset, li value, .word) must lie in [-2^31, 2^32), a CSR
+// number in [0, 0xffff] and a .org/.align/.space operand in [0, 2^32); the
+// builder then range-checks immediates by the op's ImmKind. Anything else,
+// and a wrong operand count, is a ParseError naming the line.
 
 #include <stdexcept>
 #include <string>

@@ -1,7 +1,5 @@
 #include "isa/assembler.h"
 
-#include <algorithm>
-
 namespace detstl::isa {
 
 void Assembler::align(u32 alignment) {
@@ -39,14 +37,6 @@ void Assembler::jal(Reg rd, const std::string& target) {
   emit(Instr{.op = Op::kJal, .rd = rd, .imm = 0});
 }
 
-void Assembler::csrr(Reg rd, Csr csr) {
-  emit(Instr{.op = Op::kCsrr, .rd = rd, .csr = static_cast<u16>(csr)});
-}
-
-void Assembler::csrw(Csr csr, Reg rs1) {
-  emit(Instr{.op = Op::kCsrw, .rs1 = rs1, .csr = static_cast<u16>(csr)});
-}
-
 void Assembler::li(Reg rd, u32 value) {
   lui(rd, value >> 16);
   ori(rd, rd, value & 0xffffu);
@@ -65,34 +55,38 @@ void Assembler::emit(const Instr& in) {
 }
 
 void Assembler::emit_r(Op op, Reg rd, Reg rs1, Reg rs2) {
-  emit(Instr{.op = op, .rd = rd, .rs1 = rs1, .rs2 = rs2});
-}
-
-void Assembler::emit_r64(Op op, Reg rd, Reg rs1, Reg rs2) {
-  if ((rd | rs1 | rs2) & 1)
+  if (is_r64(op) && ((rd | rs1 | rs2) & 1))
     throw AsmError("R64 instructions require even register pairs");
   emit(Instr{.op = op, .rd = rd, .rs1 = rs1, .rs2 = rs2});
 }
 
-void Assembler::emit_i(Op op, Reg rd, Reg rs1, i32 imm) {
-  switch (op) {
-    case Op::kSlli: case Op::kSrli: case Op::kSrai:
+namespace {
+
+void check_imm(Op op, i32 imm) {
+  switch (op_row(op).imm) {
+    case ImmKind::kShamt:
       if (imm < 0 || imm > 31) throw AsmError("shift amount out of range");
       break;
-    case Op::kAndi: case Op::kOri: case Op::kXori: case Op::kLui:
-    case Op::kSltiu:
+    case ImmKind::kUnsigned:
       if (!fits_unsigned(static_cast<u32>(imm), 16))
         throw AsmError("unsigned immediate out of range");
       break;
-    default:
+    case ImmKind::kSigned:
+    case ImmKind::kNone:
       if (!fits_signed(imm, 16)) throw AsmError("signed immediate out of range");
       break;
   }
+}
+
+}  // namespace
+
+void Assembler::emit_i(Op op, Reg rd, Reg rs1, i32 imm) {
+  check_imm(op, imm);
   emit(Instr{.op = op, .rd = rd, .rs1 = rs1, .imm = imm});
 }
 
 void Assembler::emit_s(Op op, Reg data, Reg base, i32 off) {
-  if (!fits_signed(off, 16)) throw AsmError("store offset out of range");
+  check_imm(op, off);
   emit(Instr{.op = op, .rs1 = base, .rs2 = data, .imm = off});
 }
 

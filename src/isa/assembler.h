@@ -63,16 +63,16 @@ class Assembler {
   void amoadd(Reg rd, Reg rs1_addr, Reg rs2) { emit_r(Op::kAmoAdd, rd, rs1_addr, rs2); }
 
   // --- R64 group (core C) ------------------------------------------------------
-  void add64(Reg rd, Reg rs1, Reg rs2) { emit_r64(Op::kAdd64, rd, rs1, rs2); }
-  void sub64(Reg rd, Reg rs1, Reg rs2) { emit_r64(Op::kSub64, rd, rs1, rs2); }
-  void and64(Reg rd, Reg rs1, Reg rs2) { emit_r64(Op::kAnd64, rd, rs1, rs2); }
-  void or64(Reg rd, Reg rs1, Reg rs2) { emit_r64(Op::kOr64, rd, rs1, rs2); }
-  void xor64(Reg rd, Reg rs1, Reg rs2) { emit_r64(Op::kXor64, rd, rs1, rs2); }
-  void slt64(Reg rd, Reg rs1, Reg rs2) { emit_r64(Op::kSlt64, rd, rs1, rs2); }
-  void sll64(Reg rd, Reg rs1, Reg rs2) { emit_r64(Op::kSll64, rd, rs1, rs2); }
-  void srl64(Reg rd, Reg rs1, Reg rs2) { emit_r64(Op::kSrl64, rd, rs1, rs2); }
-  void sra64(Reg rd, Reg rs1, Reg rs2) { emit_r64(Op::kSra64, rd, rs1, rs2); }
-  void addv64(Reg rd, Reg rs1, Reg rs2) { emit_r64(Op::kAddv64, rd, rs1, rs2); }
+  void add64(Reg rd, Reg rs1, Reg rs2) { emit_r(Op::kAdd64, rd, rs1, rs2); }
+  void sub64(Reg rd, Reg rs1, Reg rs2) { emit_r(Op::kSub64, rd, rs1, rs2); }
+  void and64(Reg rd, Reg rs1, Reg rs2) { emit_r(Op::kAnd64, rd, rs1, rs2); }
+  void or64(Reg rd, Reg rs1, Reg rs2) { emit_r(Op::kOr64, rd, rs1, rs2); }
+  void xor64(Reg rd, Reg rs1, Reg rs2) { emit_r(Op::kXor64, rd, rs1, rs2); }
+  void slt64(Reg rd, Reg rs1, Reg rs2) { emit_r(Op::kSlt64, rd, rs1, rs2); }
+  void sll64(Reg rd, Reg rs1, Reg rs2) { emit_r(Op::kSll64, rd, rs1, rs2); }
+  void srl64(Reg rd, Reg rs1, Reg rs2) { emit_r(Op::kSrl64, rd, rs1, rs2); }
+  void sra64(Reg rd, Reg rs1, Reg rs2) { emit_r(Op::kSra64, rd, rs1, rs2); }
+  void addv64(Reg rd, Reg rs1, Reg rs2) { emit_r(Op::kAddv64, rd, rs1, rs2); }
 
   // --- I-type ALU ---------------------------------------------------------------
   void addi(Reg rd, Reg rs1, i32 imm) { emit_i(Op::kAddi, rd, rs1, imm); }
@@ -110,8 +110,12 @@ class Assembler {
   void ret() { jalr(R0, R31, 0); }
 
   // --- system ----------------------------------------------------------------
-  void csrr(Reg rd, Csr csr);
-  void csrw(Csr csr, Reg rs1);
+  void csrr(Reg rd, Csr csr) {
+    emit(Instr{.op = Op::kCsrr, .rd = rd, .csr = static_cast<u16>(csr)});
+  }
+  void csrw(Csr csr, Reg rs1) {
+    emit(Instr{.op = Op::kCsrw, .rs1 = rs1, .csr = static_cast<u16>(csr)});
+  }
   void eret() { emit(Instr{.op = Op::kEret}); }
   void halt() { emit(Instr{.op = Op::kHalt}); }
 
@@ -124,6 +128,17 @@ class Assembler {
   /// Resolve labels and produce the final image.
   Program assemble();
 
+  // --- generic emitters, by operand format (isa.h) -----------------------------
+  // Every op-named method above is one of these; the text assembler calls
+  // them with the op it looked up in kOpTable.
+  void emit(const Instr& in);
+  /// R, R64 and AMO formats; R64 registers must be even.
+  void emit_r(Op op, Reg rd, Reg rs1, Reg rs2);
+  /// I, LUI and load formats; `imm` is range-checked by the op's ImmKind.
+  void emit_i(Op op, Reg rd, Reg rs1, i32 imm);
+  void emit_s(Op op, Reg data, Reg base, i32 off);
+  void emit_b(Op op, Reg rs1, Reg rs2, const std::string& target);
+
  private:
   enum class FixKind { kBranch16, kJal21, kAbsHi, kAbsLo, kWord32 };
   struct Fixup {
@@ -132,12 +147,6 @@ class Assembler {
     std::string label;
   };
 
-  void emit(const Instr& in);
-  void emit_r(Op op, Reg rd, Reg rs1, Reg rs2);
-  void emit_r64(Op op, Reg rd, Reg rs1, Reg rs2);
-  void emit_i(Op op, Reg rd, Reg rs1, i32 imm);
-  void emit_s(Op op, Reg data, Reg base, i32 off);
-  void emit_b(Op op, Reg rs1, Reg rs2, const std::string& target);
   void put_word(u32 addr, u32 w);
   void put_byte(u32 addr, u8 b);
   u32 get_word(u32 addr) const;

@@ -6,63 +6,47 @@
 
 namespace detstl::isa {
 
-namespace {
-std::string reg(u8 r) { return "r" + std::to_string(r); }
-}  // namespace
-
 std::string disasm(const Instr& in) {
   char buf[96];
-  const auto m = std::string(mnemonic(in.op));
-  switch (op_class(in.op)) {
-    case OpClass::kAlu:
-    case OpClass::kMulDiv:
-      if (in.op == Op::kLui) {
-        std::snprintf(buf, sizeof buf, "%-6s %s, 0x%x", m.c_str(), reg(in.rd).c_str(),
-                      static_cast<u32>(in.imm));
-      } else if (reads_rs2(in)) {
-        std::snprintf(buf, sizeof buf, "%-6s %s, %s, %s", m.c_str(), reg(in.rd).c_str(),
-                      reg(in.rs1).c_str(), reg(in.rs2).c_str());
-      } else {
-        std::snprintf(buf, sizeof buf, "%-6s %s, %s, %d", m.c_str(), reg(in.rd).c_str(),
-                      reg(in.rs1).c_str(), in.imm);
-      }
-      return buf;
-    case OpClass::kMem:
-      if (in.op == Op::kAmoAdd) {
-        std::snprintf(buf, sizeof buf, "%-6s %s, (%s), %s", m.c_str(), reg(in.rd).c_str(),
-                      reg(in.rs1).c_str(), reg(in.rs2).c_str());
-      } else if (is_store(in.op)) {
-        std::snprintf(buf, sizeof buf, "%-6s %s, %d(%s)", m.c_str(), reg(in.rs2).c_str(),
-                      in.imm, reg(in.rs1).c_str());
-      } else {
-        std::snprintf(buf, sizeof buf, "%-6s %s, %d(%s)", m.c_str(), reg(in.rd).c_str(),
-                      in.imm, reg(in.rs1).c_str());
-      }
-      return buf;
-    case OpClass::kBranch:
-      if (in.op == Op::kJal) {
-        std::snprintf(buf, sizeof buf, "%-6s %s, %+d", m.c_str(), reg(in.rd).c_str(), in.imm);
-      } else if (in.op == Op::kJalr) {
-        std::snprintf(buf, sizeof buf, "%-6s %s, %s, %d", m.c_str(), reg(in.rd).c_str(),
-                      reg(in.rs1).c_str(), in.imm);
-      } else {
-        std::snprintf(buf, sizeof buf, "%-6s %s, %s, %+d", m.c_str(), reg(in.rs1).c_str(),
-                      reg(in.rs2).c_str(), in.imm);
-      }
-      return buf;
-    case OpClass::kSys:
-      if (in.op == Op::kCsrr) {
-        std::snprintf(buf, sizeof buf, "%-6s %s, csr[0x%x]", m.c_str(), reg(in.rd).c_str(), in.csr);
-      } else if (in.op == Op::kCsrw) {
-        std::snprintf(buf, sizeof buf, "%-6s csr[0x%x], %s", m.c_str(), in.csr, reg(in.rs1).c_str());
-      } else {
-        std::snprintf(buf, sizeof buf, "%s", m.c_str());
-      }
-      return buf;
-    case OpClass::kInvalid:
+  const std::string m(mnemonic(in.op));
+  const char* op = m.c_str();
+  const unsigned rd = in.rd, rs1 = in.rs1, rs2 = in.rs2;
+  switch (op_row(in.op).fmt) {
+    case Format::kR: case Format::kR64:
+      std::snprintf(buf, sizeof buf, "%-6s r%u, r%u, r%u", op, rd, rs1, rs2);
+      break;
+    case Format::kAmo:
+      std::snprintf(buf, sizeof buf, "%-6s r%u, (r%u), r%u", op, rd, rs1, rs2);
+      break;
+    case Format::kI:
+      std::snprintf(buf, sizeof buf, "%-6s r%u, r%u, %d", op, rd, rs1, in.imm);
+      break;
+    case Format::kLui:
+      std::snprintf(buf, sizeof buf, "%-6s r%u, 0x%x", op, rd, static_cast<u32>(in.imm));
+      break;
+    case Format::kLoad:
+      std::snprintf(buf, sizeof buf, "%-6s r%u, %d(r%u)", op, rd, in.imm, rs1);
+      break;
+    case Format::kStore:
+      std::snprintf(buf, sizeof buf, "%-6s r%u, %d(r%u)", op, rs2, in.imm, rs1);
+      break;
+    case Format::kBranch:
+      std::snprintf(buf, sizeof buf, "%-6s r%u, r%u, %+d", op, rs1, rs2, in.imm);
+      break;
+    case Format::kJal:
+      std::snprintf(buf, sizeof buf, "%-6s r%u, %+d", op, rd, in.imm);
+      break;
+    case Format::kCsrr:
+      std::snprintf(buf, sizeof buf, "%-6s r%u, csr[0x%x]", op, rd, in.csr);
+      break;
+    case Format::kCsrw:
+      std::snprintf(buf, sizeof buf, "%-6s csr[0x%x], r%u", op, in.csr, rs1);
+      break;
+    case Format::kNone:
+      if (in.valid()) return m;
+      std::snprintf(buf, sizeof buf, ".word 0x%08x", in.raw);
       break;
   }
-  std::snprintf(buf, sizeof buf, ".word 0x%08x", in.raw);
   return buf;
 }
 

@@ -6,329 +6,133 @@ namespace detstl::isa {
 
 namespace {
 
-// Major opcodes, [31:26].
-enum Major : u32 {
-  kOpR = 0x01,
-  kOpR64 = 0x02,
-  kOpAddi = 0x04,
-  kOpAndi = 0x05,
-  kOpOri = 0x06,
-  kOpXori = 0x07,
-  kOpSlti = 0x08,
-  kOpSltiu = 0x09,
-  kOpSlli = 0x0a,
-  kOpSrli = 0x0b,
-  kOpSrai = 0x0c,
-  kOpLui = 0x0d,
-  kOpLw = 0x10,
-  kOpLh = 0x11,
-  kOpLhu = 0x12,
-  kOpLb = 0x13,
-  kOpLbu = 0x14,
-  kOpSw = 0x15,
-  kOpSh = 0x16,
-  kOpSb = 0x17,
-  kOpBeq = 0x18,
-  kOpBne = 0x19,
-  kOpBlt = 0x1a,
-  kOpBge = 0x1b,
-  kOpBltu = 0x1c,
-  kOpBgeu = 0x1d,
-  kOpJal = 0x1e,
-  kOpJalr = 0x1f,
-  kOpCsrr = 0x20,
-  kOpCsrw = 0x21,
-  kOpEret = 0x22,
-  kOpHalt = 0x23,
+/// decode's lookup, built from kOpTable at compile time: per major, the op
+/// of a single-op major with its layout and immediate kind, or the funct
+/// table of a funct major (whose unknown functs still decode as kR layout).
+constexpr unsigned kMajors = 64;
+constexpr unsigned kFunctSlots = 32;
+constexpr unsigned kFunctMajors = 2;
+
+struct MajorEntry {
+  Op op = Op::kInvalid;
+  Format fmt = Format::kNone;
+  ImmKind imm = ImmKind::kNone;
+  u8 funct_set = 0;  // 1 + index into DecodeIndex::funct_op; 0 = single op
 };
 
-// funct[10:0] values inside kOpR.
-enum FunctR : u32 {
-  kFAdd = 0, kFSub, kFAnd, kFOr, kFXor, kFNor, kFSlt, kFSltu, kFSll, kFSrl,
-  kFSra, kFMul, kFMulh, kFDiv, kFDivu, kFRem, kFAddv, kFSubv, kFAmoAdd,
+struct DecodeIndex {
+  std::array<MajorEntry, kMajors> major{};
+  std::array<std::array<Op, kFunctSlots>, kFunctMajors> funct_op{};
 };
 
-// funct[10:0] values inside kOpR64.
-enum FunctR64 : u32 {
-  kFAdd64 = 0, kFSub64, kFAnd64, kFOr64, kFXor64, kFSlt64, kFSll64, kFSrl64,
-  kFSra64, kFAddv64,
-};
-
-struct REnc {
-  Major major;
-  u32 funct;
-};
-
-bool r_encoding(Op op, REnc& out) {
-  switch (op) {
-    case Op::kAdd: out = {kOpR, kFAdd}; return true;
-    case Op::kSub: out = {kOpR, kFSub}; return true;
-    case Op::kAnd: out = {kOpR, kFAnd}; return true;
-    case Op::kOr: out = {kOpR, kFOr}; return true;
-    case Op::kXor: out = {kOpR, kFXor}; return true;
-    case Op::kNor: out = {kOpR, kFNor}; return true;
-    case Op::kSlt: out = {kOpR, kFSlt}; return true;
-    case Op::kSltu: out = {kOpR, kFSltu}; return true;
-    case Op::kSll: out = {kOpR, kFSll}; return true;
-    case Op::kSrl: out = {kOpR, kFSrl}; return true;
-    case Op::kSra: out = {kOpR, kFSra}; return true;
-    case Op::kMul: out = {kOpR, kFMul}; return true;
-    case Op::kMulh: out = {kOpR, kFMulh}; return true;
-    case Op::kDiv: out = {kOpR, kFDiv}; return true;
-    case Op::kDivu: out = {kOpR, kFDivu}; return true;
-    case Op::kRem: out = {kOpR, kFRem}; return true;
-    case Op::kAddv: out = {kOpR, kFAddv}; return true;
-    case Op::kSubv: out = {kOpR, kFSubv}; return true;
-    case Op::kAmoAdd: out = {kOpR, kFAmoAdd}; return true;
-    case Op::kAdd64: out = {kOpR64, kFAdd64}; return true;
-    case Op::kSub64: out = {kOpR64, kFSub64}; return true;
-    case Op::kAnd64: out = {kOpR64, kFAnd64}; return true;
-    case Op::kOr64: out = {kOpR64, kFOr64}; return true;
-    case Op::kXor64: out = {kOpR64, kFXor64}; return true;
-    case Op::kSlt64: out = {kOpR64, kFSlt64}; return true;
-    case Op::kSll64: out = {kOpR64, kFSll64}; return true;
-    case Op::kSrl64: out = {kOpR64, kFSrl64}; return true;
-    case Op::kSra64: out = {kOpR64, kFSra64}; return true;
-    case Op::kAddv64: out = {kOpR64, kFAddv64}; return true;
-    default:
-      return false;
+constexpr DecodeIndex kIndex = [] {
+  DecodeIndex ix;
+  for (auto& ops : ix.funct_op) ops.fill(Op::kInvalid);
+  unsigned sets = 0;
+  for (const OpRow& r : kOpTable) {
+    if (r.op == Op::kInvalid) continue;
+    MajorEntry& e = ix.major.at(r.major);
+    if (!has_funct(r.fmt)) {
+      e = {r.op, r.fmt, r.imm, 0};
+      continue;
+    }
+    if (e.funct_set == 0) e = {Op::kInvalid, Format::kR, ImmKind::kNone, static_cast<u8>(++sets)};
+    ix.funct_op.at(e.funct_set - 1u).at(r.funct) = r.op;
   }
-}
+  return ix;
+}();
 
-Op r_op(u32 funct) {
-  switch (funct) {
-    case kFAdd: return Op::kAdd;
-    case kFSub: return Op::kSub;
-    case kFAnd: return Op::kAnd;
-    case kFOr: return Op::kOr;
-    case kFXor: return Op::kXor;
-    case kFNor: return Op::kNor;
-    case kFSlt: return Op::kSlt;
-    case kFSltu: return Op::kSltu;
-    case kFSll: return Op::kSll;
-    case kFSrl: return Op::kSrl;
-    case kFSra: return Op::kSra;
-    case kFMul: return Op::kMul;
-    case kFMulh: return Op::kMulh;
-    case kFDiv: return Op::kDiv;
-    case kFDivu: return Op::kDivu;
-    case kFRem: return Op::kRem;
-    case kFAddv: return Op::kAddv;
-    case kFSubv: return Op::kSubv;
-    case kFAmoAdd: return Op::kAmoAdd;
-    default:
-      return Op::kInvalid;
-  }
-}
-
-Op r64_op(u32 funct) {
-  switch (funct) {
-    case kFAdd64: return Op::kAdd64;
-    case kFSub64: return Op::kSub64;
-    case kFAnd64: return Op::kAnd64;
-    case kFOr64: return Op::kOr64;
-    case kFXor64: return Op::kXor64;
-    case kFSlt64: return Op::kSlt64;
-    case kFSll64: return Op::kSll64;
-    case kFSrl64: return Op::kSrl64;
-    case kFSra64: return Op::kSra64;
-    case kFAddv64: return Op::kAddv64;
-    default:
-      return Op::kInvalid;
-  }
-}
-
-bool imm_major(Op op, Major& out) {
-  switch (op) {
-    case Op::kAddi: out = kOpAddi; return true;
-    case Op::kAndi: out = kOpAndi; return true;
-    case Op::kOri: out = kOpOri; return true;
-    case Op::kXori: out = kOpXori; return true;
-    case Op::kSlti: out = kOpSlti; return true;
-    case Op::kSltiu: out = kOpSltiu; return true;
-    case Op::kSlli: out = kOpSlli; return true;
-    case Op::kSrli: out = kOpSrli; return true;
-    case Op::kSrai: out = kOpSrai; return true;
-    case Op::kLui: out = kOpLui; return true;
-    case Op::kLw: out = kOpLw; return true;
-    case Op::kLh: out = kOpLh; return true;
-    case Op::kLhu: out = kOpLhu; return true;
-    case Op::kLb: out = kOpLb; return true;
-    case Op::kLbu: out = kOpLbu; return true;
-    case Op::kJalr: out = kOpJalr; return true;
-    default:
-      return false;
-  }
-}
-
-/// Immediates of logical ops (ANDI/ORI/XORI), LUI, shifts, SLTIU and CSR
-/// numbers are zero-extended; everything else is sign-extended.
-bool zero_extended_imm(Op op) {
-  switch (op) {
-    case Op::kAndi: case Op::kOri: case Op::kXori: case Op::kLui:
-    case Op::kSlli: case Op::kSrli: case Op::kSrai: case Op::kSltiu:
-      return true;
-    default:
-      return false;
-  }
-}
-
-u32 field_reg(u8 r) {
+u32 reg_at(u8 r, unsigned lsb) {
   assert(r < kNumRegs);
-  return static_cast<u32>(r & 31u);
+  return static_cast<u32>(r & 31u) << lsb;
 }
 
-u32 field_imm16(Op op, i32 imm) {
-  if (zero_extended_imm(op)) {
-    assert(fits_unsigned(static_cast<u32>(imm), 16));
-  } else {
-    assert(fits_signed(imm, 16));
-  }
+u32 field_imm16(ImmKind kind, i32 imm) {
+  assert(kind == ImmKind::kSigned ? fits_signed(imm, 16)
+                                  : fits_unsigned(static_cast<u32>(imm), 16));
+  (void)kind;
   return static_cast<u32>(imm) & 0xffffu;
 }
 
 }  // namespace
 
 u32 encode(const Instr& in) {
-  REnc re;
-  if (r_encoding(in.op, re)) {
-    return (static_cast<u32>(re.major) << 26) | (field_reg(in.rd) << 21) |
-           (field_reg(in.rs1) << 16) | (field_reg(in.rs2) << 11) |
-           (re.funct & 0x7ffu);
-  }
-  Major m;
-  if (imm_major(in.op, m)) {
-    return (static_cast<u32>(m) << 26) | (field_reg(in.rd) << 21) |
-           (field_reg(in.rs1) << 16) | field_imm16(in.op, in.imm);
-  }
-  switch (in.op) {
-    case Op::kSw: case Op::kSh: case Op::kSb: {
-      const Major sm = in.op == Op::kSw ? kOpSw : in.op == Op::kSh ? kOpSh : kOpSb;
-      return (static_cast<u32>(sm) << 26) | (field_reg(in.rs2) << 21) |
-             (field_reg(in.rs1) << 16) | field_imm16(in.op, in.imm);
-    }
-    case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
-    case Op::kBltu: case Op::kBgeu: {
-      Major bm = kOpBeq;
-      switch (in.op) {
-        case Op::kBeq: bm = kOpBeq; break;
-        case Op::kBne: bm = kOpBne; break;
-        case Op::kBlt: bm = kOpBlt; break;
-        case Op::kBge: bm = kOpBge; break;
-        case Op::kBltu: bm = kOpBltu; break;
-        default: bm = kOpBgeu; break;
-      }
-      return (static_cast<u32>(bm) << 26) | (field_reg(in.rs1) << 21) |
-             (field_reg(in.rs2) << 16) | field_imm16(in.op, in.imm);
-    }
-    case Op::kJal:
+  const OpRow& row = op_row(in.op);
+  const u32 major = static_cast<u32>(row.major) << 26;
+  switch (row.fmt) {
+    case Format::kR: case Format::kR64: case Format::kAmo:
+      return major | reg_at(in.rd, 21) | reg_at(in.rs1, 16) | reg_at(in.rs2, 11) |
+             row.funct;
+    case Format::kI: case Format::kLui: case Format::kLoad:
+      return major | reg_at(in.rd, 21) | reg_at(in.rs1, 16) |
+             field_imm16(row.imm, in.imm);
+    case Format::kStore:
+      return major | reg_at(in.rs2, 21) | reg_at(in.rs1, 16) |
+             field_imm16(row.imm, in.imm);
+    case Format::kBranch:
+      return major | reg_at(in.rs1, 21) | reg_at(in.rs2, 16) |
+             field_imm16(row.imm, in.imm);
+    case Format::kJal:
       assert(fits_signed(in.imm, 21));
-      return (static_cast<u32>(kOpJal) << 26) | (field_reg(in.rd) << 21) |
-             (static_cast<u32>(in.imm) & 0x1fffffu);
-    case Op::kCsrr:
-      return (static_cast<u32>(kOpCsrr) << 26) | (field_reg(in.rd) << 21) |
-             (static_cast<u32>(in.csr) & 0xffffu);
-    case Op::kCsrw:
-      return (static_cast<u32>(kOpCsrw) << 26) | (field_reg(in.rs1) << 16) |
-             (static_cast<u32>(in.csr) & 0xffffu);
-    case Op::kEret:
-      return static_cast<u32>(kOpEret) << 26;
-    case Op::kHalt:
-      return static_cast<u32>(kOpHalt) << 26;
-    default:
-      assert(false && "unencodable instruction");
-      return 0;
+      return major | reg_at(in.rd, 21) | (static_cast<u32>(in.imm) & 0x1fffffu);
+    case Format::kCsrr:
+      return major | reg_at(in.rd, 21) | in.csr;
+    case Format::kCsrw:
+      return major | reg_at(in.rs1, 16) | in.csr;
+    case Format::kNone:
+      break;
   }
+  assert(in.op != Op::kInvalid && "unencodable instruction");
+  return major;
 }
 
 Instr decode(u32 word) {
   Instr in;
   in.raw = word;
-  const u32 major = bits(word, 31, 26);
+  const MajorEntry& e = kIndex.major[bits(word, 31, 26)];
+  const u32 funct = bits(word, 10, 0);
+  in.op = e.funct_set == 0         ? e.op
+          : funct < kFunctSlots ? kIndex.funct_op[e.funct_set - 1u][funct]
+                                : Op::kInvalid;
   const u8 f_rd = static_cast<u8>(bits(word, 25, 21));
   const u8 f_rs1 = static_cast<u8>(bits(word, 20, 16));
-  const u8 f_rs2 = static_cast<u8>(bits(word, 15, 11));
   const u32 imm16 = bits(word, 15, 0);
 
-  switch (major) {
-    case kOpR:
-      in.op = r_op(bits(word, 10, 0));
+  switch (e.fmt) {
+    case Format::kR: case Format::kR64: case Format::kAmo:
       in.rd = f_rd;
       in.rs1 = f_rs1;
-      in.rs2 = f_rs2;
-      return in;
-    case kOpR64:
-      in.op = r64_op(bits(word, 10, 0));
+      in.rs2 = static_cast<u8>(bits(word, 15, 11));
+      break;
+    case Format::kI: case Format::kLui: case Format::kLoad:
       in.rd = f_rd;
       in.rs1 = f_rs1;
-      in.rs2 = f_rs2;
-      return in;
-    case kOpAddi: in.op = Op::kAddi; break;
-    case kOpAndi: in.op = Op::kAndi; break;
-    case kOpOri: in.op = Op::kOri; break;
-    case kOpXori: in.op = Op::kXori; break;
-    case kOpSlti: in.op = Op::kSlti; break;
-    case kOpSltiu: in.op = Op::kSltiu; break;
-    case kOpSlli: in.op = Op::kSlli; break;
-    case kOpSrli: in.op = Op::kSrli; break;
-    case kOpSrai: in.op = Op::kSrai; break;
-    case kOpLui: in.op = Op::kLui; break;
-    case kOpLw: in.op = Op::kLw; break;
-    case kOpLh: in.op = Op::kLh; break;
-    case kOpLhu: in.op = Op::kLhu; break;
-    case kOpLb: in.op = Op::kLb; break;
-    case kOpLbu: in.op = Op::kLbu; break;
-    case kOpJalr: in.op = Op::kJalr; break;
-    case kOpSw: case kOpSh: case kOpSb:
-      in.op = major == kOpSw ? Op::kSw : major == kOpSh ? Op::kSh : Op::kSb;
-      in.rs2 = f_rd;  // data register occupies the rd field slot
+      break;
+    case Format::kStore:
+      in.rs2 = f_rd;  // the data register occupies the rd field slot
       in.rs1 = f_rs1;
-      in.imm = sext(imm16, 16);
-      return in;
-    case kOpBeq: case kOpBne: case kOpBlt: case kOpBge: case kOpBltu:
-    case kOpBgeu:
-      switch (major) {
-        case kOpBeq: in.op = Op::kBeq; break;
-        case kOpBne: in.op = Op::kBne; break;
-        case kOpBlt: in.op = Op::kBlt; break;
-        case kOpBge: in.op = Op::kBge; break;
-        case kOpBltu: in.op = Op::kBltu; break;
-        default: in.op = Op::kBgeu; break;
-      }
+      break;
+    case Format::kBranch:
       in.rs1 = f_rd;  // rs1 occupies the rd field slot
       in.rs2 = f_rs1;
-      in.imm = sext(imm16, 16);
-      return in;
-    case kOpJal:
-      in.op = Op::kJal;
+      break;
+    case Format::kJal:
       in.rd = f_rd;
       in.imm = sext(bits(word, 20, 0), 21);
-      return in;
-    case kOpCsrr:
-      in.op = Op::kCsrr;
+      break;
+    case Format::kCsrr:
       in.rd = f_rd;
       in.csr = static_cast<u16>(imm16);
-      return in;
-    case kOpCsrw:
-      in.op = Op::kCsrw;
+      break;
+    case Format::kCsrw:
       in.rs1 = f_rs1;
       in.csr = static_cast<u16>(imm16);
-      return in;
-    case kOpEret:
-      in.op = Op::kEret;
-      return in;
-    case kOpHalt:
-      in.op = Op::kHalt;
-      return in;
-    default:
-      in.op = Op::kInvalid;
-      return in;
+      break;
+    case Format::kNone:
+      break;
   }
-
-  // Common I-type tail.
-  in.rd = f_rd;
-  in.rs1 = f_rs1;
-  in.imm = zero_extended_imm(in.op) ? static_cast<i32>(imm16) : sext(imm16, 16);
+  if (e.imm != ImmKind::kNone)
+    in.imm = e.imm == ImmKind::kSigned ? sext(imm16, 16) : static_cast<i32>(imm16);
   return in;
 }
 

@@ -2,205 +2,32 @@
 
 namespace detstl::isa {
 
-OpClass op_class(Op op) {
-  switch (op) {
-    case Op::kAdd: case Op::kSub: case Op::kAnd: case Op::kOr: case Op::kXor:
-    case Op::kNor: case Op::kSlt: case Op::kSltu: case Op::kSll: case Op::kSrl:
-    case Op::kSra: case Op::kMul: case Op::kMulh: case Op::kAddv: case Op::kSubv:
-    case Op::kAdd64: case Op::kSub64: case Op::kAnd64: case Op::kOr64:
-    case Op::kXor64: case Op::kSlt64: case Op::kSll64: case Op::kSrl64:
-    case Op::kSra64: case Op::kAddv64:
-    case Op::kAddi: case Op::kAndi: case Op::kOri: case Op::kXori:
-    case Op::kSlti: case Op::kSltiu: case Op::kSlli: case Op::kSrli:
-    case Op::kSrai: case Op::kLui:
-      return OpClass::kAlu;
-    case Op::kDiv: case Op::kDivu: case Op::kRem:
-      return OpClass::kMulDiv;
-    case Op::kLw: case Op::kLh: case Op::kLhu: case Op::kLb: case Op::kLbu:
-    case Op::kSw: case Op::kSh: case Op::kSb: case Op::kAmoAdd:
-      return OpClass::kMem;
-    case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
-    case Op::kBltu: case Op::kBgeu: case Op::kJal: case Op::kJalr:
-      return OpClass::kBranch;
-    case Op::kCsrr: case Op::kCsrw: case Op::kEret: case Op::kHalt:
-      return OpClass::kSys;
-    case Op::kInvalid:
-      break;
-  }
-  return OpClass::kInvalid;
+namespace {
+
+constexpr bool rows_in_op_order() {
+  for (unsigned i = 0; i < kNumOps; ++i)
+    if (kOpTable[i].op != static_cast<Op>(i)) return false;
+  return true;
 }
 
-std::string_view mnemonic(Op op) {
-  switch (op) {
-    case Op::kAdd: return "add";
-    case Op::kSub: return "sub";
-    case Op::kAnd: return "and";
-    case Op::kOr: return "or";
-    case Op::kXor: return "xor";
-    case Op::kNor: return "nor";
-    case Op::kSlt: return "slt";
-    case Op::kSltu: return "sltu";
-    case Op::kSll: return "sll";
-    case Op::kSrl: return "srl";
-    case Op::kSra: return "sra";
-    case Op::kMul: return "mul";
-    case Op::kMulh: return "mulh";
-    case Op::kDiv: return "div";
-    case Op::kDivu: return "divu";
-    case Op::kRem: return "rem";
-    case Op::kAddv: return "addv";
-    case Op::kSubv: return "subv";
-    case Op::kAmoAdd: return "amoadd";
-    case Op::kAdd64: return "add64";
-    case Op::kSub64: return "sub64";
-    case Op::kAnd64: return "and64";
-    case Op::kOr64: return "or64";
-    case Op::kXor64: return "xor64";
-    case Op::kSlt64: return "slt64";
-    case Op::kSll64: return "sll64";
-    case Op::kSrl64: return "srl64";
-    case Op::kSra64: return "sra64";
-    case Op::kAddv64: return "addv64";
-    case Op::kAddi: return "addi";
-    case Op::kAndi: return "andi";
-    case Op::kOri: return "ori";
-    case Op::kXori: return "xori";
-    case Op::kSlti: return "slti";
-    case Op::kSltiu: return "sltiu";
-    case Op::kSlli: return "slli";
-    case Op::kSrli: return "srli";
-    case Op::kSrai: return "srai";
-    case Op::kLui: return "lui";
-    case Op::kLw: return "lw";
-    case Op::kLh: return "lh";
-    case Op::kLhu: return "lhu";
-    case Op::kLb: return "lb";
-    case Op::kLbu: return "lbu";
-    case Op::kSw: return "sw";
-    case Op::kSh: return "sh";
-    case Op::kSb: return "sb";
-    case Op::kBeq: return "beq";
-    case Op::kBne: return "bne";
-    case Op::kBlt: return "blt";
-    case Op::kBge: return "bge";
-    case Op::kBltu: return "bltu";
-    case Op::kBgeu: return "bgeu";
-    case Op::kJal: return "jal";
-    case Op::kJalr: return "jalr";
-    case Op::kCsrr: return "csrr";
-    case Op::kCsrw: return "csrw";
-    case Op::kEret: return "eret";
-    case Op::kHalt: return "halt";
-    case Op::kInvalid: return "invalid";
-  }
-  return "?";
+/// Two rows collide when they share a major, unless both are funct formats
+/// with different functs. The kInvalid row holds the reserved major 0.
+constexpr bool encodings_unique() {
+  for (unsigned i = 0; i < kNumOps; ++i)
+    for (unsigned j = 0; j < i; ++j) {
+      const OpRow& a = kOpTable[i];
+      const OpRow& b = kOpTable[j];
+      if (a.major == b.major &&
+          !(has_funct(a.fmt) && has_funct(b.fmt) && a.funct != b.funct))
+        return false;
+    }
+  return true;
 }
 
-bool is_r64(Op op) {
-  switch (op) {
-    case Op::kAdd64: case Op::kSub64: case Op::kAnd64: case Op::kOr64:
-    case Op::kXor64: case Op::kSlt64: case Op::kSll64: case Op::kSrl64:
-    case Op::kSra64: case Op::kAddv64:
-      return true;
-    default:
-      return false;
-  }
-}
+static_assert(rows_in_op_order(), "kOpTable row i must describe Op(i)");
+static_assert(encodings_unique(), "two kOpTable rows share an encoding");
 
-bool is_load(Op op) {
-  switch (op) {
-    case Op::kLw: case Op::kLh: case Op::kLhu: case Op::kLb: case Op::kLbu:
-    case Op::kAmoAdd:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_store(Op op) {
-  switch (op) {
-    case Op::kSw: case Op::kSh: case Op::kSb: case Op::kAmoAdd:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_branch(Op op) {
-  switch (op) {
-    case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
-    case Op::kBltu: case Op::kBgeu:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_jump(Op op) { return op == Op::kJal || op == Op::kJalr; }
-
-bool is_muldiv(Op op) {
-  return op == Op::kDiv || op == Op::kDivu || op == Op::kRem;
-}
-
-bool writes_rd(const Instr& in) {
-  switch (in.op) {
-    case Op::kSw: case Op::kSh: case Op::kSb:
-    case Op::kBeq: case Op::kBne: case Op::kBlt: case Op::kBge:
-    case Op::kBltu: case Op::kBgeu:
-    case Op::kCsrw: case Op::kEret: case Op::kHalt: case Op::kInvalid:
-      return false;
-    default:
-      return true;
-  }
-}
-
-bool reads_rs1(const Instr& in) {
-  switch (in.op) {
-    case Op::kLui: case Op::kJal: case Op::kCsrr: case Op::kEret:
-    case Op::kHalt: case Op::kInvalid:
-      return false;
-    default:
-      return true;
-  }
-}
-
-bool reads_rs2(const Instr& in) {
-  switch (op_class(in.op)) {
-    case OpClass::kAlu:
-    case OpClass::kMulDiv:
-      // Immediate forms do not read rs2.
-      switch (in.op) {
-        case Op::kAddi: case Op::kAndi: case Op::kOri: case Op::kXori:
-        case Op::kSlti: case Op::kSltiu: case Op::kSlli: case Op::kSrli:
-        case Op::kSrai: case Op::kLui:
-          return false;
-        default:
-          return true;
-      }
-    case OpClass::kMem:
-      // Stores read rs2 as the data operand; AMO reads rs2 as the addend.
-      return is_store(in.op);
-    case OpClass::kBranch:
-      return is_branch(in.op);
-    case OpClass::kSys:
-    case OpClass::kInvalid:
-      return false;
-  }
-  return false;
-}
-
-unsigned mem_size(Op op) {
-  switch (op) {
-    case Op::kLw: case Op::kSw: case Op::kAmoAdd:
-      return 4;
-    case Op::kLh: case Op::kLhu: case Op::kSh:
-      return 2;
-    case Op::kLb: case Op::kLbu: case Op::kSb:
-      return 1;
-    default:
-      return 0;
-  }
-}
+}  // namespace
 
 std::optional<u32> direct_target(const Instr& in, u32 pc) {
   if (is_branch(in.op) || in.op == Op::kJal)

@@ -7,16 +7,27 @@
 // which operates on even/odd register *pairs* holding 64-bit operands
 // ("extended instruction set able to deal with 64-bit operands").
 //
-// Encoding (fixed 32-bit words, little-endian in memory):
-//   R-type : [31:26]=kOpR   [25:21]=rd [20:16]=rs1 [15:11]=rs2 [10:0]=funct
-//   R64    : [31:26]=kOpR64 same layout (registers must be even)
-//   I-type : [31:26]=major  [25:21]=rd [20:16]=rs1 [15:0]=imm16
-//   Branch : [31:26]=major  [25:21]=rs1 [20:16]=rs2 [15:0]=imm16 (byte offset
-//            relative to the branch's own PC, sign-extended)
-//   Store  : [31:26]=major  [25:21]=rs2(data) [20:16]=rs1(base) [15:0]=imm16
-//   JAL    : [31:26]=kOpJal [25:21]=rd [20:0]=imm21 (byte offset, signed)
-//   CSRR   : I-type, imm16 = CSR number, rd = destination
-//   CSRW   : I-type, imm16 = CSR number, rs1 = source, rd ignored
+// kOpTable below is the single source of every instruction's facts: its
+// mnemonic, issue class, operand format, major/funct numbers, immediate kind
+// and access size, one constexpr row per Op. The predicates below,
+// encode/decode (encoding.h), disasm (disasm.h) and the text assembler
+// (asmparser.h) all read it; adding an instruction is one row plus its
+// semantics (docs/architecture.md, "Adding an instruction").
+//
+// Encoding (fixed 32-bit words, little-endian in memory). The format fixes
+// the field layout:
+//   R, R64, AMO   : [31:26]=major [25:21]=rd [20:16]=rs1 [15:11]=rs2 [10:0]=funct
+//   I, LUI, load  : [31:26]=major [25:21]=rd [20:16]=rs1 [15:0]=imm16
+//   store         : [31:26]=major [25:21]=rs2(data) [20:16]=rs1(base) [15:0]=imm16
+//   branch        : [31:26]=major [25:21]=rs1 [20:16]=rs2 [15:0]=imm16 (byte
+//                   offset relative to the branch's own PC)
+//   JAL           : [31:26]=major [25:21]=rd [20:0]=imm21 (byte offset, signed)
+//   CSRR          : [31:26]=major [25:21]=rd [15:0]=CSR number
+//   CSRW          : [31:26]=major [20:16]=rs1 [15:0]=CSR number
+//   none          : [31:26]=major; every other bit is ignored
+// A funct major (R, R64, AMO) with an unknown funct decodes its register
+// fields with op = kInvalid. LUI encodes its rs1 field but never reads it.
+// Major 0 is reserved, so the all-zero word is invalid.
 
 #include <array>
 #include <cstdint>
@@ -148,28 +159,161 @@ struct Instr {
 };
 
 // ----------------------------------------------------------------------------
-// Operation metadata
+// The opcode table
 // ----------------------------------------------------------------------------
 
-OpClass op_class(Op op);
-std::string_view mnemonic(Op op);
+/// Operand format: the assembly operand syntax and the field layout above.
+enum class Format : u8 {
+  kR,       // rd, rs1, rs2
+  kR64,     // rd, rs1, rs2 -- even register pairs (core C)
+  kAmo,     // rd, (rs1), rs2
+  kI,       // rd, rs1, imm
+  kLui,     // rd, imm
+  kLoad,    // rd, imm(rs1)
+  kStore,   // rs2, imm(rs1)
+  kBranch,  // rs1, rs2, target
+  kJal,     // [rd,] target
+  kCsrr,    // rd, csr
+  kCsrw,    // csr, rs1
+  kNone,    // no operands
+};
 
-bool is_r64(Op op);
-bool is_load(Op op);
-bool is_store(Op op);
-bool is_branch(Op op);   // conditional branches only
-bool is_jump(Op op);     // JAL/JALR
-bool is_muldiv(Op op);   // multi-cycle EX ops
+/// True for the formats that share a major and tell ops apart by funct.
+constexpr bool has_funct(Format f) {
+  return f == Format::kR || f == Format::kR64 || f == Format::kAmo;
+}
+
+/// How the 16-bit immediate field extends, and which values it accepts.
+enum class ImmKind : u8 {
+  kNone,      // no imm16 field
+  kSigned,    // sign-extended, [-32768, 32767]
+  kUnsigned,  // zero-extended, [0, 65535]
+  kShamt,     // zero-extended, shift amount [0, 31]
+};
+
+struct OpRow {
+  Op op;
+  std::string_view mnemonic;
+  OpClass cls;
+  Format fmt;
+  u8 major;                      // [31:26]
+  u16 funct = 0;                 // [10:0] of the funct formats
+  ImmKind imm = ImmKind::kNone;
+  u8 mem_bytes = 0;              // bytes a load/store/AMO accesses
+};
+
+// clang-format off
+inline constexpr std::array<OpRow, kNumOps> kOpTable = [] {
+  using O = Op; using C = OpClass; using F = Format; using I = ImmKind;
+  return std::array<OpRow, kNumOps>{{
+    // op         mnemonic   class        format      major funct imm           bytes
+    {O::kAdd,     "add",     C::kAlu,     F::kR,      0x01, 0x00},
+    {O::kSub,     "sub",     C::kAlu,     F::kR,      0x01, 0x01},
+    {O::kAnd,     "and",     C::kAlu,     F::kR,      0x01, 0x02},
+    {O::kOr,      "or",      C::kAlu,     F::kR,      0x01, 0x03},
+    {O::kXor,     "xor",     C::kAlu,     F::kR,      0x01, 0x04},
+    {O::kNor,     "nor",     C::kAlu,     F::kR,      0x01, 0x05},
+    {O::kSlt,     "slt",     C::kAlu,     F::kR,      0x01, 0x06},
+    {O::kSltu,    "sltu",    C::kAlu,     F::kR,      0x01, 0x07},
+    {O::kSll,     "sll",     C::kAlu,     F::kR,      0x01, 0x08},
+    {O::kSrl,     "srl",     C::kAlu,     F::kR,      0x01, 0x09},
+    {O::kSra,     "sra",     C::kAlu,     F::kR,      0x01, 0x0a},
+    {O::kMul,     "mul",     C::kAlu,     F::kR,      0x01, 0x0b},
+    {O::kMulh,    "mulh",    C::kAlu,     F::kR,      0x01, 0x0c},
+    {O::kDiv,     "div",     C::kMulDiv,  F::kR,      0x01, 0x0d},
+    {O::kDivu,    "divu",    C::kMulDiv,  F::kR,      0x01, 0x0e},
+    {O::kRem,     "rem",     C::kMulDiv,  F::kR,      0x01, 0x0f},
+    {O::kAddv,    "addv",    C::kAlu,     F::kR,      0x01, 0x10},
+    {O::kSubv,    "subv",    C::kAlu,     F::kR,      0x01, 0x11},
+    {O::kAmoAdd,  "amoadd",  C::kMem,     F::kAmo,    0x01, 0x12, I::kNone,     4},
+    {O::kAdd64,   "add64",   C::kAlu,     F::kR64,    0x02, 0x00},
+    {O::kSub64,   "sub64",   C::kAlu,     F::kR64,    0x02, 0x01},
+    {O::kAnd64,   "and64",   C::kAlu,     F::kR64,    0x02, 0x02},
+    {O::kOr64,    "or64",    C::kAlu,     F::kR64,    0x02, 0x03},
+    {O::kXor64,   "xor64",   C::kAlu,     F::kR64,    0x02, 0x04},
+    {O::kSlt64,   "slt64",   C::kAlu,     F::kR64,    0x02, 0x05},
+    {O::kSll64,   "sll64",   C::kAlu,     F::kR64,    0x02, 0x06},
+    {O::kSrl64,   "srl64",   C::kAlu,     F::kR64,    0x02, 0x07},
+    {O::kSra64,   "sra64",   C::kAlu,     F::kR64,    0x02, 0x08},
+    {O::kAddv64,  "addv64",  C::kAlu,     F::kR64,    0x02, 0x09},
+    {O::kAddi,    "addi",    C::kAlu,     F::kI,      0x04, 0,    I::kSigned},
+    {O::kAndi,    "andi",    C::kAlu,     F::kI,      0x05, 0,    I::kUnsigned},
+    {O::kOri,     "ori",     C::kAlu,     F::kI,      0x06, 0,    I::kUnsigned},
+    {O::kXori,    "xori",    C::kAlu,     F::kI,      0x07, 0,    I::kUnsigned},
+    {O::kSlti,    "slti",    C::kAlu,     F::kI,      0x08, 0,    I::kSigned},
+    {O::kSltiu,   "sltiu",   C::kAlu,     F::kI,      0x09, 0,    I::kUnsigned},
+    {O::kSlli,    "slli",    C::kAlu,     F::kI,      0x0a, 0,    I::kShamt},
+    {O::kSrli,    "srli",    C::kAlu,     F::kI,      0x0b, 0,    I::kShamt},
+    {O::kSrai,    "srai",    C::kAlu,     F::kI,      0x0c, 0,    I::kShamt},
+    {O::kLui,     "lui",     C::kAlu,     F::kLui,    0x0d, 0,    I::kUnsigned},
+    {O::kLw,      "lw",      C::kMem,     F::kLoad,   0x10, 0,    I::kSigned,   4},
+    {O::kLh,      "lh",      C::kMem,     F::kLoad,   0x11, 0,    I::kSigned,   2},
+    {O::kLhu,     "lhu",     C::kMem,     F::kLoad,   0x12, 0,    I::kSigned,   2},
+    {O::kLb,      "lb",      C::kMem,     F::kLoad,   0x13, 0,    I::kSigned,   1},
+    {O::kLbu,     "lbu",     C::kMem,     F::kLoad,   0x14, 0,    I::kSigned,   1},
+    {O::kSw,      "sw",      C::kMem,     F::kStore,  0x15, 0,    I::kSigned,   4},
+    {O::kSh,      "sh",      C::kMem,     F::kStore,  0x16, 0,    I::kSigned,   2},
+    {O::kSb,      "sb",      C::kMem,     F::kStore,  0x17, 0,    I::kSigned,   1},
+    {O::kBeq,     "beq",     C::kBranch,  F::kBranch, 0x18, 0,    I::kSigned},
+    {O::kBne,     "bne",     C::kBranch,  F::kBranch, 0x19, 0,    I::kSigned},
+    {O::kBlt,     "blt",     C::kBranch,  F::kBranch, 0x1a, 0,    I::kSigned},
+    {O::kBge,     "bge",     C::kBranch,  F::kBranch, 0x1b, 0,    I::kSigned},
+    {O::kBltu,    "bltu",    C::kBranch,  F::kBranch, 0x1c, 0,    I::kSigned},
+    {O::kBgeu,    "bgeu",    C::kBranch,  F::kBranch, 0x1d, 0,    I::kSigned},
+    {O::kJal,     "jal",     C::kBranch,  F::kJal,    0x1e},
+    {O::kJalr,    "jalr",    C::kBranch,  F::kI,      0x1f, 0,    I::kSigned},
+    {O::kCsrr,    "csrr",    C::kSys,     F::kCsrr,   0x20},
+    {O::kCsrw,    "csrw",    C::kSys,     F::kCsrw,   0x21},
+    {O::kEret,    "eret",    C::kSys,     F::kNone,   0x22},
+    {O::kHalt,    "halt",    C::kSys,     F::kNone,   0x23},
+    {O::kInvalid, "invalid", C::kInvalid, F::kNone,   0x00},
+  }};
+}();
+// clang-format on
+
+// ----------------------------------------------------------------------------
+// Operation metadata: reads of the op's row
+// ----------------------------------------------------------------------------
+
+constexpr const OpRow& op_row(Op op) { return kOpTable[static_cast<unsigned>(op)]; }
+
+constexpr OpClass op_class(Op op) { return op_row(op).cls; }
+constexpr std::string_view mnemonic(Op op) { return op_row(op).mnemonic; }
+
+constexpr bool is_r64(Op op) { return op_row(op).fmt == Format::kR64; }
+constexpr bool is_load(Op op) {
+  return op_row(op).fmt == Format::kLoad || op_row(op).fmt == Format::kAmo;
+}
+constexpr bool is_store(Op op) {
+  return op_row(op).fmt == Format::kStore || op_row(op).fmt == Format::kAmo;
+}
+/// Conditional branches only.
+constexpr bool is_branch(Op op) { return op_row(op).fmt == Format::kBranch; }
+/// JAL/JALR.
+constexpr bool is_jump(Op op) { return op == Op::kJal || op == Op::kJalr; }
+/// Multi-cycle EX ops.
+constexpr bool is_muldiv(Op op) { return op_row(op).cls == OpClass::kMulDiv; }
 
 /// True when the instruction architecturally writes `rd` (and rd may be R0,
 /// which discards the write).
-bool writes_rd(const Instr& in);
+constexpr bool writes_rd(const Instr& in) {
+  const Format f = op_row(in.op).fmt;
+  return f != Format::kStore && f != Format::kBranch && f != Format::kCsrw &&
+         f != Format::kNone;
+}
 /// True when the instruction reads `rs1` / `rs2` as a register operand.
-bool reads_rs1(const Instr& in);
-bool reads_rs2(const Instr& in);
+constexpr bool reads_rs1(const Instr& in) {
+  const Format f = op_row(in.op).fmt;
+  return f != Format::kLui && f != Format::kJal && f != Format::kCsrr &&
+         f != Format::kNone;
+}
+constexpr bool reads_rs2(const Instr& in) {
+  const Format f = op_row(in.op).fmt;
+  return has_funct(f) || f == Format::kStore || f == Format::kBranch;
+}
 
 /// Number of bytes accessed by a load/store op (1, 2, 4), 0 otherwise.
-unsigned mem_size(Op op);
+constexpr unsigned mem_size(Op op) { return op_row(op).mem_bytes; }
 
 // --- static control-flow metadata (used by the analysis passes) --------------
 

@@ -1,7 +1,5 @@
 #include "perf/profiler.h"
 
-#include <chrono>
-
 namespace detstl::perf {
 
 const char* prof_scope_name(ProfScope s) {
@@ -19,28 +17,12 @@ const char* prof_scope_name(ProfScope s) {
   return "?";
 }
 
-namespace detail {
-
-ProfState& prof_state() {
-  static ProfState state;
-  return state;
-}
-
-u64 prof_now_ns() {
-  return static_cast<u64>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace detail
-
 void set_prof_enabled(bool on) {
-  detail::prof_state().enabled.store(on, std::memory_order_relaxed);
+  detail::prof_state.enabled.store(on, std::memory_order_relaxed);
 }
 
 void prof_reset() {
-  auto& st = detail::prof_state();
+  auto& st = detail::prof_state;
   for (unsigned i = 0; i < kNumProfScopes; ++i) {
     st.calls[i].store(0, std::memory_order_relaxed);
     st.ns[i].store(0, std::memory_order_relaxed);
@@ -49,7 +31,7 @@ void prof_reset() {
 
 ProfSnapshot prof_snapshot() {
   ProfSnapshot snap;
-  auto& st = detail::prof_state();
+  const auto& st = detail::prof_state;
   for (unsigned i = 0; i < kNumProfScopes; ++i) {
     snap.scopes[i].calls = st.calls[i].load(std::memory_order_relaxed);
     snap.scopes[i].ns = st.ns[i].load(std::memory_order_relaxed);

@@ -25,6 +25,7 @@
 #include <atomic>
 
 #include "common/bitutil.h"
+#include "perf/sampler.h"
 
 namespace detstl::perf {
 
@@ -70,8 +71,9 @@ struct ProfState {
   std::array<std::atomic<u64>, kNumProfScopes> ns{};
 };
 
-ProfState& prof_state();
-u64 prof_now_ns();
+/// The process-global totals; an inline variable, so a disabled scope is
+/// one relaxed load with no call.
+inline ProfState prof_state;
 
 }  // namespace detail
 
@@ -79,18 +81,17 @@ u64 prof_now_ns();
 class ProfTimer {
  public:
   explicit ProfTimer(ProfScope s) {
-    if (detail::prof_state().enabled.load(std::memory_order_relaxed)) {
+    if (detail::prof_state.enabled.load(std::memory_order_relaxed)) {
       scope_ = s;
       armed_ = true;
-      t0_ = detail::prof_now_ns();
+      t0_ = wall_now_ns();
     }
   }
   ~ProfTimer() {
     if (!armed_) return;
-    auto& st = detail::prof_state();
     const unsigned i = static_cast<unsigned>(scope_);
-    st.calls[i].fetch_add(1, std::memory_order_relaxed);
-    st.ns[i].fetch_add(detail::prof_now_ns() - t0_, std::memory_order_relaxed);
+    detail::prof_state.calls[i].fetch_add(1, std::memory_order_relaxed);
+    detail::prof_state.ns[i].fetch_add(wall_now_ns() - t0_, std::memory_order_relaxed);
   }
   ProfTimer(const ProfTimer&) = delete;
   ProfTimer& operator=(const ProfTimer&) = delete;

@@ -9,16 +9,12 @@
 
 namespace detstl::perf {
 
-namespace {
-
 u64 wall_now_ns() {
   return static_cast<u64>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-}  // namespace
 
 double process_cpu_seconds() {
 #ifdef DETSTL_HAVE_RUSAGE

@@ -13,6 +13,11 @@ struct HostUsage {
   long peak_rss_kb = 0;  // process-lifetime peak resident set, in KiB
 };
 
+/// Monotonic (steady-clock) wall time in nanoseconds from an arbitrary
+/// epoch: the one host clock behind HostTimer, the profiler's scopes and
+/// the checkpoint flush timing.
+u64 wall_now_ns();
+
 /// Process CPU time (user + system) since process start, in seconds.
 double process_cpu_seconds();
 

@@ -29,10 +29,10 @@
 namespace detstl::runtime {
 
 /// What every supervised-run campaign is configured by. Executor plumbing
-/// (checkpoint, merge_dirs, shard range over run indices, interrupt, sink)
-/// comes from fault::UnitPlumbing and enters no config hash. The sink
-/// receives only the driver's checkpoint telemetry: supervised runs never
-/// trace there.
+/// (checkpoint, merge_dirs, shard range over run indices, interrupt, sink,
+/// the per-run completion hook) comes from fault::UnitPlumbing and enters
+/// no config hash. The sink receives only the driver's checkpoint
+/// telemetry: supervised runs never trace there.
 struct RunCampaignSpec : fault::UnitPlumbing {
   u64 seed;
   unsigned runs;
@@ -42,11 +42,6 @@ struct RunCampaignSpec : fault::UnitPlumbing {
   /// built-in routines.
   std::vector<std::string> routines;
   SupervisorConfig supervisor{};
-  /// Observability hook invoked once per run completed by THIS process (not
-  /// for resumed records), with the run index. May be called concurrently
-  /// from worker threads; must never affect the result. Not hashed. The
-  /// stlserve workers bump their heartbeat file here.
-  std::function<void(u64)> on_run_complete;
 
  protected:
   /// Each kind has its own default master seed and run count.
@@ -223,10 +218,7 @@ RunCampaignResult<Record> run_supervised_campaign(
          perf::sim_totals().add(perf::SimStat::kDisturbCycles,
                                 res.records[i].result.total_cycles);
        },
-       .encode = [&](u64 i) { return kind.encode(res.records[i]); },
-       .on_done = [&](u64 i, unsigned) {
-         if (spec.on_run_complete) spec.on_run_complete(i);
-       }});
+       .encode = [&](u64 i) { return kind.encode(res.records[i]); }});
   res.ckpt = driver.finish();
   res.wall_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)

@@ -112,16 +112,13 @@ std::unique_ptr<core::SelfTestRoutine> routine_for(fault::Module m) {
 // worker_main, run_campaign and render_result never look at the kind again.
 // ---------------------------------------------------------------------------
 
-using Beat = std::function<void(u64)>;
-
 struct ServedKind {
   /// The units plan_shards partitions.
   u64 (*units)(const ServeSpec&);
-  /// Run the campaign under `plumbing` on `threads` workers, calling `beat`
-  /// (when set) once per unit completed here; the result lands in `out`.
+  /// Run the campaign under `plumbing` (its on_run_complete hook included)
+  /// on `threads` workers; the result lands in `out`.
   fault::CheckpointStats (*run)(const ServeSpec&, const fault::UnitPlumbing&,
-                                unsigned threads, const Beat& beat,
-                                ServeResult& out);
+                                unsigned threads, ServeResult& out);
   /// The stdout report of a merged result, or its digest line.
   std::string (*render)(const ServeSpec&, const ServeResult&, bool digest_only);
   const char* merge_gap_note;  // units the merge had to re-execute
@@ -131,11 +128,10 @@ struct ServedKind {
 const ServedKind kDisturbance{
     [](const ServeSpec& spec) -> u64 { return spec.runs; },
     [](const ServeSpec& spec, const fault::UnitPlumbing& plumbing,
-       unsigned threads, const Beat& beat, ServeResult& out) {
+       unsigned threads, ServeResult& out) {
       runtime::CampaignSpec cs = to_campaign_spec(spec);
       static_cast<fault::UnitPlumbing&>(cs) = plumbing;
       cs.threads = threads;
-      cs.on_run_complete = beat;
       out.result = runtime::run_disturbance_campaign(cs);
       return out.result.ckpt;
     },
@@ -156,7 +152,7 @@ const ServedKind kFault{
           .size();
     },
     [](const ServeSpec& spec, const fault::UnitPlumbing& plumbing,
-       unsigned threads, const Beat& beat, ServeResult& out) {
+       unsigned threads, ServeResult& out) {
       fault::CampaignConfig cc;
       static_cast<fault::UnitPlumbing&>(cc) = plumbing;
       cc.module = module_of(spec);
@@ -164,24 +160,6 @@ const ServedKind kFault{
       cc.kind = isa::CoreKind::kA;
       cc.fault_stride = spec.stride;
       cc.threads = threads;
-      // The fault campaign reports progress in phase units (lane groups,
-      // then faults) rather than per-run callbacks; beat once per completed
-      // unit with the shard-relative ordinal so the supervisor's liveness,
-      // pace and "current run" views work unchanged.
-      u64 phase_done = 0;
-      auto last_phase = fault::CampaignPhase::kGoodRun;
-      if (beat) {
-        cc.progress_every = 1;
-        cc.progress = [&](const fault::CampaignProgress& p) {
-          if (p.phase != last_phase) {
-            last_phase = p.phase;
-            phase_done = 0;
-          }
-          if (p.phase == fault::CampaignPhase::kGoodRun) return;  // cycle units
-          for (; phase_done < p.done; ++phase_done)
-            beat(plumbing.unit_begin + phase_done);
-        };
-      }
       const auto routine = routine_for(cc.module);
       exp::Scenario sc{1, {0, 0, 0}, 0, 0, "serve"};
       auto tests =
@@ -280,9 +258,10 @@ int worker_main(const WorkerArgs& a) {
         a.no_fsync ? fault::FsyncPolicy::kNone : fault::FsyncPolicy::kEveryShard;
     p.checkpoint.resume = fault::checkpoint_present(p.checkpoint);
     p.interrupt = &fault::global_interrupt();
+    p.on_run_complete = beat;
     // One thread: process-level parallelism only; keeps workers preemptible.
     ServeResult out;
-    return served_kind(a.spec).run(a.spec, p, 1, beat, out).interrupted ? 3 : 0;
+    return served_kind(a.spec).run(a.spec, p, 1, out).interrupted ? 3 : 0;
   } catch (const fault::CheckpointMismatch& e) {
     std::fprintf(stderr, "stlserve worker: %s\n", e.what());
     return 2;
@@ -664,7 +643,7 @@ ServeResult run_campaign(const ServeSpec& spec, const ServeConfig& cfg) {
   for (const Shard& s : sup.shards) merge.merge_dirs.push_back(s.plan.dir);
   merge.interrupt = &fault::global_interrupt();
   const ServedKind& kind = served_kind(spec);
-  const fault::CheckpointStats ckpt = kind.run(spec, merge, 0, nullptr, out);
+  const fault::CheckpointStats ckpt = kind.run(spec, merge, 0, out);
   if (ckpt.interrupted) {
     out.stats = sup.stats;
     out.interrupted = true;

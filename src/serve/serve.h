@@ -109,10 +109,10 @@ struct WorkerArgs {
   u64 end = 0;
   std::string dir;        // this shard's checkpoint subdir
   /// Touched at startup; one 8-byte little-endian record per completed
-  /// unit, carrying the unit's index (run index for "disturbance", the
-  /// shard-relative unit ordinal for "fault"). The supervisor reads the
-  /// file size for liveness/pace and the last record for its progress and
-  /// hang notes.
+  /// unit, carrying the unit's index (the run index for "disturbance", the
+  /// fault index for "fault"), written by UnitPlumbing::on_run_complete.
+  /// The supervisor reads the file size for liveness/pace and the last
+  /// record for its progress and hang notes.
   std::string heartbeat;
   bool no_fsync = false;
   std::string chaos_action;  // empty = none

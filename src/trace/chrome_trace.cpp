@@ -135,6 +135,9 @@ void ChromeTraceWriter::write(std::ostream& os) const {
       case EventKind::kSupAttempt:
       case EventKind::kSupOutcome:
       case EventKind::kSupDecision:
+      case EventKind::kMissionSlice:
+      case EventKind::kMissionCheck:
+      case EventKind::kSoakUpset:
         j.tid = kCoreTidBase + (e.core < kCoreBound ? e.core : 0);
         j.args = "\"unit\":" + std::to_string(e.unit) + ",\"addr\":\"" +
                  hex(e.addr) + "\",\"a\":" + std::to_string(e.a) +

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "isa/asmparser.h"
 #include "isa/assembler.h"
 #include "isa/disasm.h"
@@ -168,14 +171,71 @@ TEST(AsmParser, UnknownDirectiveRejected) {
   EXPECT_THROW(assemble_text(".bogus 1\n"), ParseError);
 }
 
+TEST(AsmParser, OperandsThatDoNotFitAreRejected) {
+  // Each line is a one-line ParseError on its own line number, never a
+  // silently narrowed or dropped operand.
+  for (const char* line :
+       {"addi r1, r0, 0x100000001", "addi r1, r0, -0x80000001",
+        "lw r1, 0x100000004(r2)", "li r1, 0x100000000", "csrr r4, 0x10002",
+        "csrw -1, r4", ".org 0x100001000", ".org -4", ".word 0x1ffffffff",
+        ".space -1", ".align -8", "halt r1", "nop r3, r4", "eret 5",
+        "ret r31", "lui r1", "jal", "jalr r1, r2"}) {
+    SCOPED_TRACE(line);
+    try {
+      assemble_text(std::string("  nop\n  ") + line + "\n");
+      ADD_FAILURE() << "accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 2u) << e.what();
+    }
+  }
+  // The bounds themselves assemble.
+  const Program p = assemble_text(
+      ".org 0x1000\n"
+      "  .word -0x80000000\n"
+      "  .word 0xffffffff\n"
+      "  csrr r4, 0xffff\n"
+      "  lui r1, 0xffff\n"
+      "  addi r1, r0, 0xffffffff\n");
+  EXPECT_EQ(word_at(p, 0x1000), 0x80000000u);
+  EXPECT_EQ(word_at(p, 0x1004), 0xffffffffu);
+  EXPECT_EQ(decode(word_at(p, 0x1008)).csr, 0xffff);
+  EXPECT_EQ(decode(word_at(p, 0x100c)).imm, 0xffff);
+  EXPECT_EQ(decode(word_at(p, 0x1010)).imm, -1);
+}
+
+TEST(AsmParser, EveryTableMnemonicIsAccepted) {
+  // The parser reads kOpTable: a row's mnemonic assembles to that op.
+  const std::map<Format, std::string> operands = {
+      {Format::kR, "r2, r4, r6"},  {Format::kR64, "r2, r4, r6"},
+      {Format::kAmo, "r2, (r4), r6"}, {Format::kI, "r2, r4, 3"},
+      {Format::kLui, "r2, 3"},     {Format::kLoad, "r2, 4(r4)"},
+      {Format::kStore, "r2, 4(r4)"}, {Format::kBranch, "r2, r4, here"},
+      {Format::kJal, "r2, here"},  {Format::kCsrr, "r2, 3"},
+      {Format::kCsrw, "3, r2"},    {Format::kNone, ""}};
+  for (const OpRow& row : kOpTable) {
+    if (row.op == Op::kInvalid) continue;
+    const std::string src =
+        "here:\n  " + std::string(row.mnemonic) + " " + operands.at(row.fmt) + "\n";
+    EXPECT_EQ(decode(word_at(assemble_text(src), 0)).op, row.op) << src;
+  }
+}
+
 TEST(AsmParser, RoundTripThroughDisassembler) {
   // Disassemble a builder program and re-assemble the text: encodings match.
+  // `li` comes back as the `lui` + `ori` it expands to.
   Assembler a(0x2000);
   a.add(R3, R1, R2);
   a.addi(R4, R3, -100);
   a.lw(R5, R4, 12);
   a.sw(R5, R4, 16);
   a.mul(R6, R5, R5);
+  a.li(R7, 0xdeadbeef);
+  a.srai(R8, R7, 31);
+  a.add64(R10, R12, R14);
+  a.amoadd(R9, R4, R3);
+  a.jalr(R31, R9, -8);
+  a.eret();
+  a.halt();
   const Program orig = a.assemble();
 
   std::string text = ".org 0x2000\n";

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <vector>
+
 #include "core/routines.h"
 #include "exp/experiments.h"
 #include "fault/report.h"
@@ -146,6 +149,30 @@ TEST(Campaign, CheckpointConfigHashBindsOutcomeRelevantFieldsOnly) {
   auto tests2 = exp::build_scenario_tests(*other, WrapperKind::kPlain, sc, 0, false);
   const soc::Soc soc2 = exp::scenario_factory(std::move(tests2), sc, 0)();
   EXPECT_NE(checkpoint_config_hash(cfg, fwd.nl(), soc2), base);
+}
+
+TEST(Campaign, UnitCompletionHookSeesEveryFaultOnce) {
+  // UnitPlumbing::on_run_complete fires once per fault this process
+  // completes, with the fault index, from whichever worker completed it:
+  // never for a screening lane group, never for a fault outside the shard.
+  const auto routine = core::make_icu_test();
+  exp::Scenario sc{1, {0, 0, 0}, 0, 0, "t"};
+  auto tests = exp::build_scenario_tests(*routine, WrapperKind::kPlain, sc, 0, false);
+  const netlist::IcuNetlist icu(isa::CoreKind::kA);
+  const u64 n = sample_faults(icu.nl(), 2).size();
+  ASSERT_GT(n, 8u);
+  CampaignConfig cc;
+  cc.module = Module::kIcu;
+  cc.fault_stride = 2;
+  cc.threads = 2;
+  cc.unit_begin = 3;
+  cc.unit_end = n - 2;
+  std::vector<std::atomic<unsigned>> seen(n);
+  cc.on_run_complete = [&](u64 i) { seen.at(i).fetch_add(1); };
+  Campaign(cc, exp::scenario_factory(std::move(tests), sc, 0)).run();
+  for (u64 i = 0; i < n; ++i)
+    EXPECT_EQ(seen[i].load(), i >= cc.unit_begin && i < cc.unit_end ? 1u : 0u)
+        << "fault " << i;
 }
 
 TEST(Campaign, ZeroStrideThrowsInsteadOfTrapping) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "isa/alu.h"
 #include "isa/assembler.h"
@@ -70,10 +71,15 @@ TEST_P(RoundTrip, EncodeDecode) {
                             op == Op::kJalr || op == Op::kCsrr
                         ? in.rd
                         : out.rd);
-  if (reads_rs1(in)) EXPECT_EQ(out.rs1, in.rs1) << mnemonic(op);
-  if (reads_rs2(in)) EXPECT_EQ(out.rs2, in.rs2) << mnemonic(op);
-  if (op != Op::kCsrr && op != Op::kCsrw && op_class(op) != OpClass::kSys)
+  if (reads_rs1(in)) {
+    EXPECT_EQ(out.rs1, in.rs1) << mnemonic(op);
+  }
+  if (reads_rs2(in)) {
+    EXPECT_EQ(out.rs2, in.rs2) << mnemonic(op);
+  }
+  if (op != Op::kCsrr && op != Op::kCsrw && op_class(op) != OpClass::kSys) {
     EXPECT_EQ(out.imm, in.imm) << mnemonic(op);
+  }
   EXPECT_EQ(out.csr, in.csr) << mnemonic(op);
 }
 
@@ -317,6 +323,92 @@ TEST(Disasm, Formats) {
   EXPECT_EQ(disasm(Instr{.op = Op::kLw, .rd = 5, .rs1 = 9, .imm = -4}),
             "lw     r5, -4(r9)");
   EXPECT_EQ(disasm(Instr{.op = Op::kHalt}), "halt");
+}
+
+// ----------------------------------------------------------------------------
+// Pinned ISA facts: the exact decode, disassembly, re-encoding and per-op
+// metadata over a structured sweep of the encoding space: every major
+// opcode x every 11-bit low field (the funct) x 8 patterns for bits [25:11]
+// that set and clear both the imm16 sign bit (15) and the imm21 sign bit
+// (20). The expected digests are the encoding's spec, captured before the
+// opcode table existed: never edit them to make a change pass.
+// ----------------------------------------------------------------------------
+
+constexpr u32 kMidPatterns[] = {0x0000, 0x7fff, 0x0010, 0x0200,
+                                0x5555, 0x2aaa, 0x4321, 0x1bcd};
+
+struct Digest {
+  u64 h = kFnvOffset;
+  void add(u64 v) { h = fnv1a(&v, sizeof v, h); }
+  void add(std::string_view s) {
+    add(s.size());
+    h = fnv1a(s.data(), s.size(), h);
+  }
+};
+
+template <class F>
+void sweep(F&& f) {
+  for (u32 major = 0; major < 64; ++major)
+    for (const u32 mid : kMidPatterns)
+      for (u32 low = 0; low < 2048; ++low) f(major << 26 | mid << 11 | low);
+}
+
+TEST(IsaPin, DecodeFieldsOfEveryWordShape) {
+  Digest d;
+  u64 words = 0, valid = 0;
+  sweep([&](u32 w) {
+    const Instr in = decode(w);
+    ++words;
+    valid += in.valid();
+    d.add(static_cast<u64>(in.op));
+    d.add(in.rd);
+    d.add(in.rs1);
+    d.add(in.rs2);
+    d.add(static_cast<u32>(in.imm));
+    d.add(in.csr);
+    d.add(in.raw);
+  });
+  EXPECT_EQ(words, 1048576u);
+  EXPECT_EQ(valid, 491752u);
+  EXPECT_EQ(d.h, 0xa70b68022b49cb19ull);
+}
+
+TEST(IsaPin, DisassemblyOfEveryWordShape) {
+  Digest d;
+  sweep([&](u32 w) { d.add(disasm_word(w)); });
+  EXPECT_EQ(d.h, 0xe21a77aa657bd616ull);
+}
+
+TEST(IsaPin, ReEncodingOfEveryValidWord) {
+  Digest d;
+  sweep([&](u32 w) {
+    const Instr in = decode(w);
+    if (in.valid()) d.add(encode(in));
+  });
+  EXPECT_EQ(d.h, 0xcbc97491e2c8c79cull);
+}
+
+TEST(IsaPin, MetadataOfEveryOp) {
+  Digest d;
+  for (unsigned i = 0; i < kNumOps; ++i) {
+    const Op op = static_cast<Op>(i);
+    const Instr in{.op = op, .rd = 3, .rs1 = 5, .rs2 = 7, .imm = -8};
+    d.add(static_cast<u64>(op_class(op)));
+    d.add(mnemonic(op));
+    d.add(is_r64(op));
+    d.add(is_load(op));
+    d.add(is_store(op));
+    d.add(is_branch(op));
+    d.add(is_jump(op));
+    d.add(is_muldiv(op));
+    d.add(mem_size(op));
+    d.add(writes_rd(in));
+    d.add(reads_rs1(in));
+    d.add(reads_rs2(in));
+    d.add(falls_through(in));
+    d.add(direct_target(in, 0x1000).value_or(0xffffffffu));
+  }
+  EXPECT_EQ(d.h, 0x436cf8ea8d5a2658ull);
 }
 
 }  // namespace

@@ -535,6 +535,38 @@ TEST(ServeFaultShards, SupervisedFaultCampaignMatchesTheStraightRun) {
   EXPECT_EQ(sr.fault_result.canonical_bytes(), base.canonical_bytes());
 }
 
+TEST(ServeFaultShards, HeartbeatRecordsCarryTheFaultIndex) {
+  // Fault workers beat as disturbance workers do: one 8-byte record per
+  // completed fault, carrying its fault index. Screening lane groups beat
+  // nothing. 2 workers split the stride-8 fwd list; threads=1 workers
+  // complete their range in index order. A watchdog kill would re-run
+  // unjournalled faults and beat them twice, so the budgets are set far
+  // above a sanitizer build's run time.
+  ServeSpec spec;
+  spec.kind = "fault";
+  spec.module = "fwd";
+  spec.stride = 8;
+  spec.workers = 2;
+  spec.checkpoint_interval = 16;
+  const auto dir = scratch_dir("fault-heartbeat");
+  ServeConfig cfg = fast_cfg(dir);
+  cfg.hang_timeout_ms = 300'000;
+  cfg.shard_timeout_ms = 600'000;
+  const ServeResult sr = run_campaign(spec, cfg);
+  ASSERT_FALSE(sr.interrupted);
+  ASSERT_EQ(sr.stats.hung_killed, 0u);
+  ASSERT_EQ(sr.stats.respawns, 0u);
+
+  const auto plans = plan_shards(spec_unit_count(spec), 2, dir.string());
+  ASSERT_EQ(plans.size(), 2u);
+  for (const ShardPlan& p : plans) {
+    const std::vector<u8> hb = read_all(p.heartbeat);
+    ASSERT_EQ(hb.size(), (p.end - p.begin) * 8) << p.heartbeat;
+    for (u64 i = 0; i < p.end - p.begin; ++i)
+      EXPECT_EQ(load_le(hb.data() + i * 8, 8), p.begin + i) << p.heartbeat;
+  }
+}
+
 #endif  // !_WIN32
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "exp/experiments.h"
 #include "fault/campaign.h"
 #include "perf/json.h"
+#include "runtime/mission.h"
 #include "soc/soc.h"
 #include "trace/audit.h"
 #include "trace/capture.h"
@@ -313,6 +314,50 @@ TEST(ChromeTrace, JsonParsesBackAndTimelinesAreMonotone) {
     (void)ts;
     EXPECT_TRUE(named_tracks.count(track)) << "unnamed track " << track;
   }
+}
+
+TEST(ChromeTrace, MissionEventsLandOnTheirCoreTrack) {
+  // Every mission slice and verdict event belongs on the tested core's track
+  // and carries its payload (unit/addr/a/b) as args, as the supervisor's
+  // events do. A 6-slice, 3-core mission tests more than one core.
+  trace::ChromeTraceWriter writer;
+  runtime::MissionSpec spec;
+  spec.slices = 6;
+  spec.cores = 3;
+  spec.sink = &writer;
+  const runtime::MissionResult res = runtime::run_mission(spec);
+  ASSERT_EQ(res.records.size(), 6u);
+  std::map<int, unsigned> expected;  // tid -> slices tested there
+  for (const runtime::MissionSliceRecord& r : res.records) ++expected[r.tested_core];
+  ASSERT_GE(expected.size(), 2u);
+
+  std::ostringstream os;
+  writer.write(os);
+  perf::json::Value root;
+  std::string err;
+  ASSERT_TRUE(perf::json::parse(os.str(), root, &err)) << err;
+  std::map<int, unsigned> slices, checks;
+  for (const perf::json::Value& ev : root.find("traceEvents")->arr) {
+    const perf::json::Value* name = ev.find("name");
+    if (name == nullptr || (name->str != "mission-slice" && name->str != "mission-check"))
+      continue;
+    const int tid = static_cast<int>(ev.find("tid")->as_double());
+    const perf::json::Value* args = ev.find("args");
+    ASSERT_NE(args, nullptr) << name->str;
+    for (const char* key : {"unit", "addr", "a", "b"})
+      EXPECT_NE(args->find(key), nullptr) << name->str << " lacks " << key;
+    if (name->str == "mission-slice") {
+      ++slices[tid];
+      // b = slice index.
+      const auto slice = static_cast<std::size_t>(args->find("b")->as_double());
+      ASSERT_LT(slice, res.records.size());
+      EXPECT_EQ(tid, res.records[slice].tested_core) << "slice " << slice;
+    } else {
+      ++checks[tid];
+    }
+  }
+  EXPECT_EQ(slices, expected);
+  EXPECT_EQ(checks, expected);
 }
 
 // -----------------------------------------------------------------------------
