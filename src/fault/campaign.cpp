@@ -503,6 +503,8 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
     detection_cycles_total.fetch_add(s.now() - resume_cycle,
                                      std::memory_order_relaxed);
     perf::sim_totals().add(perf::SimStat::kDetectionCycles, s.now() - resume_cycle);
+    perf::sim_totals().add(perf::SimStat::kDetectionModuleCalls, model.calls());
+    perf::sim_totals().add(perf::SimStat::kDetectionModuleEvals, model.evals());
 
     if (cmp.detected()) return FaultOutcome::kDetectedSignature;
     if (!graded.halted()) return FaultOutcome::kDetectedWatchdog;

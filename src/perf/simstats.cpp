@@ -8,6 +8,8 @@ const char* sim_stat_name(SimStat s) {
     case SimStat::kScreenCalls: return "screen_calls";
     case SimStat::kDetectionCycles: return "detection_cycles";
     case SimStat::kFaultUnits: return "fault_units";
+    case SimStat::kDetectionModuleCalls: return "detection_module_calls";
+    case SimStat::kDetectionModuleEvals: return "detection_module_evals";
     case SimStat::kDisturbRuns: return "disturb_runs";
     case SimStat::kDisturbCycles: return "disturb_cycles";
     case SimStat::kSocRunCycles: return "soc_run_cycles";

@@ -21,6 +21,10 @@ enum class SimStat : unsigned {
   kScreenCalls,      // fault campaign: module calls replayed in the 64-lane screen
   kDetectionCycles,  // fault campaign: SoC ticks across every detection re-run
   kFaultUnits,       // fault campaign: fault units completed this process
+  // fault campaign: eval/clock calls on the detection replicas' module
+  // models, and the Netlist::eval passes they took (the rest hit the memo)
+  kDetectionModuleCalls,
+  kDetectionModuleEvals,
   kDisturbRuns,      // disturbance campaign: supervised runs completed
   kDisturbCycles,    // disturbance campaign: SoC ticks across supervised runs
   kSocRunCycles,     // direct soc::Soc runs outside a campaign (benches, tools)

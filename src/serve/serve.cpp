@@ -291,6 +291,7 @@ struct Shard {
   Clock::time_point spawn_time;
   Clock::time_point next_spawn;  // backoff deadline (kPending)
   std::uintmax_t hb_size = 0;
+  u64 runs_left_at_spawn = 0;  // sizes the derived whole-shard budget
   Clock::time_point hb_change;
   Clock::time_point last_progress_note;  // throttles the per-shard note
   bool chaos_spent = false;  // one-shot chaos rules already delivered
@@ -400,6 +401,9 @@ struct Supervisor {
     ++s.spawns;
     s.spawn_time = s.hb_change = s.last_progress_note = Clock::now();
     s.hb_size = file_size_or_zero(s.plan.heartbeat);
+    const u64 total = s.plan.end - s.plan.begin;
+    s.runs_left_at_spawn =
+        total - std::min<u64>(s.hb_size / kHeartbeatRecordBytes, total);
     note("shard %u [%llu, %llu) -> pid %ld (spawn %u)", shard_idx,
          static_cast<unsigned long long>(s.plan.begin),
          static_cast<unsigned long long>(s.plan.end), static_cast<long>(pid),
@@ -499,12 +503,11 @@ struct Supervisor {
       const u64 stale_ms = ms_between(std::max(s.spawn_time, s.hb_change), now);
       bool hung = stale_ms > cfg.hang_timeout_ms;
       if (!hung) {
+        // The budget runs from spawn, so it covers the runs left at spawn.
         u64 budget = cfg.shard_timeout_ms;
-        if (budget == 0 && pace > 0.0) {
-          const u64 done_runs =
-              std::min<u64>(s.hb_size / kHeartbeatRecordBytes, total);
-          budget = shard_budget_ms(pace, total - done_runs, cfg.hang_timeout_ms);
-        }
+        if (budget == 0 && pace > 0.0)
+          budget = shard_budget_ms(pace, s.runs_left_at_spawn,
+                                   cfg.hang_timeout_ms);
         hung = budget != 0 && ms_between(s.spawn_time, now) > budget;
       }
       if (!hung) continue;

@@ -67,8 +67,9 @@ struct ServeConfig {
   /// A worker whose heartbeat has not advanced for this long is declared
   /// hung and SIGKILLed. Also the grace period after spawn.
   unsigned hang_timeout_ms = 10'000;
-  /// Whole-shard wall-clock budget; 0 = derived from the observed pace via
-  /// shard_budget_ms() once enough heartbeats arrived.
+  /// Whole-shard wall-clock budget, counted from spawn; 0 = derived from the
+  /// observed pace and the runs left at spawn via shard_budget_ms() once
+  /// enough heartbeats arrived.
   u64 shard_timeout_ms = 0;
   unsigned poll_ms = 25;     // supervisor poll period
   bool quiet = false;        // suppress supervision notes on stderr

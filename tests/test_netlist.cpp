@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <type_traits>
+
 #include "common/rng.h"
 #include "netlist/adapters.h"
 #include "netlist/equivalence.h"
@@ -539,6 +543,142 @@ TEST(FaultEquivalence, IcuMembersBehaveLikeTheirRepresentative) {
     SCOPED_TRACE(k);
     expect_members_equivalent<IcuNetlist>(static_cast<CoreKind>(k), kWant[k][0], kWant[k][1],
                                           [](Rng& rng) { return random_icu_in(rng); });
+  }
+}
+
+// ----------------------------------------------------------------------------
+// Memoised module models (netlist/adapters.h)
+// ----------------------------------------------------------------------------
+
+TEST(ModuleMemo, KeyTableNumbersKeysInInsertionOrder) {
+  // Three-word keys, enough of them to grow the slot array many times.
+  KeyTable table(3);
+  Rng rng(0x3e30);
+  std::vector<u64> keys;
+  for (u32 i = 0; i < 5000; ++i) {
+    const u64 k[3] = {rng.next_u64(), i, rng.next_u64() & 1};
+    keys.insert(keys.end(), k, k + 3);
+    ASSERT_EQ(table.find_or_add(k), i);
+  }
+  for (u32 i = 0; i < 5000; ++i) ASSERT_EQ(table.find_or_add(&keys[3 * i]), i);
+  EXPECT_EQ(table.size(), 5000u);
+  table.clear();
+  EXPECT_EQ(table.find_or_add(&keys[3 * 4999]), 0u);
+}
+
+/// One call of a memo script: eval or clock pool input `in`, or load_state.
+struct MemoStep {
+  enum Op { kEval, kClock, kLoad } op;
+  std::size_t in = 0;
+  u16 state = 0;
+};
+
+/// Rounds of calls on a pool of `pool` inputs, so most calls repeat an
+/// earlier one. Every round evaluates two inputs back to back; a sequential
+/// module also gets the CPU's eval-then-clock pair, a clock without a
+/// preceding eval and, once, a load_state.
+std::vector<MemoStep> memo_script(Rng& rng, std::size_t pool, bool sequential) {
+  std::vector<MemoStep> steps;
+  const auto pick = [&] { return static_cast<std::size_t>(rng.below(pool)); };
+  for (int round = 0; round < 24; ++round) {
+    const std::size_t a = pick();
+    steps.push_back({MemoStep::kEval, a});
+    if (sequential) steps.push_back({MemoStep::kClock, a});
+    steps.push_back({MemoStep::kEval, pick()});
+    steps.push_back({MemoStep::kEval, a});
+    if (!sequential) continue;
+    steps.push_back({MemoStep::kClock, pick()});
+    if (round == 12) steps.push_back({MemoStep::kLoad, 0, static_cast<u16>(rng.below(64))});
+  }
+  return steps;
+}
+
+/// Runs the memo script through one memoised model, re-faulted for no fault
+/// and every 23rd fault of the module, and checks each call against a
+/// reference EvalState that is encoded, settled by Netlist::eval and decoded
+/// directly, as the model did before it had a memo. The model must also
+/// settle exactly once per distinct (input, flops) key under each fault.
+template <class Mod, class Gen>
+void expect_memo_matches_direct_eval(CoreKind kind, Gen random_in) {
+  constexpr bool kSequential = std::is_same_v<Mod, IcuNetlist>;
+  const Mod mod(kind);
+  const Netlist& nl = mod.nl();
+  Rng rng(0x3e3u + static_cast<u64>(kind));
+  std::vector<typename Mod::In> pool;
+  for (int i = 0; i < 6; ++i) pool.push_back(random_in(rng));
+  const std::vector<MemoStep> script = memo_script(rng, pool.size(), kSequential);
+
+  std::vector<std::optional<Fault>> sample = {std::nullopt};
+  const std::vector<Fault> faults = nl.fault_list();
+  for (std::size_t i = 0; i < faults.size(); i += 23) sample.push_back(faults[i]);
+
+  NetlistModelFor<Mod> model(mod);
+  std::vector<typename Mod::Out> good;  // the fault-free model's eval results
+  bool some_fault_shows = false;
+  for (const std::optional<Fault>& f : sample) {
+    SCOPED_TRACE(f ? "net " + std::to_string(f->net) + (f->stuck1 ? " SA1" : " SA0")
+                   : std::string("no fault"));
+    model.set_fault(f);
+    if constexpr (kSequential) model.load_state(0);  // the reference's reset flops
+    EvalState ref = nl.make_state();
+    if (f) Netlist::inject(ref, *f, ~0ull);
+    const u64 calls0 = model.calls(), evals0 = model.evals();
+    std::set<std::pair<std::vector<u64>, std::vector<u64>>> keys;  // inputs, flops
+    std::size_t n_eval = 0;
+    for (std::size_t k = 0; k < script.size(); ++k) {
+      const MemoStep& st = script[k];
+      if (st.op == MemoStep::kLoad) {
+        if constexpr (kSequential) {
+          model.load_state(st.state);
+          mod.load_state(ref, st.state);
+        }
+        continue;
+      }
+      mod.encode(pool[st.in], ref);
+      keys.emplace(ref.inputs, ref.flops);
+      nl.eval(ref);
+      if (st.op == MemoStep::kEval) {
+        const typename Mod::Out want = mod.decode(ref, 0);
+        ASSERT_TRUE(model.eval(pool[st.in]) == want) << "call " << k;
+        if (!f) good.push_back(want);
+        some_fault_shows |= f && !(good[n_eval] == want);
+        ++n_eval;
+      } else if constexpr (kSequential) {
+        model.clock(pool[st.in]);
+        nl.clock(ref);
+      }
+    }
+    const u64 calls = model.calls() - calls0, evals = model.evals() - evals0;
+    EXPECT_EQ(evals, keys.size());
+    EXPECT_LE(2 * evals, calls);  // at least half the calls repeat a key
+  }
+  // The fault sample reaches the outputs, so a stale memo would be caught.
+  EXPECT_TRUE(some_fault_shows);
+}
+
+TEST(ModuleMemo, FwdMatchesDirectEvaluation) {
+  for (int k = 0; k < 3; ++k) {
+    const auto kind = static_cast<CoreKind>(k);
+    SCOPED_TRACE(k);
+    expect_memo_matches_direct_eval<FwdNetlist>(
+        kind, [kind](Rng& rng) { return random_fwd_in(rng, kind); });
+  }
+}
+
+TEST(ModuleMemo, HdcuMatchesDirectEvaluation) {
+  for (int k = 0; k < 3; ++k) {
+    const auto kind = static_cast<CoreKind>(k);
+    SCOPED_TRACE(k);
+    expect_memo_matches_direct_eval<HdcuNetlist>(
+        kind, [kind](Rng& rng) { return random_hdcu_in(rng, kind); });
+  }
+}
+
+TEST(ModuleMemo, IcuMatchesDirectEvaluation) {
+  for (int k = 0; k < 3; ++k) {
+    SCOPED_TRACE(k);
+    expect_memo_matches_direct_eval<IcuNetlist>(static_cast<CoreKind>(k),
+                                                [](Rng& rng) { return random_icu_in(rng); });
   }
 }
 

@@ -420,6 +420,14 @@ TEST(ThreadInvariance, FaultCampaignSimSubtreeByteIdenticalAt1_2_8Threads) {
             r1.sim_cycles);
   EXPECT_GT(d1[SimStat::kSocRunCycles], 0u);
   EXPECT_EQ(d1[SimStat::kFaultUnits], r1.simulated_faults);
+  // The detection replicas' memoised module models: calls answered and
+  // netlist settles taken, the same at every thread count.
+  for (const SimStat s : {SimStat::kDetectionModuleCalls, SimStat::kDetectionModuleEvals}) {
+    EXPECT_GT(d1[s], 0u) << sim_stat_name(s);
+    EXPECT_EQ(d1[s], d2[s]) << sim_stat_name(s);
+    EXPECT_EQ(d1[s], d8[s]) << sim_stat_name(s);
+  }
+  EXPECT_LT(d1[SimStat::kDetectionModuleEvals], d1[SimStat::kDetectionModuleCalls]);
 
   // The full schema-level contract: byte-identical "sim" subtrees.
   const std::string sim1 = sim_canonical(report_for(r1, d1));

@@ -459,7 +459,8 @@ TEST(ServeCampaign, CorruptManifestQuarantinesTheWholeSubdir) {
 
 fault::CampaignResult run_fwd_shard(const fs::path& ckpt_dir, u64 begin,
                                     u64 end,
-                                    std::vector<std::string> merge = {}) {
+                                    std::vector<std::string> merge = {},
+                                    unsigned stride = 8, unsigned threads = 1) {
   const auto routine = core::make_fwd_test(/*with_perf_counters=*/false);
   exp::Scenario sc{1, {0, 0, 0}, 0, 0, "serve"};
   auto tests = exp::build_scenario_tests(*routine, core::WrapperKind::kPlain,
@@ -468,8 +469,8 @@ fault::CampaignResult run_fwd_shard(const fs::path& ckpt_dir, u64 begin,
   cc.module = fault::Module::kFwd;
   cc.core_id = 0;
   cc.kind = isa::CoreKind::kA;
-  cc.fault_stride = 8;
-  cc.threads = 1;
+  cc.fault_stride = stride;
+  cc.threads = threads;
   cc.unit_begin = begin;
   cc.unit_end = end;
   cc.merge_dirs = std::move(merge);
@@ -565,6 +566,31 @@ TEST(ServeFaultShards, HeartbeatRecordsCarryTheFaultIndex) {
     for (u64 i = 0; i < p.end - p.begin; ++i)
       EXPECT_EQ(load_le(hb.data() + i * 8, 8), p.begin + i) << p.heartbeat;
   }
+}
+
+TEST(ServeFaultShards, ShortHangTimeoutKillsNoHealthyShard) {
+  // The derived whole-shard budget runs from spawn, so it must cover the
+  // runs left at spawn. One worker grades the exhaustive fwd list, several
+  // hang timeouts of work; sized by the runs left *now*, the budget shrank
+  // towards the hang timeout near the shard's end while the time since
+  // spawn kept growing, and the beating shard was SIGKILLed and respawned.
+  // 3 s still covers a sanitizer build's wait for the first heartbeat (the
+  // good run plus screening).
+  ServeSpec spec;
+  spec.kind = "fault";
+  spec.module = "fwd";
+  spec.stride = 1;
+  spec.workers = 1;
+  const auto dir = scratch_dir("fault-short-hang");
+  ServeConfig cfg = fast_cfg(dir);
+  cfg.hang_timeout_ms = 3'000;
+  const ServeResult sr = run_campaign(spec, cfg);
+  ASSERT_FALSE(sr.interrupted);
+  EXPECT_EQ(sr.stats.hung_killed, 0u);
+  EXPECT_EQ(sr.stats.respawns, 0u);
+  const fault::CampaignResult straight =
+      run_fwd_shard({}, 0, 0, {}, /*stride=*/1, /*threads=*/2);
+  EXPECT_EQ(sr.fault_result.canonical_bytes(), straight.canonical_bytes());
 }
 
 #endif  // !_WIN32
