@@ -1,6 +1,7 @@
 #include "analysis/absint.h"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 
 #include "mem/flash.h"
@@ -70,33 +71,72 @@ std::string hex(u32 v) {
 /// Same interval span cap as the syntactic layer (analyzer.cpp).
 constexpr u32 kMaxSpan = 64 * 1024;
 
-/// Must component: lines certainly touched so far per cache. Under the
-/// no-eviction premise (set-conflict-free), touched == resident.
+/// A set of cache lines as a bitset over one sorted line universe.
+using LineBits = std::vector<u64>;
+
+/// Must component: lines certainly touched so far per cache, as bitsets over
+/// the call's I-line and D-line universes. Under the no-eviction premise
+/// (set-conflict-free), touched == resident.
 struct MustState {
   bool reached = false;
-  std::set<u32> il, dl;  // line base addresses
+  LineBits il, dl;
 };
 
-std::set<u32> intersect(const std::set<u32>& a, const std::set<u32>& b) {
-  std::set<u32> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::inserter(out, out.begin()));
-  return out;
+/// a := a meet b — intersection, with an unreached state as the identity.
+/// Returns whether `a` changed.
+bool meet_into(MustState& a, const MustState& b) {
+  if (!b.reached) return false;
+  if (!a.reached) {
+    a = b;
+    return true;
+  }
+  bool changed = false;
+  const auto meet = [&](LineBits& x, const LineBits& y) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const u64 w = x[i] & y[i];
+      changed |= w != x[i];
+      x[i] = w;
+    }
+  };
+  meet(a.il, b.il);
+  meet(a.dl, b.dl);
+  return changed;
 }
 
-MustState join_states(const MustState& a, const MustState& b) {
-  if (!a.reached) return b;
-  if (!b.reached) return a;
-  MustState o;
-  o.reached = true;
-  o.il = intersect(a.il, b.il);
-  o.dl = intersect(a.dl, b.dl);
-  return o;
+void unite(LineBits& x, const LineBits& y) {
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] |= y[i];
 }
 
-bool state_eq(const MustState& a, const MustState& b) {
-  return a.reached == b.reached && a.il == b.il && a.dl == b.dl;
-}
+/// The sorted line addresses a must state can hold in one cache.
+class LineUniverse {
+ public:
+  void add(u32 line) { lines_.push_back(line); }
+  void seal() {
+    std::sort(lines_.begin(), lines_.end());
+    lines_.erase(std::unique(lines_.begin(), lines_.end()), lines_.end());
+  }
+  LineBits none() const { return LineBits((lines_.size() + 63) / 64, 0); }
+  void set(LineBits& b, u32 line) const {
+    const std::size_t i = index(line);
+    assert(i < lines_.size());
+    b[i / 64] |= u64{1} << (i % 64);
+  }
+  bool test(const LineBits& b, u32 line) const {
+    const std::size_t i = index(line);
+    return i < lines_.size() && (b[i / 64] >> (i % 64) & 1) != 0;
+  }
+
+ private:
+  /// Position of `line`, or size() when the universe lacks it.
+  std::size_t index(u32 line) const {
+    const auto it = std::lower_bound(lines_.begin(), lines_.end(), line);
+    return it != lines_.end() && *it == line
+               ? static_cast<std::size_t>(it - lines_.begin())
+               : lines_.size();
+  }
+
+  std::vector<u32> lines_;
+};
 
 /// Classification of one footprint load/store after interval analysis.
 struct MemAccess {
@@ -115,6 +155,20 @@ struct MemAccess {
   std::string why;     // kBusCoupled reason
 };
 
+/// One footprint block's successor: a footprint block index, or -1 when the
+/// edge leaves the footprint; `back` marks an edge to the loop head.
+struct Edge {
+  int to = -1;
+  bool back = false;
+};
+
+/// One footprint block, resolved against the call's geometry.
+struct Block {
+  const BasicBlock* bb = nullptr;
+  std::vector<Edge> edges;
+  MustState gen;  // lines the block certainly touches
+};
+
 struct Ctx {
   const isa::Program& prog;
   const AnalysisConfig& cfg;
@@ -123,7 +177,9 @@ struct Ctx {
 
   std::vector<MemAccess> accesses;        // footprint order (ascending pc)
   std::map<u32, const MemAccess*> at_pc;  // filled after `accesses` is final
-  std::set<u32> static_loaded_lines;      // D-lines any footprint load touches
+  std::vector<Block> blocks;              // footprint blocks, ascending begin
+  std::vector<u32> block_begin;           // ... and their begin addresses
+  LineUniverse iuni, duni;                // lines a must state can hold
 
   u32 iline(u32 a) const {
     return a / cfg.mem.icache.line_bytes * cfg.mem.icache.line_bytes;
@@ -142,6 +198,32 @@ struct Ctx {
       out.push_back(line);
     return out;
   }
+  /// The bounded cacheable access at `pc` that allocates its lines (loads,
+  /// and stores under write-allocate), or nullptr.
+  const MemAccess* allocating(u32 pc) const {
+    const auto it = at_pc.find(pc);
+    if (it == at_pc.end()) return nullptr;
+    const MemAccess& a = *it->second;
+    const bool ok = a.kind == MemAccess::Kind::kOk &&
+                    (a.load || cfg.write_allocate);  // NWA store: write-around
+    return ok ? &a : nullptr;
+  }
+  /// D-lines the instruction at `pc` certainly touches: only an allocating
+  /// access at a single constant address (the one case where we know
+  /// *which* line is touched) has any.
+  std::vector<u32> must_dlines(u32 pc) const {
+    const MemAccess* a = allocating(pc);
+    return a && a->lo == a->hi ? dlines(*a) : std::vector<u32>{};
+  }
+  /// Index of the footprint block starting at `b`, or -1.
+  int block_index(u32 b) const {
+    const auto it =
+        std::lower_bound(block_begin.begin(), block_begin.end(), b);
+    return it != block_begin.end() && *it == b
+               ? static_cast<int>(it - block_begin.begin())
+               : -1;
+  }
+  MustState empty() const { return {true, iuni.none(), duni.none()}; }
 };
 
 void classify_accesses(Ctx& c) {
@@ -194,78 +276,69 @@ void classify_accesses(Ctx& c) {
     }
     c.accesses.push_back(a);
   }
-  for (const auto& a : c.accesses) {
-    c.at_pc[a.pc] = &a;
-    if (a.kind == MemAccess::Kind::kOk && a.load)
-      for (u32 line : c.dlines(a)) c.static_loaded_lines.insert(line);
+  for (const auto& a : c.accesses) c.at_pc[a.pc] = &a;
+}
+
+/// Abstract must-effect of one instruction: fetch the instruction line, then
+/// perform the data access.
+void step(const Ctx& c, u32 pc, MustState& s) {
+  if (mem::is_bus(pc)) c.iuni.set(s.il, c.iline(pc));
+  for (u32 line : c.must_dlines(pc)) c.duni.set(s.dl, line);
+}
+
+/// Index the footprint blocks, their edges, the line universes and each
+/// block's must-gain under the call's geometry.
+void resolve_blocks(Ctx& c) {
+  for (const auto& [b, bb] : c.m.cfg().blocks()) {
+    if (!c.m.footprint.count(b)) continue;
+    c.block_begin.push_back(b);
+    c.blocks.push_back({&bb, {}, {}});
+    for (u32 pc = bb.begin; pc < bb.end; pc += 4) {
+      if (mem::is_bus(pc)) c.iuni.add(c.iline(pc));
+      for (u32 line : c.must_dlines(pc)) c.duni.add(line);
+    }
+  }
+  c.iuni.seal();
+  c.duni.seal();
+  for (Block& blk : c.blocks) {
+    for (u32 succ : blk.bb->succs)
+      blk.edges.push_back({c.block_index(succ), succ == c.m.loop.head});
+    blk.gen = c.empty();
+    for (u32 pc = blk.bb->begin; pc < blk.bb->end; pc += 4) step(c, pc, blk.gen);
   }
 }
 
-/// Abstract effect of one instruction: fetch the instruction line, then
-/// perform the data access. May-footprints accumulate globally; the must
-/// component gains a line only when the address is a single constant (the
-/// one case where we know *which* line is touched).
-void step(Ctx& c, u32 pc, MustState& s) {
-  if (mem::is_bus(pc)) {
-    const u32 line = c.iline(pc);
-    c.res.ifoot.lines[c.iset(pc)].emplace(line, pc);
-    s.il.insert(line);
-  }
-  const auto it = c.at_pc.find(pc);
-  if (it == c.at_pc.end()) return;
-  const MemAccess& a = *it->second;
-  if (a.kind != MemAccess::Kind::kOk) return;
-  const bool allocates = a.load || c.cfg.write_allocate;
-  if (!allocates) return;  // NWA store: write-around, no residency change
-  for (u32 line : c.dlines(a)) {
-    c.res.dfoot.lines[c.dset(line)].emplace(line, a.pc);
-    if (a.lo == a.hi) s.dl.insert(line);
-  }
-}
-
-/// One abstract pass over the footprint blocks. `cut_back_edge` drops every
-/// edge returning to the loop head (virtual peeling of the loading pass) and
-/// reports the state carried along it through `exit_out`.
-std::map<u32, MustState> run_pass(Ctx& c, bool cut_back_edge,
-                                  const MustState& head_seed,
-                                  const MustState& root_seed,
-                                  MustState* exit_out) {
-  const Cfg& g = c.m.cfg();
-  const u32 head = c.m.loop.head;
-  std::map<u32, MustState> in;
-  std::vector<u32> work;
+/// One abstract pass over the footprint blocks; returns each block's entry
+/// state. `cut_back_edge` drops every edge returning to the loop head
+/// (virtual peeling of the loading pass) and reports the state carried along
+/// it through `exit_out`.
+std::vector<MustState> run_pass(const Ctx& c, bool cut_back_edge,
+                                const MustState& head_seed,
+                                const MustState& root_seed,
+                                MustState* exit_out) {
+  std::vector<MustState> in(c.blocks.size());
+  std::vector<int> work;
   const auto seed = [&](u32 b, const MustState& st) {
-    if (!c.m.footprint.count(b) || !g.block_at(b)) return;
-    auto [it, fresh] = in.emplace(b, st);
-    if (!fresh) it->second = join_states(it->second, st);
-    work.push_back(b);
+    const int k = c.block_index(b);
+    if (k < 0) return;
+    meet_into(in[k], st);
+    work.push_back(k);
   };
-  seed(head, head_seed);
+  seed(c.m.loop.head, head_seed);
   for (u32 r : c.m.loop_extra_roots) seed(r, root_seed);
+  MustState s;
   while (!work.empty()) {
-    const u32 b = work.back();
+    const Block& blk = c.blocks[work.back()];
+    s = in[work.back()];
     work.pop_back();
-    const BasicBlock* bb = g.block_at(b);
-    if (!bb) continue;
-    MustState s = in.at(b);
-    for (u32 pc = bb->begin; pc < bb->end; pc += 4) step(c, pc, s);
-    for (u32 succ : bb->succs) {
-      if (succ == head && cut_back_edge) {
-        if (exit_out) *exit_out = join_states(*exit_out, s);
+    unite(s.il, blk.gen.il);
+    unite(s.dl, blk.gen.dl);
+    for (const Edge& e : blk.edges) {
+      if (e.back && cut_back_edge) {
+        if (exit_out) meet_into(*exit_out, s);
         continue;
       }
-      if (!c.m.footprint.count(succ) || !g.block_at(succ)) continue;
-      auto it = in.find(succ);
-      if (it == in.end()) {
-        in[succ] = s;
-        work.push_back(succ);
-        continue;
-      }
-      const MustState merged = join_states(it->second, s);
-      if (!state_eq(merged, it->second)) {
-        it->second = merged;
-        work.push_back(succ);
-      }
+      if (e.to >= 0 && meet_into(in[e.to], s)) work.push_back(e.to);
     }
   }
   return in;
@@ -290,7 +363,7 @@ AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg) {
 
 AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg,
                        const ProgramModel& model) {
-  Ctx c{prog, cfg, model, {}, {}, {}, {}};
+  Ctx c{prog, cfg, model, {}, {}, {}, {}, {}, {}, {}};
   AbsIntResult& res = c.res;
 
   if (!model.entry_ok) {
@@ -306,11 +379,11 @@ AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg,
   res.analyzable = true;
 
   classify_accesses(c);
+  resolve_blocks(c);
 
   // --- virtual peeling: loading pass (empty, back edge cut) then execution
   // pass (seeded with the loading exit state, back edge restored) -----------
-  MustState empty;
-  empty.reached = true;
+  const MustState empty = c.empty();
   MustState exit_state;  // carried along the cut back edge
   run_pass(c, /*cut_back_edge=*/true, empty, empty, &exit_state);
   const bool latch_reached = exit_state.reached;
@@ -320,25 +393,25 @@ AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg,
   const auto in2 =
       run_pass(c, /*cut_back_edge=*/false, pass2_seed, pass2_seed, nullptr);
 
+  // --- may-footprints -------------------------------------------------------
+  // Every line a reached block may touch. The execution pass reaches every
+  // block the loading pass does (same roots, one more edge), so its blocks
+  // cover the whole loading+execution window.
+  for (std::size_t k = 0; k < c.blocks.size(); ++k) {
+    if (!in2[k].reached) continue;
+    const BasicBlock& bb = *c.blocks[k].bb;
+    for (u32 pc = bb.begin; pc < bb.end; pc += 4) {
+      if (mem::is_bus(pc)) res.ifoot.lines[c.iset(pc)].insert(c.iline(pc));
+      if (const MemAccess* a = c.allocating(pc))
+        for (u32 line : c.dlines(*a)) res.dfoot.lines[c.dset(line)].insert(line);
+    }
+  }
+
   // --- replay premises ------------------------------------------------------
-  // Iteration-local interval analysis: re-run constprop rooted at the loop
-  // head keeping only the registers that are globally *constant* there (the
-  // loop-invariant bases); everything else — in particular loop-carried
-  // values — starts from top. An access bounded under this weaker state
-  // re-derives the same address sequence on every wrapper-loop pass.
-  RegState head_state;
-  head_state.fill(AVal::top());
-  head_state[R0] = AVal::cst(0);
-  const auto hs = model.cp.at.find(model.loop.head);
-  if (hs != model.cp.at.end())
-    for (unsigned r = 0; r < kNumRegs; ++r)
-      if (hs->second[r].is_const()) head_state[r] = hs->second[r];
-  std::set<u32> iter_roots = model.loop_extra_roots;
-  iter_roots.insert(model.loop.head);
-  const ImageView image(prog);
-  const Cfg iter_cfg(image, iter_roots);
-  const ConstPropResult cp_iter =
-      propagate(iter_cfg, cfg.data_regions, {{model.loop.head, head_state}});
+  // The iteration-local interval analysis (ProgramModel::iter_cp) bounds
+  // exactly the accesses that re-derive the same address sequence on every
+  // wrapper-loop pass.
+  const ConstPropResult& cp_iter = model.iter_cp;
   const auto iter_bounded = [&](u32 pc) {
     const auto it = cp_iter.access_addr.find(pc);
     return it != cp_iter.access_addr.end() && it->second.bounded() &&
@@ -403,15 +476,14 @@ AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg,
     unproven.emplace(pc, std::move(why));
   };
   unsigned proven_accesses = 0;
-  for (const auto& [b, bb] : g.blocks()) {
-    if (!model.footprint.count(b)) continue;
-    const auto it = in2.find(b);
-    if (it == in2.end() || !it->second.reached) continue;
-    MustState s = it->second;
+  for (std::size_t k = 0; k < c.blocks.size(); ++k) {
+    if (!in2[k].reached) continue;
+    const BasicBlock& bb = *c.blocks[k].bb;
+    MustState s = in2[k];
     for (u32 pc = bb.begin; pc < bb.end; pc += 4) {
       if (mem::is_bus(pc)) {
         const u32 line = c.iline(pc);
-        if (s.il.count(line) || (r1_ic && replay_control)) {
+        if (c.iuni.test(s.il, line) || (r1_ic && replay_control)) {
           ++proven_accesses;
         } else {
           record(pc, "instruction line " + hex(line) +
@@ -438,7 +510,7 @@ AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg,
           case MemAccess::Kind::kOk: {
             bool must_hit = true;
             for (u32 line : c.dlines(a))
-              if (!s.dl.count(line)) must_hit = false;
+              if (!c.duni.test(s.dl, line)) must_hit = false;
             bool replay_ok = r1_dc && replay_control && iter_bounded(a.pc);
             if (replay_ok && a.store && !cfg.write_allocate &&
                 !nwa_covered(a))
@@ -621,9 +693,9 @@ AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg,
   }
 
   for (const auto& [set, ls] : res.ifoot.lines)
-    for (const auto& [line, pc] : ls) res.predicted_loading_ilines.insert(line);
+    res.predicted_loading_ilines.insert(ls.begin(), ls.end());
   for (const auto& [set, ls] : res.dfoot.lines)
-    for (const auto& [line, pc] : ls) res.predicted_loading_dlines.insert(line);
+    res.predicted_loading_dlines.insert(ls.begin(), ls.end());
 
   return res;
 }

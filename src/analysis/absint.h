@@ -97,9 +97,9 @@ struct InterferenceBound {
 InterferenceBound interference_bound(const mem::MemSystemConfig& geom, unsigned num_cores);
 
 /// One per-cache may-footprint: cache set index -> line base addresses that
-/// may occupy it, with a sample PC per line for diagnostics.
+/// may occupy it.
 struct SetFootprint {
-  std::map<u32, std::map<u32, u32>> lines;  // set -> line -> sample pc
+  std::map<u32, std::set<u32>> lines;  // set -> line bases
   u32 total_lines() const;
   u32 worst_set_occupancy() const;
 };
@@ -134,7 +134,10 @@ struct AbsIntResult {
 };
 
 /// Run the abstract interpreter. The second overload reuses an existing
-/// ProgramModel (analyze() path); the first builds one internally.
+/// ProgramModel (analyze() path, scenario matrix); the first builds one
+/// internally. The model must come from build_model() over the same program
+/// with the same data regions, loop symbol and check_cache_determinism; the
+/// geometry, core count and peers may differ from call to call.
 AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg);
 AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg,
                        const ProgramModel& model);

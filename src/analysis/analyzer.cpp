@@ -170,6 +170,24 @@ ProgramModel build_model(const isa::Program& prog, const AnalysisConfig& cfg) {
     }
   }
   for (u32 pc : g.reachable_from(m.loop_extra_roots)) m.footprint.insert(pc);
+  if (!cfg.check_cache_determinism) return m;
+
+  // Iteration-local interval analysis: re-run constprop rooted at the loop
+  // head keeping only the registers that are globally *constant* there (the
+  // loop-invariant bases); everything else — in particular loop-carried
+  // values — starts from top. An access bounded under this weaker state
+  // re-derives the same address sequence on every wrapper-loop pass.
+  RegState head_state;
+  head_state.fill(AVal::top());
+  head_state[R0] = AVal::cst(0);
+  const auto hs = m.cp.at.find(m.loop.head);
+  if (hs != m.cp.at.end())
+    for (unsigned r = 0; r < kNumRegs; ++r)
+      if (hs->second[r].is_const()) head_state[r] = hs->second[r];
+  std::set<u32> iter_roots = m.loop_extra_roots;
+  iter_roots.insert(m.loop.head);
+  m.iter_cp = propagate(Cfg(image, iter_roots), cfg.data_regions,
+                        {{m.loop.head, head_state}});
   return m;
 }
 

@@ -80,7 +80,9 @@ LoopRegion find_loop(const isa::Program& prog, const Cfg& g,
 /// Shared orchestration state: the CFG/constprop fixpoint and the resolved
 /// loop structure, computed once and consumed by both the syntactic rules
 /// (analyze) and the abstract interpreter (absint.h) / the trace
-/// cross-validator (trace/xval.h).
+/// cross-validator (trace/xval.h). Nothing in it depends on the cache
+/// geometry, the core count or the peers, so one model serves every
+/// interpret() of the same image (the scenario matrix sweeps it).
 struct ProgramModel {
   bool entry_ok = false;        // entry decodes inside the image
   std::optional<Cfg> graph;     // engaged when entry_ok
@@ -95,13 +97,19 @@ struct ProgramModel {
   /// In-loop JALR pcs whose target the interval analysis cannot resolve
   /// (the footprint may be incomplete; reported as unresolved-address).
   std::vector<u32> unresolved_calls;
+  /// Iteration-local constprop (absint.h replay premises): rooted at the
+  /// loop head with only the registers that are globally constant there, so
+  /// whatever it bounds re-derives identically on every wrapper-loop pass.
+  /// Filled when the loop is found and cfg.check_cache_determinism is set.
+  ConstPropResult iter_cp;
 
   const Cfg& cfg() const { return *graph; }
 };
 
 /// Build the CFG/constprop fixpoint (constant-resolved JALR and MTVEC
-/// targets become new roots until the reachable set stops growing) and
-/// resolve the loop footprint.
+/// targets become new roots until the reachable set stops growing), resolve
+/// the loop footprint and, for cache-determinism checks, run the
+/// iteration-local constprop.
 ProgramModel build_model(const isa::Program& prog, const AnalysisConfig& cfg);
 
 /// Thrown by enforcing callers (build_wrapped with LintMode::kEnforce).

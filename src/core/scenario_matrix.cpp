@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <map>
 #include <sstream>
-#include <tuple>
 
 #include "core/routines.h"
 
@@ -48,10 +47,16 @@ std::string first_problem(const AbsIntResult& ai) {
   return "unknown";
 }
 
+/// "8K/2w/16B"; a size that is not a whole number of KiB prints in bytes.
 std::string geom(const mem::CacheConfig& c) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%2uK/%uw/%2uB", c.size_bytes / 1024, c.ways,
-                c.line_bytes);
+  char buf[48];
+  if (c.size_bytes % 1024 == 0) {
+    std::snprintf(buf, sizeof buf, "%2uK/%uw/%2uB", c.size_bytes / 1024,
+                  c.ways, c.line_bytes);
+  } else {
+    std::snprintf(buf, sizeof buf, "%uB/%uw/%2uB", c.size_bytes, c.ways,
+                  c.line_bytes);
+  }
   return buf;
 }
 
@@ -110,54 +115,60 @@ MatrixReport run_matrix(const std::vector<MatrixPoint>& grid,
   if (targets.empty())
     for (const auto& r : routine_registry()) targets.push_back(&r);
 
-  // The image depends only on (routine, placement, core, write-allocate) —
-  // never on cache geometry or core count — so a 144-point sweep assembles
-  // each routine a handful of times, not hundreds.
-  std::map<std::tuple<const RoutineEntry*, unsigned, unsigned, bool>, CoreImage>
-      images;
-  const auto image = [&](const RoutineEntry* t, const MatrixPoint& p,
-                         unsigned core) -> const CoreImage& {
-    const auto key = std::make_tuple(t, p.placement, core, p.write_allocate);
-    auto it = images.find(key);
-    if (it == images.end()) {
-      const auto routine = t->make();
-      it = images.emplace(key, build_core_image(*routine, p, core)).first;
-    }
-    return it->second;
-  };
+  // The image and its ProgramModel depend only on (routine, placement,
+  // write-allocate, core) — never on cache geometry or core count. So walk
+  // the sweep image by image: model each image once, prove every grid point
+  // that grades it, then drop the model; at most one is alive at a time.
+  // Routines outermost and cores ascending within each (placement, WA)
+  // group append every cell's failures in (routine, core) order, as proving
+  // the points one by one would.
+  std::map<std::pair<unsigned, bool>, std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    groups[{grid[i].placement, grid[i].write_allocate}].push_back(i);
 
   MatrixReport rep;
-  for (const MatrixPoint& p : grid) {
-    MatrixCell cell;
-    cell.point = p;
-    for (const RoutineEntry* t : targets) {
-      const auto routine = t->make();
-      for (unsigned c = 0; c < p.num_cores; ++c) {
-        const CoreImage& self = image(t, p, c);
-        analysis::AnalysisConfig acfg =
+  rep.cells.resize(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) rep.cells[i].point = grid[i];
+
+  for (const RoutineEntry* t : targets) {
+    const auto routine = t->make();
+    for (const auto& [key, points] : groups) {
+      unsigned cores = 0;
+      for (const std::size_t i : points)
+        cores = std::max(cores, grid[i].num_cores);
+      std::vector<CoreImage> images;
+      for (unsigned c = 0; c < cores; ++c)
+        images.push_back(build_core_image(*routine, grid[points.front()], c));
+      for (unsigned c = 0; c < cores; ++c) {
+        const CoreImage& self = images[c];
+        const analysis::AnalysisConfig base =
             lint_config(*routine, WrapperKind::kCacheBased, self.env);
-        acfg.mem = p.mem;
-        acfg.num_cores = p.num_cores;
-        for (unsigned peer = 0; peer < p.num_cores; ++peer) {
-          if (peer == c) continue;
-          const CoreImage& other = image(t, p, peer);
-          acfg.peer_regions.insert(acfg.peer_regions.end(),
-                                   other.reserved.begin(),
-                                   other.reserved.end());
-        }
         const analysis::ProgramModel model =
-            analysis::build_model(self.prog, acfg);
-        const AbsIntResult ai = analysis::interpret(self.prog, acfg, model);
-        ++cell.proofs;
-        if (ai.analyzable && ai.all_proven()) {
-          ++cell.proven;
-        } else {
-          cell.failures.push_back({t->name, c, first_problem(ai)});
+            analysis::build_model(self.prog, base);
+        for (const std::size_t i : points) {
+          MatrixCell& cell = rep.cells[i];
+          const MatrixPoint& p = cell.point;
+          if (c >= p.num_cores) continue;
+          analysis::AnalysisConfig acfg = base;
+          acfg.mem = p.mem;
+          acfg.num_cores = p.num_cores;
+          for (unsigned peer = 0; peer < p.num_cores; ++peer) {
+            if (peer == c) continue;
+            acfg.peer_regions.insert(acfg.peer_regions.end(),
+                                     images[peer].reserved.begin(),
+                                     images[peer].reserved.end());
+          }
+          const AbsIntResult ai = analysis::interpret(self.prog, acfg, model);
+          ++cell.proofs;
+          if (ai.analyzable && ai.all_proven()) {
+            ++cell.proven;
+          } else {
+            cell.failures.push_back({t->name, c, first_problem(ai)});
+          }
+          cell.d_max = std::max(cell.d_max, ai.bound.d_max);
         }
-        cell.d_max = std::max(cell.d_max, ai.bound.d_max);
       }
     }
-    rep.cells.push_back(std::move(cell));
   }
   return rep;
 }

@@ -433,6 +433,45 @@ TEST(ScenarioMatrix, SinglePointSmokeProvesOneRoutine) {
             std::string::npos);
 }
 
+TEST(ScenarioMatrix, SweepMatchesOnePointSweeps) {
+  // run_matrix proves image by image, not point by point. A grid mixing
+  // proven and refuted cells (1 KiB and direct-mapped caches fail) checks
+  // that the table, the JSON and the order of the failure rows are those of
+  // proving each point on its own.
+  std::vector<core::MatrixPoint> grid;
+  for (const u32 ikb : {1u, 2u, 8u}) {
+    for (const unsigned ways : {1u, 2u}) {
+      for (const bool wa : {true, false}) {
+        for (const unsigned cores : {1u, 3u}) {
+          core::MatrixPoint p;
+          p.mem.icache = {.size_bytes = ikb * 1024, .ways = ways,
+                          .line_bytes = 32};
+          p.mem.dcache = {.size_bytes = ikb * 512, .ways = ways,
+                          .line_bytes = 32};
+          p.write_allocate = wa;
+          p.num_cores = cores;
+          grid.push_back(p);
+        }
+      }
+    }
+  }
+  const core::MatrixReport sweep = core::run_matrix(grid, {});
+  core::MatrixReport one_by_one;
+  for (const core::MatrixPoint& p : grid)
+    one_by_one.cells.push_back(core::run_matrix({p}, {}).cells.at(0));
+  const std::string table = core::format_matrix(sweep);
+  EXPECT_EQ(table, core::format_matrix(one_by_one));
+  EXPECT_EQ(core::matrix_json(sweep), core::matrix_json(one_by_one));
+
+  EXPECT_EQ(sweep.proven_configurations(), 8u) << table;
+  std::size_t fail_rows = 0;
+  for (const auto& c : sweep.cells) fail_rows += c.failures.size();
+  EXPECT_EQ(fail_rows, 160u);
+  // A sub-KiB cache is labelled in bytes, not as "0K".
+  EXPECT_NE(table.find("D$ 512B/1w/32B"), std::string::npos) << table;
+  EXPECT_EQ(table.find(" 0K/"), std::string::npos) << table;
+}
+
 TEST(Sarif, SerialisesDriverRulesAndFindings) {
   const auto fixtures = negative_fixtures();
   const Fixture* f = find_fixture(fixtures, "set-conflict");

@@ -49,7 +49,7 @@ struct Options {
   bool fixtures_selfcheck = false;
   std::string fixture;
   bool matrix = false;
-  std::string golden;      // --matrix: compare the table to this golden file
+  std::string golden;      // --matrix: compare the output to this golden file
   std::string sarif_path;  // routine mode: write a SARIF 2.1.0 log
   std::string xval_path;   // cross-validate this DSEV event stream
   unsigned cores = 3;      // --xval: graded cores in the recorded scenario
@@ -83,7 +83,8 @@ void usage(std::ostream& os) {
         "  -v, --verbose    print full reports even when clean\n"
         "  --json           machine-readable report on stdout\n"
         "  --sarif FILE     also write the report as SARIF 2.1.0\n"
-        "  --golden FILE    --matrix: require the table to match this file\n"
+        "  --golden FILE    --matrix: require the output (table or --json) to\n"
+        "                   match this file\n"
         "  --cores N        --xval: graded cores in the recording (default 3)\n"
         "  --version        print suite + checkpoint schema version\n";
 }
@@ -207,8 +208,9 @@ int run_fixtures_selfcheck() {
 int run_matrix_cmd(const Options& opt,
                    const std::vector<const RoutineEntry*>& targets) {
   const auto rep = core::run_matrix(core::default_matrix_grid(), targets);
-  const std::string table = core::format_matrix(rep);
-  std::cout << (opt.json ? core::matrix_json(rep) : table);
+  const std::string out =
+      opt.json ? core::matrix_json(rep) : core::format_matrix(rep);
+  std::cout << out;
   if (!opt.golden.empty()) {
     std::ifstream in(opt.golden, std::ios::binary);
     if (!in) {
@@ -217,10 +219,11 @@ int run_matrix_cmd(const Options& opt,
     }
     std::ostringstream want;
     want << in.rdbuf();
-    if (want.str() != table) {
-      std::cerr << "stlint: matrix table differs from golden " << opt.golden
-                << " (regenerate with: stlint --matrix > " << opt.golden
-                << ")\n";
+    if (want.str() != out) {
+      std::cerr << "stlint: matrix " << (opt.json ? "JSON" : "table")
+                << " differs from golden " << opt.golden
+                << " (regenerate with: stlint --matrix"
+                << (opt.json ? " --json" : "") << " > " << opt.golden << ")\n";
       return 1;
     }
   }
