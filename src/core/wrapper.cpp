@@ -194,7 +194,7 @@ void emit_tcm_based(Assembler& a, const SelfTestRoutine& r, const BuildEnv& env,
   // the flash controller's data-side line buffer.
   a.la(R1, p + "_tcm_src");
   a.la(R2, p + "_tcm_end");
-  a.li(R3, env.itcm_dst);
+  a.li(R3, mem::kItcmBase);
   a.label(p + "_copy");
   for (i32 off = 0; off < 16; off += 4) {
     a.lw(R4, R1, off);
@@ -205,11 +205,11 @@ void emit_tcm_based(Assembler& a, const SelfTestRoutine& r, const BuildEnv& env,
   a.bne(R1, R2, p + "_copy");
 
   if (r.needs_isr()) {
-    // Vector to the ISR's TCM copy: itcm_dst + (isr - tcm_src).
+    // Vector to the ISR's TCM copy: kItcmBase + (isr - tcm_src).
     a.la(R1, p + "_tcm_src");
     a.la(R2, p + "_isr");
     a.sub(R2, R2, R1);
-    a.li(R1, env.itcm_dst);
+    a.li(R1, mem::kItcmBase);
     a.add(R2, R2, R1);
     a.csrw(Csr::kMtvec, R2);
     a.li(R1, 0xf);
@@ -218,7 +218,7 @@ void emit_tcm_based(Assembler& a, const SelfTestRoutine& r, const BuildEnv& env,
     a.csrw(Csr::kMstatus, R1);
   }
 
-  a.li(R20, env.itcm_dst);
+  a.li(R20, mem::kItcmBase);
   a.jalr(R31, R20, 0);  // execute from the TCM, return below
 
   emit_check(a, env, golden, p);

@@ -62,7 +62,6 @@ struct BuildEnv {
   /// dummy-load fix-up (paper Sec. III step 1) to demonstrate why it exists.
   unsigned cache_loop_iterations = 2;
   bool omit_nwa_dummy_loads = false;
-  u32 itcm_dst = mem::kItcmBase;  // TCM wrapper copy target
   /// Suite mode: end with `ret` instead of `halt` so a scheduler can chain
   /// routines; the caller provides prologue/halt.
   bool as_subroutine = false;

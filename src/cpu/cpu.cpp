@@ -1,5 +1,6 @@
 #include "cpu/cpu.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "isa/disasm.h"
@@ -23,7 +24,7 @@ void Cpu::reset(u32 boot_pc) {
   ex_[0] = ex_[1] = SlotInstr{};
   exmem_[0] = exmem_[1] = SlotInstr{};
   memwb_[0] = memwb_[1] = SlotInstr{};
-  fq_.clear();
+  fq_len_ = 0;
   halted_ = halting_ = false;
   flush_ = redirect_pending_ = false;
   next_fetch_ = align_down(boot_pc, 8);
@@ -439,7 +440,7 @@ bool issues_alone(const Instr& in) {
 
 void Cpu::stage_issue() {
   if (flush_) {
-    fq_.clear();
+    fq_len_ = 0;
     next_issue_pc_ = redirect_pc_;
     return;
   }
@@ -461,7 +462,7 @@ void Cpu::stage_issue() {
     return;
   }
 
-  if (fq_.empty()) {
+  if (fq_len_ == 0) {
     ++perf_.if_stalls;
     return;
   }
@@ -479,17 +480,17 @@ void Cpu::stage_issue() {
     return s;
   };
 
-  const FetchEntry e0 = fq_.front();
+  const FetchEntry e0 = fq_[0];
   ++perf_.decodes;
   const Instr i0 = isa::decode(e0.word);
-  fq_.pop_front();
+  fq_pop_front();
   ex_[0] = make_slot(e0, i0, 0);
   next_issue_pc_ = e0.pc + 4;
 
   if (issues_alone(i0)) return;
 
-  if (fq_.empty()) return;
-  const FetchEntry e1 = fq_.front();
+  if (fq_len_ == 0) return;
+  const FetchEntry e1 = fq_[0];
   if (e1.pc != e0.pc + 4) return;
   ++perf_.decodes;
   const Instr i1 = isa::decode(e1.word);
@@ -505,9 +506,19 @@ void Cpu::stage_issue() {
     return;
   }
 
-  fq_.pop_front();
+  fq_pop_front();
   ex_[1] = make_slot(e1, i1, 1);
   next_issue_pc_ = e1.pc + 4;
+}
+
+void Cpu::fq_push(u32 pc, u32 word) {
+  assert(fq_len_ < kFqCapacity);
+  fq_[fq_len_++] = FetchEntry{pc, word};
+}
+
+void Cpu::fq_pop_front() {
+  std::copy(fq_.begin() + 1, fq_.begin() + fq_len_, fq_.begin());
+  --fq_len_;
 }
 
 void Cpu::take_trap() {
@@ -521,7 +532,7 @@ void Cpu::take_trap() {
   mstatus_ &= ~isa::kMstatusIe;
   icu_ack_ = true;
   drain_for_irq_ = false;
-  fq_.clear();
+  fq_len_ = 0;
   redirect_pc_ = mtvec_;
   redirect_pending_ = true;
   next_issue_pc_ = mtvec_;
@@ -545,8 +556,7 @@ void Cpu::stage_fetch(mem::SharedBus& bus) {
       const u64 data = memsys_.ifetch_data();
       for (unsigned k = 0; k < 2; ++k) {
         const u32 pc = addr + 4 * k;
-        if (pc >= skip_before_)
-          fq_.push_back(FetchEntry{pc, static_cast<u32>(data >> (32 * k))});
+        if (pc >= skip_before_) fq_push(pc, static_cast<u32>(data >> (32 * k)));
       }
       memsys_.ifetch_ack();
     }
@@ -556,13 +566,13 @@ void Cpu::stage_fetch(mem::SharedBus& bus) {
 
   // Start at most one new fetch per cycle; a second may stay in flight
   // (pipelined flash/bus access).
-  if (memsys_.ifetch_can_request() && !halting_ && fq_.size() + 4 <= kFqCapacity) {
+  if (memsys_.ifetch_can_request() && !halting_ && fq_len_ + 4 <= kFqCapacity) {
     if (!memsys_.fetchable(next_fetch_)) {
       // Runaway fetch (faulty redirect): supply invalid encodings, which
       // halt the core at issue — the watchdog/verdict catches it.
       for (unsigned k = 0; k < 2; ++k) {
         const u32 pc = next_fetch_ + 4 * k;
-        if (pc >= skip_before_) fq_.push_back(FetchEntry{pc, 0});
+        if (pc >= skip_before_) fq_push(pc, 0);
       }
       next_fetch_ += 8;
       return;

@@ -16,7 +16,7 @@
 // The HDCU, Forwarding Logic and ICU are pluggable (behavioural by default,
 // netlist-backed in fault campaigns) via non-owning hook pointers.
 
-#include <deque>
+#include <array>
 #include <string>
 
 #include "cpu/forward.h"
@@ -141,6 +141,8 @@ class Cpu {
   void execute_slot(SlotInstr& slot, u64 op_a, u64 op_b);
   void exec_system(SlotInstr& slot, u32 rs1_val);
   void do_redirect(u32 target);
+  void fq_push(u32 pc, u32 word);
+  void fq_pop_front();
   void take_trap();
   bool pipeline_empty() const;
 
@@ -172,8 +174,11 @@ class Cpu {
   SlotInstr ex_[2];      // packet in EX this cycle
   SlotInstr exmem_[2];   // packet in MEM this cycle
   SlotInstr memwb_[2];   // packet in WB this cycle
-  std::deque<FetchEntry> fq_;
+  // Fetch queue, oldest first. At most two 8-byte packets are in flight and
+  // a fetch starts only while 4 slots are free, so 8 entries never overflow.
   static constexpr unsigned kFqCapacity = 8;
+  std::array<FetchEntry, kFqCapacity> fq_{};
+  unsigned fq_len_ = 0;
 
   // Control state
   bool halted_ = false;

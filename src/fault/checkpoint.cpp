@@ -257,7 +257,7 @@ u64 soc_image_fingerprint(const soc::Soc& soc) {
   h.u32v(soc.num_cores());
   for (unsigned c = 0; c < soc.num_cores(); ++c) {
     h.u8v(soc.is_active(c) ? 1 : 0);
-    h.u8v(static_cast<u8>(soc.config().kinds[c]));
+    h.u8v(static_cast<u8>(soc.core(c).kind()));
     h.u32v(soc.config().start_delay[c]);
   }
   // The routine image: every flash word the cores can fetch or compare

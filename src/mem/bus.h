@@ -25,12 +25,17 @@ namespace detstl::mem {
 inline constexpr unsigned kMaxBusRequesters = 9;
 inline constexpr u32 kBusMaxBurstBytes = 32;
 
+/// One burst's data, beat i in word i. This is the single line-data format
+/// from the bus to the caches: write data, a slot's read data and every
+/// cache line's words. Words past the transfer or line size stay unused.
+using Beats = std::array<u32, kBusMaxBurstBytes / 4>;
+
 struct BusReq {
   u32 addr = 0;
   u32 bytes = 0;        // 1..32; bursts are naturally aligned
   bool write = false;
   bool amo_add = false; // atomic fetch-and-add of wdata[0]; rdata = old value
-  std::array<u32, 8> wdata{};
+  Beats wdata{};
 };
 
 /// Per-requester arbitration counters (diagnostics / contention evidence).
@@ -54,8 +59,8 @@ class SharedBus {
  public:
   void submit(unsigned id, const BusReq& req);
   bool complete(unsigned id) const { return slots_[id].state == SlotState::kComplete; }
-  /// Read data of a completed request, one 32-bit beat at a time.
-  u32 rdata(unsigned id, unsigned beat) const { return slots_[id].rdata[beat]; }
+  /// Read data of a completed request: the whole burst.
+  const Beats& rdata(unsigned id) const { return slots_[id].rdata; }
   void retire(unsigned id) {
     DETSTL_TRACE(sink_, trace::Event{.cycle = now_,
                                      .kind = trace::EventKind::kBusRetire,
@@ -104,7 +109,7 @@ class SharedBus {
   struct Slot {
     SlotState state = SlotState::kIdle;
     BusReq req;
-    std::array<u32, 8> rdata{};
+    Beats rdata{};
     u64 submit_cycle = 0;
   };
 

@@ -1,12 +1,27 @@
 #include "mem/cache.h"
 
+#include <algorithm>
+
 namespace detstl::mem {
+
+namespace {
+
+// Mask and shift of a naturally aligned `size`-byte access at line offset
+// `off` within its little-endian word.
+u32 lane_shift(u32 off, unsigned size) {
+  assert((size == 1 || size == 2 || size == 4) && off % size == 0);
+  return 8 * (off % 4);
+}
+u32 lane_mask(unsigned size) { return size == 4 ? ~0u : (1u << (8 * size)) - 1u; }
+
+}  // namespace
 
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   assert(is_pow2(cfg.size_bytes) && is_pow2(cfg.ways) && is_pow2(cfg.line_bytes));
+  // A line holds one 8-byte fetch packet and travels as one bus burst.
+  assert(cfg.line_bytes >= 8 && cfg.line_bytes <= kBusMaxBurstBytes);
   assert(cfg.num_sets() >= 1);
   lines_.resize(cfg.num_sets() * cfg.ways);
-  for (auto& l : lines_) l.data.resize(cfg.line_bytes, 0);
 }
 
 const Cache::Line* Cache::find(u32 addr) const {
@@ -43,30 +58,27 @@ bool Cache::line_dirty(u32 addr) const {
   return l != nullptr && l->dirty;
 }
 
-void Cache::read_line(u32 addr, std::vector<u32>& beats) const {
+const Beats& Cache::line(u32 addr) const {
   const Line* l = find(addr);
-  assert(l != nullptr);
-  beats.assign(cfg_.line_bytes / 4, 0);
-  for (u32 i = 0; i < cfg_.line_bytes; ++i)
-    beats[i / 4] |= static_cast<u32>(l->data[i]) << (8 * (i % 4));
+  assert(l != nullptr && "non-resident line");
+  return l->data;
 }
 
 u32 Cache::read(u32 addr, unsigned size) const {
   const Line* l = find(addr);
   assert(l != nullptr && "read from non-resident line");
   const u32 off = addr % cfg_.line_bytes;
-  assert(off + size <= cfg_.line_bytes);
-  u32 v = 0;
-  for (unsigned i = 0; i < size; ++i) v |= static_cast<u32>(l->data[off + i]) << (8 * i);
-  return v;
+  return (l->data[off / 4] >> lane_shift(off, size)) & lane_mask(size);
 }
 
 void Cache::write(u32 addr, u32 value, unsigned size) {
   Line* l = find(addr);
   assert(l != nullptr && "write to non-resident line");
   const u32 off = addr % cfg_.line_bytes;
-  assert(off + size <= cfg_.line_bytes);
-  for (unsigned i = 0; i < size; ++i) l->data[off + i] = static_cast<u8>(value >> (8 * i));
+  const u32 shift = lane_shift(off, size);
+  const u32 mask = lane_mask(size) << shift;
+  u32& word = l->data[off / 4];
+  word = (word & ~mask) | ((value << shift) & mask);
   l->dirty = true;
   touch(*l);
 }
@@ -86,19 +98,16 @@ u32 Cache::victim_way(u32 addr) const {
   return best;
 }
 
-bool Cache::victim_dirty(u32 addr, u32& wb_addr, std::vector<u32>& beats) const {
+std::optional<u32> Cache::dirty_victim(u32 addr) const {
   const u32 set = set_index(addr);
   const Line& victim = lines_[set * cfg_.ways + victim_way(addr)];
-  if (!victim.valid || !victim.dirty) return false;
-  wb_addr = (victim.tag * cfg_.num_sets() + set) * cfg_.line_bytes;
-  beats.assign(cfg_.line_bytes / 4, 0);
-  for (u32 i = 0; i < cfg_.line_bytes; ++i)
-    beats[i / 4] |= static_cast<u32>(victim.data[i]) << (8 * (i % 4));
-  return true;
+  if (!victim.valid || !victim.dirty) return std::nullopt;
+  return base_of(victim, set);
 }
 
-void Cache::fill(u32 addr, const std::vector<u32>& beats) {
-  assert(beats.size() == cfg_.line_bytes / 4);
+void Cache::fill(u32 addr, std::span<const u32> beats) {
+  const u32 words = cfg_.line_bytes / 4;
+  assert(beats.size() >= words);
   const u32 set = set_index(addr);
   Line& l = lines_[set * cfg_.ways + victim_way(addr)];
   if (l.valid && l.dirty) ++stats_.writebacks;
@@ -106,8 +115,7 @@ void Cache::fill(u32 addr, const std::vector<u32>& beats) {
   l.valid = true;
   l.dirty = false;
   l.tag = tag_of(addr);
-  for (u32 i = 0; i < cfg_.line_bytes; ++i)
-    l.data[i] = static_cast<u8>(beats[i / 4] >> (8 * (i % 4)));
+  std::copy_n(beats.begin(), words, l.data.begin());
   touch(l);
 }
 
@@ -140,7 +148,7 @@ bool Cache::flip_bit(u32 addr, u32 bit) {
   Line* l = find(addr);
   if (l == nullptr) return false;
   bit %= cfg_.line_bytes * 8;
-  l->data[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+  l->data[bit / 32] ^= 1u << (bit % 32);
   return true;
 }
 
@@ -148,11 +156,11 @@ bool Cache::force_bit(u32 addr, u32 bit, bool value) {
   Line* l = find(addr);
   if (l == nullptr) return false;
   bit %= cfg_.line_bytes * 8;
-  const u8 mask = static_cast<u8>(1u << (bit % 8));
+  const u32 mask = 1u << (bit % 32);
   if (value)
-    l->data[bit / 8] |= mask;
+    l->data[bit / 32] |= mask;
   else
-    l->data[bit / 8] &= static_cast<u8>(~mask);
+    l->data[bit / 32] &= ~mask;
   return true;
 }
 
@@ -162,7 +170,7 @@ std::vector<u32> Cache::resident_lines() const {
   for (u32 set = 0; set < cfg_.num_sets(); ++set) {
     for (u32 w = 0; w < cfg_.ways; ++w) {
       const Line& l = lines_[set * cfg_.ways + w];
-      if (l.valid) out.push_back((l.tag * cfg_.num_sets() + set) * cfg_.line_bytes);
+      if (l.valid) out.push_back(base_of(l, set));
     }
   }
   return out;

@@ -9,9 +9,12 @@
 // the miss/refill/writeback sequencing.
 
 #include <cassert>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bitutil.h"
+#include "mem/bus.h"
 
 namespace detstl::mem {
 
@@ -47,25 +50,27 @@ class Cache {
   /// True if `addr`'s line is resident and dirty.
   bool line_dirty(u32 addr) const;
 
-  /// Copy a resident line's words into `beats` (line_bytes/4 entries).
-  void read_line(u32 addr, std::vector<u32>& beats) const;
+  /// A resident line's words (the first line_bytes/4 are the line; the
+  /// rest stay zero), ready to travel as a writeback's BusReq::wdata.
+  const Beats& line(u32 addr) const;
 
-  /// Read `size` bytes (within one line) from a resident line.
+  /// Read `size` bytes (naturally aligned) from a resident line.
   u32 read(u32 addr, unsigned size) const;
 
-  /// Write `size` bytes (within one line) into a resident line, marking dirty.
+  /// Write `size` bytes (naturally aligned) into a resident line, marking
+  /// it dirty.
   void write(u32 addr, u32 value, unsigned size);
 
   /// Choose the victim way for `addr`'s set (LRU). Returns way index.
   u32 victim_way(u32 addr) const;
 
-  /// True if the victim for `addr` would need a writeback; fills `wb_addr`
-  /// and the line data beats if so.
-  bool victim_dirty(u32 addr, u32& wb_addr, std::vector<u32>& beats) const;
+  /// Base address of the line a fill of `addr` would evict, when that line
+  /// is dirty and so needs a writeback first; its data is line(*result).
+  std::optional<u32> dirty_victim(u32 addr) const;
 
-  /// Install the line containing `addr` with `beats` (line_bytes/4 words),
-  /// evicting the LRU victim.
-  void fill(u32 addr, const std::vector<u32>& beats);
+  /// Install the line containing `addr` from the first line_bytes/4 words
+  /// of `beats`, evicting the LRU victim.
+  void fill(u32 addr, std::span<const u32> beats);
 
   void invalidate_all();
 
@@ -108,17 +113,20 @@ class Cache {
     bool dirty = false;
     u32 tag = 0;
     u32 lru = 0;  // higher = more recently used
-    std::vector<u8> data;
+    Beats data{};
   };
 
   u32 set_index(u32 addr) const { return (addr / cfg_.line_bytes) % cfg_.num_sets(); }
   u32 tag_of(u32 addr) const { return addr / cfg_.line_bytes / cfg_.num_sets(); }
+  u32 base_of(const Line& l, u32 set) const {
+    return (l.tag * cfg_.num_sets() + set) * cfg_.line_bytes;
+  }
   const Line* find(u32 addr) const;
   Line* find(u32 addr);
   void touch(Line& line);
 
   CacheConfig cfg_;
-  std::vector<Line> lines_;  // [set * ways + way]
+  std::vector<Line> lines_;  // [set * ways + way]; the cache's one allocation
   CacheStats stats_;
   u32 lru_clock_ = 0;
 };

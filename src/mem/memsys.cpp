@@ -11,8 +11,8 @@ MemSystem::MemSystem(unsigned core_id, const MemSystemConfig& cfg)
     : core_id_(core_id),
       icache_(cfg.icache),
       dcache_(cfg.dcache),
-      itcm_(kItcmBase, cfg.itcm_size),
-      dtcm_(kDtcmBase, cfg.dtcm_size) {}
+      itcm_(kItcmBase, kItcmSize),
+      dtcm_(kDtcmBase, kDtcmSize) {}
 
 // Request-path emissions are stamped now_ + 1 (the cycle being evaluated:
 // the CPU issues requests before this MemSystem's tick increments now_),
@@ -187,16 +187,10 @@ void MemSystem::data_request(const DataOp& op, SharedBus& bus) {
     // resident copy is updated in place after the AMO completes.
     if (dcache_enabled() && dcache_.line_dirty(op.addr)) {
       const u32 line = align_down(op.addr, dcache_.config().line_bytes);
-      std::vector<u32> beats;
-      dcache_.read_line(op.addr, beats);
       EMIT_CACHE(trace::EventKind::kCacheWriteback, 1, line,
                  dcache_.set_of(line),
                  static_cast<u32>(dcache_.way_of(line)), true);
-      bus.submit(dport_id(), BusReq{.addr = line,
-                                    .bytes = dcache_.config().line_bytes,
-                                    .write = true,
-                                    .wdata = {beats[0], beats[1], beats[2], beats[3],
-                                              beats[4], beats[5], beats[6], beats[7]}});
+      start_dwriteback(line, bus);
       dstate_ = DState::kAmoFlush;
       return;
     }
@@ -235,20 +229,22 @@ void MemSystem::data_request(const DataOp& op, SharedBus& bus) {
   }
 
   // Allocate: writeback the victim if dirty, then refill.
-  u32 wb_addr = 0;
-  std::vector<u32> beats;
-  if (dcache_.victim_dirty(op.addr, wb_addr, beats)) {
-    EMIT_CACHE(trace::EventKind::kCacheWriteback, 1, wb_addr,
-               dcache_.set_of(wb_addr), dcache_.victim_way(op.addr), true);
-    bus.submit(dport_id(), BusReq{.addr = wb_addr,
-                                  .bytes = dcache_.config().line_bytes,
-                                  .write = true,
-                                  .wdata = {beats[0], beats[1], beats[2], beats[3],
-                                            beats[4], beats[5], beats[6], beats[7]}});
+  if (const std::optional<u32> victim = dcache_.dirty_victim(op.addr)) {
+    EMIT_CACHE(trace::EventKind::kCacheWriteback, 1, *victim,
+               dcache_.set_of(*victim), dcache_.victim_way(op.addr), true);
+    start_dwriteback(*victim, bus);
     dstate_ = DState::kWriteback;
     return;
   }
   start_drefill(bus);
+}
+
+// Write a resident D-cache line back to memory as one burst.
+void MemSystem::start_dwriteback(u32 line, SharedBus& bus) {
+  bus.submit(dport_id(), BusReq{.addr = line,
+                                .bytes = dcache_.config().line_bytes,
+                                .write = true,
+                                .wdata = dcache_.line(line)});
 }
 
 void MemSystem::start_drefill(SharedBus& bus) {
@@ -279,17 +275,15 @@ void MemSystem::tick(SharedBus& bus) {
     const unsigned id = iport_id(idx);
     if (!bus.complete(id)) continue;
     if (slot.state == IState::kRefill) {
-      std::vector<u32> beats(icache_.config().line_bytes / 4);
-      for (u32 i = 0; i < beats.size(); ++i) beats[i] = bus.rdata(id, i);
       const u32 line = align_down(slot.addr, icache_.config().line_bytes);
-      icache_.fill(line, beats);
+      icache_.fill(line, bus.rdata(id));
       EMIT_CACHE(trace::EventKind::kCacheRefill, 0, line, icache_.set_of(line),
                  static_cast<u32>(icache_.way_of(line)), false);
       slot.data = static_cast<u64>(icache_.read(slot.addr, 4)) |
                   (static_cast<u64>(icache_.read(slot.addr + 4, 4)) << 32);
     } else {
-      slot.data = static_cast<u64>(bus.rdata(id, 0)) |
-                  (static_cast<u64>(bus.rdata(id, 1)) << 32);
+      const Beats& packet = bus.rdata(id);
+      slot.data = static_cast<u64>(packet[0]) | (static_cast<u64>(packet[1]) << 32);
     }
     bus.retire(id);
     if (slot.discard) {
@@ -308,7 +302,7 @@ void MemSystem::tick(SharedBus& bus) {
   switch (dstate_) {
     case DState::kBusDirect:
       if (!dop_.write) {
-        u32 v = bus.rdata(dport_id(), 0);
+        u32 v = bus.rdata(dport_id())[0];
         if (dop_.size < 4) v &= (1u << (8 * dop_.size)) - 1u;
         drdata_ = v;
       }
@@ -320,10 +314,8 @@ void MemSystem::tick(SharedBus& bus) {
       start_drefill(bus);
       break;
     case DState::kRefill: {
-      std::vector<u32> beats(dcache_.config().line_bytes / 4);
-      for (u32 i = 0; i < beats.size(); ++i) beats[i] = bus.rdata(dport_id(), i);
       const u32 line = align_down(dop_.addr, dcache_.config().line_bytes);
-      dcache_.fill(line, beats);
+      dcache_.fill(line, bus.rdata(dport_id()));
       EMIT_CACHE(trace::EventKind::kCacheRefill, 1, line, dcache_.set_of(line),
                  static_cast<u32>(dcache_.way_of(line)), false);
       bus.retire(dport_id());
@@ -339,7 +331,7 @@ void MemSystem::tick(SharedBus& bus) {
       dstate_ = DState::kAmoBus;
       break;
     case DState::kAmoBus:
-      drdata_ = bus.rdata(dport_id(), 0);
+      drdata_ = bus.rdata(dport_id())[0];
       bus.retire(dport_id());
       // Keep a resident cached copy coherent with the AMO result.
       if (dcache_enabled() && dcache_.probe(dop_.addr)) {
@@ -350,20 +342,6 @@ void MemSystem::tick(SharedBus& bus) {
     default:
       break;
   }
-}
-
-u32 MemSystem::debug_read(u32 addr, unsigned size, const Sram& sram,
-                          const Flash& flash) const {
-  if (itcm_.contains(addr)) return itcm_.read(addr, size);
-  if (dtcm_.contains(addr)) return dtcm_.read(addr, size);
-  if (dcache_.probe(addr)) return dcache_.read(addr, size);
-  u32 v = 0;
-  for (unsigned i = 0; i < size; ++i) {
-    const u32 a = addr + i;
-    const u8 b = is_flash(a) ? flash.read8(a) : sram.read8(a);
-    v |= static_cast<u32>(b) << (8 * i);
-  }
-  return v;
 }
 
 }  // namespace detstl::mem

@@ -5,8 +5,6 @@
 // accesses). Implements the miss sequencing: victim writeback, line refill,
 // no-write-allocate store-around, and cache-flushing atomics.
 
-#include <optional>
-
 #include "mem/bus.h"
 #include "mem/cache.h"
 #include "mem/tcm.h"
@@ -16,8 +14,6 @@ namespace detstl::mem {
 struct MemSystemConfig {
   CacheConfig icache{.size_bytes = 8192, .ways = 2, .line_bytes = 32};
   CacheConfig dcache{.size_bytes = 4096, .ways = 2, .line_bytes = 32};
-  u32 itcm_size = kItcmSize;
-  u32 dtcm_size = kDtcmSize;
 };
 
 class MemSystem {
@@ -109,12 +105,6 @@ class MemSystem {
   void set_trace_sink(trace::EventSink* sink) { sink_ = sink; }
   trace::EventSink* trace_sink() const { return sink_; }
 
-  /// Debug (zero-time) memory access used by loaders and test harnesses.
-  /// Routes to TCM or SRAM/flash image without timing or cache effects.
-  /// Note: with the D$ enabled, dirty lines may hold newer data than SRAM;
-  /// debug_read checks the caches first.
-  u32 debug_read(u32 addr, unsigned size, const Sram& sram, const Flash& flash) const;
-
  private:
   enum class IState : u8 { kIdle, kBusDirect, kRefill, kDone };
   enum class DState : u8 {
@@ -122,6 +112,7 @@ class MemSystem {
   };
 
   void dcache_apply();
+  void start_dwriteback(u32 line, SharedBus& bus);
   void start_drefill(SharedBus& bus);
   bool ibus_inflight() const;
   bool idraining() const;

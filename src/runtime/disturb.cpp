@@ -155,12 +155,11 @@ void DisturbanceInjector::apply(const Disturbance& d, soc::Soc& soc,
             // An eviction writes dirty data back before dropping the line,
             // so memory stays architecturally correct — only the timing and
             // residency are disturbed.
-            if (cache.probe(addr) && cache.line_dirty(addr)) {
-              std::vector<u32> beats;
-              cache.read_line(addr, beats);
+            if (cache.line_dirty(addr)) {
+              const mem::Beats& words = cache.line(addr);
               const u32 base = addr & ~(cache.config().line_bytes - 1);
-              for (u32 i = 0; i < beats.size(); ++i)
-                soc.debug_write32(base + 4 * i, beats[i]);
+              for (u32 i = 0; i < cache.config().line_bytes / 4; ++i)
+                soc.debug_write32(base + 4 * i, words[i]);
             }
             applied = cache.invalidate_line(addr);
             break;

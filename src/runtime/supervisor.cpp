@@ -35,7 +35,7 @@ SchedulePlan plan_schedule(const std::vector<const core::SelfTestRoutine*>& rout
         throw std::runtime_error("plan_schedule: schedule exceeds the flash");
       core::BuildEnv env;
       env.core_id = c;
-      env.kind = plan.soc.config().kinds[c];
+      env.kind = plan.soc.core(c).kind();
       env.code_base = next_base;
       // Private scratch per (core, routine): routines must not inherit a
       // predecessor's dirtied data area.

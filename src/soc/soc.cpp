@@ -12,7 +12,7 @@ Soc::Soc(const SocConfig& cfg) : cfg_(cfg) {
   cores_.reserve(cfg.num_cores);
   for (unsigned i = 0; i < cfg.num_cores; ++i) {
     cpu::CpuConfig cc;
-    cc.kind = cfg.kinds[i];
+    cc.kind = static_cast<isa::CoreKind>(i);
     cc.core_id = i;
     cc.mem = cfg.mem;
     cores_.emplace_back(cc);

@@ -20,10 +20,9 @@ namespace detstl::soc {
 
 inline constexpr unsigned kMaxCores = 3;
 
+/// Core i is always of kind i: A and B (32-bit), then C (64-bit).
 struct SocConfig {
   unsigned num_cores = 3;
-  std::array<isa::CoreKind, kMaxCores> kinds = {isa::CoreKind::kA, isa::CoreKind::kB,
-                                                isa::CoreKind::kC};
   mem::MemSystemConfig mem{};
   /// Cycles each core is held in reset after reset() — the "initial SoC
   /// configuration" that staggers the cores' bus activity.

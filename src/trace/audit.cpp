@@ -11,12 +11,7 @@ namespace detstl::trace {
 namespace {
 
 core::BuildEnv env_for_core(unsigned core, bool write_allocate, bool perf) {
-  core::BuildEnv env;
-  env.core_id = core;
-  env.kind = static_cast<isa::CoreKind>(core);
-  env.code_base = mem::kFlashBase + 0x2000 + core * 0x40000;
-  env.data_base = core::default_data_base(core);
-  env.write_allocate = write_allocate;
+  core::BuildEnv env = core::quickstart_env(core, write_allocate);
   env.use_perf_counters = perf;
   return env;
 }

@@ -103,14 +103,14 @@ TEST_F(BusFixture, WriteThenReadBack) {
   bus.retire(0);
   bus.submit(1, BusReq{.addr = kSramBase, .bytes = 4});
   run_until_complete(1);
-  EXPECT_EQ(bus.rdata(1, 0), 0x12345678u);
+  EXPECT_EQ(bus.rdata(1)[0], 0x12345678u);
 }
 
 TEST_F(BusFixture, AmoAddReturnsOldValue) {
   sram.write32(kSramBase + 8, 100);
   bus.submit(2, BusReq{.addr = kSramBase + 8, .bytes = 4, .amo_add = true, .wdata = {5}});
   run_until_complete(2);
-  EXPECT_EQ(bus.rdata(2, 0), 100u);
+  EXPECT_EQ(bus.rdata(2)[0], 100u);
   EXPECT_EQ(sram.read32(kSramBase + 8), 105u);
 }
 
@@ -202,12 +202,12 @@ TEST(Cache, VictimDirtyReportsWritebackData) {
   c.fill(0x080, make_beats(2));
   c.write(0x004, 0xdeadbeef, 4);  // dirty line 0x000 (LRU after fill of 0x080? no: 0x000 touched by write)
   c.lookup(0x080);                // make 0x080 MRU -> victim is 0x000
-  u32 wb_addr = 0;
-  std::vector<u32> beats;
-  ASSERT_TRUE(c.victim_dirty(0x100, wb_addr, beats));
-  EXPECT_EQ(wb_addr, 0x000u);
-  EXPECT_EQ(beats[1], 0xdeadbeefu);
+  const std::optional<u32> victim = c.dirty_victim(0x100);
+  ASSERT_TRUE(victim.has_value());
+  EXPECT_EQ(*victim, 0x000u);
+  EXPECT_EQ(c.line(*victim)[1], 0xdeadbeefu);
 }
+
 
 TEST(Cache, InvalidateAllDiscardsDirtyData) {
   Cache c(small_cfg());
@@ -395,6 +395,55 @@ TEST_F(MemSysFixture, CacheOpInvalidates) {
   ms.data_ack();
   ms.cache_op(isa::kCacheOpInvD);
   EXPECT_EQ(ms.dcache().valid_lines(), 0u);
+}
+
+TEST(MemSysSmallLines, SixteenByteLinesWriteBackAndFlushWholeLines) {
+  // A 16-byte D-cache line travels as a 4-beat burst. Both writeback paths,
+  // evicting a dirty victim and flushing a dirty line before an amoadd, must
+  // put exactly the line's four words into SRAM and leave the next line alone.
+  Flash flash;
+  Sram sram;
+  SharedBus bus;
+  MemSystem ms(0, MemSystemConfig{.dcache = {.size_bytes = 256, .ways = 2,
+                                             .line_bytes = 16}});
+  ms.set_cache_cfg(isa::kCacheCfgDEn | isa::kCacheCfgWriteAllocate);
+  const auto access = [&](const MemSystem::DataOp& op) {
+    ms.data_request(op, bus);
+    for (u32 cycles = 0; !ms.data_done(); ++cycles) {
+      if (cycles > 100) {
+        ADD_FAILURE() << "data op did not complete";
+        break;
+      }
+      bus.tick(flash, sram);
+      ms.tick(bus);
+    }
+    const u32 v = ms.data_rdata();
+    ms.data_ack();
+    return v;
+  };
+  const auto store_line = [&](u32 base, u32 seed) {
+    for (u32 i = 0; i < 4; ++i)
+      access({.addr = base + 4 * i, .size = 4, .write = true, .wdata = seed + i});
+  };
+  constexpr u32 kSentinel = 0x5a5a5a5a;
+  const u32 stride = ms.dcache().config().num_sets() * 16;  // same set
+  const u32 a = kSramBase + 0x400;
+  sram.write32(a + 16, kSentinel);
+  store_line(a, 0xa0);
+  store_line(a + stride, 0xb0);
+  store_line(a + 2 * stride, 0xc0);  // evicts the LRU line, a
+  EXPECT_FALSE(ms.dcache().probe(a));
+  for (u32 i = 0; i < 4; ++i) EXPECT_EQ(sram.read32(a + 4 * i), 0xa0 + i) << i;
+  EXPECT_EQ(sram.read32(a + 16), kSentinel);
+
+  const u32 d = kSramBase + 0x800;
+  sram.write32(d + 16, kSentinel);
+  store_line(d, 0xd0);
+  EXPECT_EQ(access({.addr = d + 8, .size = 4, .amo_add = true, .wdata = 5}), 0xd2u);
+  EXPECT_EQ(sram.read32(d + 8), 0xd2u + 5);
+  for (u32 i : {0u, 1u, 3u}) EXPECT_EQ(sram.read32(d + 4 * i), 0xd0 + i) << i;
+  EXPECT_EQ(sram.read32(d + 16), kSentinel);
+  EXPECT_EQ(ms.dcache().read(d + 8, 4), 0xd2u + 5);
 }
 
 // ----------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 // SoC-level properties: value-semantic checkpointing (the fault engine's
-// foundation), start staggers, activity isolation, loaders and debug access.
+// foundation), flat SoC state (heap allocations per copy and per run), start
+// staggers, activity isolation, loaders and debug access.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "core/routines.h"
 #include "core/stl.h"
@@ -9,6 +14,15 @@
 
 namespace detstl {
 namespace {
+
+// Every heap allocation this test binary makes; the replaceable global
+// allocation functions at the bottom of the file count into it.
+std::atomic<u64> g_allocations{0};
+
+void* counted_alloc(std::size_t n) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
 
 using namespace isa;
 using isa::Assembler;
@@ -31,10 +45,8 @@ isa::Program counting_program(u32 base, u32 sram_slot) {
 // Checkpoint copy semantics
 // ----------------------------------------------------------------------------
 
-TEST(SocCheckpoint, CopyIsBitExactContinuation) {
-  // Run N cycles, snapshot, run both the original and the copy for M more
-  // cycles: every piece of architectural state must match. This is the
-  // invariant the fault campaign's checkpoint restore rests on.
+/// Three uncached cores running counting_program.
+soc::Soc counting_soc() {
   soc::Soc s;
   for (unsigned c = 0; c < 3; ++c) {
     const auto p = counting_program(mem::kFlashBase + 0x2000 + c * 0x10000,
@@ -42,11 +54,71 @@ TEST(SocCheckpoint, CopyIsBitExactContinuation) {
     s.load_program(p);
     s.set_boot(c, p.entry());
   }
-  s.reset();
-  for (int i = 0; i < 700; ++i) s.tick();
+  return s;
+}
 
+/// The tools' quickstart scenario: the cache-wrapped `fwd` routine on cores
+/// A-C at their core::quickstart_env placements, loaded but not yet reset.
+soc::Soc quickstart_soc() {
+  const auto routine = core::make_fwd_test(false);
+  soc::Soc s;
+  for (unsigned c = 0; c < 3; ++c) {
+    const auto bt = core::build_wrapped(*routine, core::WrapperKind::kCacheBased,
+                                        core::quickstart_env(c, true));
+    s.load_program(bt.prog);
+    s.set_boot(c, bt.prog.entry());
+  }
+  return s;
+}
+
+/// Tick until `ready` holds; false if the run halts or times out first.
+template <typename Pred>
+bool run_until(soc::Soc& s, Pred ready) {
+  while (!ready(s)) {
+    if (s.all_halted() || s.now() > 1'000'000) return false;
+    s.tick();
+  }
+  return true;
+}
+
+bool refill_in_flight(const soc::Soc& s) {
+  for (unsigned c = 0; c < s.num_cores(); ++c) {
+    const mem::MemSystem& ms = s.core(c).memsys();
+    if (ms.icache().stats().misses > ms.icache().stats().refills) return true;
+  }
+  return false;
+}
+
+bool dirty_dline_resident(const soc::Soc& s) {
+  for (unsigned c = 0; c < s.num_cores(); ++c) {
+    const mem::Cache& d = s.core(c).memsys().dcache();
+    for (const u32 line : d.resident_lines())
+      if (d.line_dirty(line)) return true;
+  }
+  return false;
+}
+
+void expect_same_cache(const mem::Cache& a, const mem::Cache& b, unsigned core) {
+  ASSERT_EQ(a.resident_lines(), b.resident_lines()) << "core " << core;
+  for (const u32 line : a.resident_lines()) {
+    EXPECT_EQ(a.line(line), b.line(line)) << "core " << core << " line " << line;
+    EXPECT_EQ(a.line_dirty(line), b.line_dirty(line)) << "core " << core;
+  }
+  EXPECT_EQ(a.stats().hits, b.stats().hits) << "core " << core;
+  EXPECT_EQ(a.stats().refills, b.stats().refills) << "core " << core;
+  EXPECT_EQ(a.stats().writebacks, b.stats().writebacks) << "core " << core;
+}
+
+/// Copy `s`, then tick the original and the copy `ticks` more times (0 = to
+/// halt): registers, counters, cache residency and line words, bus stats,
+/// the mailboxes and all of SRAM must match.
+void expect_copy_continues(soc::Soc& s, u64 ticks) {
   soc::Soc copy = s;
-  for (int i = 0; i < 900; ++i) {
+  if (ticks == 0) {
+    ASSERT_FALSE(s.run(1'000'000).timed_out);
+    ASSERT_FALSE(copy.run(1'000'000).timed_out);
+  }
+  for (u64 i = 0; i < ticks; ++i) {
     s.tick();
     copy.tick();
   }
@@ -57,11 +129,63 @@ TEST(SocCheckpoint, CopyIsBitExactContinuation) {
     EXPECT_EQ(copy.core(c).perf().cycles, s.core(c).perf().cycles);
     EXPECT_EQ(copy.core(c).perf().instret, s.core(c).perf().instret);
     EXPECT_EQ(copy.core(c).perf().if_stalls, s.core(c).perf().if_stalls);
+    EXPECT_EQ(copy.core(c).perf().mem_stalls, s.core(c).perf().mem_stalls);
     EXPECT_EQ(copy.core(c).halted(), s.core(c).halted());
+    expect_same_cache(copy.core(c).memsys().icache(), s.core(c).memsys().icache(), c);
+    expect_same_cache(copy.core(c).memsys().dcache(), s.core(c).memsys().dcache(), c);
+    for (u32 w = 0; w < soc::kMailboxStride; w += 4)
+      EXPECT_EQ(copy.debug_read32(soc::mailbox_addr(c) + w),
+                s.debug_read32(soc::mailbox_addr(c) + w)) << "core " << c;
   }
-  for (u32 off = 0; off < 192; off += 4)
-    ASSERT_EQ(copy.debug_read32(mem::kSramBase + 0x6000 + off),
-              s.debug_read32(mem::kSramBase + 0x6000 + off));
+  EXPECT_EQ(copy.bus().transactions(), s.bus().transactions());
+  for (unsigned id = 0; id < mem::kMaxBusRequesters; ++id) {
+    const mem::BusStats& a = copy.bus().stats(id);
+    const mem::BusStats& b = s.bus().stats(id);
+    EXPECT_EQ(a.grants, b.grants) << "requester " << id;
+    EXPECT_EQ(a.wait_cycles, b.wait_cycles) << "requester " << id;
+    EXPECT_EQ(a.occupancy_cycles, b.occupancy_cycles) << "requester " << id;
+    EXPECT_EQ(a.max_wait_cycles, b.max_wait_cycles) << "requester " << id;
+  }
+  for (u32 a = mem::kSramBase; a < mem::kSramBase + mem::kSramSize; a += 4)
+    ASSERT_EQ(copy.sram().read32(a), s.sram().read32(a)) << std::hex << a;
+}
+
+TEST(SocCheckpoint, CopyIsBitExactContinuation) {
+  // Snapshot mid-run, then run the original and the copy on: every piece of
+  // state must match. This is the invariant the fault campaign's checkpoint
+  // restore rests on. Inputs: three uncached counting cores at cycle 700,
+  // and the cached three-core quickstart run while a line refill is in
+  // flight and while a dirty D-cache line is resident.
+  soc::Soc counting = counting_soc();
+  counting.reset();
+  for (int i = 0; i < 700; ++i) counting.tick();
+  expect_copy_continues(counting, 900);
+
+  for (bool (*ready)(const soc::Soc&) : {refill_in_flight, dirty_dline_resident}) {
+    soc::Soc s = quickstart_soc();
+    s.reset();
+    ASSERT_TRUE(run_until(s, ready));
+    expect_copy_continues(s, 0);
+    for (unsigned c = 0; c < 3; ++c)
+      EXPECT_EQ(s.debug_read32(soc::mailbox_addr(c)), soc::kStatusPass) << "core " << c;
+  }
+}
+
+TEST(SocFlatState, CopyAndCachedRunStayOffTheHeap) {
+  // A SoC copy allocates only its fixed-size arrays (the core vector, two
+  // cache line arrays and two TCMs per core, SRAM), never one object per
+  // cache line; a cached three-core run allocates nothing from reset to halt.
+  soc::Soc s = quickstart_soc();
+  u64 before = g_allocations.load();
+  s.reset();
+  const soc::Soc::RunResult r = s.run(1'000'000);
+  EXPECT_EQ(g_allocations.load() - before, 0u) << "reset to halt";
+  ASSERT_FALSE(r.timed_out);
+
+  before = g_allocations.load();
+  const soc::Soc copy = s;
+  EXPECT_LE(g_allocations.load() - before, 32u) << "one copy";
+  EXPECT_EQ(copy.now(), s.now());
 }
 
 TEST(SocCheckpoint, CopyDivergesIndependently) {
@@ -203,3 +327,29 @@ TEST(SocLoader, DebugReadSeesDirtyCacheLines) {
 
 }  // namespace
 }  // namespace detstl
+
+// Replaceable global allocation functions: count, then allocate with malloc
+// (every form, so new/delete pairs stay matched under the sanitizers). The
+// deletes stay out of line: inlined, gcc pairs their free() with the
+// caller's `new` and warns of a mismatch.
+void* operator new(std::size_t n) {
+  if (void* p = detstl::counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return detstl::counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return detstl::counted_alloc(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
