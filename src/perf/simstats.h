@@ -25,8 +25,11 @@ enum class SimStat : unsigned {
   // models, and the Netlist::eval passes they took (the rest hit the memo)
   kDetectionModuleCalls,
   kDetectionModuleEvals,
-  kDisturbRuns,      // disturbance campaign: supervised runs completed
-  kDisturbCycles,    // disturbance campaign: SoC ticks across supervised runs
+  kDisturbRuns,      // supervised-run campaigns (disturbance, soak): runs completed
+  // supervised-run campaigns: SoC ticks actually simulated, every run's
+  // first pass plus the soak isolation probes that were simulated (from
+  // reset or from a snapshot, up to their first failed attempt)
+  kDisturbCycles,
   kSocRunCycles,     // direct soc::Soc runs outside a campaign (benches, tools)
   kCount,
 };

@@ -1,6 +1,9 @@
 #include "runtime/soak.h"
 
 #include <algorithm>
+#include <cassert>
+#include <mutex>
+#include <optional>
 
 #include "common/bytes.h"
 #include "common/table.h"
@@ -65,6 +68,11 @@ SoakPlan make_soak_plan(const SoakSpec& spec, u64 seed, unsigned num_cores) {
 
 SoakInjector::SoakInjector(const SoakPlan& plan, std::size_t limit)
     : plan_(&plan), limit_(std::min(limit, plan.upsets.size())) {}
+
+void SoakInjector::limit_to(std::size_t k) {
+  assert(next_ <= k && "the cursor has passed the new limit");
+  limit_ = std::min(k, plan_->upsets.size());
+}
 
 void SoakInjector::poll(soc::Soc& soc, const InjectTargets& targets) {
   const u64 now = soc.now();
@@ -138,72 +146,138 @@ bool soak_run_diverged(const SupervisorResult& r) {
 
 namespace {
 
-/// One supervised run under the first `limit` upsets of `plan`. The SoC and
-/// schedule come fresh from the plan every time, so a bisection probe is
-/// exactly as deterministic as the original run.
-SupervisorResult run_prefix(const SchedulePlan& sp, const SupervisorConfig& cfg,
-                            const SoakPlan& plan, std::size_t limit, SoakStats* stats,
-                            std::vector<AppliedUpset>* log) {
-  SoakInjector inj(plan, limit);
+/// Runs a started (or resumed) probe until its first failed attempt or its
+/// end and returns whether it diverged from a clean pass. A failed attempt
+/// fixes that verdict, so the rest of the run is not simulated. Counts the
+/// ticks it simulates.
+bool probe_diverges(StlSupervisor& sup, SoakInjector* inj) {
+  const u64 from = sup.now();
+  while (sup.first_failure() == 0 && sup.step(inj)) continue;
+  perf::sim_totals().add(perf::SimStat::kDisturbCycles, sup.now() - from);
+  return sup.first_failure() != 0 || soak_run_diverged(sup.result());
+}
+
+/// The zero-upset probe that guards every bisection. It depends only on the
+/// schedule and the supervisor config, so a campaign simulates it once, on
+/// whichever worker needs it first, and keeps only its verdict.
+class CleanBaseline {
+ public:
+  bool diverged(const SchedulePlan& sp, const SupervisorConfig& cfg) {
+    std::call_once(once_, [&] {
+      StlSupervisor sup(sp.soc, sp.schedule, cfg);
+      sup.start();
+      diverged_ = probe_diverges(sup, nullptr);
+    });
+    return diverged_;
+  }
+
+ private:
+  std::once_flag once_;
+  bool diverged_ = false;
+};
+
+/// A first pass's state just before a given upset is polled.
+struct Snapshot {
+  StlSupervisor sup;
+  SoakInjector inj;
+};
+
+/// What the bisection keeps of a run's first pass: its result, the tick of
+/// its first failed attempt and at most one snapshot. The pass's own
+/// supervisor is gone before the first probe starts.
+struct FirstPass {
+  SupervisorResult result;
+  u64 first_failure = 0;
+  std::optional<Snapshot> snapshot;
+};
+
+/// The run under `inj`'s whole plan, snapshotted just before upset
+/// `snapshot_at` is polled unless an attempt has failed by then (past the
+/// plan's end: no snapshot).
+FirstPass run_first_pass(const SchedulePlan& sp, const SupervisorConfig& cfg,
+                         const SoakPlan& plan, SoakInjector& inj,
+                         std::size_t snapshot_at) {
+  FirstPass out;
   StlSupervisor sup(sp.soc, sp.schedule, cfg);
-  SupervisorResult r = sup.run(&inj);
-  if (stats != nullptr) *stats = inj.stats();
-  if (log != nullptr) *log = inj.applied_log();
-  return r;
+  sup.start();
+  do {
+    // The next step ticks to now() + 1, then polls every upset due by then.
+    if (snapshot_at < plan.upsets.size() && !out.snapshot && sup.first_failure() == 0 &&
+        sup.now() + 1 >= plan.upsets[snapshot_at].cycle)
+      out.snapshot.emplace(Snapshot{sup, inj});
+  } while (sup.step(&inj));
+  out.result = sup.result();
+  out.first_failure = sup.first_failure();
+  return out;
 }
 
 /// The soak kind's per-run function: the run under its whole upset plan
 /// (`soak` carries the calibrated duration), then bisection if it diverged.
 SoakRunRecord run_soak_once(const SchedulePlan& sp, const SoakCampaignSpec& spec,
-                            const SoakSpec& soak, u64 run_seed) {
+                            const SoakSpec& soak, u64 run_seed, CleanBaseline& clean) {
   SoakRunRecord rec;
   rec.seed = run_seed;
   const SoakPlan plan = make_soak_plan(soak, run_seed, spec.cores);
-  std::vector<AppliedUpset> log;
-  rec.result = run_prefix(sp, spec.supervisor, plan, plan.upsets.size(), &rec.stats, &log);
+  const std::vector<SoakUpset>& ups = plan.upsets;
+
+  // A probe cut at upset p is the first pass, tick for tick, until upset p
+  // is polled, so the first pass keeps a snapshot from just before the
+  // bisection's first cut p1 = n/2. Once an attempt has failed, every probe
+  // from p1 on is answered without simulation (below), so none is needed.
+  const std::size_t p1 = ups.size() / 2;
+  SoakInjector inj(plan);
+  FirstPass first = run_first_pass(sp, spec.supervisor, plan, inj,
+                                   spec.isolate && ups.size() >= 2 ? p1 : SIZE_MAX);
+  rec.result = std::move(first.result);
+  rec.stats = inj.stats();
 
   IsolationResult& iso = rec.isolation;
   iso.diverged = soak_run_diverged(rec.result) ? 1 : 0;
-  if (iso.diverged == 0 || !spec.isolate || plan.upsets.empty()) return rec;
+  if (iso.diverged == 0 || !spec.isolate || ups.empty()) return rec;
 
   // Prefix bisection (delta debugging specialised to a single culprit): the
   // invariant is "prefix hi diverges, prefix lo is clean"; the culprit is
   // the last upset of the minimal failing prefix. The zero-upset probe
   // guards the invariant — if even an undisturbed run diverges, the
-  // schedule itself is unstable and no upset can be blamed.
-  std::size_t lo = 0, hi = plan.upsets.size();
-  u32 reruns = 1;
-  std::vector<AppliedUpset> culprit_log = log;
-  const SupervisorResult clean =
-      run_prefix(sp, spec.supervisor, plan, 0, nullptr, nullptr);
-  perf::sim_totals().add(perf::SimStat::kDisturbCycles, clean.total_cycles);
-  if (soak_run_diverged(clean)) {
-    iso.reruns = reruns;
-    return rec;
-  }
+  // schedule itself is unstable and no upset can be blamed. `reruns` counts
+  // logical probes, whether simulated or not.
+  iso.reruns = 1;
+  if (clean.diverged(sp, spec.supervisor)) return rec;
+  std::size_t lo = 0, hi = ups.size();
   while (hi - lo > 1) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    std::vector<AppliedUpset> probe_log;
-    const SupervisorResult probe =
-        run_prefix(sp, spec.supervisor, plan, mid, nullptr, &probe_log);
-    perf::sim_totals().add(perf::SimStat::kDisturbCycles, probe.total_cycles);
-    ++reruns;
-    if (soak_run_diverged(probe)) {
-      hi = mid;
-      culprit_log = std::move(probe_log);
+    ++iso.reruns;
+    bool diverged;
+    if (first.first_failure != 0 && ups[mid].cycle > first.first_failure) {
+      // Upset `mid` is polled after the tick of the first pass's first
+      // failed attempt, so the probe replays that failure.
+      diverged = true;
+    } else if (first.snapshot && mid >= p1) {
+      Snapshot probe = *first.snapshot;
+      probe.inj.limit_to(mid);
+      diverged = probe_diverges(probe.sup, &probe.inj);
     } else {
-      lo = mid;
+      SoakInjector probe_inj(plan, mid);
+      StlSupervisor probe(sp.soc, sp.schedule, spec.supervisor);
+      probe.start();
+      diverged = probe_diverges(probe, &probe_inj);
     }
+    if (diverged)
+      hi = mid;
+    else
+      lo = mid;
   }
   const u32 culprit = static_cast<u32>(hi - 1);
-  const SoakUpset& u = plan.upsets[culprit];
+  const SoakUpset& u = ups[culprit];
   iso.isolated = 1;
   iso.upset_index = culprit;
   iso.site = u.site;
   iso.core = u.core;
   iso.cycle = u.cycle;
-  iso.reruns = reruns;
-  for (const AppliedUpset& a : culprit_log) {
+  // The culprit lands in the same state in the first pass as in the failing
+  // prefix hi: both runs agree until upset hi is polled, and upsets due in
+  // one tick are applied in index order.
+  for (const AppliedUpset& a : inj.applied_log()) {
     if (a.index != culprit) continue;
     iso.core = a.core;
     iso.addr = a.addr;
@@ -300,6 +374,7 @@ SoakCampaignResult run_soak_campaign(const SoakCampaignSpec& spec) {
       soak.duration = calibrated_horizon(plan, spec.cores);
     return soak;
   };
+  CleanBaseline clean;
   return run_supervised_campaign<SoakRunRecord>(
       spec,
       {.what = "soak",
@@ -310,7 +385,7 @@ SoakCampaignResult run_soak_campaign(const SoakCampaignSpec& spec) {
          return soak_checkpoint_config_hash(hashed, plan);
        },
        .run = [&](const SchedulePlan& plan, u64 run_seed) {
-         return run_soak_once(plan, spec, calibrated(plan), run_seed);
+         return run_soak_once(plan, spec, calibrated(plan), run_seed, clean);
        },
        .encode = serialize_soak_record,
        .decode = deserialize_soak_record});

@@ -13,10 +13,16 @@
 //
 // Differential isolation: when a supervised run under the full upset plan
 // diverges from a clean pass (any routine slot not kPassClean, a
-// quarantined core, or an exhausted budget), the run is repeated with the
-// plan bisected by prefix length until the minimal failing prefix is found;
-// its last upset is the responsible one, reported with its resolved landing
-// site (address + bit) from the injector's applied log.
+// quarantined core, or an exhausted budget), the plan is bisected by prefix
+// length until the minimal failing prefix is found; its last upset is the
+// responsible one, reported with its resolved landing site (address + bit)
+// from the first pass's applied log. A probe cut at upset p is the first
+// pass, tick for tick, until upset p is polled, so probes are decided from
+// the first pass wherever that is exact: one zero-upset baseline per
+// campaign, probes that stop at their first failed attempt, probes whose
+// cut-off upset arrives after the first pass's first failure answered
+// without simulation, and probes from the bisection's first cut on resumed
+// from one in-run snapshot (docs/runtime.md, "Differential isolation").
 //
 // The soak is the second kind of the supervised-run campaign
 // (runtime/campaign.h): it shares the spec base, result type, driver body
@@ -114,6 +120,11 @@ class SoakInjector : public InjectorHook {
 
   void poll(soc::Soc& soc, const InjectTargets& targets) override;
 
+  /// Replay only the first `k` upsets from here on; the cursor must not
+  /// have passed `k`. A copy of a running injector cut this way replays
+  /// exactly what a fresh SoakInjector(plan, k) would.
+  void limit_to(std::size_t k);
+
   const SoakStats& stats() const { return stats_; }
   const std::vector<AppliedUpset>& applied_log() const { return applied_; }
 
@@ -137,7 +148,7 @@ struct IsolationResult {
   u64 cycle = 0;  // planned arrival tick of the culprit
   u32 addr = 0;   // resolved landing address (0 when masked/pipeline)
   u32 bit = 0;
-  u32 reruns = 0;  // bisection re-simulations spent
+  u32 reruns = 0;  // logical probes; some are decided without simulation
 };
 
 struct SoakRunRecord : RunRecord {
@@ -156,8 +167,9 @@ bool soak_run_diverged(const SupervisorResult& r);
 struct SoakCampaignSpec : RunCampaignSpec {
   SoakCampaignSpec() : RunCampaignSpec(0x5EA50001, 8) {}
   SoakSpec soak{};
-  /// Run differential bisection on every diverged run (log2(n) extra
-  /// supervised runs per divergence). Part of the config hash.
+  /// Run differential bisection on every diverged run (about log2(n)
+  /// logical probes per divergence, each simulated at most up to its first
+  /// failed attempt, some not at all). Part of the config hash.
   bool isolate = true;
 };
 

@@ -202,6 +202,7 @@ void StlSupervisor::finish_attempt(unsigned c, AttemptStatus status, u32 signatu
   }
 
   rec.last_failure = status;
+  if (first_failure_ == 0) first_failure_ = soc_.now();
   const unsigned limit = x.rung == 0 ? cfg_.max_attempts : cfg_.fallback_attempts;
   if (x.attempt < limit) {
     // Retry with reload: the relaunch re-enters the wrapper from the top,
@@ -231,9 +232,16 @@ void StlSupervisor::finish_attempt(unsigned c, AttemptStatus status, u32 signatu
 }
 
 SupervisorResult StlSupervisor::run(InjectorHook* hook) {
+  start();
+  while (step(hook)) continue;
+  return result_;
+}
+
+void StlSupervisor::start() {
   soc_.reset();
   result_ = SupervisorResult{};
   targets_ = InjectTargets{};
+  first_failure_ = 0;
   for (unsigned c = 0; c < soc_.num_cores(); ++c) {
     ctx_[c] = CoreCtx{};
     auto& records = result_.cores[c].records;
@@ -242,59 +250,56 @@ SupervisorResult StlSupervisor::run(InjectorHook* hook) {
       records[r].name = schedule_[c][r].name;
     if (!schedule_[c].empty()) launch(c);
   }
+}
 
-  const auto live = [this] {
-    for (const CoreCtx& x : ctx_)
-      if (x.state == CoreState::kRunning || x.state == CoreState::kBackoff)
-        return true;
-    return false;
-  };
-
-  while (live()) {
-    if (soc_.now() >= cfg_.global_budget) {
-      result_.budget_exhausted = true;
-      for (unsigned c = 0; c < soc_.num_cores(); ++c) {
-        CoreCtx& x = ctx_[c];
-        if (x.state != CoreState::kRunning && x.state != CoreState::kBackoff)
-          continue;
-        for (std::size_t r = x.routine; r < schedule_[c].size(); ++r)
-          result_.cores[c].records[r].outcome = RecoveryOutcome::kBudgetExhausted;
-        emit_decision(c, Decision::kGiveUp, 0);
-        soc_.park_core(c);
-        x.state = CoreState::kDone;
-      }
-      break;
-    }
-
-    soc_.tick();
-    if (hook != nullptr) hook->poll(soc_, targets_);
-
+bool StlSupervisor::step(InjectorHook* hook) {
+  const bool live = std::any_of(ctx_.begin(), ctx_.end(), [](const CoreCtx& x) {
+    return x.state == CoreState::kRunning || x.state == CoreState::kBackoff;
+  });
+  if (live && soc_.now() >= cfg_.global_budget) {
+    result_.budget_exhausted = true;
     for (unsigned c = 0; c < soc_.num_cores(); ++c) {
       CoreCtx& x = ctx_[c];
-      if (x.state == CoreState::kRunning) {
-        const PlannedRoutine& r = schedule_[c][x.routine];
-        if (soc_.core(c).halted()) {
-          const core::TestVerdict v = core::read_verdict(soc_, r.mailbox);
-          const u32 golden = x.rung == 0 ? r.cached_golden : r.fallback_golden;
-          AttemptStatus st;
-          if (v.status == soc::kStatusPass && v.signature == golden)
-            st = AttemptStatus::kPass;
-          else if (v.status == soc::kStatusPass || v.status == soc::kStatusFail)
-            st = AttemptStatus::kMismatch;
-          else
-            st = AttemptStatus::kCrash;  // halted without reporting
-          finish_attempt(c, st, v.signature);
-        } else if (soc_.now() >= x.deadline) {
-          finish_attempt(c, AttemptStatus::kTimeout, 0);
-        }
-      } else if (x.state == CoreState::kBackoff && soc_.now() >= x.resume_at) {
-        launch(c);
-      }
+      if (x.state != CoreState::kRunning && x.state != CoreState::kBackoff)
+        continue;
+      for (std::size_t r = x.routine; r < schedule_[c].size(); ++r)
+        result_.cores[c].records[r].outcome = RecoveryOutcome::kBudgetExhausted;
+      emit_decision(c, Decision::kGiveUp, 0);
+      soc_.park_core(c);
+      x.state = CoreState::kDone;
     }
   }
+  if (!live || result_.budget_exhausted) {
+    result_.total_cycles = soc_.now();
+    return false;
+  }
 
-  result_.total_cycles = soc_.now();
-  return result_;
+  soc_.tick();
+  if (hook != nullptr) hook->poll(soc_, targets_);
+
+  for (unsigned c = 0; c < soc_.num_cores(); ++c) {
+    CoreCtx& x = ctx_[c];
+    if (x.state == CoreState::kRunning) {
+      const PlannedRoutine& r = schedule_[c][x.routine];
+      if (soc_.core(c).halted()) {
+        const core::TestVerdict v = core::read_verdict(soc_, r.mailbox);
+        const u32 golden = x.rung == 0 ? r.cached_golden : r.fallback_golden;
+        AttemptStatus st;
+        if (v.status == soc::kStatusPass && v.signature == golden)
+          st = AttemptStatus::kPass;
+        else if (v.status == soc::kStatusPass || v.status == soc::kStatusFail)
+          st = AttemptStatus::kMismatch;
+        else
+          st = AttemptStatus::kCrash;  // halted without reporting
+        finish_attempt(c, st, v.signature);
+      } else if (soc_.now() >= x.deadline) {
+        finish_attempt(c, AttemptStatus::kTimeout, 0);
+      }
+    } else if (x.state == CoreState::kBackoff && soc_.now() >= x.resume_at) {
+      launch(c);
+    }
+  }
+  return true;
 }
 
 }  // namespace detstl::runtime

@@ -137,7 +137,24 @@ class StlSupervisor {
   /// DisturbanceInjector or the SEU soak's injector (runtime/soak.h) — and
   /// may be null for an undisturbed run. The result's `injections` stay
   /// zero; a caller that wants them copies its injector's stats.
+  /// Equivalent to start() followed by step(hook) until it returns false.
   SupervisorResult run(InjectorHook* hook = nullptr);
+
+  /// Reset the SoC and launch every core's first routine.
+  void start();
+  /// One SoC tick: the budget check, the tick, `hook`'s poll and every
+  /// core's watchdog/verdict check. Returns false, without ticking, once the
+  /// run is over (no core left running or backing off, or the budget is
+  /// spent); result() is then final. A copy of the supervisor taken between
+  /// steps continues bit-exactly like the original (the checkpoint idiom).
+  bool step(InjectorHook* hook);
+
+  /// SoC tick of the first attempt that did not pass (0 = none yet). Any
+  /// such attempt makes its routine's outcome something other than
+  /// kPassClean.
+  u64 first_failure() const { return first_failure_; }
+  u64 now() const { return soc_.now(); }
+  const SupervisorResult& result() const { return result_; }
 
  private:
   enum class CoreState : u8 { kIdle, kRunning, kBackoff, kDone, kQuarantined };
@@ -165,6 +182,7 @@ class StlSupervisor {
   std::array<CoreCtx, soc::kMaxCores> ctx_{};
   SupervisorResult result_;
   InjectTargets targets_{};
+  u64 first_failure_ = 0;
 };
 
 }  // namespace detstl::runtime

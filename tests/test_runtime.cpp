@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "runtime/campaign.h"
+#include "runtime/soak.h"
 #include "trace/capture.h"
 
 namespace detstl::runtime {
@@ -341,6 +342,108 @@ TEST(Supervisor, GlobalBudgetExhaustionIsReported) {
   EXPECT_TRUE(res.budget_exhausted);
   EXPECT_EQ(res.cores[0].records[0].outcome, RecoveryOutcome::kBudgetExhausted);
   EXPECT_LE(res.total_cycles, cfg.global_budget);
+}
+
+/// Everything a finished supervised soak run leaves behind.
+struct FinishedRun {
+  std::vector<u8> outcome;
+  u64 total_cycles = 0;
+  u64 first_failure = 0;
+  SoakStats stats;
+  std::vector<AppliedUpset> log;
+};
+
+FinishedRun finish(StlSupervisor& sup, SoakInjector& inj) {
+  while (sup.step(&inj)) continue;
+  return {sup.result().outcome_vector(), sup.result().total_cycles, sup.first_failure(),
+          inj.stats(), inj.applied_log()};
+}
+
+/// A straight run() under the first `limit` upsets of `splan`.
+FinishedRun run_straight(const SchedulePlan& plan, const SoakPlan& splan, std::size_t limit) {
+  SoakInjector inj(splan, limit);
+  StlSupervisor sup(plan.soc, plan.schedule);
+  const SupervisorResult r = sup.run(&inj);
+  return {r.outcome_vector(), r.total_cycles, sup.first_failure(), inj.stats(),
+          inj.applied_log()};
+}
+
+void expect_same_run(const FinishedRun& a, const FinishedRun& b, const std::string& what) {
+  EXPECT_EQ(a.outcome, b.outcome) << what;
+  EXPECT_EQ(a.total_cycles, b.total_cycles) << what;
+  EXPECT_EQ(a.first_failure, b.first_failure) << what;
+  EXPECT_EQ(a.stats.applied, b.stats.applied) << what;
+  EXPECT_EQ(a.stats.skipped, b.stats.skipped) << what;
+  ASSERT_EQ(a.log.size(), b.log.size()) << what;
+  for (std::size_t i = 0; i < a.log.size(); ++i) {
+    EXPECT_EQ(a.log[i].index, b.log[i].index) << what << " upset " << i;
+    EXPECT_EQ(a.log[i].site, b.log[i].site) << what << " upset " << i;
+    EXPECT_EQ(a.log[i].core, b.log[i].core) << what << " upset " << i;
+    EXPECT_EQ(a.log[i].cycle, b.log[i].cycle) << what << " upset " << i;
+    EXPECT_EQ(a.log[i].addr, b.log[i].addr) << what << " upset " << i;
+    EXPECT_EQ(a.log[i].bit, b.log[i].bit) << what << " upset " << i;
+  }
+}
+
+TEST(Supervisor, CopyBetweenStepsIsBitExactContinuation) {
+  // The supervisor's twin of SocCheckpoint.CopyIsBitExactContinuation: the
+  // soak bisection resumes probes from a supervisor and injector copied
+  // between steps. Under upset rates high enough to fail attempts, a copy
+  // must finish exactly like the original, and a copy whose injector is cut
+  // to k upsets exactly like a straight run that never sees upset k.
+  const SchedulePlan plan = plan_schedule(routines({"alu", "shifter"}), 2);
+  SoakSpec sspec;
+  sspec.duration = calibrated_horizon(plan, 2);
+  sspec.rates = {200, 400, 300, 120};
+  const SoakPlan splan = make_soak_plan(sspec, 0x50AF0BAD, 2);
+  ASSERT_GE(splan.upsets.size(), 4u);
+
+  const FinishedRun straight = run_straight(plan, splan, splan.upsets.size());
+  EXPECT_NE(straight.first_failure, 0u) << "rates chosen to force a failed attempt";
+  ASSERT_FALSE(straight.log.empty());
+
+  // run() is start() plus a step() loop.
+  {
+    SoakInjector inj(splan);
+    StlSupervisor sup(plan.soc, plan.schedule);
+    sup.start();
+    expect_same_run(finish(sup, inj), straight, "start/step loop");
+  }
+
+  // A copy taken between steps continues bit-exactly, and so does the
+  // original it was copied from.
+  const u64 end = straight.total_cycles;
+  for (const u64 at : {u64{0}, u64{1}, end / 4, end / 2, 3 * end / 4, end - 1}) {
+    SoakInjector inj(splan);
+    StlSupervisor sup(plan.soc, plan.schedule);
+    sup.start();
+    while (sup.now() < at && sup.step(&inj)) continue;
+    ASSERT_EQ(sup.now(), at);
+    StlSupervisor copy = sup;
+    SoakInjector copy_inj = inj;
+    const std::string what = "copy at cycle " + std::to_string(at);
+    expect_same_run(finish(copy, copy_inj), straight, what);
+    expect_same_run(finish(sup, inj), straight, what + " (original)");
+  }
+
+  // A copy cut with limit_to(k) just before upset k is polled equals a
+  // straight run under the first k upsets.
+  unsigned differs = 0;
+  for (const std::size_t k : {std::size_t{1}, splan.upsets.size() / 2,
+                              splan.upsets.size() - 1}) {
+    const FinishedRun cut = run_straight(plan, splan, k);
+    differs += cut.log.size() != straight.log.size() ? 1 : 0;
+
+    SoakInjector inj(splan);
+    StlSupervisor sup(plan.soc, plan.schedule);
+    sup.start();
+    while (sup.now() + 1 < splan.upsets[k].cycle && sup.step(&inj)) continue;
+    StlSupervisor copy = sup;
+    SoakInjector copy_inj = inj;
+    copy_inj.limit_to(k);
+    expect_same_run(finish(copy, copy_inj), cut, "limit_to(" + std::to_string(k) + ")");
+  }
+  EXPECT_GT(differs, 0u) << "some cut must drop an applied upset";
 }
 
 // --- Campaign determinism ---------------------------------------------------

@@ -2,8 +2,9 @@
 // of (spec, seed); soak campaigns are byte-identical across worker-thread
 // counts and across kill/resume; the differential bisection names a minimal
 // culprit (re-simulating one upset fewer is clean, the named prefix
-// diverges); and mission mode keeps the STL signature golden with every
-// measured per-access bus wait inside the stlint-predicted d_max.
+// diverges) and decides every probe exactly as a from-scratch bisection
+// does; and mission mode keeps the STL signature golden with every measured
+// per-access bus wait inside the stlint-predicted d_max.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "perf/simstats.h"
 #include "runtime/mission.h"
 #include "runtime/soak.h"
 
@@ -49,6 +51,140 @@ SoakCampaignSpec small_spec() {
   spec.cores = 2;
   spec.routines = {"alu", "shifter"};
   return spec;
+}
+
+/// The elevated-rate spec that forces divergences on two cores.
+SoakCampaignSpec elevated_spec(unsigned runs) {
+  SoakCampaignSpec spec = small_spec();
+  spec.seed = 0x50AF0BAD;
+  spec.runs = runs;
+  spec.soak.rates = {200, 400, 300, 120};
+  return spec;
+}
+
+// --- The from-scratch bisection, kept as the oracle --------------------------
+//
+// Every probe re-simulated from reset to the end of the schedule, the clean
+// probe once per diverged run, and the culprit's landing site read from the
+// last failing probe's own applied log.
+
+/// One supervised run under the first `limit` upsets of `plan`, from reset
+/// to the end of the schedule.
+struct PrefixRun {
+  SupervisorResult result;
+  SoakStats stats;
+  std::vector<AppliedUpset> log;
+  u64 first_failure = 0;  // StlSupervisor::first_failure
+};
+
+PrefixRun run_prefix(const SchedulePlan& sp, const SupervisorConfig& cfg,
+                     const SoakPlan& plan, std::size_t limit) {
+  SoakInjector inj(plan, limit);
+  StlSupervisor sup(sp.soc, sp.schedule, cfg);
+  PrefixRun r;
+  r.result = sup.run(&inj);
+  r.stats = inj.stats();
+  r.log = inj.applied_log();
+  r.first_failure = sup.first_failure();
+  return r;
+}
+
+/// A bisection probe as the from-scratch bisection ran it.
+struct OracleProbe {
+  std::size_t limit = 0;  // upsets replayed
+  u64 first_failure = 0;
+  u64 total_cycles = 0;
+  bool diverged = false;
+};
+
+/// One soak run as the from-scratch bisection records it; `probes` gets the
+/// bisection probes in order (the clean probe excluded).
+SoakRunRecord oracle_record(const SchedulePlan& sp, const SoakCampaignSpec& spec,
+                            const SoakPlan& plan, u64 run_seed,
+                            std::vector<OracleProbe>& probes) {
+  SoakRunRecord rec;
+  rec.seed = run_seed;
+  PrefixRun first = run_prefix(sp, spec.supervisor, plan, plan.upsets.size());
+  rec.result = first.result;
+  rec.stats = first.stats;
+
+  IsolationResult& iso = rec.isolation;
+  iso.diverged = soak_run_diverged(rec.result) ? 1 : 0;
+  if (iso.diverged == 0 || !spec.isolate || plan.upsets.empty()) return rec;
+
+  std::size_t lo = 0, hi = plan.upsets.size();
+  u32 reruns = 1;
+  std::vector<AppliedUpset> culprit_log = std::move(first.log);
+  if (soak_run_diverged(run_prefix(sp, spec.supervisor, plan, 0).result)) {
+    iso.reruns = reruns;
+    return rec;
+  }
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    PrefixRun probe = run_prefix(sp, spec.supervisor, plan, mid);
+    const bool diverged = soak_run_diverged(probe.result);
+    probes.push_back({mid, probe.first_failure, probe.result.total_cycles, diverged});
+    ++reruns;
+    if (diverged) {
+      hi = mid;
+      culprit_log = std::move(probe.log);
+    } else {
+      lo = mid;
+    }
+  }
+  const u32 culprit = static_cast<u32>(hi - 1);
+  const SoakUpset& u = plan.upsets[culprit];
+  iso.isolated = 1;
+  iso.upset_index = culprit;
+  iso.site = u.site;
+  iso.core = u.core;
+  iso.cycle = u.cycle;
+  iso.reruns = reruns;
+  for (const AppliedUpset& a : culprit_log) {
+    if (a.index != culprit) continue;
+    iso.core = a.core;
+    iso.addr = a.addr;
+    iso.bit = a.bit;
+    break;
+  }
+  return rec;
+}
+
+/// How often the campaign's bisection takes each of its exact shortcuts
+/// (runtime/soak.cpp), classified from the plan and the first pass alone.
+struct ProbePaths {
+  unsigned after_failure = 0;  // cut-off upset arrives after the first failure
+  unsigned resumed = 0;        // simulated from the first pass's snapshot
+  unsigned from_reset = 0;     // simulated from reset
+  unsigned early_exit = 0;     // simulated, stopped at a failed attempt
+};
+
+void classify_probes(const SchedulePlan& sp, const SoakCampaignSpec& spec,
+                     const SoakPlan& plan, const std::vector<OracleProbe>& probes,
+                     ProbePaths& paths) {
+  const std::vector<SoakUpset>& ups = plan.upsets;
+  const std::size_t p1 = ups.size() / 2;
+  SoakInjector inj(plan);
+  StlSupervisor sup(sp.soc, sp.schedule, spec.supervisor);
+  sup.start();
+  bool snapshot = false;  // a failure-free first pass reached upset p1's poll
+  do {
+    if (ups.size() >= 2 && sup.first_failure() == 0 && sup.now() + 1 >= ups[p1].cycle)
+      snapshot = true;
+  } while (sup.step(&inj));
+  const u64 failure = sup.first_failure();
+  for (const OracleProbe& p : probes) {
+    if (failure != 0 && ups[p.limit].cycle > failure) {
+      EXPECT_TRUE(p.diverged) << "a probe that replays the first failure diverges";
+      ++paths.after_failure;
+      continue;
+    }
+    if (snapshot && p.limit >= p1)
+      ++paths.resumed;
+    else
+      ++paths.from_reset;
+    if (p.first_failure != 0 && p.first_failure < p.total_cycles) ++paths.early_exit;
+  }
 }
 
 TEST(SoakPlan, DeterministicAndSeedSensitive) {
@@ -192,10 +328,7 @@ TEST(SoakCampaign, BisectionNamesAMinimalCulprit) {
   // Elevated rates force divergences; every diverged run must be isolated,
   // and the verdict must be *minimal*: replaying the plan truncated to the
   // culprit diverges, truncated one earlier is clean.
-  SoakCampaignSpec spec = small_spec();
-  spec.seed = 0x50AF0BAD;
-  spec.runs = 3;
-  spec.soak.rates = {200, 400, 300, 120};
+  const SoakCampaignSpec spec = elevated_spec(3);
 
   const SoakCampaignResult res = run_soak_campaign(spec);
   const SchedulePlan plan = plan_schedule(routines({"alu", "shifter"}), spec.cores);
@@ -208,16 +341,7 @@ TEST(SoakCampaign, BisectionNamesAMinimalCulprit) {
     EXPECT_GE(rec.isolation.reruns, 1u);
 
     SoakSpec sspec = spec.soak;
-    sspec.duration = 0;  // recompute exactly as the campaign did
-    {
-      u64 longest = 0;
-      for (unsigned c = 0; c < spec.cores; ++c) {
-        u64 sum = 0;
-        for (const PlannedRoutine& r : plan.schedule[c]) sum += r.cached_calib;
-        longest = std::max(longest, sum);
-      }
-      sspec.duration = 2 * longest + 1'000;
-    }
+    sspec.duration = calibrated_horizon(plan, spec.cores);  // as the campaign did
     const SoakPlan splan = make_soak_plan(sspec, rec.seed, spec.cores);
     const u32 culprit = rec.isolation.upset_index;
     ASSERT_LT(culprit, splan.upsets.size());
@@ -233,6 +357,79 @@ TEST(SoakCampaign, BisectionNamesAMinimalCulprit) {
     EXPECT_FALSE(replay(culprit)) << "prefix without the culprit must be clean";
   }
   EXPECT_GT(diverged, 0u) << "rates chosen to force at least one divergence";
+}
+
+TEST(SoakCampaign, IsolationMatchesFromScratchBisection) {
+  // Every record, isolation verdict and logical rerun count included, must
+  // equal what the from-scratch bisection records, while the campaign takes
+  // each of its shortcuts at least once. The last spec's budget ends every
+  // run early, so the clean baseline itself diverges and no upset is blamed.
+  SoakCampaignSpec three_core;
+  three_core.runs = 48;
+  three_core.cores = 3;
+  std::vector<SoakCampaignSpec> specs = {elevated_spec(16)};
+  for (const u64 seed : {u64{0x5EA5BEAC}, u64{0x5EA5BEAD}}) {
+    three_core.seed = seed;
+    specs.push_back(three_core);
+  }
+  SoakCampaignSpec unstable = elevated_spec(4);
+  unstable.supervisor.global_budget = 2'000;
+  specs.push_back(unstable);
+
+  ProbePaths paths;
+  unsigned diverged = 0, unattributed = 0;
+  for (SoakCampaignSpec& spec : specs) {
+    spec.threads = 4;
+    const SoakCampaignResult res = run_soak_campaign(spec);
+    ASSERT_EQ(res.records.size(), spec.runs);
+    const ResolvedRoutines rs = resolve_routines(spec.routines, "soak");
+    const SchedulePlan plan = plan_schedule(rs.ptrs, spec.cores);
+    SoakSpec sspec = spec.soak;
+    sspec.duration = calibrated_horizon(plan, spec.cores);
+    for (unsigned i = 0; i < spec.runs; ++i) {
+      const u64 seed = derive_run_seed(spec.seed, i);
+      const SoakPlan splan = make_soak_plan(sspec, seed, spec.cores);
+      std::vector<OracleProbe> probes;
+      const SoakRunRecord ref = oracle_record(plan, spec, splan, seed, probes);
+      EXPECT_EQ(serialize_soak_record(res.records[i]), serialize_soak_record(ref))
+          << "seed " << std::hex << spec.seed << std::dec << " run " << i;
+      diverged += ref.isolation.diverged;
+      unattributed += ref.isolation.diverged != 0 && ref.isolation.isolated == 0;
+      if (ref.isolation.isolated != 0) classify_probes(plan, spec, splan, probes, paths);
+    }
+  }
+  EXPECT_GE(diverged, 10u);
+  EXPECT_GT(unattributed, 0u);
+  EXPECT_GT(paths.after_failure, 0u);
+  EXPECT_GT(paths.resumed, 0u);
+  EXPECT_GT(paths.from_reset, 0u);
+  EXPECT_GT(paths.early_exit, 0u);
+}
+
+TEST(SoakCampaign, SimTotalsMatchAcrossThreadCounts) {
+  // The shared clean baseline is simulated once per campaign, whichever
+  // worker gets to it, and every probe counts the ticks it simulates.
+  using perf::SimStat;
+  SoakCampaignSpec spec = elevated_spec(8);
+  std::vector<perf::SimSnapshot> deltas;
+  std::vector<u8> first;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    spec.threads = threads;
+    const perf::SimSnapshot before = perf::sim_totals().snapshot();
+    const SoakCampaignResult res = run_soak_campaign(spec);
+    deltas.push_back(perf::sim_totals().snapshot().since(before));
+    if (first.empty()) first = res.outcome_vector();
+    EXPECT_EQ(res.outcome_vector(), first) << "threads=" << threads;
+    unsigned diverged = 0;
+    for (const SoakRunRecord& rec : res.records) diverged += rec.isolation.diverged;
+    EXPECT_GE(diverged, 2u);
+  }
+  for (std::size_t t = 1; t < deltas.size(); ++t) {
+    EXPECT_EQ(deltas[t][SimStat::kDisturbRuns], deltas[0][SimStat::kDisturbRuns]);
+    EXPECT_EQ(deltas[t][SimStat::kDisturbCycles], deltas[0][SimStat::kDisturbCycles]);
+  }
+  EXPECT_EQ(deltas[0][SimStat::kDisturbRuns], spec.runs);
+  EXPECT_GT(deltas[0][SimStat::kDisturbCycles], 0u);
 }
 
 TEST(SoakRecord, SerializationRoundTripsAndRejectsGarbage) {
