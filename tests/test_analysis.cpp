@@ -12,10 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+
 #include "analysis/absint.h"
 #include "analysis/analyzer.h"
 #include "analysis/fixtures.h"
 #include "analysis/sarif.h"
+#include "common/bytes.h"
 #include "core/routines.h"
 #include "core/scenario_matrix.h"
 #include "core/wrapper.h"
@@ -412,6 +417,144 @@ TEST(AbsInt, PeerOverlapRefutesCrossCoreDisjointness) {
   ASSERT_TRUE(ai.analyzable);
   EXPECT_EQ(ai.status(ObligationKind::kCrossCoreDisjoint),
             ObligationStatus::kRefuted);
+}
+
+/// FNV-1a fold of every AbsIntResult field; strings are length-prefixed so
+/// no two field sequences hash the same bytes.
+class ResultDigest {
+ public:
+  void add(u64 v) { h_ = fnv1a(&v, sizeof v, h_); }
+  void add(const std::string& s) {
+    add(s.size());
+    h_ = fnv1a(s.data(), s.size(), h_);
+  }
+  void add(const SetFootprint& f) {
+    add(f.lines.size());
+    for (const auto& [set, lines] : f.lines) {
+      add(set);
+      add(lines);
+    }
+  }
+  void add(const std::set<u32>& lines) {
+    add(lines.size());
+    for (const u32 l : lines) add(l);
+  }
+  void add(const std::vector<std::pair<u32, std::string>>& v) {
+    add(v.size());
+    for (const auto& [pc, why] : v) {
+      add(pc);
+      add(why);
+    }
+  }
+  void add(const AbsIntResult& r) {
+    add(r.analyzable);
+    add(r.not_analyzable_why);
+    add(r.obligations.size());
+    for (const Obligation& o : r.obligations) {
+      add(static_cast<u64>(o.kind));
+      add(static_cast<u64>(o.status));
+      add(o.detail);
+    }
+    add(r.exec_unproven);
+    add(r.loading_violations);
+    add(r.overlap_violations.size());
+    for (const std::string& v : r.overlap_violations) add(v);
+    add(r.ifoot);
+    add(r.dfoot);
+    add(r.predicted_loading_ilines);
+    add(r.predicted_loading_dlines);
+    for (const u32 v : {r.bound.t_max, r.bound.d_max, r.bound.requesters,
+                        r.bound.line_bytes})
+      add(v);
+  }
+  u64 value() const { return h_; }
+
+ private:
+  u64 h_ = kFnvOffset;
+};
+
+TEST(AbsInt, EveryResultFieldIsPinned) {
+  // Every routine image the default scenario matrix grades, proven at every
+  // grid point with the matrix's peers, plus every negative fixture: one
+  // digest over every field of every result. The value pins the analysis
+  // output byte for byte, failure texts included. Eight direct-mapped and
+  // 1 KiB points, where the routines' proofs fail, and each routine's
+  // no-write-allocate build without its dummy loads add failing results.
+  std::vector<core::MatrixPoint> grid = core::default_matrix_grid();
+  for (const u32 ikb : {1u, 8u}) {
+    for (const unsigned ways : {1u, 2u}) {
+      for (const bool wa : {true, false}) {
+        core::MatrixPoint p;
+        p.mem.icache = {.size_bytes = ikb * 1024, .ways = ways,
+                        .line_bytes = 32};
+        p.mem.dcache = {.size_bytes = ikb * 512, .ways = ways,
+                        .line_bytes = 32};
+        p.write_allocate = wa;
+        p.num_cores = 2;
+        grid.push_back(p);
+      }
+    }
+  }
+  ResultDigest d;
+  unsigned results = 0, failing = 0;
+  const auto fold = [&](const AbsIntResult& r) {
+    d.add(r);
+    ++results;
+    failing += r.all_proven() ? 0 : 1;
+  };
+  for (const core::RoutineEntry& entry : core::routine_registry()) {
+    const auto routine = entry.make();
+    for (const unsigned placement : {0u, 1u}) {
+      for (const bool wa : {true, false}) {
+        core::MatrixPoint key;
+        key.placement = placement;
+        key.write_allocate = wa;
+        std::vector<Program> progs;
+        std::vector<std::vector<AddrRange>> reserved;
+        for (unsigned c = 0; c < 3; ++c) {
+          const core::BuildEnv env = core::matrix_env(key, c);
+          progs.push_back(core::assemble_wrapped(
+              *routine, core::WrapperKind::kCacheBased, env));
+          reserved.push_back(
+              {{env.data_base, std::max<u32>(routine->data_bytes(), 4)}});
+          for (const auto& seg : progs.back().segments())
+            reserved.back().push_back(
+                {seg.base, static_cast<u32>(seg.bytes.size())});
+        }
+        for (unsigned c = 0; c < 3; ++c) {
+          const AnalysisConfig base =
+              core::lint_config(*routine, core::WrapperKind::kCacheBased,
+                                core::matrix_env(key, c));
+          const ProgramModel model = build_model(progs[c], base);
+          for (const core::MatrixPoint& p : grid) {
+            if (p.placement != placement || p.write_allocate != wa ||
+                c >= p.num_cores)
+              continue;
+            AnalysisConfig acfg = base;
+            acfg.mem = p.mem;
+            acfg.num_cores = p.num_cores;
+            for (unsigned peer = 0; peer < p.num_cores; ++peer)
+              if (peer != c)
+                acfg.peer_regions.insert(acfg.peer_regions.end(),
+                                         reserved[peer].begin(),
+                                         reserved[peer].end());
+            fold(interpret(progs[c], acfg, model));
+          }
+        }
+      }
+    }
+    const core::BuildEnv ablated = nwa_env(/*omit_fixup=*/true);
+    const Program prog = core::assemble_wrapped(
+        *routine, core::WrapperKind::kCacheBased, ablated);
+    const AnalysisConfig acfg =
+        core::lint_config(*routine, core::WrapperKind::kCacheBased, ablated);
+    fold(interpret(prog, acfg, build_model(prog, acfg)));
+  }
+  for (const Fixture& f : negative_fixtures())
+    fold(interpret(f.prog, f.cfg, build_model(f.prog, f.cfg)));
+  EXPECT_EQ(results, 2304u + 8u * 8u * 2u + 8u + 15u);
+  EXPECT_EQ(failing, 63u);
+  EXPECT_EQ(d.value(), 0xff50923876a3a752ull) << std::hex << "0x" << d.value();
 }
 
 // ----------------------------------------------------------------------------
