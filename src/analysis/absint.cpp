@@ -45,10 +45,15 @@ u32 SetFootprint::worst_set_occupancy() const {
   return n;
 }
 
-ObligationStatus AbsIntResult::status(ObligationKind k) const {
+const Obligation* AbsIntResult::find(ObligationKind k) const {
   for (const auto& o : obligations)
-    if (o.kind == k) return o.status;
-  return ObligationStatus::kNotApplicable;
+    if (o.kind == k) return &o;
+  return nullptr;
+}
+
+ObligationStatus AbsIntResult::status(ObligationKind k) const {
+  const Obligation* o = find(k);
+  return o ? o->status : ObligationStatus::kNotApplicable;
 }
 
 bool AbsIntResult::all_proven() const {
@@ -61,15 +66,6 @@ bool AbsIntResult::all_proven() const {
 }
 
 namespace {
-
-std::string hex(u32 v) {
-  std::ostringstream os;
-  os << "0x" << std::hex << v;
-  return os.str();
-}
-
-/// Same interval span cap as the syntactic layer (analyzer.cpp).
-constexpr u32 kMaxSpan = 64 * 1024;
 
 /// A set of cache lines as a bitset over one sorted line universe.
 using LineBits = std::vector<u64>;
@@ -138,48 +134,12 @@ class LineUniverse {
   std::vector<u32> lines_;
 };
 
-/// Classification of one footprint load/store after interval analysis.
-struct MemAccess {
-  enum class Kind : u8 {
-    kOk,          // bounded, cacheable target
-    kTcm,         // private single-cycle memory; never cached, never on bus
-    kBusCoupled,  // shared region / atomic / flash store / unmapped
-    kUnbounded,   // interval analysis gave up
-  };
-  u32 pc = 0;
-  bool load = false;
-  bool store = false;
-  u32 size = 0;
-  Kind kind = Kind::kUnbounded;
-  u32 lo = 0, hi = 0;  // start-address interval, inclusive (kOk / kTcm)
-  std::string why;     // kBusCoupled reason
-};
-
-/// One footprint block's successor: a footprint block index, or -1 when the
-/// edge leaves the footprint; `back` marks an edge to the loop head.
-struct Edge {
-  int to = -1;
-  bool back = false;
-};
-
-/// One footprint block, resolved against the call's geometry.
-struct Block {
-  const BasicBlock* bb = nullptr;
-  std::vector<Edge> edges;
-  MustState gen;  // lines the block certainly touches
-};
-
+/// The model resolved against one call's geometry.
 struct Ctx {
-  const isa::Program& prog;
   const AnalysisConfig& cfg;
   const ProgramModel& m;
-  AbsIntResult res;
-
-  std::vector<MemAccess> accesses;        // footprint order (ascending pc)
-  std::map<u32, const MemAccess*> at_pc;  // filled after `accesses` is final
-  std::vector<Block> blocks;              // footprint blocks, ascending begin
-  std::vector<u32> block_begin;           // ... and their begin addresses
-  LineUniverse iuni, duni;                // lines a must state can hold
+  LineUniverse iuni, duni;    // lines a must state can hold
+  std::vector<MustState> gen;  // per footprint block: lines it certainly touches
 
   u32 iline(u32 a) const {
     return a / cfg.mem.icache.line_bytes * cfg.mem.icache.line_bytes;
@@ -194,117 +154,41 @@ struct Ctx {
   std::vector<u32> dlines(const MemAccess& a) const {
     std::vector<u32> out;
     const u32 lb = cfg.mem.dcache.line_bytes;
-    for (u32 line = a.lo / lb * lb; line < a.hi + a.size; line += lb)
+    for (u32 line = a.lo / lb * lb; line < a.end(); line += lb)
       out.push_back(line);
     return out;
   }
-  /// The bounded cacheable access at `pc` that allocates its lines (loads,
-  /// and stores under write-allocate), or nullptr.
-  const MemAccess* allocating(u32 pc) const {
-    const auto it = at_pc.find(pc);
-    if (it == at_pc.end()) return nullptr;
-    const MemAccess& a = *it->second;
-    const bool ok = a.kind == MemAccess::Kind::kOk &&
-                    (a.load || cfg.write_allocate);  // NWA store: write-around
-    return ok ? &a : nullptr;
+  /// A bounded cacheable access that allocates its lines: a load, or a
+  /// store under write-allocate (an NWA store writes around the cache).
+  bool allocating(const MemAccess& a) const {
+    return a.kind == MemAccess::Kind::kOk && (a.load || cfg.write_allocate);
   }
-  /// D-lines the instruction at `pc` certainly touches: only an allocating
-  /// access at a single constant address (the one case where we know
-  /// *which* line is touched) has any.
-  std::vector<u32> must_dlines(u32 pc) const {
-    const MemAccess* a = allocating(pc);
-    return a && a->lo == a->hi ? dlines(*a) : std::vector<u32>{};
-  }
-  /// Index of the footprint block starting at `b`, or -1.
-  int block_index(u32 b) const {
-    const auto it =
-        std::lower_bound(block_begin.begin(), block_begin.end(), b);
-    return it != block_begin.end() && *it == b
-               ? static_cast<int>(it - block_begin.begin())
-               : -1;
+  /// D-lines the access certainly touches: only an allocating access at a
+  /// single constant address (the one case where we know *which* line is
+  /// touched) has any.
+  std::vector<u32> must_dlines(const MemAccess& a) const {
+    return allocating(a) && a.lo == a.hi ? dlines(a) : std::vector<u32>{};
   }
   MustState empty() const { return {true, iuni.none(), duni.none()}; }
 };
 
-void classify_accesses(Ctx& c) {
-  const Cfg& g = c.m.cfg();
-  for (u32 pc : c.m.footprint) {
-    const Instr& in = g.instrs().at(pc);
-    if (!in.valid() || (!is_load(in.op) && !is_store(in.op))) continue;
-    MemAccess a;
-    a.pc = pc;
-    a.load = is_load(in.op);
-    a.store = is_store(in.op);
-    a.size = mem_size(in.op);
-    if (in.op == Op::kAmoAdd) {
-      a.kind = MemAccess::Kind::kBusCoupled;
-      a.why = "atomic access is serviced by the shared bus";
-      c.accesses.push_back(a);
-      continue;
-    }
-    const auto it = c.m.cp.access_addr.find(pc);
-    const AVal addr = it == c.m.cp.access_addr.end() ? AVal::top() : it->second;
-    if (!addr.bounded() || addr.width() > kMaxSpan) {
-      a.kind = MemAccess::Kind::kUnbounded;
-      c.accesses.push_back(a);
-      continue;
-    }
-    a.lo = addr.lo;
-    a.hi = addr.hi;
-    const u32 end = a.hi + a.size;  // one past the last touched byte
-    const bool tcm = (mem::is_itcm(a.lo) && mem::is_itcm(end - 1)) ||
-                     (mem::is_dtcm(a.lo) && mem::is_dtcm(end - 1));
-    if (tcm) {
-      a.kind = MemAccess::Kind::kTcm;
-      c.accesses.push_back(a);
-      continue;
-    }
-    bool shared = false;
-    for (const auto& r : c.cfg.shared_regions)
-      if (r.overlaps(a.lo, end)) shared = true;
-    if (shared) {
-      a.kind = MemAccess::Kind::kBusCoupled;
-      a.why = "access to a shared communication region";
-    } else if (!mem::is_bus(a.lo) || !mem::is_bus(end - 1)) {
-      a.kind = MemAccess::Kind::kBusCoupled;
-      a.why = "access to unmapped or mixed address space";
-    } else if (a.store && mem::is_flash(a.lo)) {
-      a.kind = MemAccess::Kind::kBusCoupled;
-      a.why = "store to flash";
-    } else {
-      a.kind = MemAccess::Kind::kOk;
-    }
-    c.accesses.push_back(a);
-  }
-  for (const auto& a : c.accesses) c.at_pc[a.pc] = &a;
-}
-
-/// Abstract must-effect of one instruction: fetch the instruction line, then
-/// perform the data access.
-void step(const Ctx& c, u32 pc, MustState& s) {
-  if (mem::is_bus(pc)) c.iuni.set(s.il, c.iline(pc));
-  for (u32 line : c.must_dlines(pc)) c.duni.set(s.dl, line);
-}
-
-/// Index the footprint blocks, their edges, the line universes and each
-/// block's must-gain under the call's geometry.
+/// The line universes and each footprint block's must-gain under the call's
+/// geometry.
 void resolve_blocks(Ctx& c) {
-  for (const auto& [b, bb] : c.m.cfg().blocks()) {
-    if (!c.m.footprint.count(b)) continue;
-    c.block_begin.push_back(b);
-    c.blocks.push_back({&bb, {}, {}});
-    for (u32 pc = bb.begin; pc < bb.end; pc += 4) {
+  for (const FootprintBlock& b : c.m.blocks) {
+    for (u32 pc = b.begin; pc < b.end; pc += 4)
       if (mem::is_bus(pc)) c.iuni.add(c.iline(pc));
-      for (u32 line : c.must_dlines(pc)) c.duni.add(line);
-    }
+    for (const MemAccess& a : c.m.accesses_of(b))
+      for (u32 line : c.must_dlines(a)) c.duni.add(line);
   }
   c.iuni.seal();
   c.duni.seal();
-  for (Block& blk : c.blocks) {
-    for (u32 succ : blk.bb->succs)
-      blk.edges.push_back({c.block_index(succ), succ == c.m.loop.head});
-    blk.gen = c.empty();
-    for (u32 pc = blk.bb->begin; pc < blk.bb->end; pc += 4) step(c, pc, blk.gen);
+  for (const FootprintBlock& b : c.m.blocks) {
+    MustState& g = c.gen.emplace_back(c.empty());
+    for (u32 pc = b.begin; pc < b.end; pc += 4)
+      if (mem::is_bus(pc)) c.iuni.set(g.il, c.iline(pc));
+    for (const MemAccess& a : c.m.accesses_of(b))
+      for (u32 line : c.must_dlines(a)) c.duni.set(g.dl, line);
   }
 }
 
@@ -316,24 +200,22 @@ std::vector<MustState> run_pass(const Ctx& c, bool cut_back_edge,
                                 const MustState& head_seed,
                                 const MustState& root_seed,
                                 MustState* exit_out) {
-  std::vector<MustState> in(c.blocks.size());
+  std::vector<MustState> in(c.m.blocks.size());
   std::vector<int> work;
-  const auto seed = [&](u32 b, const MustState& st) {
-    const int k = c.block_index(b);
-    if (k < 0) return;
+  const auto seed = [&](int k, const MustState& st) {
     meet_into(in[k], st);
     work.push_back(k);
   };
-  seed(c.m.loop.head, head_seed);
-  for (u32 r : c.m.loop_extra_roots) seed(r, root_seed);
+  if (c.m.head_block >= 0) seed(c.m.head_block, head_seed);
+  for (const int k : c.m.root_blocks) seed(k, root_seed);
   MustState s;
   while (!work.empty()) {
-    const Block& blk = c.blocks[work.back()];
-    s = in[work.back()];
+    const int k = work.back();
+    s = in[k];
     work.pop_back();
-    unite(s.il, blk.gen.il);
-    unite(s.dl, blk.gen.dl);
-    for (const Edge& e : blk.edges) {
+    unite(s.il, c.gen[k].il);
+    unite(s.dl, c.gen[k].dl);
+    for (const FootprintBlock::Edge& e : c.m.blocks[k].edges) {
       if (e.back && cut_back_edge) {
         if (exit_out) meet_into(*exit_out, s);
         continue;
@@ -356,16 +238,9 @@ InterferenceBound interference_bound(const mem::MemSystemConfig& geom, unsigned 
   return b;
 }
 
-AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg) {
-  const ProgramModel model = build_model(prog, cfg);
-  return interpret(prog, cfg, model);
-}
-
 AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg,
                        const ProgramModel& model) {
-  Ctx c{prog, cfg, model, {}, {}, {}, {}, {}, {}, {}};
-  AbsIntResult& res = c.res;
-
+  AbsIntResult res;
   if (!model.entry_ok) {
     res.not_analyzable_why = "entry point outside the program image";
     return res;
@@ -378,7 +253,7 @@ AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg,
   }
   res.analyzable = true;
 
-  classify_accesses(c);
+  Ctx c{cfg, model, {}, {}, {}};
   resolve_blocks(c);
 
   // --- virtual peeling: loading pass (empty, back edge cut) then execution
@@ -397,151 +272,92 @@ AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg,
   // Every line a reached block may touch. The execution pass reaches every
   // block the loading pass does (same roots, one more edge), so its blocks
   // cover the whole loading+execution window.
-  for (std::size_t k = 0; k < c.blocks.size(); ++k) {
+  for (std::size_t k = 0; k < model.blocks.size(); ++k) {
     if (!in2[k].reached) continue;
-    const BasicBlock& bb = *c.blocks[k].bb;
-    for (u32 pc = bb.begin; pc < bb.end; pc += 4) {
+    const FootprintBlock& b = model.blocks[k];
+    for (u32 pc = b.begin; pc < b.end; pc += 4)
       if (mem::is_bus(pc)) res.ifoot.lines[c.iset(pc)].insert(c.iline(pc));
-      if (const MemAccess* a = c.allocating(pc))
-        for (u32 line : c.dlines(*a)) res.dfoot.lines[c.dset(line)].insert(line);
-    }
+    for (const MemAccess& a : model.accesses_of(b))
+      if (c.allocating(a))
+        for (u32 line : c.dlines(a)) res.dfoot.lines[c.dset(line)].insert(line);
   }
 
-  // --- replay premises ------------------------------------------------------
-  // The iteration-local interval analysis (ProgramModel::iter_cp) bounds
-  // exactly the accesses that re-derive the same address sequence on every
-  // wrapper-loop pass.
-  const ConstPropResult& cp_iter = model.iter_cp;
-  const auto iter_bounded = [&](u32 pc) {
-    const auto it = cp_iter.access_addr.find(pc);
-    return it != cp_iter.access_addr.end() && it->second.bounded() &&
-           it->second.width() <= kMaxSpan;
-  };
-
-  // Control-flow iteration-independence: every conditional branch in the
-  // footprint decides identically on each pass (operands re-derived from
-  // loop-invariant constants), so the execution pass repeats the loading
-  // pass's exact trace. The wrapper latch — any branch targeting the loop
-  // head — is exempt: it branches on r30, which differs between passes by
-  // design and only selects whether another pass runs at all.
-  const Cfg& g = model.cfg();
-  bool replay_control = model.unresolved_calls.empty();
-  std::string replay_why =
-      replay_control ? "" : "indirect call target unresolved in the loop";
-  for (u32 pc : model.footprint) {
-    if (!replay_control) break;
-    const Instr& in = g.instrs().at(pc);
-    const auto st = cp_iter.at.find(pc);
-    if (is_branch(in.op)) {
-      const auto t = direct_target(in, pc);
-      if (t && *t == model.loop.head) continue;
-      const auto ok = [&](u8 r) {
-        return r == R0 ||
-               (st != cp_iter.at.end() && st->second[r].bounded());
-      };
-      if (!ok(in.rs1) || !ok(in.rs2)) {
-        replay_control = false;
-        replay_why = "branch at " + hex(pc) +
-                     " decides on values not re-derived from loop-invariant "
-                     "constants (possibly loaded data)";
-      }
-    } else if (in.op == Op::kJalr) {
-      if (st == cp_iter.at.end() || !st->second[in.rs1].is_const()) {
-        replay_control = false;
-        replay_why = "indirect jump at " + hex(pc) +
-                     " has no iteration-invariant target";
-      }
-    }
-  }
-
-  // NWA dummy-load contract at interval precision: a no-write-allocate store
-  // replays deterministically only if a load with the *identical* address
-  // interval (the dummy load of the same base+offset) warms its lines.
-  const auto nwa_covered = [&](const MemAccess& stp) {
-    for (const auto& ld : c.accesses)
-      if (ld.load && ld.kind == MemAccess::Kind::kOk && ld.lo == stp.lo &&
-          ld.hi == stp.hi && ld.size >= stp.size && iter_bounded(ld.pc))
-        return true;
-    return false;
-  };
-
-  const bool r1_ic =
-      res.ifoot.worst_set_occupancy() <= cfg.mem.icache.ways;
-  const bool r1_dc =
-      res.dfoot.worst_set_occupancy() <= cfg.mem.dcache.ways;
+  const bool r1_ic = res.ifoot.worst_set_occupancy() <= cfg.mem.icache.ways;
+  const bool r1_dc = res.dfoot.worst_set_occupancy() <= cfg.mem.dcache.ways;
 
   // --- per-access execution-pass verdicts -----------------------------------
-  std::map<u32, std::string> unproven;
+  // Blocks ascend and do not overlap, so verdicts arrive in pc order; at a
+  // pc whose fetch is already unproven, its data access adds none.
   const auto record = [&](u32 pc, std::string why) {
-    unproven.emplace(pc, std::move(why));
+    if (res.exec_unproven.empty() || res.exec_unproven.back().first != pc)
+      res.exec_unproven.emplace_back(pc, std::move(why));
   };
   unsigned proven_accesses = 0;
-  for (std::size_t k = 0; k < c.blocks.size(); ++k) {
+  for (std::size_t k = 0; k < model.blocks.size(); ++k) {
     if (!in2[k].reached) continue;
-    const BasicBlock& bb = *c.blocks[k].bb;
+    const FootprintBlock& b = model.blocks[k];
+    const auto accesses = model.accesses_of(b);
+    auto next = accesses.begin();
     MustState s = in2[k];
-    for (u32 pc = bb.begin; pc < bb.end; pc += 4) {
+    for (u32 pc = b.begin; pc < b.end; pc += 4) {
       if (mem::is_bus(pc)) {
         const u32 line = c.iline(pc);
-        if (c.iuni.test(s.il, line) || (r1_ic && replay_control)) {
+        if (c.iuni.test(s.il, line) || (r1_ic && model.replay_control)) {
           ++proven_accesses;
         } else {
           record(pc, "instruction line " + hex(line) +
                          " not provably warm in the execution pass" +
-                         (r1_ic ? " (" + replay_why + ")"
+                         (r1_ic ? " (" + model.replay_why + ")"
                                 : " (I-cache set conflict)"));
         }
+        c.iuni.set(s.il, line);
       }
-      const auto ait = c.at_pc.find(pc);
-      if (ait != c.at_pc.end()) {
-        const MemAccess& a = *ait->second;
-        switch (a.kind) {
-          case MemAccess::Kind::kTcm:
-            ++proven_accesses;  // single-cycle private memory, bus-free
-            break;
-          case MemAccess::Kind::kBusCoupled:
-            record(pc, a.why + " inside the execution loop");
-            break;
-          case MemAccess::Kind::kUnbounded:
+      if (next == accesses.end() || next->pc != pc) continue;
+      const MemAccess& a = *next++;
+      switch (a.kind) {
+        case MemAccess::Kind::kTcm:
+          ++proven_accesses;  // single-cycle private memory, bus-free
+          break;
+        case MemAccess::Kind::kUnbounded:
+          record(pc,
+                 "access address cannot be bounded; cache residency is "
+                 "unprovable");
+          break;
+        case MemAccess::Kind::kOk: {
+          bool must_hit = true;
+          for (u32 line : c.dlines(a))
+            if (!c.duni.test(s.dl, line)) must_hit = false;
+          bool replay_ok = r1_dc && model.replay_control && a.iter_invariant;
+          if (replay_ok && a.store && !cfg.write_allocate && !a.nwa_covered)
+            replay_ok = false;
+          if (must_hit || replay_ok) {
+            ++proven_accesses;
+          } else if (!r1_dc) {
+            record(pc, "D-cache set conflict defeats the no-eviction "
+                       "premise for this access");
+          } else if (!model.replay_control) {
+            record(pc, "strided access relies on the replay argument, but " +
+                           model.replay_why);
+          } else if (!a.iter_invariant) {
             record(pc,
-                   "access address cannot be bounded; cache residency is "
-                   "unprovable");
-            break;
-          case MemAccess::Kind::kOk: {
-            bool must_hit = true;
-            for (u32 line : c.dlines(a))
-              if (!c.duni.test(s.dl, line)) must_hit = false;
-            bool replay_ok = r1_dc && replay_control && iter_bounded(a.pc);
-            if (replay_ok && a.store && !cfg.write_allocate &&
-                !nwa_covered(a))
-              replay_ok = false;
-            if (must_hit || replay_ok) {
-              ++proven_accesses;
-            } else if (!r1_dc) {
-              record(pc, "D-cache set conflict defeats the no-eviction "
-                         "premise for this access");
-            } else if (!replay_control) {
-              record(pc, "strided access relies on the replay argument, but " +
-                             replay_why);
-            } else if (!iter_bounded(a.pc)) {
-              record(pc,
-                     "address is loop-carried across wrapper iterations (not "
-                     "re-derived from loop-invariant constants), so the "
-                     "execution pass may not repeat the loading trace");
-            } else {
-              record(pc,
-                     "no-write-allocate store has no dummy load with an "
-                     "identical address interval; its lines are never "
-                     "allocated");
-            }
-            break;
+                   "address is loop-carried across wrapper iterations (not "
+                   "re-derived from loop-invariant constants), so the "
+                   "execution pass may not repeat the loading trace");
+          } else {
+            record(pc,
+                   "no-write-allocate store has no dummy load with an "
+                   "identical address interval; its lines are never "
+                   "allocated");
           }
+          break;
         }
+        default:  // bus-coupled
+          record(pc, std::string(bus_reason(a.kind)) +
+                         " inside the execution loop");
       }
-      step(c, pc, s);
+      for (u32 line : c.must_dlines(a)) c.duni.set(s.dl, line);
     }
   }
-  for (auto& [pc, why] : unproven) res.exec_unproven.emplace_back(pc, why);
 
   // --- obligation: set-conflict-free ----------------------------------------
   {
@@ -591,58 +407,9 @@ AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg,
         {ObligationKind::kExecMissFree, st, detail.str()});
   }
 
-  // --- obligation: loading-footprint ----------------------------------------
-  {
-    ObligationStatus st = ObligationStatus::kProven;
-    for (const auto& a : c.accesses) {
-      if (a.kind == MemAccess::Kind::kTcm) continue;
-      if (a.kind == MemAccess::Kind::kBusCoupled) {
-        res.loading_violations.emplace_back(
-            a.pc, a.why + " — outside the reserved cacheable regions");
-        st = ObligationStatus::kRefuted;
-        continue;
-      }
-      if (a.kind == MemAccess::Kind::kUnbounded) {
-        res.loading_violations.emplace_back(
-            a.pc,
-            "access address cannot be bounded; containment in the reserved "
-            "regions is unprovable");
-        if (st == ObligationStatus::kProven)
-          st = ObligationStatus::kUnproven;
-        continue;
-      }
-      bool ok = false;
-      // Start-interval containment: widening clamps a strided pointer to
-      // [base, end()] inclusive, so the access *start* may sit exactly at
-      // the region's one-past-end bound; the final stride never executes.
-      for (const auto& r : cfg.data_regions)
-        if (r.contains(a.lo) && a.hi <= r.end()) ok = true;
-      if (!ok && a.load && mem::is_flash(a.lo)) {
-        for (const auto& seg : prog.segments())
-          if (a.lo >= seg.base && a.hi + a.size <= seg.end()) ok = true;
-      }
-      if (!ok) {
-        res.loading_violations.emplace_back(
-            a.pc, "loading-pass access [" + hex(a.lo) + ", " +
-                      hex(a.hi + a.size) +
-                      ") escapes the declared data regions and the routine's "
-                      "own code image");
-        st = ObligationStatus::kRefuted;
-      }
-    }
-    std::ostringstream detail;
-    if (st == ObligationStatus::kProven) {
-      detail << "every loading-pass access stays inside the reserved "
-                "regions ("
-             << cfg.data_regions.size() << " declared data region(s) + own "
-             << "code image + TCMs)";
-    } else {
-      detail << res.loading_violations.size() << " violation(s), first at "
-             << hex(res.loading_violations.front().first);
-    }
-    res.obligations.push_back(
-        {ObligationKind::kLoadingFootprint, st, detail.str()});
-  }
+  // --- obligation: loading-footprint (decided once per image) --------------
+  res.loading_violations = model.loading_violations;
+  res.obligations.push_back(model.loading);
 
   // --- obligation: cross-core-disjoint --------------------------------------
   {

@@ -41,6 +41,12 @@
 //       the execution pass repeats the loading pass's access trace — and,
 //       under no-write-allocate, the store's lines are covered by loads
 //       (the dummy-load contract) so the warm-up actually allocated them.
+//
+// Per image, per configuration. The access classification, the footprint
+// block index, the replay premises of (b) and the loading-footprint
+// obligation depend only on the image and come from the ProgramModel
+// (analyzer.h); interpret() computes the rest for each cache geometry, core
+// count and peer set.
 
 #include <map>
 #include <set>
@@ -50,30 +56,6 @@
 #include "analysis/analyzer.h"
 
 namespace detstl::analysis {
-
-enum class ObligationKind : u8 {
-  kExecMissFree,
-  kLoadingFootprint,
-  kSetConflictFree,
-  kCrossCoreDisjoint,
-  kInterferenceBound,
-};
-
-enum class ObligationStatus : u8 {
-  kProven,         // holds for every concrete execution
-  kUnproven,       // the analysis cannot establish it (maybe imprecision)
-  kRefuted,        // a counterexample is statically certain
-  kNotApplicable,  // e.g. cross-core disjointness with no peers
-};
-
-const char* obligation_name(ObligationKind k);
-const char* obligation_status_name(ObligationStatus s);
-
-struct Obligation {
-  ObligationKind kind;
-  ObligationStatus status;
-  std::string detail;  // human-readable justification / counterexample
-};
 
 /// Worst-case shared-bus interference while this test runs, for an access of
 /// a non-graded core (round-robin arbitration, paper Sec. IV):
@@ -111,6 +93,7 @@ struct AbsIntResult {
   std::string not_analyzable_why;
 
   std::vector<Obligation> obligations;
+  const Obligation* find(ObligationKind k) const;  // nullptr when absent
   ObligationStatus status(ObligationKind k) const;
   bool all_proven() const;  // every obligation proven or not-applicable
 
@@ -133,12 +116,14 @@ struct AbsIntResult {
   std::set<u32> predicted_loading_dlines;
 };
 
-/// Run the abstract interpreter. The second overload reuses an existing
-/// ProgramModel (analyze() path, scenario matrix); the first builds one
-/// internally. The model must come from build_model() over the same program
-/// with the same data regions, loop symbol and check_cache_determinism; the
-/// geometry, core count and peers may differ from call to call.
-AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg);
+/// Run the abstract interpreter over a model from build_model() of the same
+/// program with the same data regions, shared regions, loop symbol and
+/// check_cache_determinism. The model holds every fact of the image (access
+/// classification, block index, replay premises, loading-footprint
+/// obligation); each call adds what depends on `cfg.mem`, `cfg.num_cores`,
+/// `cfg.peer_regions` and `cfg.write_allocate`: the line universes and block
+/// gains, the two must passes, the may-footprints, the per-access verdicts
+/// and the other four obligations.
 AbsIntResult interpret(const isa::Program& prog, const AnalysisConfig& cfg,
                        const ProgramModel& model);
 

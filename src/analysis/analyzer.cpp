@@ -13,16 +13,6 @@ using namespace isa;
 
 namespace {
 
-std::string hex(u32 v) {
-  std::ostringstream os;
-  os << "0x" << std::hex << v;
-  return os.str();
-}
-
-/// Interval spans wider than this are treated as unresolved rather than
-/// enumerated line by line (no realistic routine walks 64 KiB of scratch).
-constexpr u32 kMaxSpan = 64 * 1024;
-
 /// True when a write to r29 matches the MISR idiom (routine.cpp's
 /// emit_misr_acc: slli r26,r29,1; srli r29,r29,31; or r29,r26,r29;
 /// xor r29,r29,v) or the seed load (li r29 = lui + ori).
@@ -50,21 +40,15 @@ class SetMap {
   void add(u32 addr, u32 pc) {
     const u32 line = addr / cfg_.line_bytes * cfg_.line_bytes;
     const u32 set = (addr / cfg_.line_bytes) % cfg_.num_sets();
-    auto [it, fresh] = sets_[set].insert(line);
-    (void)it;
-    if (fresh) sample_pc_[line] = pc;
+    if (sets_.lines[set].insert(line).second) sample_pc_[line] = pc;
   }
 
-  u32 total_lines() const {
-    u32 n = 0;
-    for (const auto& [set, lines] : sets_) n += static_cast<u32>(lines.size());
-    return n;
-  }
+  u32 total_lines() const { return sets_.total_lines(); }
 
   /// Report every set holding more than `ways` distinct lines.
   void report_conflicts(Report& rep, Rule rule, const char* what,
                         std::string hint) const {
-    for (const auto& [set, lines] : sets_) {
+    for (const auto& [set, lines] : sets_.lines) {
       if (lines.size() <= cfg_.ways) continue;
       std::ostringstream os;
       os << "execution-loop " << what << " maps " << lines.size()
@@ -83,11 +67,196 @@ class SetMap {
 
  private:
   mem::CacheConfig cfg_;
-  std::map<u32, std::set<u32>> sets_;
+  SetFootprint sets_;
   std::map<u32, u32> sample_pc_;
 };
 
+/// The interval of the access at `pc`, or top when the analysis has none.
+AVal access_addr(const ConstPropResult& cp, u32 pc) {
+  const auto it = cp.access_addr.find(pc);
+  return it == cp.access_addr.end() ? AVal::top() : it->second;
+}
+
+/// Classify the load/store `in` at `pc` of the footprint. A declared shared
+/// region wins over every other target.
+MemAccess classify(const ProgramModel& m, const AnalysisConfig& cfg, u32 pc,
+                   const Instr& in) {
+  using Kind = MemAccess::Kind;
+  MemAccess a;
+  a.pc = pc;
+  a.load = is_load(in.op);
+  a.store = is_store(in.op);
+  a.size = mem_size(in.op);
+  a.iter_invariant = access_addr(m.iter_cp, pc).resolved();
+  const auto as = [&](Kind k) {
+    a.kind = k;
+    return a;
+  };
+  if (in.op == Op::kAmoAdd) return as(Kind::kAtomic);
+  const AVal addr = access_addr(m.cp, pc);
+  if (!addr.resolved()) return as(Kind::kUnbounded);
+  a.lo = addr.lo;
+  a.hi = addr.hi;
+  for (const auto& r : cfg.shared_regions) {
+    if (!r.overlaps(a.lo, a.end())) continue;
+    a.shared = r;
+    return as(Kind::kShared);
+  }
+  if ((mem::is_itcm(a.lo) && mem::is_itcm(a.end() - 1)) ||
+      (mem::is_dtcm(a.lo) && mem::is_dtcm(a.end() - 1)))
+    return as(Kind::kTcm);
+  if (!mem::is_bus(a.lo) || !mem::is_bus(a.end() - 1))
+    return as(Kind::kUnmapped);
+  if (a.store && mem::is_flash(a.lo)) return as(Kind::kFlashStore);
+  return as(Kind::kOk);
+}
+
+/// Index the footprint's blocks: their accesses, their successors and the
+/// blocks the abstract passes are seeded at.
+void index_blocks(ProgramModel& m) {
+  std::map<u32, int> index;  // block begin -> footprint block
+  std::size_t k = 0;         // first access at or after the block
+  for (const auto& [b, bb] : m.cfg().blocks()) {
+    if (!m.footprint.count(b)) continue;
+    index[b] = static_cast<int>(m.blocks.size());
+    while (k < m.accesses.size() && m.accesses[k].pc < bb.begin) ++k;
+    FootprintBlock& blk = m.blocks.emplace_back();
+    blk.begin = bb.begin;
+    blk.end = bb.end;
+    blk.first_access = k;
+    while (k < m.accesses.size() && m.accesses[k].pc < bb.end) ++k;
+    blk.end_access = k;
+  }
+  const auto at = [&](u32 b) {
+    const auto it = index.find(b);
+    return it == index.end() ? -1 : it->second;
+  };
+  for (FootprintBlock& blk : m.blocks)
+    for (u32 succ : m.cfg().block_at(blk.begin)->succs)
+      blk.edges.push_back({at(succ), succ == m.loop.head});
+  m.head_block = at(m.loop.head);
+  for (u32 r : m.loop_extra_roots)
+    if (const int b = at(r); b >= 0) m.root_blocks.push_back(b);
+}
+
+/// The replay premises over the iteration-local constprop: the control
+/// verdict, and which no-write-allocate stores a dummy load covers.
+void decide_replay(ProgramModel& m) {
+  // Control-flow iteration-independence: every conditional branch in the
+  // footprint decides identically on each pass (operands re-derived from
+  // loop-invariant constants), so the execution pass repeats the loading
+  // pass's exact trace. The wrapper latch — any branch targeting the loop
+  // head — is exempt: it branches on r30, which differs between passes by
+  // design and only selects whether another pass runs at all.
+  const ConstPropResult& cp_iter = m.iter_cp;
+  m.replay_control = m.unresolved_calls.empty();
+  if (!m.replay_control)
+    m.replay_why = "indirect call target unresolved in the loop";
+  for (u32 pc : m.footprint) {
+    if (!m.replay_control) break;
+    const Instr& in = m.cfg().instrs().at(pc);
+    const auto st = cp_iter.at.find(pc);
+    if (is_branch(in.op)) {
+      const auto t = direct_target(in, pc);
+      if (t && *t == m.loop.head) continue;
+      const auto ok = [&](u8 r) {
+        return r == R0 || (st != cp_iter.at.end() && st->second[r].bounded());
+      };
+      if (!ok(in.rs1) || !ok(in.rs2)) {
+        m.replay_control = false;
+        m.replay_why = "branch at " + hex(pc) +
+                       " decides on values not re-derived from loop-invariant "
+                       "constants (possibly loaded data)";
+      }
+    } else if (in.op == Op::kJalr) {
+      if (st == cp_iter.at.end() || !st->second[in.rs1].is_const()) {
+        m.replay_control = false;
+        m.replay_why = "indirect jump at " + hex(pc) +
+                       " has no iteration-invariant target";
+      }
+    }
+  }
+
+  // NWA dummy-load contract at interval precision: a no-write-allocate store
+  // replays deterministically only if a load with the *identical* address
+  // interval (the dummy load of the same base+offset) warms its lines.
+  for (MemAccess& st : m.accesses) {
+    if (!st.store || st.kind != MemAccess::Kind::kOk) continue;
+    for (const MemAccess& ld : m.accesses)
+      if (ld.load && ld.kind == MemAccess::Kind::kOk && ld.lo == st.lo &&
+          ld.hi == st.hi && ld.size >= st.size && ld.iter_invariant)
+        st.nwa_covered = true;
+  }
+}
+
+/// The loading-footprint obligation: every loading-pass access stays inside
+/// the declared data regions, the routine's own code image or a TCM.
+void decide_loading(ProgramModel& m, const isa::Program& prog,
+                    const AnalysisConfig& cfg) {
+  ObligationStatus st = ObligationStatus::kProven;
+  for (const MemAccess& a : m.accesses) {
+    if (a.kind == MemAccess::Kind::kTcm) continue;
+    if (a.bus_coupled()) {
+      m.loading_violations.emplace_back(
+          a.pc, std::string(bus_reason(a.kind)) +
+                    " — outside the reserved cacheable regions");
+      st = ObligationStatus::kRefuted;
+      continue;
+    }
+    if (a.kind == MemAccess::Kind::kUnbounded) {
+      m.loading_violations.emplace_back(
+          a.pc,
+          "access address cannot be bounded; containment in the reserved "
+          "regions is unprovable");
+      if (st == ObligationStatus::kProven) st = ObligationStatus::kUnproven;
+      continue;
+    }
+    bool ok = false;
+    // Start-interval containment: widening clamps a strided pointer to
+    // [base, end()] inclusive, so the access *start* may sit exactly at
+    // the region's one-past-end bound; the final stride never executes.
+    for (const auto& r : cfg.data_regions)
+      if (r.contains(a.lo) && a.hi <= r.end()) ok = true;
+    if (!ok && a.load && mem::is_flash(a.lo)) {
+      for (const auto& seg : prog.segments())
+        if (a.lo >= seg.base && a.end() <= seg.end()) ok = true;
+    }
+    if (!ok) {
+      m.loading_violations.emplace_back(
+          a.pc, "loading-pass access [" + hex(a.lo) + ", " + hex(a.end()) +
+                    ") escapes the declared data regions and the routine's "
+                    "own code image");
+      st = ObligationStatus::kRefuted;
+    }
+  }
+  std::ostringstream detail;
+  if (st == ObligationStatus::kProven) {
+    detail << "every loading-pass access stays inside the reserved regions ("
+           << cfg.data_regions.size() << " declared data region(s) + own "
+           << "code image + TCMs)";
+  } else {
+    detail << m.loading_violations.size() << " violation(s), first at "
+           << hex(m.loading_violations.front().first);
+  }
+  m.loading = {ObligationKind::kLoadingFootprint, st, detail.str()};
+}
+
 }  // namespace
+
+const char* bus_reason(MemAccess::Kind k) {
+  switch (k) {
+    case MemAccess::Kind::kAtomic:
+      return "atomic access is serviced by the shared bus";
+    case MemAccess::Kind::kShared:
+      return "access to a shared communication region";
+    case MemAccess::Kind::kUnmapped:
+      return "access to unmapped or mixed address space";
+    case MemAccess::Kind::kFlashStore:
+      return "store to flash";
+    default:
+      return "?";
+  }
+}
 
 LoopRegion find_loop(const isa::Program& prog, const Cfg& g,
                      const std::string& loop_symbol) {
@@ -170,24 +339,35 @@ ProgramModel build_model(const isa::Program& prog, const AnalysisConfig& cfg) {
     }
   }
   for (u32 pc : g.reachable_from(m.loop_extra_roots)) m.footprint.insert(pc);
-  if (!cfg.check_cache_determinism) return m;
 
-  // Iteration-local interval analysis: re-run constprop rooted at the loop
-  // head keeping only the registers that are globally *constant* there (the
-  // loop-invariant bases); everything else — in particular loop-carried
-  // values — starts from top. An access bounded under this weaker state
-  // re-derives the same address sequence on every wrapper-loop pass.
-  RegState head_state;
-  head_state.fill(AVal::top());
-  head_state[R0] = AVal::cst(0);
-  const auto hs = m.cp.at.find(m.loop.head);
-  if (hs != m.cp.at.end())
-    for (unsigned r = 0; r < kNumRegs; ++r)
-      if (hs->second[r].is_const()) head_state[r] = hs->second[r];
-  std::set<u32> iter_roots = m.loop_extra_roots;
-  iter_roots.insert(m.loop.head);
-  m.iter_cp = propagate(Cfg(image, iter_roots), cfg.data_regions,
-                        {{m.loop.head, head_state}});
+  if (cfg.check_cache_determinism) {
+    // Iteration-local interval analysis: re-run constprop rooted at the loop
+    // head keeping only the registers that are globally *constant* there
+    // (the loop-invariant bases); everything else — in particular
+    // loop-carried values — starts from top. An access bounded under this
+    // weaker state re-derives the same address sequence on every
+    // wrapper-loop pass.
+    RegState head_state;
+    head_state.fill(AVal::top());
+    head_state[R0] = AVal::cst(0);
+    const auto hs = m.cp.at.find(m.loop.head);
+    if (hs != m.cp.at.end())
+      for (unsigned r = 0; r < kNumRegs; ++r)
+        if (hs->second[r].is_const()) head_state[r] = hs->second[r];
+    std::set<u32> iter_roots = m.loop_extra_roots;
+    iter_roots.insert(m.loop.head);
+    m.iter_cp = propagate(Cfg(image, iter_roots), cfg.data_regions,
+                          {{m.loop.head, head_state}});
+  }
+
+  for (u32 pc : m.footprint) {
+    const Instr& in = g.instrs().at(pc);
+    if (in.valid() && (is_load(in.op) || is_store(in.op)))
+      m.accesses.push_back(classify(m, cfg, pc, in));
+  }
+  index_blocks(m);
+  decide_replay(m);
+  decide_loading(m, prog, cfg);
   return m;
 }
 
@@ -228,11 +408,10 @@ Report analyze_impl(const isa::Program& prog, const AnalysisConfig& cfg,
   for (const auto& [pc, in] : g.instrs()) {
     if (!in.valid()) continue;
     if (is_store(in.op)) {
-      auto it = cp.access_addr.find(pc);
-      if (it != cp.access_addr.end() && it->second.bounded() &&
-          it->second.width() <= kMaxSpan) {
-        const u32 lo = it->second.lo;
-        const u32 hi = it->second.hi + mem_size(in.op);
+      const AVal addr = access_addr(cp, pc);
+      if (addr.resolved()) {
+        const u32 lo = addr.lo;
+        const u32 hi = addr.hi + mem_size(in.op);
         if (overlaps_code(lo, hi)) {
           rep.add(Severity::kError, Rule::kSelfModifyingCode, pc,
                   "store to [" + hex(lo) + ", " + hex(hi) +
@@ -291,70 +470,59 @@ Report analyze_impl(const isa::Program& prog, const AnalysisConfig& cfg,
                         "(paper rule 2.2)");
 
   // Rules 2-4: data footprint vs the D-cache, bus-coupled accesses, and the
-  // no-write-allocate dummy-load fix-up.
+  // no-write-allocate dummy-load fix-up, over the model's classification.
   SetMap dmap(cfg.mem.dcache);
   std::set<u32> loaded_lines;
   std::vector<std::pair<u32, std::vector<u32>>> store_lines;  // pc -> lines
-  for (u32 pc : fp) {
-    const Instr& in = g.instrs().at(pc);
-    if (!in.valid() || (!is_load(in.op) && !is_store(in.op))) continue;
-    const u32 size = mem_size(in.op);
-    if (in.op == Op::kAmoAdd) {
-      rep.add(Severity::kError, Rule::kNoncacheableAccess, pc,
-              "atomic access inside the execution loop is serviced by the "
-              "shared bus and re-couples the test to bus contention",
-              "move synchronisation outside the loading/execution loop");
-      continue;
-    }
-    auto it = cp.access_addr.find(pc);
-    const AVal addr = it == cp.access_addr.end() ? AVal::top() : it->second;
-    if (!addr.bounded() || addr.width() > kMaxSpan) {
-      rep.add(Severity::kWarning, Rule::kUnresolvedAddress, pc,
-              "memory access address inside the execution loop cannot be "
-              "bounded; cache-residence cannot be proven",
-              "use static addressing from li/la bases (paper Sec. III)");
-      continue;
-    }
-    const u32 lo = addr.lo;
-    const u32 hi = addr.hi + size;  // [lo, hi)
-    bool shared = false;
-    for (const auto& r : cfg.shared_regions) {
-      if (r.overlaps(lo, hi)) {
-        rep.add(Severity::kError, Rule::kNoncacheableAccess, pc,
-                "access to shared communication region [" + hex(r.base) + ", " +
-                    hex(r.end()) + ") inside the execution loop",
-                "mailbox/barrier traffic must happen before the loop or "
-                "after it with the caches disabled");
-        shared = true;
+  for (const MemAccess& a : m.accesses) {
+    const auto bus_error = [&](std::string message, std::string hint) {
+      rep.add(Severity::kError, Rule::kNoncacheableAccess, a.pc,
+              std::move(message), std::move(hint));
+    };
+    switch (a.kind) {
+      case MemAccess::Kind::kTcm:
+        break;  // private single-cycle memory: never on the bus
+      case MemAccess::Kind::kUnbounded:
+        rep.add(Severity::kWarning, Rule::kUnresolvedAddress, a.pc,
+                "memory access address inside the execution loop cannot be "
+                "bounded; cache-residence cannot be proven",
+                "use static addressing from li/la bases (paper Sec. III)");
+        break;
+      case MemAccess::Kind::kAtomic:
+        bus_error("atomic access inside the execution loop is serviced by the "
+                  "shared bus and re-couples the test to bus contention",
+                  "move synchronisation outside the loading/execution loop");
+        break;
+      case MemAccess::Kind::kShared:
+        bus_error("access to shared communication region [" +
+                      hex(a.shared.base) + ", " + hex(a.shared.end()) +
+                      ") inside the execution loop",
+                  "mailbox/barrier traffic must happen before the loop or "
+                  "after it with the caches disabled");
+        break;
+      case MemAccess::Kind::kUnmapped:
+        bus_error("access to [" + hex(a.lo) + ", " + hex(a.end()) +
+                      ") targets unmapped or mixed address space inside the "
+                      "execution loop",
+                  "");
+        break;
+      case MemAccess::Kind::kFlashStore:
+        bus_error("store to flash at " + hex(a.lo) +
+                      " inside the execution loop",
+                  "stores must target the SRAM data scratch area");
+        break;
+      case MemAccess::Kind::kOk: {
+        std::vector<u32> lines;
+        const u32 lb = cfg.mem.dcache.line_bytes;
+        for (u32 line = a.lo / lb * lb; line < a.end(); line += lb) {
+          dmap.add(line, a.pc);
+          lines.push_back(line);
+          if (a.load) loaded_lines.insert(line);
+        }
+        if (a.store) store_lines.emplace_back(a.pc, std::move(lines));
         break;
       }
     }
-    if (shared) continue;
-    const bool tcm = (mem::is_itcm(lo) && mem::is_itcm(hi - 1)) ||
-                     (mem::is_dtcm(lo) && mem::is_dtcm(hi - 1));
-    if (tcm) continue;  // private single-cycle memory: never on the bus
-    const bool bus = mem::is_bus(lo) && mem::is_bus(hi - 1);
-    if (!bus) {
-      rep.add(Severity::kError, Rule::kNoncacheableAccess, pc,
-              "access to [" + hex(lo) + ", " + hex(hi) +
-                  ") targets unmapped or mixed address space inside the "
-                  "execution loop");
-      continue;
-    }
-    if (is_store(in.op) && mem::is_flash(lo)) {
-      rep.add(Severity::kError, Rule::kNoncacheableAccess, pc,
-              "store to flash at " + hex(lo) + " inside the execution loop",
-              "stores must target the SRAM data scratch area");
-      continue;
-    }
-    std::vector<u32> lines;
-    const u32 lb = cfg.mem.dcache.line_bytes;
-    for (u32 line = lo / lb * lb; line < hi; line += lb) {
-      dmap.add(line, pc);
-      lines.push_back(line);
-      if (is_load(in.op)) loaded_lines.insert(line);
-    }
-    if (is_store(in.op)) store_lines.emplace_back(pc, std::move(lines));
   }
   dmap.report_conflicts(rep, Rule::kDcacheConflict, "data",
                         "shrink or realign the data footprint so at most "
@@ -406,12 +574,9 @@ Report analyze_impl(const isa::Program& prog, const AnalysisConfig& cfg,
   const bool ai_conflict =
       ai.status(ObligationKind::kSetConflictFree) == ObligationStatus::kRefuted;
   if (ai_conflict && !structure_bad) {
-    const Obligation* o = nullptr;
-    for (const auto& ob : ai.obligations)
-      if (ob.kind == ObligationKind::kSetConflictFree) o = &ob;
     rep.add(Severity::kError, Rule::kAiExecUnproven, loop.head,
             "abstract may-footprint refutes the no-eviction premise: " +
-                (o ? o->detail : std::string()),
+                ai.find(ObligationKind::kSetConflictFree)->detail,
             "shrink or realign the footprint so every set holds at most "
             "<associativity> lines");
   }
@@ -437,11 +602,8 @@ Report analyze_impl(const isa::Program& prog, const AnalysisConfig& cfg,
   }
   if (rep.clean() &&
       ai.status(ObligationKind::kExecMissFree) == ObligationStatus::kProven) {
-    const Obligation* o = nullptr;
-    for (const auto& ob : ai.obligations)
-      if (ob.kind == ObligationKind::kInterferenceBound) o = &ob;
     rep.add(Severity::kInfo, Rule::kAiInterferenceBound, loop.head,
-            o ? o->detail : "interference bound computed");
+            ai.find(ObligationKind::kInterferenceBound)->detail);
   }
 
   return rep;

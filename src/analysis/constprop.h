@@ -25,6 +25,10 @@ struct AddrRange {
   }
 };
 
+/// Interval spans wider than this are treated as unresolved rather than
+/// enumerated line by line (no realistic routine walks 64 KiB of scratch).
+inline constexpr u32 kMaxSpan = 64 * 1024;
+
 /// Abstract value: unreached / single constant / inclusive interval / unknown.
 struct AVal {
   enum Kind : u8 { kBot, kConst, kRange, kTop };
@@ -41,6 +45,8 @@ struct AVal {
   bool is_const() const { return kind == kConst; }
   bool bounded() const { return kind == kConst || kind == kRange; }
   u32 width() const { return hi - lo; }
+  /// Bounded within kMaxSpan: an address the cache rules can resolve.
+  bool resolved() const { return bounded() && width() <= kMaxSpan; }
 
   bool operator==(const AVal& o) const {
     return kind == o.kind && lo == o.lo && hi == o.hi;

@@ -37,6 +37,12 @@ const char* severity_name(Severity s) {
   return "?";
 }
 
+std::string hex(u32 v) {
+  std::ostringstream os;
+  os << "0x" << std::hex << v;
+  return os.str();
+}
+
 const std::vector<Rule>& rule_catalogue() {
   static const std::vector<Rule> kRules = {
       Rule::kIcacheConflict,      Rule::kDcacheConflict,

@@ -45,6 +45,9 @@ enum class Rule : u8 {
 const char* rule_id(Rule r);
 const char* severity_name(Severity s);
 
+/// "0x" followed by `v` in lower-case hex, as every message prints addresses.
+std::string hex(u32 v);
+
 /// All rules, in catalogue order (fixture-coverage self-check, SARIF driver).
 const std::vector<Rule>& rule_catalogue();
 

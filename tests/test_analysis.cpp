@@ -402,7 +402,8 @@ TEST(AbsInt, SetConflictRefutesTheNoEvictionPremise) {
   const auto fixtures = negative_fixtures();
   const Fixture* f = find_fixture(fixtures, "dcache-conflict");
   ASSERT_NE(f, nullptr);
-  const AbsIntResult ai = interpret(f->prog, f->cfg);
+  const AbsIntResult ai =
+      interpret(f->prog, f->cfg, build_model(f->prog, f->cfg));
   ASSERT_TRUE(ai.analyzable);
   EXPECT_EQ(ai.status(ObligationKind::kSetConflictFree),
             ObligationStatus::kRefuted);
@@ -413,7 +414,8 @@ TEST(AbsInt, PeerOverlapRefutesCrossCoreDisjointness) {
   const auto fixtures = negative_fixtures();
   const Fixture* f = find_fixture(fixtures, "ai-cross-core-overlap");
   ASSERT_NE(f, nullptr);
-  const AbsIntResult ai = interpret(f->prog, f->cfg);
+  const AbsIntResult ai =
+      interpret(f->prog, f->cfg, build_model(f->prog, f->cfg));
   ASSERT_TRUE(ai.analyzable);
   EXPECT_EQ(ai.status(ObligationKind::kCrossCoreDisjoint),
             ObligationStatus::kRefuted);
