@@ -86,7 +86,7 @@ void print_row(TextTable& t, const char* variant, const StabilityResult& r) {
 
 int main(int argc, char** argv) {
   using namespace detstl;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts = bench::parse_options(argc, argv, bench::kMetrics);
   bench::print_header("Methodology ablations (design rules of Sec. III)",
                       "not a paper exhibit: validates each rule's necessity");
   const auto routine = core::make_fwd_test(/*with_perf_counters=*/true);

@@ -7,8 +7,9 @@
 #include "bench_util.h"
 #include "exp/experiments.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace detstl;
+  bench::parse_options(argc, argv, /*groups=*/0);
   bench::print_header(
       "Figure 1 (forwarding path vs broken forwarding path)",
       "Fig 1a: consumer enters EX 1 cycle after producer (EX->EX path); "

@@ -20,7 +20,8 @@
 
 int main(int argc, char** argv) {
   using namespace detstl;
-  const bench::BenchOptions opts = bench::parse_options(argc, argv);
+  const bench::BenchOptions opts =
+      bench::parse_options(argc, argv, bench::kMetrics | bench::kCampaign);
   perf::Session session("soak", opts.profile);
 
   runtime::SoakCampaignSpec spec;

@@ -10,8 +10,8 @@
 
 int main(int argc, char** argv) {
   using namespace detstl;
-  const auto opts = bench::parse_options(argc, argv);
-  const auto tracer = bench::make_trace_writer(opts);
+  const auto opts =
+      bench::parse_options(argc, argv, bench::kProgress | bench::kMetrics);
   bench::print_header("Table I (multi-core STL execution: stalls)",
                       "1 core: 200,679 IF / 117,965 MEM; 2: 717,538 / 305,801; "
                       "3: 1,878,336 / 663,386");
@@ -19,9 +19,7 @@ int main(int argc, char** argv) {
   const unsigned samples = bench::env_unsigned(opts, "DETSTL_STAGGERS", 3);
   perf::Session session("table1", opts.profile);
   session.hash_knob("staggers", samples);
-  const auto rows = bench::run_resumable([&] {
-    return exp::run_table1(samples, bench::exec_options(opts, tracer.get()));
-  });
+  const auto rows = exp::run_table1(samples, bench::exec_options(opts));
   session.mark_phase("stagger_sweep");
 
   TextTable t("Multi-core STL execution: stalls due to the memory subsystem");
@@ -42,6 +40,5 @@ int main(int argc, char** argv) {
                         rows[2].if_stalls > 4.0 * rows[0].if_stalls;
   std::printf("\nshape check (super-linear IF-stall growth, IF >> MEM): %s\n",
               shape_ok ? "OK" : "MISMATCH");
-  bench::finish_trace(opts, tracer);
   return session.finish(opts.metrics_out, shape_ok ? 0 : 1);
 }

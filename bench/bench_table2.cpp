@@ -16,7 +16,9 @@
 
 int main(int argc, char** argv) {
   using namespace detstl;
-  const auto opts = bench::parse_options(argc, argv);
+  const auto opts = bench::parse_options(
+      argc, argv,
+      bench::kProgress | bench::kTrace | bench::kMetrics | bench::kCampaign);
   const auto tracer = bench::make_trace_writer(opts);
   bench::print_header(
       "Table II (forwarding-logic fault simulation, no PCs)",

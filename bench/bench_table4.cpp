@@ -16,17 +16,15 @@
 
 int main(int argc, char** argv) {
   using namespace detstl;
-  const auto opts = bench::parse_options(argc, argv);
-  const auto tracer = bench::make_trace_writer(opts);
+  const auto opts =
+      bench::parse_options(argc, argv, bench::kProgress | bench::kMetrics);
   bench::print_header(
       "Table IV (TCM-based vs cache-based, imprecise-interrupt routine)",
       "TCM-based: 2,874 B overhead, 16,463 cycles; cache-based: 0 B, 18,043 "
       "cycles (8.25us @180MHz difference)");
 
   perf::Session session("table4", opts.profile);
-  const auto rows = bench::run_resumable([&] {
-    return exp::run_table4(bench::exec_options(opts, tracer.get()));
-  });
+  const auto rows = exp::run_table4(bench::exec_options(opts));
   session.mark_phase("strategy_runs");
 
   TextTable t("TCM-based versus cache-based approaches");
@@ -45,6 +43,5 @@ int main(int argc, char** argv) {
                         rows[1].memory_overhead_bytes == 0;
   std::printf("\nshape check (TCM reserves memory, cache-based reserves none): %s\n",
               shape_ok ? "OK" : "MISMATCH");
-  bench::finish_trace(opts, tracer);
   return session.finish(opts.metrics_out, shape_ok ? 0 : 1);
 }

@@ -14,7 +14,16 @@
 
 namespace detstl::bench {
 
-/// Command-line options shared by the table benches.
+/// The flag groups a bench can honour. Each bench passes the groups it
+/// acts on to parse_options(), which rejects every other flag.
+enum FlagGroup : unsigned {
+  kProgress = 1u << 0,  // --progress
+  kTrace = 1u << 1,     // --trace FILE
+  kMetrics = 1u << 2,   // --metrics-out FILE, --profile
+  kCampaign = 1u << 3,  // --threads N (and DETSTL_THREADS), checkpoint/drain
+};
+
+/// Command-line options shared by the benches.
 struct BenchOptions {
   std::string tool;         // argv[0]'s basename; prefixes diagnostics
   bool progress = false;    // --progress: live campaign progress on stderr
@@ -38,28 +47,38 @@ inline unsigned env_unsigned(const BenchOptions& o, const char* name,
   return cli::require_unsigned(o.tool.c_str(), name, v, lo, hi);
 }
 
-inline BenchOptions parse_options(int argc, char** argv) {
+/// Parse the flags of the `groups` (FlagGroup bits) the bench honours. Any
+/// other flag, including one of a group the bench does not act on, is a
+/// usage error: exit 2 with the bench's own usage line.
+inline BenchOptions parse_options(int argc, char** argv, unsigned groups) {
   BenchOptions o;
   const std::string arg0 = argv[0];
   o.tool = arg0.substr(arg0.find_last_of('/') + 1);
-  o.campaign.threads = env_unsigned(o, "DETSTL_THREADS", 0, 0, 256);
+  const auto has = [&](FlagGroup g) { return (groups & g) != 0; };
+  if (has(kCampaign))
+    o.campaign.threads = env_unsigned(o, "DETSTL_THREADS", 0, 0, 256);
   cli::Args args(o.tool.c_str(), argc - 1, argv + 1);
   while (args.next()) {
-    if (args.is("--progress")) {
+    if (has(kProgress) && args.is("--progress")) {
       o.progress = true;
-    } else if (args.is("--trace")) {
+    } else if (has(kTrace) && args.is("--trace")) {
       o.trace_path = args.value();
-    } else if (args.is("--metrics-out")) {
+    } else if (has(kMetrics) && args.is("--metrics-out")) {
       o.metrics_out = args.value();
-    } else if (args.is("--profile")) {
+    } else if (has(kMetrics) && args.is("--profile")) {
       o.profile = true;
-    } else if (!o.campaign.parse(args)) {
-      std::fprintf(stderr,
-                   "usage: %s [--progress] [--threads N] [--trace FILE]\n"
-                   "          [--metrics-out FILE] [--profile] [--timeout SEC]\n"
-                   "          [--checkpoint-dir DIR [--checkpoint-interval N]\n"
-                   "           [--resume] [--no-fsync] [--interrupt-after N]]\n",
-                   argv[0]);
+    } else if (!has(kCampaign) || !o.campaign.parse(args)) {
+      std::fprintf(stderr, "%s: unknown option '%s'\nusage: %s%s%s%s%s%s\n",
+                   o.tool.c_str(), args.flag().c_str(), o.tool.c_str(),
+                   has(kProgress) ? " [--progress]" : "",
+                   has(kCampaign) ? " [--threads N]" : "",
+                   has(kTrace) ? " [--trace FILE]" : "",
+                   has(kMetrics) ? " [--metrics-out FILE] [--profile]" : "",
+                   has(kCampaign)
+                       ? "\n          [--timeout SEC] [--checkpoint-dir DIR "
+                         "[--checkpoint-interval N]\n           [--resume] "
+                         "[--no-fsync] [--interrupt-after N]]"
+                       : "");
       std::exit(cli::kExitUsage);
     }
   }

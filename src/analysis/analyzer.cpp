@@ -78,7 +78,8 @@ AVal access_addr(const ConstPropResult& cp, u32 pc) {
 }
 
 /// Classify the load/store `in` at `pc` of the footprint. A declared shared
-/// region wins over every other target.
+/// region wins over every other target, a TCM included: an access the
+/// routine's contract calls shared is reported, never trusted as private.
 MemAccess classify(const ProgramModel& m, const AnalysisConfig& cfg, u32 pc,
                    const Instr& in) {
   using Kind = MemAccess::Kind;

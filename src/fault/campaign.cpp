@@ -111,14 +111,17 @@ struct Checkpoint {
   std::size_t r29_idx;
 };
 
+/// Completed work units between two progress emissions within a phase.
+constexpr u64 kProgressEvery = 64;
+
 /// Aggregates worker progress and throttles callback invocations. All
 /// methods are no-ops when no callback is installed; otherwise every
 /// emission happens under one mutex, so the callback never sees torn state
 /// and never runs concurrently with itself.
 class ProgressTracker {
  public:
-  ProgressTracker(const ProgressFn& fn, u32 every, unsigned workers)
-      : fn_(fn), every_(std::max<u32>(1, every)), worker_done_(workers, 0) {}
+  ProgressTracker(const ProgressFn& fn, unsigned workers)
+      : fn_(fn), worker_done_(workers, 0) {}
 
   void begin_phase(CampaignPhase phase, u64 total) {
     if (!fn_) return;
@@ -141,7 +144,7 @@ class ProgressTracker {
     detected_ += detected;
     worker_done_[worker] += units;
     since_emit_ += units;
-    if (since_emit_ >= every_) {
+    if (since_emit_ >= kProgressEvery) {
       since_emit_ = 0;
       emit_locked();
     }
@@ -172,7 +175,6 @@ class ProgressTracker {
   }
 
   ProgressFn fn_;
-  u32 every_;
   std::mutex mu_;
   CampaignPhase phase_ = CampaignPhase::kGoodRun;
   u64 total_ = 0, done_ = 0, excited_ = 0, detected_ = 0, since_emit_ = 0;
@@ -262,7 +264,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
   CampaignResult res;
   res.threads_used = threads;
   const auto wall_start = std::chrono::steady_clock::now();
-  ProgressTracker tracker(cfg.progress, cfg.progress_every, threads);
+  ProgressTracker tracker(cfg.progress, threads);
 
   // Campaign events use an emission sequence number as their clock: all
   // emissions happen on the serial control path (phase boundaries + the

@@ -70,10 +70,9 @@ struct CampaignConfig : UnitPlumbing {
   /// yields the same CampaignResult, byte for byte.
   unsigned threads = 0;
   /// Optional observability callback (never affects the result). Invoked
-  /// under an internal mutex at phase boundaries and roughly every
-  /// `progress_every` completed work units.
+  /// under an internal mutex at phase boundaries and roughly every 64
+  /// completed work units.
   ProgressFn progress;
-  u32 progress_every = 64;
 };
 
 /// The scenario under grade: builds a fresh SoC with all programs loaded and

@@ -123,7 +123,6 @@ TEST(Campaign, CheckpointConfigHashBindsOutcomeRelevantFieldsOnly) {
 
   CampaignConfig knobs = cfg;
   knobs.threads = 8;
-  knobs.progress_every = 1;
   knobs.checkpoint.dir = "elsewhere";
   knobs.checkpoint.resume = true;
   EXPECT_EQ(checkpoint_config_hash(knobs, fwd.nl(), soc), base);

@@ -145,7 +145,6 @@ TEST(ParallelCampaign, ProgressCallbackObservesAllPhasesWithoutChangingResult) {
   cc.kind = isa::CoreKind::kA;
   cc.fault_stride = 2;
   cc.threads = 2;
-  cc.progress_every = 1;
 
   std::vector<CampaignPhase> phases;
   u64 last_detection_done = 0, detection_total = 0;
