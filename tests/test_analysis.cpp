@@ -8,7 +8,10 @@
 //  * the no-write-allocate dummy-load ablation is flagged on the real
 //    wrapper output, and the fix-up makes it clean;
 //  * every shipped routine lints clean under both write-allocate modes;
-//  * build_wrapped() surfaces the report by default and kEnforce throws.
+//  * build_wrapped() surfaces the report by default and kEnforce throws;
+//  * each loop access kind gets the same verdict from both layers, and
+//    every AbsIntResult field over the matrix grid and the fixtures is
+//    pinned by one digest.
 
 #include <gtest/gtest.h>
 
@@ -419,6 +422,114 @@ TEST(AbsInt, PeerOverlapRefutesCrossCoreDisjointness) {
   ASSERT_TRUE(ai.analyzable);
   EXPECT_EQ(ai.status(ObligationKind::kCrossCoreDisjoint),
             ObligationStatus::kRefuted);
+}
+
+TEST(AbsInt, StridedNwaStoreIsProvenOnlyByItsDummyLoad) {
+  // A strided no-write-allocate store never has a certainly-warm line: only
+  // the replay argument proves it, and only when a load of the identical
+  // interval (the dummy load) warms its lines during the loading pass.
+  const auto build = [](bool dummy_load) {
+    Assembler a(kBase);
+    a.li(R30, 2);
+    a.label("loop");
+    a.li(R1, kData);
+    a.li(R2, kData + 64);
+    a.label("inner");
+    a.sw(R3, R1, 0);
+    if (dummy_load) a.lw(R4, R1, 0);
+    a.addi(R1, R1, 4);
+    a.bne(R1, R2, "inner");
+    a.addi(R30, R30, -1);
+    a.bne(R30, R0, "loop");
+    a.halt();
+    return a.assemble();
+  };
+  AnalysisConfig cfg;
+  cfg.loop_symbol = "loop";
+  cfg.data_regions = {{kData, 64}};
+  cfg.write_allocate = false;
+
+  const Program covered = build(true);
+  const AbsIntResult ok = interpret(covered, cfg, build_model(covered, cfg));
+  EXPECT_TRUE(ok.all_proven()) << ok.find(ObligationKind::kExecMissFree)->detail;
+
+  const Program bare = build(false);
+  const AbsIntResult bad = interpret(bare, cfg, build_model(bare, cfg));
+  EXPECT_EQ(bad.status(ObligationKind::kExecMissFree),
+            ObligationStatus::kUnproven);
+  ASSERT_EQ(bad.exec_unproven.size(), 1u);
+  EXPECT_EQ(bad.exec_unproven[0].first, bare.symbol("inner"));
+  EXPECT_NE(bad.exec_unproven[0].second.find("has no dummy load"),
+            std::string::npos)
+      << bad.exec_unproven[0].second;
+}
+
+TEST(AbsInt, EachAccessKindIsReportedByBothLayers) {
+  // One loop access per kind that no fixture or routine has. Each is
+  // classified once, in the model: layer 1 words the bus-coupled ones as
+  // noncacheable-access errors, layer 2 leaves the same pc unproven and,
+  // when it is bus-coupled, a loading-footprint violation.
+  struct Case {
+    u32 base;      // r1 at the access
+    bool carried;  // r1 set before the loop and stepped every pass
+    void (*access)(Assembler&);
+    const char* layer1;  // the diagnostic analyze() anchors at the access
+    const char* layer2;  // its execution-pass verdict
+    bool loading_violation;
+  };
+  const Case cases[] = {
+      {kData, false, [](Assembler& a) { a.amoadd(R4, R1, R5); },
+       "atomic access inside the execution loop is serviced by the shared "
+       "bus",
+       "atomic access is serviced by the shared bus inside the execution loop",
+       true},
+      {kBase + 0x800, false, [](Assembler& a) { a.sw(R3, R1, 0); },
+       "store to flash at 0x10001800 inside the execution loop",
+       "store to flash inside the execution loop", true},
+      {0x3000'0000, false, [](Assembler& a) { a.lw(R4, R1, 0); },
+       "access to [0x30000000, 0x30000004) targets unmapped or mixed address "
+       "space inside the execution loop",
+       "access to unmapped or mixed address space inside the execution loop",
+       true},
+      {kData, true, [](Assembler& a) { a.lw(R4, R1, 0); },
+       "execution-pass access not provably miss-free: address is "
+       "loop-carried across wrapper iterations",
+       "address is loop-carried across wrapper iterations", false},
+  };
+  for (const Case& t : cases) {
+    Assembler a(kBase);
+    a.li(R30, 2);
+    if (t.carried) a.li(R1, t.base);
+    a.label("loop");
+    if (!t.carried) a.li(R1, t.base);
+    a.label("access");
+    t.access(a);
+    if (t.carried) a.addi(R1, R1, 4);
+    a.addi(R30, R30, -1);
+    a.bne(R30, R0, "loop");
+    a.halt();
+    const Program prog = a.assemble();
+    const u32 pc = prog.symbol("access");
+    AnalysisConfig cfg;
+    cfg.loop_symbol = "loop";
+    cfg.data_regions = {{kData, 64}};
+
+    const Report rep = analyze(prog, cfg);
+    bool worded = false;
+    for (const Diagnostic& d : rep.diagnostics())
+      worded |= d.pc == pc && d.severity == Severity::kError &&
+                d.message.find(t.layer1) != std::string::npos;
+    EXPECT_TRUE(worded) << t.layer1 << "\n" << rep.format();
+
+    const AbsIntResult ai = interpret(prog, cfg, build_model(prog, cfg));
+    ASSERT_EQ(ai.exec_unproven.size(), 1u) << t.layer2;
+    EXPECT_EQ(ai.exec_unproven[0].first, pc);
+    EXPECT_NE(ai.exec_unproven[0].second.find(t.layer2), std::string::npos)
+        << ai.exec_unproven[0].second;
+    bool violates = false;
+    for (const auto& [vpc, why] : ai.loading_violations) violates |= vpc == pc;
+    EXPECT_EQ(violates, t.loading_violation) << t.layer2;
+  }
 }
 
 /// FNV-1a fold of every AbsIntResult field; strings are length-prefixed so
