@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   bench::print_header("Methodology ablations (design rules of Sec. III)",
                       "not a paper exhibit: validates each rule's necessity");
   const auto routine = core::make_fwd_test(/*with_perf_counters=*/true);
-  perf::Session session("ablation", opts.profile);
+  perf::Session session("ablation");
   bool ok = true;
 
   {

@@ -9,6 +9,7 @@
 //   stlperf check BENCH_simspeed.json --baseline bench/baselines/BENCH_simspeed.json
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -43,7 +44,7 @@ u64 run_triple_core_contended(const std::vector<core::BuiltTest>& tests) {
 }
 
 /// Fixed-work KPI probe; returns the bench exit code.
-int run_probe(const bench::BenchOptions& opts, unsigned reps) {
+int run_probe(const std::string& metrics_out, unsigned reps) {
   // Build the routines BEFORE the session starts: the KPI measures the
   // simulator's cycle throughput, not the assembler/wrapper builder.
   const auto cached = build_test(0, core::WrapperKind::kCacheBased);
@@ -51,7 +52,7 @@ int run_probe(const bench::BenchOptions& opts, unsigned reps) {
   for (unsigned c = 0; c < 3; ++c)
     plain.push_back(build_test(c, core::WrapperKind::kPlain));
 
-  perf::Session session("simspeed", opts.profile);
+  perf::Session session("simspeed");
   session.hash_knob("probe_reps", reps);
   u64 single = 0, triple = 0;
   for (unsigned r = 0; r < reps; ++r) single = run_single_core_cached(cached);
@@ -66,28 +67,26 @@ int run_probe(const bench::BenchOptions& opts, unsigned reps) {
   const bool ok = single > 0 && single < 10'000'000 && triple > 0 &&
                   triple < 20'000'000;
   if (!ok) std::printf("probe: FAILED (a workload hit its watchdog)\n");
-  return session.finish(opts.metrics_out, ok ? 0 : 1);
+  return session.finish(metrics_out, ok ? 0 : 1);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOptions opts;
+  std::string metrics_out;
   unsigned reps = 1;
   cli::Args args("bench_simspeed", argc - 1, argv + 1);
   while (args.next()) {
     if (args.is("--metrics-out")) {
-      opts.metrics_out = args.value();
-    } else if (args.is("--profile")) {
-      opts.profile = true;
+      metrics_out = args.value();
     } else if (args.is("--probe-reps")) {
       reps = args.unsigned_in(1, ~0u);
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_simspeed [--probe-reps N] [--metrics-out FILE] "
-                   "[--profile]\n");
+      std::fputs(
+          "usage: bench_simspeed [--probe-reps N] [--metrics-out FILE]\n",
+          stderr);
       return cli::kExitUsage;
     }
   }
-  return run_probe(opts, reps);
+  return run_probe(metrics_out, reps);
 }

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace detstl;
   const bench::BenchOptions opts =
       bench::parse_options(argc, argv, bench::kMetrics | bench::kCampaign);
-  perf::Session session("soak", opts.profile);
+  perf::Session session("soak");
 
   runtime::SoakCampaignSpec spec;
   spec.runs = bench::env_unsigned(opts, "DETSTL_SOAK_RUNS", 24);

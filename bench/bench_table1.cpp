@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
                       "3: 1,878,336 / 663,386");
 
   const unsigned samples = bench::env_unsigned(opts, "DETSTL_STAGGERS", 3);
-  perf::Session session("table1", opts.profile);
+  perf::Session session("table1");
   session.hash_knob("staggers", samples);
   const auto rows = exp::run_table1(samples, bench::exec_options(opts));
   session.mark_phase("stagger_sweep");

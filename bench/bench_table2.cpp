@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const unsigned stride =
       bench::env_unsigned(opts, "DETSTL_FAULT_STRIDE", 1, /*lo=*/1);
   const unsigned scenarios = bench::env_unsigned(opts, "DETSTL_SCENARIOS", 0);
-  perf::Session session("table2", opts.profile);
+  perf::Session session("table2");
   session.hash_knob("fault_stride", stride);
   session.hash_knob("scenarios", scenarios);
   const auto t0 = std::chrono::steady_clock::now();

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   const unsigned stride =
       bench::env_unsigned(opts, "DETSTL_FAULT_STRIDE", 1, /*lo=*/1);
-  perf::Session session("table3", opts.profile);
+  perf::Session session("table3");
   session.hash_knob("fault_stride", stride);
   const auto t0 = std::chrono::steady_clock::now();
   const auto rows = bench::run_resumable([&] {

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
       "TCM-based: 2,874 B overhead, 16,463 cycles; cache-based: 0 B, 18,043 "
       "cycles (8.25us @180MHz difference)");
 
-  perf::Session session("table4", opts.profile);
+  perf::Session session("table4");
   const auto rows = exp::run_table4(bench::exec_options(opts));
   session.mark_phase("strategy_runs");
 

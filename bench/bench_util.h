@@ -19,7 +19,7 @@ namespace detstl::bench {
 enum FlagGroup : unsigned {
   kProgress = 1u << 0,  // --progress
   kTrace = 1u << 1,     // --trace FILE
-  kMetrics = 1u << 2,   // --metrics-out FILE, --profile
+  kMetrics = 1u << 2,   // --metrics-out FILE
   kCampaign = 1u << 3,  // --threads N (and DETSTL_THREADS), checkpoint/drain
 };
 
@@ -30,8 +30,6 @@ struct BenchOptions {
   std::string trace_path;   // --trace FILE: Chrome-trace JSON of the run
   // stlperf trajectory (src/perf/session.h, tools/stlperf.cpp).
   std::string metrics_out;  // --metrics-out FILE: BENCH_<name>.json
-  bool profile = false;     // --profile: subsystem profiler (slower; never
-                            // combined with the sim-MHz gate numbers)
   /// --threads (default DETSTL_THREADS, 0 = all cores) and the crash-safe
   /// checkpoint/drain group, parsed and applied exactly like stlrun's; an
   /// interrupted bench exits 3 (resumable, tools/cli_util.h).
@@ -65,15 +63,13 @@ inline BenchOptions parse_options(int argc, char** argv, unsigned groups) {
       o.trace_path = args.value();
     } else if (has(kMetrics) && args.is("--metrics-out")) {
       o.metrics_out = args.value();
-    } else if (has(kMetrics) && args.is("--profile")) {
-      o.profile = true;
     } else if (!has(kCampaign) || !o.campaign.parse(args)) {
       std::fprintf(stderr, "%s: unknown option '%s'\nusage: %s%s%s%s%s%s\n",
                    o.tool.c_str(), args.flag().c_str(), o.tool.c_str(),
                    has(kProgress) ? " [--progress]" : "",
                    has(kCampaign) ? " [--threads N]" : "",
                    has(kTrace) ? " [--trace FILE]" : "",
-                   has(kMetrics) ? " [--metrics-out FILE] [--profile]" : "",
+                   has(kMetrics) ? " [--metrics-out FILE]" : "",
                    has(kCampaign)
                        ? "\n          [--timeout SEC] [--checkpoint-dir DIR "
                          "[--checkpoint-interval N]\n           [--resume] "

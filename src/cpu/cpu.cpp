@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "isa/disasm.h"
-#include "perf/profiler.h"
 
 namespace detstl::cpu {
 
@@ -50,20 +49,11 @@ void Cpu::cycle(mem::SharedBus& bus) {
   const SlotInstr snap_exmem[2] = {exmem_[0], exmem_[1]};
   const SlotInstr snap_memwb[2] = {memwb_[0], memwb_[1]};
 
-  {
-    DETSTL_PROF_SCOPE(perf::ProfScope::kExecute);
-    stage_wb();
-    const bool mem_advanced = stage_mem(bus);
-    stage_ex(mem_advanced, snap_exmem, snap_memwb);
-  }
-  {
-    DETSTL_PROF_SCOPE(perf::ProfScope::kDecode);
-    stage_issue();
-  }
-  {
-    DETSTL_PROF_SCOPE(perf::ProfScope::kFetch);
-    stage_fetch(bus);
-  }
+  stage_wb();
+  const bool mem_advanced = stage_mem(bus);
+  stage_ex(mem_advanced, snap_exmem, snap_memwb);
+  stage_issue();
+  stage_fetch(bus);
   icu_endofcycle();
   flush_ = false;
 
@@ -71,7 +61,6 @@ void Cpu::cycle(mem::SharedBus& bus) {
 }
 
 void Cpu::post_tick(mem::SharedBus& bus) {
-  DETSTL_PROF_SCOPE(perf::ProfScope::kCacheModel);
   memsys_.tick(bus);
 }
 

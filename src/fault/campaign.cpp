@@ -12,7 +12,6 @@
 #include "fault/work_queue.h"
 #include "netlist/equivalence.h"
 #include "netlist/screening.h"
-#include "perf/profiler.h"
 #include "perf/simstats.h"
 
 namespace detstl::fault {
@@ -227,7 +226,7 @@ u64 checkpoint_config_hash(const CampaignConfig& cfg, const netlist::Netlist& nl
       .u8v(static_cast<u8>(cfg.module))
       .u32v(cfg.core_id)
       .u8v(static_cast<u8>(cfg.kind))
-      .u32v(cfg.mailbox != 0 ? cfg.mailbox : soc::mailbox_addr(cfg.core_id))
+      .u32v(soc::mailbox_addr(cfg.core_id))  // existing manifests hash it
       .u64v(cfg.max_cycles)
       .u32v(cfg.checkpoint_every)
       .u32v(cfg.fault_stride)
@@ -259,7 +258,7 @@ namespace {
 template <class Mod>
 CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory,
                             const Mod& mod) {
-  const u32 mailbox = cfg.mailbox != 0 ? cfg.mailbox : soc::mailbox_addr(cfg.core_id);
+  const u32 mailbox = soc::mailbox_addr(cfg.core_id);
   const unsigned threads = resolve_threads(cfg.threads);
   CampaignResult res;
   res.threads_used = threads;
@@ -441,13 +440,10 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
         }
         LaneGroupScreen screen(nl, mod.outputs(), {rep_faults.data() + base, n});
         std::size_t replayed = 0;
-        {
-          DETSTL_PROF_SCOPE(perf::ProfScope::kNetlistScreen);
-          for (; replayed < ncalls && !screen.done(); ++replayed) {
-            mod.encode(rec.calls()[replayed], screen.state());
-            screen.observe(replayed);
-            screen.clock();  // a no-op for the flop-free modules
-          }
+        for (; replayed < ncalls && !screen.done(); ++replayed) {
+          mod.encode(rec.calls()[replayed], screen.state());
+          screen.observe(replayed);
+          screen.clock();  // a no-op for the flop-free modules
         }
         screen_calls_total.fetch_add(replayed, std::memory_order_relaxed);
         perf::sim_totals().add(perf::SimStat::kScreenCalls, replayed);
@@ -485,10 +481,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
         [](std::size_t call, const Checkpoint& c) { return call < c.call_idx; });
     const Checkpoint& cp = *std::prev(it);  // cps[0].call_idx == 0 <= any call
 
-    soc::Soc s = [&cp]() -> soc::Soc {
-      DETSTL_PROF_SCOPE(perf::ProfScope::kSnapshotRestore);
-      return cp.soc;
-    }();
+    soc::Soc s = cp.soc;
     const u64 resume_cycle = s.now();
     // The checkpoint copy carries the good run's sink; faulty replicas run on
     // worker threads and must never emit (trace/event.h checkpoint contract).

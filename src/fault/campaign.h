@@ -54,7 +54,6 @@ struct CampaignConfig : UnitPlumbing {
   Module module = Module::kFwd;
   unsigned core_id = 0;  // core under grade
   isa::CoreKind kind = isa::CoreKind::kA;
-  u32 mailbox = 0;       // 0 = soc::mailbox_addr(core_id)
   u64 max_cycles = 20'000'000;  // good-run bound
   u32 checkpoint_every = 4096;  // cycles between checkpoints
   /// Simulate every Nth net of the fault list (deterministic sampling speed
@@ -154,8 +153,8 @@ std::vector<netlist::Fault> sample_faults(const netlist::Netlist& nl,
 netlist::Netlist module_netlist(Module m, isa::CoreKind kind);
 
 /// The hash a checkpoint manifest binds this campaign to: every
-/// outcome-relevant CampaignConfig field (module, graded core, mailbox,
-/// bounds, fault_stride, marker mode) plus the netlist fingerprint and the
+/// outcome-relevant CampaignConfig field (module, graded core, bounds,
+/// fault_stride, marker mode) plus the netlist fingerprint and the
 /// routine-image fingerprint of the factory's SoC. Deliberately EXCLUDES
 /// threads, progress, sink, checkpoint and interrupt — resuming on a
 /// different worker count or with different observability is legal and

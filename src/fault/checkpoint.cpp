@@ -17,7 +17,6 @@
 
 #include "common/version.h"
 #include "mem/memmap.h"
-#include "perf/profiler.h"
 #include "perf/sampler.h"
 #include "netlist/netlist.h"
 #include "soc/soc.h"
@@ -279,7 +278,6 @@ LoadedCheckpoint load_checkpoint(const CheckpointConfig& cfg, PayloadKind kind,
                                  u64 config_hash, trace::EventSink* sink) {
   LoadedCheckpoint out;
   if (!cfg.enabled()) return out;
-  DETSTL_PROF_SCOPE(perf::ProfScope::kCheckpointIO);
   const fs::path dir = cfg.dir;
   u64 seq = 0;
 
@@ -474,7 +472,6 @@ void CheckpointWriter::flush() {
 
 void CheckpointWriter::flush_locked() {
   if (pending_.empty()) return;
-  DETSTL_PROF_SCOPE(perf::ProfScope::kCheckpointIO);
   const u64 flush_t0 = perf::wall_now_ns();
   std::vector<u8> payload;
   for (const ShardRecord& r : pending_) {

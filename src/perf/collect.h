@@ -14,7 +14,6 @@
 
 #include "fault/campaign.h"
 #include "perf/metrics.h"
-#include "perf/profiler.h"
 #include "perf/sampler.h"
 #include "perf/simstats.h"
 #include "runtime/campaign.h"
@@ -163,20 +162,6 @@ inline void collect_host_usage(Registry& reg, const HostUsage& u) {
   reg.set_gauge("host.wall_s", "", u.wall_s);
   reg.set_gauge("host.cpu_s", "", u.cpu_s);
   reg.set_gauge("host.peak_rss_kb", "", static_cast<double>(u.peak_rss_kb));
-}
-
-/// Subsystem-profiler totals (perf/profiler.h) as the host counters
-/// prof.calls and prof.ns, labelled with the scope (scope=cpu.fetch, ...);
-/// scopes that never ran are left out.
-inline void collect_profile(Registry& reg, const ProfSnapshot& snap) {
-  for (unsigned i = 0; i < kNumProfScopes; ++i) {
-    const ScopeTotals& s = snap.scopes[i];
-    if (s.calls == 0) continue;
-    const std::string labels =
-        std::string("scope=") + prof_scope_name(static_cast<ProfScope>(i));
-    reg.add_counter("prof.calls", labels, s.calls, MetricSource::kHost);
-    reg.add_counter("prof.ns", labels, s.ns, MetricSource::kHost);
-  }
 }
 
 }  // namespace detstl::perf

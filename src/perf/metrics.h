@@ -1,10 +1,10 @@
 #pragma once
 // stlperf metrics core: a standalone, label-aware registry of counters,
 // gauges and fixed-bucket histograms — the one store every reported counter
-// lives in. Instrumentation in cpu/, mem/, fault/, runtime/, the trace
-// layer's per-phase sink (trace/phase_metrics.h) and the profiler publish
-// into it, and every consumer (bench JSON, detscope metrics, stlrun
-// --metrics-out) renders the same data.
+// lives in. Instrumentation in cpu/, mem/, fault/, runtime/ and the trace
+// layer's per-phase sink (trace/phase_metrics.h) publish into it, and every
+// consumer (bench JSON, detscope metrics, stlrun --metrics-out) renders the
+// same data.
 //
 // Determinism contract: every metric carries a MetricSource tag. kSim values
 // derive only from simulation state (cycles, hits, misses, units) and must

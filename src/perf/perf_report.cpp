@@ -1,6 +1,5 @@
 #include "perf/perf_report.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -71,45 +70,6 @@ void emit_metric_list(std::string& out, const Registry& metrics,
     emit_metric(out, indent, name, labels, m);
   });
   if (!first) out += "\n" + indent.substr(2);
-}
-
-/// Hotspot table of the profiler's prof.calls / prof.ns series, scopes
-/// sorted by time; empty for an unprofiled report. Scopes nest, so the
-/// %-of-wall column can legitimately sum past 100%.
-std::string render_profile(const Registry& metrics, double wall_s) {
-  struct Row {
-    std::string scope;
-    u64 calls, ns;
-  };
-  std::vector<Row> rows;
-  metrics.visit([&](const std::string& name, const std::string& labels,
-                    const Metric& m) {
-    if (name != "prof.ns") return;
-    const Metric* calls = metrics.find("prof.calls", labels);
-    rows.push_back({labels.substr(labels.find('=') + 1),
-                    calls != nullptr ? calls->counter : 0, m.counter});
-  });
-  if (rows.empty()) return "";
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const Row& a, const Row& b) { return a.ns > b.ns; });
-
-  TextTable t("subsystem profile (host time)");
-  if (wall_s > 0)
-    t.header({"scope", "calls", "time [ms]", "ns/call", "% of wall"});
-  else
-    t.header({"scope", "calls", "time [ms]", "ns/call"});
-  for (const Row& r : rows) {
-    const double ns = static_cast<double>(r.ns);
-    const double per_call =
-        r.calls != 0 ? ns / static_cast<double>(r.calls) : 0.0;
-    std::vector<std::string> row{
-        r.scope, TextTable::fmt_int(static_cast<long long>(r.calls)),
-        TextTable::fmt_fixed(ns / 1e6, 2), TextTable::fmt_fixed(per_call, 1)};
-    if (wall_s > 0)
-      row.push_back(TextTable::fmt_fixed(100.0 * ns / 1e9 / wall_s, 1));
-    t.row(std::move(row));
-  }
-  return t.str();
 }
 
 }  // namespace
@@ -342,7 +302,6 @@ std::string render_report(const PerfReport& rep) {
     out += pt.str();
   }
   if (!rep.metrics.empty()) out += rep.metrics.render();
-  out += render_profile(rep.metrics, rep.wall_s);
   return out;
 }
 

@@ -10,8 +10,8 @@
 //    bytes; tests/test_perf.cpp enforces the invariance at 1/2/8 threads).
 //  * the top-level "host" object holds everything timing-dependent:
 //    wall-clock, CPU time, peak RSS, sim-MHz, per-phase wall times and
-//    kHost-tagged metrics (among them the profiler's prof.* series). It may
-//    vary freely between runs and is ignored by the determinism checks.
+//    kHost-tagged metrics. It may vary freely between runs and is ignored
+//    by the determinism checks.
 // Reports are written by perf::Session (perf/session.h).
 // Consumers must reject reports whose "stlperf_schema" they don't know.
 
@@ -71,8 +71,7 @@ bool write_report_file(const std::string& path, const PerfReport& rep);
 bool load_report_file(const std::string& path, PerfReport& out,
                       std::string* err = nullptr);
 
-/// Human rendering: summary table + metric table (+ hotspot table of the
-/// prof.* series when profiled).
+/// Human rendering: summary table, phase table and metric table.
 std::string render_report(const PerfReport& rep);
 
 /// stlperf diff/check semantics.

@@ -14,8 +14,8 @@ struct HostUsage {
 };
 
 /// Monotonic (steady-clock) wall time in nanoseconds from an arbitrary
-/// epoch: the one host clock behind HostTimer, the profiler's scopes and
-/// the checkpoint flush timing.
+/// epoch: the one host clock behind HostTimer and the checkpoint flush
+/// timing.
 u64 wall_now_ns();
 
 /// Process CPU time (user + system) since process start, in seconds.

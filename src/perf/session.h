@@ -1,11 +1,11 @@
 #pragma once
 // The one writer of stlperf reports. A Session brackets a run: sim-work
 // deltas (perf/simstats.h) and wall-clock per phase, host usage, the
-// workload config hash, the caller's own series and, when asked, the
-// subsystem profiler's totals, emitted as one BENCH_<name>.json. The benches,
-// `stlrun campaign --metrics-out` and `detscope metrics` all write through
-// it. Header-only for collect.h's reason: fault::ConfigHasher lives in
-// detstl_fault, which links detstl_perf.
+// workload config hash and the caller's own series, emitted as one
+// BENCH_<name>.json. The benches, `stlrun campaign --metrics-out` and
+// `detscope metrics` all write through it. Header-only for collect.h's
+// reason: fault::ConfigHasher lives in detstl_fault, which links
+// detstl_perf.
 //
 // Construct right before the workload, add series to metrics(), call
 // mark_phase() after each section and return finish(path, exit_code).
@@ -17,7 +17,6 @@
 #include "fault/checkpoint.h"
 #include "perf/collect.h"
 #include "perf/perf_report.h"
-#include "perf/profiler.h"
 #include "perf/sampler.h"
 #include "perf/simstats.h"
 
@@ -25,17 +24,10 @@ namespace detstl::perf {
 
 class Session {
  public:
-  /// `profile` runs the subsystem profiler until close() (slower, so never
-  /// combined with the sim-MHz gate numbers).
-  explicit Session(const std::string& name, bool profile = false)
-      : profile_(profile) {
+  explicit Session(const std::string& name) {
     rep_.name = name;
     rep_.detstl_version = kDetstlVersion;
     hash_.str(name);
-    if (profile_) {
-      prof_reset();
-      set_prof_enabled(true);
-    }
     start_ = phase_start_ = sim_totals().snapshot();
   }
 
@@ -65,7 +57,6 @@ class Session {
   const PerfReport& close() {
     if (closed_) return rep_;
     closed_ = true;
-    if (profile_) set_prof_enabled(false);
     const SimSnapshot end = sim_totals().snapshot();
     if (end.since(phase_start_).sim_cycles() != 0)
       mark_phase(rep_.phases.empty() ? "all" : "tail");
@@ -79,7 +70,6 @@ class Session {
     rep_.peak_rss_kb = u.peak_rss_kb;
     collect_sim_totals(rep_.metrics, delta);
     collect_host_usage(rep_.metrics, u);
-    if (profile_) collect_profile(rep_.metrics, prof_snapshot());
     return rep_;
   }
 
@@ -104,7 +94,6 @@ class Session {
   PerfReport rep_;
   fault::ConfigHasher hash_;
   HostTimer timer_;
-  bool profile_;
   bool closed_ = false;
   SimSnapshot start_{};
   SimSnapshot phase_start_{};

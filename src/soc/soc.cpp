@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "perf/profiler.h"
 #include "perf/simstats.h"
 
 namespace detstl::soc {
@@ -77,10 +76,7 @@ void Soc::tick() {
   for (unsigned i = 0; i < cores_.size(); ++i) {
     if (active_[i] && now_ > cfg_.start_delay[i]) cores_[i].cycle(bus_);
   }
-  {
-    DETSTL_PROF_SCOPE(perf::ProfScope::kBusArb);
-    bus_.tick(flash_, sram_);
-  }
+  bus_.tick(flash_, sram_);
   for (unsigned i = 0; i < cores_.size(); ++i) {
     if (active_[i]) cores_[i].post_tick(bus_);
   }

@@ -1,10 +1,11 @@
 #include "trace/chrome_trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+
+#include "common/table.h"
 
 namespace detstl::trace {
 
@@ -25,12 +26,6 @@ struct JsonEvent {
   std::string name;
   std::string args;  // pre-rendered JSON object body, may be empty
 };
-
-std::string hex(u32 v) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "0x%08x", v);
-  return buf;
-}
 
 std::string track_name(u32 tid) {
   if (tid == kCampaignTid) return "fault campaign";
@@ -70,7 +65,7 @@ void ChromeTraceWriter::write(std::ostream& os) const {
         j.tid = tid;
         j.ph = 'B';
         j.name = phase_name(static_cast<Phase>(e.unit));
-        j.args = "\"pc\":\"" + hex(e.addr) + "\"";
+        j.args = "\"pc\":\"" + TextTable::fmt_hex(e.addr) + "\"";
         break;
       }
       case EventKind::kBusGrant:
@@ -78,12 +73,14 @@ void ChromeTraceWriter::write(std::ostream& os) const {
         j.ph = 'X';
         j.dur = std::max<u32>(1, e.b);
         j.name = "occupancy";
-        j.args = "\"addr\":\"" + hex(e.addr) + "\",\"wait_cycles\":" +
-                 std::to_string(e.a) + ",\"occupancy_cycles\":" + std::to_string(e.b);
+        j.args = "\"addr\":\"" + TextTable::fmt_hex(e.addr) +
+                 "\",\"wait_cycles\":" + std::to_string(e.a) +
+                 ",\"occupancy_cycles\":" + std::to_string(e.b);
         break;
       case EventKind::kBusSubmit:
         j.tid = kBusTidBase + e.unit;
-        j.args = "\"addr\":\"" + hex(e.addr) + "\",\"bytes\":" + std::to_string(e.a) +
+        j.args = "\"addr\":\"" + TextTable::fmt_hex(e.addr) +
+                 "\",\"bytes\":" + std::to_string(e.a) +
                  ",\"write\":" + ((e.flags & 0x1) ? "true" : "false") +
                  ",\"amo\":" + ((e.flags & 0x2) ? "true" : "false");
         break;
@@ -93,8 +90,9 @@ void ChromeTraceWriter::write(std::ostream& os) const {
       case EventKind::kBusBeat:
         if (!include_beats_) continue;
         j.tid = kBusTidBase + e.unit;
-        j.args = "\"addr\":\"" + hex(e.addr) + "\",\"beat\":" + std::to_string(e.a) +
-                 ",\"data\":\"" + hex(e.b) + "\"";
+        j.args = "\"addr\":\"" + TextTable::fmt_hex(e.addr) +
+                 "\",\"beat\":" + std::to_string(e.a) + ",\"data\":\"" +
+                 TextTable::fmt_hex(e.b) + "\"";
         break;
       case EventKind::kCacheHit:
         if (!include_hits_) continue;
@@ -104,7 +102,8 @@ void ChromeTraceWriter::write(std::ostream& os) const {
       case EventKind::kCacheWriteback:
         j.tid = kCoreTidBase + e.core;
         j.name = std::string(e.unit == 0 ? "I$ " : "D$ ") + kind_name(e.kind);
-        j.args = "\"addr\":\"" + hex(e.addr) + "\",\"set\":" + std::to_string(e.a) +
+        j.args = "\"addr\":\"" + TextTable::fmt_hex(e.addr) +
+                 "\",\"set\":" + std::to_string(e.a) +
                  ",\"way\":" + std::to_string(e.b);
         break;
       case EventKind::kCacheInvalidate:
@@ -117,7 +116,7 @@ void ChromeTraceWriter::write(std::ostream& os) const {
         j.tid = kCoreTidBase + e.core;
         j.args = "\"cause\":" + std::to_string(e.a) +
                  (e.kind == EventKind::kIrqTaken
-                      ? ",\"mepc\":\"" + hex(e.addr) + "\""
+                      ? ",\"mepc\":\"" + TextTable::fmt_hex(e.addr) + "\""
                       : "");
         break;
       case EventKind::kCampaignPhaseBegin:
@@ -140,7 +139,8 @@ void ChromeTraceWriter::write(std::ostream& os) const {
       case EventKind::kSoakUpset:
         j.tid = kCoreTidBase + (e.core < kCoreBound ? e.core : 0);
         j.args = "\"unit\":" + std::to_string(e.unit) + ",\"addr\":\"" +
-                 hex(e.addr) + "\",\"a\":" + std::to_string(e.a) +
+                 TextTable::fmt_hex(e.addr) +
+                 "\",\"a\":" + std::to_string(e.a) +
                  ",\"b\":" + std::to_string(e.b);
         break;
     }

@@ -1,10 +1,10 @@
 #include "trace/xval.h"
 
-#include <cstdio>
 #include <set>
 #include <sstream>
 
 #include "analysis/absint.h"
+#include "common/table.h"
 #include "core/routines.h"
 #include "core/stl.h"
 
@@ -58,12 +58,6 @@ CorePrediction predict(const core::RoutineEntry& entry, unsigned core_id,
   return p;
 }
 
-std::string hex(u32 v) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "0x%08x", v);
-  return buf;
-}
-
 }  // namespace
 
 bool XvalResult::passed() const {
@@ -115,10 +109,10 @@ XvalResult cross_validate(const std::vector<Event>& events,
         if (in_wrapper[e.core] && phase[e.core] == Phase::kExecutionLoop) {
           ++cx.exec_misses;
           if (cx.violations.size() < 16)
-            cx.violations.push_back(std::string("execution-loop ") +
-                                    (e.unit == 0 ? "I" : "D") +
-                                    "-cache miss at " + hex(e.addr) +
-                                    " (predicted miss set is empty)");
+            cx.violations.push_back(
+                std::string("execution-loop ") + (e.unit == 0 ? "I" : "D") +
+                "-cache miss at " + TextTable::fmt_hex(e.addr) +
+                " (predicted miss set is empty)");
         }
         break;
       case EventKind::kCacheRefill:
@@ -138,7 +132,7 @@ XvalResult cross_validate(const std::vector<Event>& events,
             if (cx.violations.size() < 16)
               cx.violations.push_back(
                   std::string("loading-loop ") + (e.unit == 0 ? "I" : "D") +
-                  "-refill of line " + hex(e.addr) +
+                  "-refill of line " + TextTable::fmt_hex(e.addr) +
                   " outside the static may-footprint");
           }
         }

@@ -1,9 +1,9 @@
 // stlperf observability subsystem (src/perf/): registry determinism, the
 // sim/host JSON schema split and its round-trip, the regression-compare
-// semantics behind `stlperf diff/check`, the subsystem profiler's cost
-// contract, and the headline invariance the whole PR rests on — the "sim"
-// subtree of a campaign's report is byte-identical at 1, 2 and 8 worker
-// threads (only host timings may move).
+// semantics behind `stlperf diff/check`, the report writer, and the
+// headline invariance the subsystem rests on — the "sim" subtree of a
+// campaign's report is byte-identical at 1, 2 and 8 worker threads (only
+// host timings may move).
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "perf/json.h"
 #include "perf/metrics.h"
 #include "perf/perf_report.h"
-#include "perf/profiler.h"
 #include "perf/sampler.h"
 #include "perf/session.h"
 #include "perf/simstats.h"
@@ -109,10 +108,7 @@ PerfReport sample_report() {
   rep.metrics.record_hist("campaign.run_cycles", "", {100, 1000}, 450);
   rep.metrics.record_hist("campaign.run_cycles", "", {100, 1000}, 40);
   rep.metrics.set_gauge("campaign.units_per_s", "", 21.5);
-  rep.metrics.add_counter("prof.calls", "scope=cpu.fetch", 700,
-                          MetricSource::kHost);
-  rep.metrics.add_counter("prof.ns", "scope=cpu.fetch", 35'000,
-                          MetricSource::kHost);
+  rep.metrics.add_counter("ckpt.shards_flushed", "", 7, MetricSource::kHost);
   rep.wall_s = 2.0;
   rep.cpu_s = 3.5;
   rep.peak_rss_kb = 4096;
@@ -155,12 +151,36 @@ TEST(PerfJson, RoundTripPreservesEverything) {
   EXPECT_EQ(rep.metrics.sim_fingerprint(), back.metrics.sim_fingerprint());
   EXPECT_EQ(to_json(back), text);
 
-  // Profiler totals are ordinary host series; no bespoke "profile" section.
-  const Metric* ns = back.metrics.find("prof.ns", "scope=cpu.fetch");
-  ASSERT_NE(ns, nullptr);
-  EXPECT_EQ(ns->source, MetricSource::kHost);
-  EXPECT_EQ(ns->counter, 35'000u);
-  EXPECT_EQ(text.find("\"profile"), std::string::npos);
+  // Host series land in the "host" subtree and keep their tag.
+  const Metric* flushed = back.metrics.find("ckpt.shards_flushed", "");
+  ASSERT_NE(flushed, nullptr);
+  EXPECT_EQ(flushed->source, MetricSource::kHost);
+  EXPECT_EQ(flushed->counter, 7u);
+  EXPECT_GT(text.find("\"ckpt.shards_flushed\""), text.find("\"host\""));
+}
+
+// Reports written by older builds carry "profiled"/"profile" host keys and
+// prof.* series; they still load, and the series render as ordinary host
+// metrics.
+TEST(PerfJson, LegacyProfileKeysAndSeriesStillLoad) {
+  PerfReport rep = sample_report();
+  rep.metrics.add_counter("prof.ns", "scope=cpu.fetch", 35'000,
+                          MetricSource::kHost);
+  std::string text = to_json(rep);
+  const std::string host = "\"host\": {\n";
+  const auto pos = text.find(host);
+  ASSERT_NE(pos, std::string::npos);
+  text.insert(pos + host.size(),
+              "    \"profiled\": true,\n    \"profile\": [{\"scope\": "
+              "\"cpu.fetch\", \"calls\": 700, \"ns\": 35000}],\n");
+
+  PerfReport back;
+  std::string err;
+  ASSERT_TRUE(from_json(text, back, &err)) << err;
+  EXPECT_EQ(to_json(back), to_json(rep));
+  const std::string rendered = render_report(back);
+  EXPECT_NE(rendered.find("| prof.ns"), std::string::npos);
+  EXPECT_EQ(rendered.find("subsystem profile"), std::string::npos);
 }
 
 TEST(PerfJson, UnknownSchemaVersionIsRejected) {
@@ -267,55 +287,15 @@ TEST(PerfCompare, SimDivergenceUnderSameConfigHashIsADeterminismBreak) {
 }
 
 // ---------------------------------------------------------------------------
-// Profiler
-// ---------------------------------------------------------------------------
-
-TEST(Profiler, DisabledScopesRecordNothing) {
-  set_prof_enabled(false);
-  prof_reset();
-  { DETSTL_PROF_SCOPE(ProfScope::kFetch); }
-  { DETSTL_PROF_SCOPE(ProfScope::kFetch); }
-  const ProfSnapshot snap = prof_snapshot();
-  EXPECT_EQ(snap[ProfScope::kFetch].calls, 0u);
-  EXPECT_EQ(snap.total_ns(), 0u);
-}
-
-TEST(Profiler, EnabledScopesAccumulateCallsAndTime) {
-  prof_reset();
-  set_prof_enabled(true);
-  for (int i = 0; i < 10; ++i) {
-    DETSTL_PROF_SCOPE(ProfScope::kNetlistScreen);
-  }
-  set_prof_enabled(false);
-  const ProfSnapshot snap = prof_snapshot();
-  EXPECT_EQ(snap[ProfScope::kNetlistScreen].calls, 10u);
-  // A scope armed mid-lifetime only counts completed scopes; time is >= 0 by
-  // construction (monotonic clock), so just require the hotspot table that
-  // stlperf report draws from the published series.
-  PerfReport rep;
-  rep.wall_s = 1.0;
-  collect_profile(rep.metrics, snap);
-  const Metric* calls = rep.metrics.find("prof.calls", "scope=fault.screen");
-  ASSERT_NE(calls, nullptr);
-  EXPECT_EQ(calls->counter, 10u);
-  EXPECT_EQ(rep.metrics.find("prof.calls", "scope=cpu.fetch"), nullptr);
-  const std::string table = render_report(rep);
-  EXPECT_NE(table.find("subsystem profile (host time)"), std::string::npos);
-  EXPECT_NE(table.find("| fault.screen"), std::string::npos);
-  prof_reset();
-}
-
-// ---------------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------------
 
-TEST(Session, FillsPhasesTotalsHashAndProfileSeries) {
-  Session s("unit-session", /*profile=*/true);
+TEST(Session, FillsPhasesTotalsAndHash) {
+  Session s("unit-session");
   s.hash_knob("stride", 3);
   sim_totals().add(SimStat::kSocRunCycles, 100);
   s.mark_phase("first");
   sim_totals().add(SimStat::kSocRunCycles, 20);
-  { DETSTL_PROF_SCOPE(ProfScope::kFetch); }
   const PerfReport& rep = s.close();
 
   fault::ConfigHasher want;
@@ -328,16 +308,7 @@ TEST(Session, FillsPhasesTotalsHashAndProfileSeries) {
   EXPECT_EQ(rep.phases[1].name, "tail");
   EXPECT_EQ(rep.phases[1].sim_cycles, 20u);
   EXPECT_EQ(rep.metrics.find("sim.soc_run_cycles", "")->counter, 120u);
-  const Metric* fetch = rep.metrics.find("prof.calls", "scope=cpu.fetch");
-  ASSERT_NE(fetch, nullptr);
-  EXPECT_EQ(fetch->counter, 1u);
-  EXPECT_EQ(fetch->source, MetricSource::kHost);
   EXPECT_EQ(&s.close(), &rep);  // closing twice changes nothing
-
-  // The profiler is off again: a scope after close() records nothing.
-  { DETSTL_PROF_SCOPE(ProfScope::kFetch); }
-  EXPECT_EQ(prof_snapshot()[ProfScope::kFetch].calls, 1u);
-  prof_reset();
 }
 
 // ---------------------------------------------------------------------------

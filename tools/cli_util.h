@@ -39,6 +39,16 @@ inline void print_version(const char* tool) {
               detstl::kDetstlVersion, fault::kCheckpointSchemaVersion);
 }
 
+/// For a command that takes no arguments (argv[1] of `argc`): true when none
+/// follow it; otherwise names the first extra one on stderr and returns
+/// false, so the caller prints its usage and exits 2.
+inline bool no_arguments(const char* tool, int argc, char** argv) {
+  if (argc <= 2) return true;
+  std::fprintf(stderr, "%s: %s takes no arguments, got '%s'\n", tool, argv[1],
+               argv[2]);
+  return false;
+}
+
 /// Parse a decimal (or 0x-prefixed hex) unsigned integer in [lo, hi]
 /// strictly (common/parse.h), or exit(2) with a diagnostic naming the tool
 /// and the option.

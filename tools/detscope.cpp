@@ -348,6 +348,10 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "--version") {
+    if (!cli::no_arguments("detscope", argc, argv)) {
+      usage(stderr);
+      return 2;
+    }
     cli::print_version("detscope");
     return 0;
   }

@@ -110,6 +110,10 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   if (cmd == "--version") {
+    if (!cli::no_arguments("stlperf", argc, argv)) {
+      usage(stderr);
+      return kExitUsage;
+    }
     cli::print_version("stlperf");
     std::printf("stlperf schema %u\n", perf::kPerfSchemaVersion);
     return kExitSuccess;

@@ -376,6 +376,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
+  if ((cmd == "list-kinds" || cmd == "--version") &&
+      !cli::no_arguments(kTool, argc, argv)) {
+    usage(stderr);
+    return cli::kExitUsage;
+  }
   try {
     if (cmd == "campaign") return cmd_campaign(argc - 2, argv + 2);
     if (cmd == "soak") return cmd_soak(argc - 2, argv + 2);

@@ -256,6 +256,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
+  if ((cmd == "print-spec" || cmd == "--version") &&
+      !cli::no_arguments(kTool, argc, argv)) {
+    usage(stderr);
+    return cli::kExitUsage;
+  }
   try {
     if (cmd == "run") return cmd_run(argc - 2, argv + 2, argv[0]);
     if (cmd == "--worker") return cmd_worker(argc - 2, argv + 2);
