@@ -82,9 +82,10 @@ int main(int argc, char** argv) {
     } else if (args.is("--probe-reps")) {
       reps = args.unsigned_in(1, ~0u);
     } else {
-      std::fputs(
-          "usage: bench_simspeed [--probe-reps N] [--metrics-out FILE]\n",
-          stderr);
+      std::fprintf(stderr,
+                   "bench_simspeed: unknown option '%s'\n"
+                   "usage: bench_simspeed [--probe-reps N] [--metrics-out FILE]\n",
+                   args.flag().c_str());
       return cli::kExitUsage;
     }
   }

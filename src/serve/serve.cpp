@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
@@ -227,11 +226,33 @@ u64 shard_budget_ms(double per_run_ms, u64 remaining_runs, u64 floor_ms) {
   return std::max<u64>(floor_ms, static_cast<u64>(budget));
 }
 
+namespace {
+
+/// Everything a forked worker needs, built by the supervisor.
+struct WorkerArgs {
+  ServeSpec spec;
+  u64 begin = 0;
+  u64 end = 0;
+  std::string dir;        // this shard's checkpoint subdir
+  /// Touched at startup; one 8-byte little-endian record per completed
+  /// unit, carrying the unit's index (the run index for "disturbance", the
+  /// fault index for "fault"), written by UnitPlumbing::on_run_complete.
+  /// The supervisor reads the file size for liveness/pace and the last
+  /// record for its progress and hang notes.
+  std::string heartbeat;
+  bool no_fsync = false;
+  std::string chaos_action;  // empty = none
+  u64 chaos_after = 0;
+};
+
+/// Run one shard to completion: resume the subdir's journal when present,
+/// execute the remaining runs single-threaded, heartbeat per run. Returns
+/// a tools/cli_util.h exit code: 0 done, 1 error, 2 journal mismatch
+/// (supervisor quarantines the subdir), 3 drained (resumable).
 int worker_main(const WorkerArgs& a) {
   try {
     fs::create_directories(a.dir);
     touch(a.heartbeat);
-    fault::install_drain_handlers();
 
     // Heartbeat + chaos, shared by both kinds: one run-index record per
     // completed unit, then the chaos self-destruct when its count is due.
@@ -271,6 +292,8 @@ int worker_main(const WorkerArgs& a) {
   }
 }
 
+}  // namespace
+
 #ifdef _WIN32
 
 ServeResult run_campaign(const ServeSpec&, const ServeConfig&) {
@@ -305,7 +328,6 @@ struct Supervisor {
 
   const ServeSpec& spec;
   const ServeConfig& cfg;
-  std::string spec_path;
   std::vector<Shard> shards;
   std::vector<std::uintmax_t> hb_base;  // heartbeat bytes at supervisor start
   ServeStats stats;
@@ -335,7 +357,6 @@ struct Supervisor {
     const Shard& s = shards[shard_idx];
     WorkerArgs wa;
     wa.spec = spec;
-    wa.shard = shard_idx;
     wa.begin = s.plan.begin;
     wa.end = s.plan.end;
     wa.dir = s.plan.dir;
@@ -354,47 +375,16 @@ struct Supervisor {
     const WorkerArgs wa = worker_args(shard_idx, chaos);
     if (chaos != nullptr) s.chaos_spent = true;
 
+    // A plain fork is safe here: no thread exists while supervise() runs.
+    // Threads start only in the in-process fallback and the merge, both
+    // after it, so the child inherits no lock another thread held. It does
+    // inherit the parent's stop request and drain-handler flag, which
+    // reset_for_child() clears.
     const pid_t pid = ::fork();
     if (pid < 0) throw std::runtime_error("stlserve: fork failed");
     if (pid == 0) {
-      if (cfg.worker_exe.empty()) {
-        // Test mode: run the worker in the forked image directly. The child
-        // inherited the parent's handler table and installed-flag — exactly
-        // what reset_for_child exists to fix.
-        fault::reset_for_child();
-        ::_exit(worker_main(wa));
-      }
-      char shard_s[16], begin_s[24], end_s[24], after_s[24];
-      std::snprintf(shard_s, sizeof shard_s, "%u", shard_idx);
-      std::snprintf(begin_s, sizeof begin_s, "%llu",
-                    static_cast<unsigned long long>(wa.begin));
-      std::snprintf(end_s, sizeof end_s, "%llu",
-                    static_cast<unsigned long long>(wa.end));
-      std::string chaos_arg;
-      if (!wa.chaos_action.empty()) {
-        std::snprintf(after_s, sizeof after_s, "%llu",
-                      static_cast<unsigned long long>(wa.chaos_after));
-        chaos_arg = wa.chaos_action + ":" + after_s;
-      }
-      std::vector<const char*> argv = {
-          cfg.worker_exe.c_str(), "--worker",
-          "--spec",               spec_path.c_str(),
-          "--shard",              shard_s,
-          "--begin",              begin_s,
-          "--end",                end_s,
-          "--dir",                wa.dir.c_str(),
-          "--heartbeat",          wa.heartbeat.c_str(),
-      };
-      if (wa.no_fsync) argv.push_back("--no-fsync");
-      if (!chaos_arg.empty()) {
-        argv.push_back("--chaos-self");
-        argv.push_back(chaos_arg.c_str());
-      }
-      argv.push_back(nullptr);
-      ::execv(cfg.worker_exe.c_str(),
-              const_cast<char* const*>(
-                  const_cast<const char* const*>(argv.data())));
-      ::_exit(127);
+      fault::reset_for_child();
+      ::_exit(worker_main(wa));
     }
     s.pid = pid;
     s.state = ShardState::kRunning;
@@ -597,7 +587,6 @@ ServeResult run_campaign(const ServeSpec& spec, const ServeConfig& cfg) {
   fault::install_drain_handlers();
 
   Supervisor sup{spec, cfg};
-  sup.spec_path = spec_path;
   const u64 total_units = spec_unit_count(spec);
   for (ShardPlan& p : plan_shards(total_units, cfg.workers != 0 ? cfg.workers
                                                                 : spec.workers,

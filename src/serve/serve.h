@@ -4,11 +4,11 @@
 //
 // The unit space — run indices [0, runs) for kind "disturbance", the
 // sampled fault list for kind "fault" — is partitioned into one contiguous
-// shard per worker. Each shard runs in its own PROCESS — a re-entrant `stlserve
-// --worker` invocation (or a plain fork in test mode) — journaling into its
-// own per-shard checkpoint subdir (`<work_dir>/shard-NN/`) with the PR 5
-// checksummed-shard format. The shard range is deliberately excluded from
-// the checkpoint config hash, so every subdir carries the SAME manifest
+// shard per worker. Each shard runs in its own PROCESS — a forked child of
+// the supervisor — journaling into its own per-shard checkpoint subdir
+// (`<work_dir>/shard-NN/`) in the checksummed-shard format of
+// fault/checkpoint.h. The shard range is deliberately excluded from the
+// checkpoint config hash, so every subdir carries the SAME manifest
 // identity as the single-process campaign: any worker can resume any
 // subdir, and all subdirs merge back into one result.
 //
@@ -75,10 +75,6 @@ struct ServeConfig {
   bool quiet = false;        // suppress supervision notes on stderr
   bool no_fsync = false;     // workers skip per-shard fsync (tests/CI)
   std::vector<ChaosRule> chaos;
-  /// Worker executable for spawn-by-exec (`stlserve --worker ...`); empty =
-  /// fork without exec and call worker_main directly (test mode — also what
-  /// exercises fault::reset_for_child under real fork semantics).
-  std::string worker_exe;
 };
 
 /// One shard of the partition: the half-open run range [begin, end), its
@@ -100,31 +96,6 @@ std::vector<ShardPlan> plan_shards(u64 runs, unsigned workers,
 /// only a truly wedged worker trips it, never a slow one. Pure;
 /// unit-tested directly.
 u64 shard_budget_ms(double per_run_ms, u64 remaining_runs, u64 floor_ms);
-
-/// Everything a worker process needs; built by the supervisor (fork mode)
-/// or parsed from `stlserve --worker` flags (exec mode).
-struct WorkerArgs {
-  ServeSpec spec;
-  unsigned shard = 0;
-  u64 begin = 0;
-  u64 end = 0;
-  std::string dir;        // this shard's checkpoint subdir
-  /// Touched at startup; one 8-byte little-endian record per completed
-  /// unit, carrying the unit's index (the run index for "disturbance", the
-  /// fault index for "fault"), written by UnitPlumbing::on_run_complete.
-  /// The supervisor reads the file size for liveness/pace and the last
-  /// record for its progress and hang notes.
-  std::string heartbeat;
-  bool no_fsync = false;
-  std::string chaos_action;  // empty = none
-  u64 chaos_after = 0;
-};
-
-/// Run one shard to completion: resume the subdir's journal when present,
-/// execute the remaining runs single-threaded, heartbeat per run. Returns
-/// a tools/cli_util.h exit code: 0 done, 1 error, 2 journal mismatch
-/// (supervisor quarantines the subdir), 3 drained (resumable).
-int worker_main(const WorkerArgs& args);
 
 /// Supervision outcome counters (host-side observability; never part of
 /// the campaign's determinism contract).

@@ -1,5 +1,5 @@
 // stlserve orchestration layer (src/serve/): spec parsing, shard planning,
-// and the supervision ladder end-to-end in fork mode — worker kill →
+// and the supervision ladder end-to-end with forked workers — worker kill →
 // respawn, hung worker → watchdog SIGKILL, corrupt journal → quarantine,
 // respawn exhaustion → in-process fallback — with the headline contract
 // that the merged multi-process result is byte-identical to the
@@ -276,7 +276,7 @@ TEST(DrainHandlers, ResetForChildClearsInheritedStopState) {
 #ifndef _WIN32
 
 // ---------------------------------------------------------------------------
-// Orchestrated campaigns, fork mode (worker_exe empty = fork without exec)
+// Orchestrated campaigns: each shard runs in a forked child of run_campaign
 // ---------------------------------------------------------------------------
 
 ServeSpec small_spec() {

@@ -343,15 +343,16 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   cli::Args args("detscope", argc - 2, argv + 2);
+  if ((cmd == "-h" || cmd == "--help" || cmd == "--version") &&
+      !cli::no_arguments("detscope", argc, argv)) {
+    usage(stderr);
+    return 2;
+  }
   if (cmd == "-h" || cmd == "--help") {
     usage(stdout);
     return 0;
   }
   if (cmd == "--version") {
-    if (!cli::no_arguments("detscope", argc, argv)) {
-      usage(stderr);
-      return 2;
-    }
     cli::print_version("detscope");
     return 0;
   }

@@ -146,11 +146,16 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.xval_path = args.value();
     } else if (args.is("--cores")) {
       opt.cores = args.unsigned_in(1, 3);
-    } else if (args.is("--version")) {
-      cli::print_version("stlint");
-      std::exit(0);
-    } else if (args.is("-h") || args.is("--help")) {
-      usage(std::cout);
+    } else if (args.is("--version") || args.is("-h") || args.is("--help")) {
+      // Acted on only as the sole argument.
+      if (argc != 2) {
+        std::cerr << "stlint: " << args.flag() << " takes no other arguments\n";
+        return false;
+      }
+      if (args.is("--version"))
+        cli::print_version("stlint");
+      else
+        usage(std::cout);
       std::exit(0);
     } else {
       std::cerr << "stlint: unknown option '" << args.flag() << "'\n";

@@ -109,11 +109,12 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
   const std::string cmd = argv[1];
+  if ((cmd == "--version" || cmd == "--help" || cmd == "-h") &&
+      !cli::no_arguments("stlperf", argc, argv)) {
+    usage(stderr);
+    return kExitUsage;
+  }
   if (cmd == "--version") {
-    if (!cli::no_arguments("stlperf", argc, argv)) {
-      usage(stderr);
-      return kExitUsage;
-    }
     cli::print_version("stlperf");
     std::printf("stlperf schema %u\n", perf::kPerfSchemaVersion);
     return kExitSuccess;

@@ -62,12 +62,13 @@ void usage(std::FILE* to) {
       "  --attempts N           cached-rung attempts, 1..16 (default 3)\n"
       "  --fallback-attempts N  fallback-rung attempts, 0..16 (default 2)\n"
       "  --digest-only          print only the outcome digest line\n"
-      "  --metrics-out FILE     write an stlperf JSON report of the campaign\n"
+      "  --metrics-out FILE     write an stlperf JSON report of the run\n"
       "                         (src/perf/perf_report.h; host timings on stderr\n"
       "                         so stdout stays byte-stable across thread counts)\n"
       "\n"
       "soak options (plus --seed/--runs/--threads/--verify-threads/--cores/\n"
-      "--routine/--margin/--digest-only and the checkpoint/resume group):\n"
+      "--routine/--margin/--digest-only/--metrics-out and the checkpoint/resume\n"
+      "group):\n"
       "  --duration N           upset-arrival horizon in cycles, 0 = derived from\n"
       "                         the schedule calibration (default 0)\n"
       "  --rate-ram N           RAM upsets per million cycles (default 60)\n"
@@ -142,8 +143,8 @@ bool parse_seeded_flag(cli::Args& a, Spec& spec, bool& seed_set) {
 }
 
 /// What the supervised-run commands (campaign, soak) differ in. Everything
-/// else — the shared flags, validation, drain wiring, interrupt report and
-/// the --verify-threads loop — is run_units.
+/// else — the shared flags, validation, drain wiring, interrupt report, the
+/// stlperf report and the --verify-threads loop — is run_units.
 template <class Spec, class Record>
 struct UnitKind {
   using Result = RunCampaignResult<Record>;
@@ -152,13 +153,10 @@ struct UnitKind {
   std::string (*render)(const Result&);
   /// Consume one kind-only flag; false = unknown option.
   std::function<bool(cli::Args&)> flag;
-  /// stderr summary of a completed straight run (plus any report file it
-  /// asked for), given the stlperf session that bracketed it. Returns the
-  /// exit code.
-  std::function<int(const Result&, perf::Session&)> finish;
-  /// Set by `flag` to a consumed kind-only flag that only a straight run
-  /// can honour.
-  const char* straight_only = nullptr;
+  /// Mix the kind's outcome-relevant knobs into the config hash of the
+  /// stlperf session that bracketed a completed straight run, and add the
+  /// kind's own series.
+  std::function<void(const Result&, perf::Session&)> collect;
 };
 
 template <class Spec, class Record>
@@ -167,6 +165,7 @@ int run_units(const UnitKind<Spec, Record>& kind, Spec& spec, int argc,
   cli::Args args(kTool, argc, argv);
   cli::CampaignFlags flags;
   std::vector<unsigned> verify_threads;
+  std::string metrics_out;
   bool digest_only = false;
   bool seed_set = false;
   while (args.next()) {
@@ -176,6 +175,8 @@ int run_units(const UnitKind<Spec, Record>& kind, Spec& spec, int argc,
       verify_threads = args.unsigned_list(1, 256);
     } else if (args.is("--digest-only")) {
       digest_only = true;
+    } else if (args.is("--metrics-out")) {
+      metrics_out = args.value();
     } else if (args.is("--help") || args.is("-h")) {
       usage(stdout);
       return cli::kExitSuccess;
@@ -193,8 +194,9 @@ int run_units(const UnitKind<Spec, Record>& kind, Spec& spec, int argc,
   // The verify loop runs the campaign several times: a shared journal would
   // make every pass after the first a no-op, and one report could not say
   // which pass it measured.
-  const char* straight_only =
-      flags.checkpoint.enabled() ? "--checkpoint-dir" : kind.straight_only;
+  const char* straight_only = flags.checkpoint.enabled() ? "--checkpoint-dir"
+                              : !metrics_out.empty()     ? "--metrics-out"
+                                                         : nullptr;
   if (!verify_threads.empty() && straight_only != nullptr) {
     std::fprintf(stderr, "%s: %s cannot be combined with --verify-threads\n",
                  kTool, straight_only);
@@ -220,9 +222,18 @@ int run_units(const UnitKind<Spec, Record>& kind, Spec& spec, int argc,
     std::fputs(
         (digest_only ? digest_line(res.digest()) : kind.render(res)).c_str(),
         stdout);
+    session.mark_phase(kind.cmd);
+    kind.collect(res, session);
     // Host timings go to stderr only: the stdout report is diffed across
     // thread counts and straight-vs-resumed runs by the CI drills.
-    return kind.finish(res, session);
+    const perf::PerfReport& rep = session.close();
+    std::fprintf(stderr,
+                 "%s: %u runs on %u thread(s) in %.2fs | %.1f Mcycles simulated, "
+                 "%.2f sim-MHz, peak RSS %ld KiB\n",
+                 kTool, res.runs, res.threads_used, res.wall_seconds,
+                 static_cast<double>(rep.sim_cycles) / 1e6, rep.sim_mhz(),
+                 rep.peak_rss_kb);
+    return session.finish(metrics_out, cli::kExitSuccess);
   }
 
   // Determinism self-check: same spec at each requested thread count must
@@ -264,7 +275,6 @@ int run_units(const UnitKind<Spec, Record>& kind, Spec& spec, int argc,
 
 int cmd_campaign(int argc, char** argv) {
   CampaignSpec spec;
-  std::string metrics_out;
   UnitKind<CampaignSpec, RunRecord> kind{
       "campaign", run_disturbance_campaign, render_recovery_report, {}, {}};
   kind.flag = [&](cli::Args& a) {
@@ -278,16 +288,12 @@ int cmd_campaign(int argc, char** argv) {
       spec.supervisor.max_attempts = a.unsigned_in(1, 16);
     } else if (a.is("--fallback-attempts")) {
       spec.supervisor.fallback_attempts = a.unsigned_in(0, 16);
-    } else if (a.is("--metrics-out")) {
-      metrics_out = a.value();
-      kind.straight_only = "--metrics-out";
     } else {
       return false;
     }
     return true;
   };
-  kind.finish = [&](const CampaignResult& res, perf::Session& session) {
-    session.mark_phase("campaign");
+  kind.collect = [&](const CampaignResult& res, perf::Session& session) {
     fault::ConfigHasher& hash = session.hash();
     hash.u64v(spec.seed).u32v(spec.runs).u32v(spec.cores);
     for (const auto& r : spec.routines) hash.str(r);
@@ -298,14 +304,6 @@ int cmd_campaign(int argc, char** argv) {
     hash.u32v(spec.supervisor.max_attempts);
     hash.u32v(spec.supervisor.fallback_attempts);
     perf::collect_disturbance_result(session.metrics(), res, "");
-    const perf::PerfReport& rep = session.close();
-    std::fprintf(stderr,
-                 "%s: %u runs on %u thread(s) in %.2fs | %.1f Mcycles simulated, "
-                 "%.2f sim-MHz, peak RSS %ld KiB\n",
-                 kTool, res.runs, res.threads_used, res.wall_seconds,
-                 static_cast<double>(rep.sim_cycles) / 1e6, rep.sim_mhz(),
-                 rep.peak_rss_kb);
-    return session.finish(metrics_out, cli::kExitSuccess);
   };
   return run_units(kind, spec, argc, argv);
 }
@@ -332,10 +330,17 @@ int cmd_soak(int argc, char** argv) {
     }
     return true;
   };
-  kind.finish = [](const SoakCampaignResult& res, perf::Session&) {
-    std::fprintf(stderr, "%s: %u soak run(s) on %u thread(s) in %.2fs\n", kTool,
-                 res.runs, res.threads_used, res.wall_seconds);
-    return cli::kExitSuccess;
+  kind.collect = [&](const SoakCampaignResult& res, perf::Session& session) {
+    fault::ConfigHasher& hash = session.hash();
+    hash.u64v(spec.seed).u32v(spec.runs).u32v(spec.cores);
+    for (const auto& r : spec.routines) hash.str(r);
+    hash.u32v(spec.supervisor.margin_percent);
+    hash.u64v(spec.soak.duration);
+    hash.u32v(spec.soak.rates.ram).u32v(spec.soak.rates.l1i);
+    hash.u32v(spec.soak.rates.l1d).u32v(spec.soak.rates.pipeline);
+    hash.u32v(spec.isolate ? 1 : 0);
+    perf::collect_campaign_host(session.metrics(), res.runs, res.wall_seconds,
+                                res.threads_used, res.ckpt, "");
   };
   return run_units(kind, spec, argc, argv);
 }
@@ -376,7 +381,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  if ((cmd == "list-kinds" || cmd == "--version") &&
+  if ((cmd == "list-kinds" || cmd == "--version" || cmd == "--help" ||
+       cmd == "-h") &&
       !cli::no_arguments(kTool, argc, argv)) {
     usage(stderr);
     return cli::kExitUsage;

@@ -1,11 +1,11 @@
 // stlserve — supervised multi-process campaign orchestrator (src/serve/,
 // docs/runtime.md "stlserve"). Accepts a JSON campaign spec, partitions the
-// runs into one shard per worker process, spawns re-entrant `stlserve
-// --worker` invocations each journaling into its own checkpoint subdir,
-// supervises them (heartbeats, wall-clock watchdogs, PID liveness), heals
-// failures (respawn with backoff, subdir quarantine, in-process fallback)
-// and merges the journals into a report byte-identical to `stlrun campaign`
-// with the same parameters.
+// runs into one shard per worker process, forks one worker per shard, each
+// journaling into its own checkpoint subdir, supervises them (heartbeats,
+// wall-clock watchdogs, PID liveness), heals failures (respawn with
+// backoff, subdir quarantine, in-process fallback) and merges the journals
+// into a report byte-identical to `stlrun campaign` with the same
+// parameters.
 //
 // Exit codes follow tools/cli_util.h: 0 done, 1 failure, 2 usage error,
 // 3 interrupted but resumable (`stlserve run --dir D --resume`).
@@ -14,10 +14,6 @@
 #include <cstring>
 #include <string>
 #include <vector>
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
 
 #include "cli_util.h"
 #include "serve/serve.h"
@@ -50,7 +46,6 @@ void usage(std::FILE* out) {
       "  --hang-timeout-ms N    heartbeat staleness budget (default 10000)\n"
       "  --shard-timeout-ms N   fixed whole-shard budget (default: calibrated)\n"
       "  --poll-ms N            supervisor poll period (default 25)\n"
-      "  --fork-workers         fork without exec (in-process workers; tests)\n"
       "  --no-fsync             workers skip per-shard fsync\n"
       "  --chaos K:ACTION:N     chaos drill: shard K's worker applies ACTION\n"
       "                         (kill-after | hang-after | kill-every) after N "
@@ -70,19 +65,6 @@ std::string read_text_file(const std::string& path) {
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
   std::fclose(f);
   return out;
-}
-
-/// Path of this binary, for spawning `stlserve --worker` children.
-std::string self_exe(const char* argv0) {
-#ifndef _WIN32
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-#endif
-  return argv0;
 }
 
 serve::ChaosRule parse_chaos(const std::string& text) {
@@ -120,10 +102,9 @@ serve::ServeSpec load_spec(const std::string& path) {
   return spec;
 }
 
-int cmd_run(int argc, char** argv, const char* argv0) {
+int cmd_run(int argc, char** argv) {
   std::string spec_path;
   serve::ServeConfig cfg;
-  bool fork_workers = false;
   bool digest_only = false;
 
   cli::Args args(kTool, argc, argv);
@@ -148,8 +129,6 @@ int cmd_run(int argc, char** argv, const char* argv0) {
       cfg.shard_timeout_ms = args.u64_in(1, 86'400'000);
     } else if (args.is("--poll-ms")) {
       cfg.poll_ms = args.unsigned_in(1, 10'000);
-    } else if (args.is("--fork-workers")) {
-      fork_workers = true;
     } else if (args.is("--no-fsync")) {
       cfg.no_fsync = true;
     } else if (args.is("--chaos")) {
@@ -181,7 +160,6 @@ int cmd_run(int argc, char** argv, const char* argv0) {
     spec_path = cfg.work_dir + "/campaign-spec.json";
   }
   const serve::ServeSpec spec = load_spec(spec_path);
-  if (!fork_workers) cfg.worker_exe = self_exe(argv0);
 
   const serve::ServeResult sr = serve::run_campaign(spec, cfg);
   std::fprintf(stderr,
@@ -202,52 +180,6 @@ int cmd_run(int argc, char** argv, const char* argv0) {
   return cli::kExitSuccess;
 }
 
-/// Internal re-entrant entry: one shard, spawned and supervised by `run`.
-int cmd_worker(int argc, char** argv) {
-  serve::WorkerArgs wa;
-  std::string spec_path;
-  cli::Args args(kTool, argc, argv);
-  while (args.next()) {
-    if (args.is("--spec")) {
-      spec_path = args.value();
-    } else if (args.is("--shard")) {
-      wa.shard = args.unsigned_in(0, 63);
-    } else if (args.is("--begin")) {
-      wa.begin = args.u64_in(0, ~0ull);
-    } else if (args.is("--end")) {
-      wa.end = args.u64_in(1, ~0ull);
-    } else if (args.is("--dir")) {
-      wa.dir = args.value();
-    } else if (args.is("--heartbeat")) {
-      wa.heartbeat = args.value();
-    } else if (args.is("--no-fsync")) {
-      wa.no_fsync = true;
-    } else if (args.is("--chaos-self")) {
-      const std::string v = args.value();
-      const std::size_t colon = v.rfind(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "%s: --chaos-self expects ACTION:N\n", kTool);
-        return cli::kExitUsage;
-      }
-      wa.chaos_action = v.substr(0, colon);
-      wa.chaos_after =
-          cli::require_u64(kTool, "--chaos-self", v.substr(colon + 1), 1, ~0ull);
-    } else {
-      std::fprintf(stderr, "%s: unknown worker option '%s'\n", kTool,
-                   args.flag().c_str());
-      return cli::kExitUsage;
-    }
-  }
-  if (spec_path.empty() || wa.dir.empty() || wa.heartbeat.empty() ||
-      wa.end <= wa.begin) {
-    std::fprintf(stderr, "%s: --worker requires --spec, --dir, --heartbeat and "
-                 "a non-empty [--begin, --end)\n", kTool);
-    return cli::kExitUsage;
-  }
-  wa.spec = load_spec(spec_path);
-  return serve::worker_main(wa);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -256,14 +188,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  if ((cmd == "print-spec" || cmd == "--version") &&
+  if ((cmd == "print-spec" || cmd == "--version" || cmd == "--help" ||
+       cmd == "-h") &&
       !cli::no_arguments(kTool, argc, argv)) {
     usage(stderr);
     return cli::kExitUsage;
   }
   try {
-    if (cmd == "run") return cmd_run(argc - 2, argv + 2, argv[0]);
-    if (cmd == "--worker") return cmd_worker(argc - 2, argv + 2);
+    if (cmd == "run") return cmd_run(argc - 2, argv + 2);
     if (cmd == "print-spec") {
       std::fputs(serve::example_spec_json().c_str(), stdout);
       return 0;
