@@ -89,5 +89,6 @@ int main(int argc, char** argv) {
       return cli::kExitUsage;
     }
   }
+  if (!cli::output_writable(metrics_out)) return cli::kExitUsage;
   return run_probe(metrics_out, reps);
 }

@@ -78,19 +78,9 @@ inline BenchOptions parse_options(int argc, char** argv, unsigned groups) {
       std::exit(cli::kExitUsage);
     }
   }
-  if (!o.campaign.valid(o.tool.c_str())) std::exit(cli::kExitUsage);
-  // Probe the output paths up front: a bench can run for minutes, and an
-  // unwritable destination should fail before the campaign, not after it.
-  for (const std::string* path : {&o.trace_path, &o.metrics_out}) {
-    if (path->empty()) continue;
-    std::FILE* f = std::fopen(path->c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot open output file %s for writing\n",
-                   path->c_str());
-      std::exit(2);
-    }
-    std::fclose(f);
-  }
+  if (!o.campaign.valid(o.tool.c_str()) || !cli::output_writable(o.trace_path) ||
+      !cli::output_writable(o.metrics_out))
+    std::exit(cli::kExitUsage);
   return o;
 }
 

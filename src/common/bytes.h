@@ -12,13 +12,14 @@
 namespace detstl {
 
 inline constexpr u64 kFnvOffset = 0xcbf29ce484222325ull;
+inline constexpr u64 kFnvPrime = 0x100000001b3ull;
 
 /// FNV-1a 64 over a byte range, chainable via `h`.
 inline u64 fnv1a(const void* data, std::size_t n, u64 h = kFnvOffset) {
   const u8* p = static_cast<const u8*>(data);
   for (std::size_t i = 0; i < n; ++i) {
     h ^= p[i];
-    h *= 0x100000001b3ull;
+    h *= kFnvPrime;
   }
   return h;
 }

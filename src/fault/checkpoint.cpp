@@ -16,7 +16,7 @@
 #include <ctime>
 
 #include "common/version.h"
-#include "mem/memmap.h"
+#include "mem/flash.h"
 #include "perf/sampler.h"
 #include "netlist/netlist.h"
 #include "soc/soc.h"
@@ -259,12 +259,20 @@ u64 soc_image_fingerprint(const soc::Soc& soc) {
     h.u8v(static_cast<u8>(soc.core(c).kind()));
     h.u32v(soc.config().start_delay[c]);
   }
-  // The routine image: every flash word the cores can fetch or compare
-  // against. 2 MiB of FNV-1a is milliseconds — negligible next to a campaign.
-  std::vector<u8> rom(mem::kFlashSize);
-  for (u32 i = 0; i < mem::kFlashSize; ++i)
-    rom[i] = soc.flash().read8(mem::kFlashBase + i);
-  h.u64v(fnv1a(rom.data(), rom.size()));
+  // The routine image: FNV-1a of the 2 MiB flash byte stream the cores can
+  // fetch or compare against, page by page. An unwritten page is 4 KiB of
+  // zeros, and FNV-1a over a zero byte is a multiply by the prime alone.
+  constexpr u64 kZeroPageFactor = [] {
+    u64 m = 1;
+    for (u32 i = 0; i < mem::Flash::kPageBytes; ++i) m *= kFnvPrime;
+    return m;
+  }();
+  u64 rom = kFnvOffset;
+  for (u32 i = 0; i < mem::Flash::kNumPages; ++i) {
+    const mem::Flash::Page* page = soc.flash().page(i);
+    rom = page ? fnv1a(page->data(), page->size(), rom) : rom * kZeroPageFactor;
+  }
+  h.u64v(rom);
   return h.digest();
 }
 

@@ -10,6 +10,7 @@
 // unpredictable fetch stalls of Sec. II (and of the fault-coverage
 // oscillation of Table II: instruction adjacency varies with it).
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <memory>
@@ -29,29 +30,68 @@ inline constexpr u32 kFlashMissCycles = 8;
 // burst when queued fetches drain together after a bus-blocking period).
 inline constexpr u32 kFlashHitCycles = 2;
 
+// The ROM image is one immutable table of 4 KiB pages behind a shared_ptr,
+// so a SoC copy (a checkpoint, a worker's copy of a plan SoC) shares it for
+// the cost of a reference count. A page exists only where write_image wrote;
+// an absent page reads as zeros. write_image never writes an image in place:
+// it builds a new table that shares every untouched page and holds fresh
+// copies of the pages it writes, so every older copy keeps its bytes.
 class Flash {
  public:
-  Flash() : rom_(std::make_shared<std::vector<u8>>(kFlashSize, 0)) {}
+  static constexpr u32 kPageBytes = 4096;
+  static constexpr u32 kNumPages = kFlashSize / kPageBytes;
+  using Page = std::array<u8, kPageBytes>;
+
+  Flash() : image_(std::make_shared<const Image>()) {}
 
   /// Program the ROM image (before simulation; not reachable from the cores).
   void write_image(u32 addr, const std::vector<u8>& bytes) {
     assert(is_flash(addr) && is_flash(addr + static_cast<u32>(bytes.size()) - 1));
-    // Copy-on-write so that checkpointed SoC copies sharing the old image
-    // stay valid.
-    auto fresh = std::make_shared<std::vector<u8>>(*rom_);
-    std::copy(bytes.begin(), bytes.end(), fresh->begin() + (addr - kFlashBase));
-    rom_ = std::move(fresh);
+    auto next = std::make_shared<Image>(*image_);
+    u32 off = addr - kFlashBase;
+    for (std::size_t done = 0; done < bytes.size();) {
+      const u32 at = off % kPageBytes;
+      const u32 n = static_cast<u32>(
+          std::min<std::size_t>(kPageBytes - at, bytes.size() - done));
+      std::shared_ptr<const Page>& slot = (*next)[off / kPageBytes];
+      auto fresh = slot ? std::make_shared<Page>(*slot) : std::make_shared<Page>();
+      std::copy_n(bytes.data() + done, n, fresh->begin() + at);
+      slot = std::move(fresh);
+      off += n;
+      done += n;
+    }
+    image_ = std::move(next);
   }
+
+  /// Page `index` of the image (flash offsets index * kPageBytes onwards),
+  /// or null where nothing was written: those bytes read as zeros.
+  const Page* page(u32 index) const { return (*image_)[index].get(); }
 
   u8 read8(u32 addr) const {
     assert(is_flash(addr));
-    return (*rom_)[addr - kFlashBase];
+    const u32 off = addr - kFlashBase;
+    const Page* p = page(off / kPageBytes);
+    return p ? (*p)[off % kPageBytes] : 0;
   }
 
   u32 read32(u32 addr) const {
-    u32 v = 0;
-    for (unsigned i = 0; i < 4; ++i) v |= static_cast<u32>(read8(addr + i)) << (8 * i);
-    return v;
+    assert(is_flash(addr));
+    const u32 off = addr - kFlashBase;
+    const u32 at = off % kPageBytes;
+    if (at > kPageBytes - 4) {
+      // A byte or halfword load near a page's end: the bus still reads a
+      // whole word, whose upper bytes lie in the next page (or past the
+      // flash window, where they read as zeros).
+      u32 v = 0;
+      for (u32 i = 0; i < 4 && is_flash(addr + i); ++i)
+        v |= static_cast<u32>(read8(addr + i)) << (8 * i);
+      return v;
+    }
+    const Page* p = page(off / kPageBytes);
+    if (p == nullptr) return 0;
+    const u8* w = p->data() + at;
+    return static_cast<u32>(w[0]) | (static_cast<u32>(w[1]) << 8) |
+           (static_cast<u32>(w[2]) << 16) | (static_cast<u32>(w[3]) << 24);
   }
 
   static constexpr unsigned kNumBuffers = 9;  // one per bus requester id
@@ -79,8 +119,9 @@ class Flash {
   void invalidate_buffer() { buf_line_.fill(kInvalidLine); }
 
  private:
+  using Image = std::array<std::shared_ptr<const Page>, kNumPages>;
   static constexpr u32 kInvalidLine = 0xffffffffu;
-  std::shared_ptr<std::vector<u8>> rom_;  // shared across SoC checkpoints
+  std::shared_ptr<const Image> image_;  // shared across SoC copies
   std::array<u32, kNumBuffers> buf_line_ = {
       kInvalidLine, kInvalidLine, kInvalidLine, kInvalidLine, kInvalidLine,
       kInvalidLine, kInvalidLine, kInvalidLine, kInvalidLine};

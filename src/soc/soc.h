@@ -6,8 +6,10 @@
 // The whole SoC is a value type: copying it snapshots the complete
 // architectural and micro-architectural state (the fault-simulation engine
 // uses this for mid-run checkpoints). The only shared state is the Flash ROM
-// image (immutable during simulation, held by shared_ptr). CPU hook pointers
-// are copied verbatim; campaigns re-install their own hooks after restore.
+// image, an immutable page table held by shared_ptr (mem/flash.h): loading
+// a program builds a new table, so earlier copies keep theirs. CPU hook
+// pointers are copied verbatim; campaigns re-install their own hooks after
+// restore.
 
 #include <array>
 #include <vector>

@@ -1,7 +1,12 @@
-// Memory subsystem: flash line-buffer timing, bus arbitration, cache
-// behaviour (hit/miss, LRU, write-back, allocate policies, invalidate), TCM.
+// Memory subsystem: flash line-buffer timing and the page-shared flash image,
+// bus arbitration, cache behaviour (hit/miss, LRU, write-back, allocate
+// policies, invalidate), TCM.
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <thread>
+#include <vector>
 
 #include "mem/bus.h"
 #include "mem/cache.h"
@@ -62,6 +67,132 @@ TEST(Flash, ImageReadback) {
   Flash f;
   f.write_image(kFlashBase + 16, {0xde, 0xad, 0xbe, 0xef});
   EXPECT_EQ(f.read32(kFlashBase + 16), 0xefbeaddeu);
+}
+
+// ----------------------------------------------------------------------------
+// Page-shared flash image
+// ----------------------------------------------------------------------------
+
+constexpr u32 kPage = Flash::kPageBytes;
+
+/// `n` bytes counting up from `first`, wrapping at 256.
+std::vector<u8> ramp(std::size_t n, u8 first) {
+  std::vector<u8> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<u8>(first + i);
+  return out;
+}
+
+TEST(FlashImage, UnwrittenBytesReadZero) {
+  Flash f;
+  const u32 last = kFlashBase + kFlashSize - 1;
+  EXPECT_EQ(f.read8(kFlashBase), 0u);
+  EXPECT_EQ(f.read8(last), 0u);
+  EXPECT_EQ(f.read32(kFlashBase), 0u);
+  EXPECT_EQ(f.read32(last - 3), 0u);
+  // A sub-word load at the window's last byte still reads a whole word.
+  EXPECT_EQ(f.read32(last), 0u);
+
+  // One written page leaves both neighbours absent and zero.
+  const u32 page5 = kFlashBase + 5 * kPage;
+  f.write_image(page5, std::vector<u8>(kPage, 0xa5));
+  EXPECT_EQ(f.page(4), nullptr);
+  EXPECT_NE(f.page(5), nullptr);
+  EXPECT_EQ(f.page(6), nullptr);
+  EXPECT_EQ(f.read8(page5 - 1), 0u);
+  EXPECT_EQ(f.read32(page5 - 4), 0u);
+  EXPECT_EQ(f.read8(page5), 0xa5u);
+  EXPECT_EQ(f.read32(page5 + kPage - 4), 0xa5a5a5a5u);
+  EXPECT_EQ(f.read8(page5 + kPage), 0u);
+  EXPECT_EQ(f.read32(page5 + kPage), 0u);
+  // Words that straddle the written page's edges.
+  EXPECT_EQ(f.read32(page5 - 2), 0xa5a50000u);
+  EXPECT_EQ(f.read32(page5 + kPage - 2), 0x0000a5a5u);
+  EXPECT_EQ(f.read8(last), 0u);
+}
+
+TEST(FlashImage, WriteAcrossAPageBoundaryReadsBackWhole) {
+  Flash f;
+  const u32 boundary = kFlashBase + 9 * kPage;
+  const std::vector<u8> bytes = ramp(100, 0x30);
+  const u32 at = boundary - 37;
+  f.write_image(at, bytes);
+  EXPECT_NE(f.page(8), nullptr);
+  EXPECT_NE(f.page(9), nullptr);
+  for (u32 i = 0; i < bytes.size(); ++i)
+    ASSERT_EQ(f.read8(at + i), bytes[i]) << "byte " << i;
+  for (u32 i = 0; i + 4 <= bytes.size(); ++i) {
+    const u32 want = bytes[i] | (bytes[i + 1] << 8) | (bytes[i + 2] << 16) |
+                     (static_cast<u32>(bytes[i + 3]) << 24);
+    ASSERT_EQ(f.read32(at + i), want) << "word at byte " << i;
+  }
+  EXPECT_EQ(f.read8(at - 1), 0u);
+  EXPECT_EQ(f.read8(at + 100), 0u);
+  // A second write over part of the range keeps the rest of both pages.
+  f.write_image(boundary - 2, {0xee, 0xee, 0xee, 0xee});
+  EXPECT_EQ(f.read32(boundary - 4), 0xeeee0000u | bytes[33] | (bytes[34] << 8));
+  EXPECT_EQ(f.read32(boundary), 0xeeeeu | (bytes[39] << 16) |
+                                    (static_cast<u32>(bytes[40]) << 24));
+  EXPECT_EQ(f.read8(at), bytes[0]);
+  EXPECT_EQ(f.read8(at + 99), bytes[99]);
+}
+
+TEST(FlashImage, CopiesKeepTheirBytes) {
+  Flash original;
+  const u32 a = kFlashBase + 2 * kPage + 8;
+  const u32 b = kFlashBase + 40 * kPage;
+  original.write_image(a, {1, 2, 3, 4});
+  original.write_image(b, {5, 6, 7, 8});
+
+  // A copy taken before a write keeps the old bytes.
+  const Flash before = original;
+  original.write_image(a, {9, 9, 9, 9});
+  EXPECT_EQ(before.read32(a), 0x04030201u);
+  EXPECT_EQ(original.read32(a), 0x09090909u);
+  // The untouched page is shared, not copied.
+  EXPECT_EQ(before.page(40), original.page(40));
+  EXPECT_NE(before.page(2), original.page(2));
+
+  // A write into a copy never reaches the original (the flash-corruption
+  // disturbance on a worker's copy of one plan SoC).
+  Flash corrupted = original;
+  corrupted.write_image(b, {0xff, 0xff, 0xff, 0xff});
+  EXPECT_EQ(corrupted.read32(b), 0xffffffffu);
+  EXPECT_EQ(original.read32(b), 0x08070605u);
+  EXPECT_EQ(before.read32(b), 0x08070605u);
+  EXPECT_EQ(corrupted.page(2), original.page(2));
+}
+
+TEST(FlashImage, ConcurrentWritesIntoCopiesOfOneImage) {
+  // Workers copy one plan image and write into their copies at the same
+  // time; each sees only its own write, the untouched page stays shared and
+  // the plan image never changes.
+  Flash plan;
+  const u32 word = kFlashBase + 3 * kPage + 12;
+  plan.write_image(word, {0x11, 0x22, 0x33, 0x44});
+  plan.write_image(kFlashBase + 100 * kPage, ramp(kPage, 0));
+  constexpr unsigned kWorkers = 4;
+  std::array<u32, kWorkers> seen{};
+  std::array<bool, kWorkers> shared{};
+  std::vector<std::thread> pool;
+  for (unsigned w = 0; w < kWorkers; ++w) {
+    pool.emplace_back([&, w] {
+      for (unsigned rep = 0; rep < 50; ++rep) {
+        Flash copy = plan;
+        const u32 corrupted = copy.read32(word) ^ (1u << w);
+        std::vector<u8> bytes(4);
+        for (unsigned i = 0; i < 4; ++i) bytes[i] = static_cast<u8>(corrupted >> (8 * i));
+        copy.write_image(word, bytes);
+        seen[w] = copy.read32(word);
+        shared[w] = copy.page(100) == plan.page(100);
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  for (unsigned w = 0; w < kWorkers; ++w) {
+    EXPECT_EQ(seen[w], 0x44332211u ^ (1u << w)) << "worker " << w;
+    EXPECT_TRUE(shared[w]) << "worker " << w;
+  }
+  EXPECT_EQ(plan.read32(word), 0x44332211u);
 }
 
 // ----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // SoC-level properties: value-semantic checkpointing (the fault engine's
-// foundation), flat SoC state (heap allocations per copy and per run), start
-// staggers, activity isolation, loaders and debug access.
+// foundation), flat SoC state (heap allocations per copy, per run and per
+// fresh SoC), the pinned image fingerprint, start staggers, activity
+// isolation, loaders and debug access.
 
 #include <gtest/gtest.h>
 
@@ -10,17 +11,21 @@
 
 #include "core/routines.h"
 #include "core/stl.h"
+#include "fault/checkpoint.h"
 #include "testutil.h"
 
 namespace detstl {
 namespace {
 
-// Every heap allocation this test binary makes; the replaceable global
-// allocation functions at the bottom of the file count into it.
+// Every heap allocation this test binary makes, and the bytes it asked for;
+// the replaceable global allocation functions at the bottom of the file
+// count into them.
 std::atomic<u64> g_allocations{0};
+std::atomic<u64> g_allocated_bytes{0};
 
 void* counted_alloc(std::size_t n) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n == 0 ? 1 : n);
 }
 
@@ -186,6 +191,38 @@ TEST(SocFlatState, CopyAndCachedRunStayOffTheHeap) {
   const soc::Soc copy = s;
   EXPECT_LE(g_allocations.load() - before, 32u) << "one copy";
   EXPECT_EQ(copy.now(), s.now());
+}
+
+TEST(SocFlatState, FreshSocAndOneLoadCostTheirImage) {
+  // The flash ROM holds only the pages a load wrote: a fresh SoC plus one
+  // single-segment load allocates its SRAM, TCMs and caches and one small
+  // page table, never a 2 MiB ROM or a copy of one.
+  const isa::Program p =
+      counting_program(mem::kFlashBase + 0x2000, mem::kSramBase + 0x6000);
+  ASSERT_EQ(p.segments().size(), 1u);
+  const u64 before = g_allocated_bytes.load();
+  soc::Soc s;
+  s.load_program(p);
+  EXPECT_LT(g_allocated_bytes.load() - before, 1u << 20);
+  const isa::Segment& seg = p.segments().front();
+  for (u32 i = 0; i < seg.bytes.size(); ++i)
+    ASSERT_EQ(s.flash().read8(seg.base + i), seg.bytes[i]) << "byte " << i;
+}
+
+TEST(SocImage, FingerprintIsPinned) {
+  // The manifests of every supervised campaign hash this fingerprint, so it
+  // must not move: an empty SoC, and the sim-MHz probe's three-core image
+  // (the plain-wrapped `fwd` routine on cores A-C).
+  EXPECT_EQ(fault::soc_image_fingerprint(soc::Soc{}), 0xea92525c10ed77e4ull);
+  const auto routine = core::make_fwd_test(false);
+  soc::Soc s;
+  for (unsigned c = 0; c < 3; ++c) {
+    const auto bt = core::build_wrapped(*routine, core::WrapperKind::kPlain,
+                                        core::quickstart_env(c, true));
+    s.load_program(bt.prog);
+    s.set_boot(c, bt.prog.entry());
+  }
+  EXPECT_EQ(fault::soc_image_fingerprint(s), 0xe287c249f9f72200ull);
 }
 
 TEST(SocCheckpoint, CopyDivergesIndependently) {

@@ -2,16 +2,16 @@
 // The command-line front end shared by the detstl tools and benches: strict
 // numeric parsing (common/parse.h; malformed or out-of-range values are
 // usage errors — reported on stderr with exit code 2 — never silently
-// clamped, wrapped or ignored), an argument cursor, and the one
-// parse-and-apply of --threads plus the checkpoint/drain group that stlrun's
-// unit campaigns and every bench share.
+// clamped, wrapped or ignored), an argument cursor, the up-front probe of
+// output paths, and the one parse-and-apply of --threads plus the
+// checkpoint/drain group that stlrun's unit campaigns and every bench share.
 //
 // Exit-code contract (all tools and table benches):
 //   0  completed successfully
 //   1  ran to completion but failed (determinism violation, lint finding,
 //      shape mismatch, ...)
-//   2  usage error (unknown option, malformed value, config-hash mismatch
-//      against an existing checkpoint)
+//   2  usage error (unknown option, malformed value, unwritable output
+//      path, config-hash mismatch against an existing checkpoint)
 //   3  interrupted but RESUMABLE: a cooperative drain (SIGINT/SIGTERM or a
 //      --interrupt-after drill) stopped the run after flushing a final
 //      checkpoint shard; re-run with --resume to continue.
@@ -47,6 +47,22 @@ inline bool no_arguments(const char* tool, int argc, char** argv) {
   std::fprintf(stderr, "%s: %s takes no arguments, got '%s'\n", tool, argv[1],
                argv[2]);
   return false;
+}
+
+/// Probe an output path before a run that may take minutes: create (or
+/// truncate) the file, so an unwritable destination fails up front, not after
+/// the run. An empty path (no output asked for) passes. False after naming
+/// the path on stderr; the caller exits 2 with nothing on stdout.
+inline bool output_writable(const std::string& path) {
+  if (path.empty()) return true;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "error: cannot open output file %s for writing\n",
+                 path.c_str());
+    return false;
+  }
+  std::fclose(f);
+  return true;
 }
 
 /// Parse a decimal (or 0x-prefixed hex) unsigned integer in [lo, hi]
@@ -110,6 +126,21 @@ class Args {
   }
   const std::string& flag() const { return flag_; }
   bool is(const char* name) const { return flag_ == name; }
+
+  /// A command's --help/-h (the current flag): the usage on stdout and exit
+  /// code 0 when it is the command's only argument. Any other argument
+  /// beside it is a usage error, as no_arguments rules at the top level: the
+  /// error and the usage go to stderr, nothing to stdout, and the code is 2.
+  int help(void (*usage)(std::FILE*)) const {
+    if (argc_ == 1) {
+      usage(stdout);
+      return kExitSuccess;
+    }
+    std::fprintf(stderr, "%s: %s takes no other arguments\n", tool_,
+                 flag_.c_str());
+    usage(stderr);
+    return kExitUsage;
+  }
 
   /// The current flag's value; exit 2 when the command line ends first.
   std::string value() {

@@ -178,8 +178,7 @@ int run_units(const UnitKind<Spec, Record>& kind, Spec& spec, int argc,
     } else if (args.is("--metrics-out")) {
       metrics_out = args.value();
     } else if (args.is("--help") || args.is("-h")) {
-      usage(stdout);
-      return cli::kExitSuccess;
+      return args.help(usage);
     } else if (!parse_seeded_flag(args, spec, seed_set) && !flags.parse(args) &&
                !kind.flag(args)) {
       std::fprintf(stderr, "%s: unknown option '%s'\n", kTool,
@@ -202,6 +201,7 @@ int run_units(const UnitKind<Spec, Record>& kind, Spec& spec, int argc,
                  kTool, straight_only);
     return cli::kExitUsage;
   }
+  if (!cli::output_writable(metrics_out)) return cli::kExitUsage;
   flags.apply(spec);
 
   if (verify_threads.empty()) {
@@ -355,8 +355,7 @@ int cmd_mission(int argc, char** argv) {
     } else if (args.is("--gap")) {
       spec.gap_cycles = args.u64_in(0, 10'000'000);
     } else if (args.is("--help") || args.is("-h")) {
-      usage(stdout);
-      return 0;
+      return args.help(usage);
     } else if (!parse_seeded_flag(args, spec, seed_set)) {
       std::fprintf(stderr, "%s: unknown option '%s'\n", kTool, args.flag().c_str());
       usage(stderr);

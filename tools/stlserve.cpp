@@ -138,8 +138,7 @@ int cmd_run(int argc, char** argv) {
     } else if (args.is("--quiet")) {
       cfg.quiet = true;
     } else if (args.is("--help") || args.is("-h")) {
-      usage(stdout);
-      return 0;
+      return args.help(usage);
     } else {
       std::fprintf(stderr, "%s: unknown option '%s'\n", kTool,
                    args.flag().c_str());
