@@ -446,6 +446,54 @@ TEST(Supervisor, CopyBetweenStepsIsBitExactContinuation) {
   EXPECT_GT(differs, 0u) << "some cut must drop an applied upset";
 }
 
+// --- Plan generation --------------------------------------------------------
+
+struct PlanCase {
+  u64 seed;
+  unsigned count;
+  u32 stall;
+  double permanent;
+  u64 horizon;  // calibrated arrival horizon past the window's start
+  unsigned cores;
+  u64 digest;
+};
+
+/// FNV-1a 64 over every field of every item of make_plan's output.
+u64 plan_digest(const PlanCase& c) {
+  DisturbanceSpec spec;
+  spec.count = c.count;
+  spec.stall_cycles = c.stall;
+  spec.permanent_chance = c.permanent;
+  spec.window_hi = spec.window_lo + c.horizon;
+  const DisturbancePlan plan = make_plan(spec, c.seed, c.cores);
+  std::vector<u8> out;
+  put32(out, static_cast<u32>(plan.items.size()));
+  for (const Disturbance& d : plan.items) {
+    put8(out, static_cast<u8>(d.kind));
+    put8(out, d.core);
+    put64(out, d.cycle);
+    put64(out, d.pick);
+    put32(out, d.addr);
+    put32(out, d.param);
+    put32(out, d.repeats);
+  }
+  return fnv1a(out);
+}
+
+// Absolute digests: every disturbance campaign replays these plans, so a
+// moved digest changes every campaign report and resumed journal.
+TEST(Disturbance, MakePlanIsPinned) {
+  const PlanCase cases[] = {
+      {0xD15B0001, 6, 150, 0.0, 5'000, 3, 0x3922'0a20'7077'ee25ull},
+      {0xC0FFEE11, 5, 150, 0.5, 12'345, 2, 0xd58f'7d8c'7f3c'2703ull},
+      {0x1, 0, 150, 1.0, 1'000, 1, 0x78e8'd30c'11d5'bc86ull},
+      {0xABCDEF, 64, 777, 0.25, 100'000, 3, 0xec14'73b6'6c0b'ae9aull},
+      {0x5EED, 3, 1, 1.0, 0, 3, 0xb627'6c99'94bc'8bb9ull},
+  };
+  for (const PlanCase& c : cases)
+    EXPECT_EQ(plan_digest(c), c.digest) << std::hex << "seed 0x" << c.seed;
+}
+
 // --- Campaign determinism ---------------------------------------------------
 
 TEST(Campaign, OutcomeVectorByteIdenticalAcrossThreadCounts) {
