@@ -3,7 +3,8 @@
 // full boot STL (ALU, register-file march, shifter, branch, MUL/DIV) without
 // caches; stall counters are summed over the active cores and averaged over
 // reset staggers ("the actual number of stall cycles varies depending on the
-// initial SoC configuration").
+// initial SoC configuration"). Knob: DETSTL_STAGGERS, how many of the four
+// staggers the multi-core rows average over (default 3; 1-4, else exit 2).
 
 #include "bench_util.h"
 #include "exp/experiments.h"
@@ -12,11 +13,12 @@ int main(int argc, char** argv) {
   using namespace detstl;
   const auto opts =
       bench::parse_options(argc, argv, bench::kProgress | bench::kMetrics);
+  const unsigned samples = bench::env_unsigned(opts, "DETSTL_STAGGERS", 3, /*lo=*/1,
+                                               /*hi=*/exp::kTable1Staggers);
   bench::print_header("Table I (multi-core STL execution: stalls)",
                       "1 core: 200,679 IF / 117,965 MEM; 2: 717,538 / 305,801; "
                       "3: 1,878,336 / 663,386");
 
-  const unsigned samples = bench::env_unsigned(opts, "DETSTL_STAGGERS", 3);
   perf::Session session("table1");
   session.hash_knob("staggers", samples);
   const auto rows = exp::run_table1(samples, bench::exec_options(opts));

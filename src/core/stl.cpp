@@ -13,13 +13,13 @@ namespace {
 /// Phase barrier: atomically announce arrival, then spin (uncached) until
 /// every core of the phase has arrived. Counters are monotonic, one per
 /// phase, so no reset/reuse races exist.
-void emit_barrier(Assembler& a, const SuiteSpec& spec, unsigned phase,
+void emit_barrier(Assembler& a, unsigned barrier_cores, unsigned phase,
                   const std::string& lbl) {
   a.csrw(Csr::kCacheCfg, R0);  // spin uncached; L1s are not coherent
-  a.li(R1, spec.barrier_base + 4 * phase);
+  a.li(R1, kDefaultBarrierBase + 4 * phase);
   a.addi(R2, R0, 1);
   a.amoadd(R3, R1, R2);
-  a.li(R4, static_cast<u32>(spec.barrier_cores));
+  a.li(R4, static_cast<u32>(barrier_cores));
   a.label(lbl);
   a.lw(R3, R1, 0);
   a.bltu(R3, R4, lbl);
@@ -34,18 +34,14 @@ Program assemble_suite(const SuiteSpec& spec, const std::vector<u32>& goldens,
   // Calls first, bodies after: `jal` has a ±1 MiB range, sufficient here.
   for (unsigned i = 0; i < spec.routines.size(); ++i) {
     a.jal(R31, "routine" + std::to_string(i));
-    if (spec.barriers) {
-      SuiteSpec bs = spec;
-      bs.barrier_cores = barrier_cores;
-      emit_barrier(a, bs, i, "barwait" + std::to_string(i));
-    }
+    if (spec.barriers) emit_barrier(a, barrier_cores, i, "barwait" + std::to_string(i));
   }
   a.halt();
 
   for (unsigned i = 0; i < spec.routines.size(); ++i) {
     BuildEnv env = spec.env;
     env.as_subroutine = true;
-    env.mailbox = spec.results_base + 8 * i;
+    env.mailbox = default_results_base(spec.env.core_id) + 8 * i;
     a.align(8);
     a.label("routine" + std::to_string(i));
     emit_wrapped(a, *spec.routines[i], spec.wrapper, env, goldens[i],
@@ -56,11 +52,7 @@ Program assemble_suite(const SuiteSpec& spec, const std::vector<u32>& goldens,
 
 }  // namespace
 
-BuiltSuite build_suite(const SuiteSpec& spec_in) {
-  SuiteSpec spec = spec_in;
-  if (spec.results_base == 0) spec.results_base = default_results_base(spec.env.core_id);
-  if (spec.barrier_base == 0) spec.barrier_base = kDefaultBarrierBase;
-
+BuiltSuite build_suite(const SuiteSpec& spec) {
   // Pass 1: placeholder goldens, fault-free isolated run (barriers pass with
   // a single arrival).
   std::vector<u32> goldens(spec.routines.size(), 0);
@@ -74,10 +66,10 @@ BuiltSuite build_suite(const SuiteSpec& spec_in) {
   if (res.timed_out) throw std::runtime_error("suite calibration timed out");
 
   BuiltSuite out;
-  out.results_base = spec.results_base;
+  out.results_base = default_results_base(spec.env.core_id);
   out.calib_cycles = res.cycles;
   for (unsigned i = 0; i < spec.routines.size(); ++i) {
-    goldens[i] = soc.debug_read32(spec.results_base + 8 * i + 4);
+    goldens[i] = soc.debug_read32(out.results_base + 8 * i + 4);
     out.goldens.push_back(goldens[i]);
     out.names.push_back(spec.routines[i]->name());
   }

@@ -12,6 +12,7 @@
 // Barrier counters live in shared SRAM and are accessed uncached via
 // amoadd/loads (the private caches are not coherent).
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -19,13 +20,14 @@
 
 namespace detstl::core {
 
+/// A suite writes its results at default_results_base(env.core_id), 8 bytes
+/// per routine (status, signature), and keeps its barrier counters at
+/// kDefaultBarrierBase, one word per phase.
 struct SuiteSpec {
   std::vector<const SelfTestRoutine*> routines;
   WrapperKind wrapper = WrapperKind::kPlain;
   BuildEnv env;                 // code_base / data_base / core / policy knobs
-  u32 results_base = 0;         // 8 bytes per routine (status, signature)
   bool barriers = false;        // phase barrier after every routine
-  u32 barrier_base = 0;         // shared counters, one word per phase
   unsigned barrier_cores = 1;   // expected arrivals per phase
 };
 
@@ -33,7 +35,7 @@ struct BuiltSuite {
   isa::Program prog;
   std::vector<u32> goldens;     // calibrated per routine
   std::vector<std::string> names;
-  u32 results_base = 0;
+  u32 results_base = 0;         // default_results_base(env.core_id)
   u32 code_bytes = 0;
   u64 calib_cycles = 0;         // fault-free single-core suite time
 };
@@ -69,6 +71,12 @@ inline BuildEnv quickstart_env(unsigned core_id, bool write_allocate) {
   env.write_allocate = write_allocate;
   return env;
 }
+
+/// Reset stagger of the quickstart scenario (SocConfig::start_delay): cores
+/// A-C leave reset 0, 3 and 7 cycles after reset(), the "initial SoC
+/// configuration" that skews their bus activity. detscope run and metrics
+/// start from it, and the determinism audit's contended run uses it.
+inline constexpr std::array<u32, soc::kMaxCores> kQuickstartStagger = {0, 3, 7};
 
 /// Catalogue of the built-in self-test routines (core/routines.h), shared by
 /// the tools (stlint, detscope) so routine names stay consistent.

@@ -190,8 +190,12 @@ Fig1Result run_fig1() {
 // -----------------------------------------------------------------------------
 
 std::vector<Table1Row> run_table1(unsigned stagger_samples, const ExecOptions& opts) {
+  if (stagger_samples < 1 || stagger_samples > kTable1Staggers)
+    throw std::invalid_argument("run_table1: stagger_samples must be in [1, " +
+                                std::to_string(kTable1Staggers) + "]");
   std::vector<Table1Row> rows;
-  const std::array<u32, 3> staggers[] = {{0, 0, 0}, {0, 5, 11}, {3, 9, 1}, {7, 2, 13}};
+  const std::array<u32, 3> staggers[kTable1Staggers] = {
+      {0, 0, 0}, {0, 5, 11}, {3, 9, 1}, {7, 2, 13}};
 
   for (unsigned cores = 1; cores <= 3; ++cores) {
     double if_sum = 0, mem_sum = 0;
@@ -199,7 +203,7 @@ std::vector<Table1Row> run_table1(unsigned stagger_samples, const ExecOptions& o
     for (unsigned sidx = 0; sidx < samples; ++sidx) {
       // Each active core runs the full boot STL (plain structure, no caches).
       soc::SocConfig cfg;
-      cfg.start_delay = staggers[sidx % std::size(staggers)];
+      cfg.start_delay = staggers[sidx];
       soc::Soc s(cfg);
       std::vector<core::BuiltSuite> suites;
       for (unsigned c = 0; c < cores; ++c) {

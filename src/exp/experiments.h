@@ -95,6 +95,10 @@ struct Table1Row {
   double if_stalls = 0;   // summed over active cores, averaged over staggers
   double mem_stalls = 0;
 };
+/// Reset staggers Table I can average over; run_table1 takes the first
+/// `stagger_samples` of them and throws std::invalid_argument outside
+/// [1, kTable1Staggers].
+inline constexpr unsigned kTable1Staggers = 4;
 std::vector<Table1Row> run_table1(unsigned stagger_samples = 3,
                                   const ExecOptions& opts = {});
 

@@ -227,7 +227,7 @@ u64 checkpoint_config_hash(const CampaignConfig& cfg, const netlist::Netlist& nl
       .u32v(cfg.core_id)
       .u8v(static_cast<u8>(cfg.kind))
       .u32v(soc::mailbox_addr(cfg.core_id))  // existing manifests hash it
-      .u64v(cfg.max_cycles)
+      .u64v(kGoodRunMaxCycles)
       .u32v(cfg.checkpoint_every)
       .u32v(cfg.fault_stride)
       .u8v(cfg.signature_from_marker ? 1 : 0)
@@ -337,8 +337,9 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
   std::vector<Checkpoint> cps;
   cps.push_back(Checkpoint{good, 0, 0});
   while (!good.core(cfg.core_id).halted()) {
-    if (good.now() >= cfg.max_cycles)
-      throw std::runtime_error("fault campaign: good run exceeded max_cycles");
+    if (good.now() >= kGoodRunMaxCycles)
+      throw std::runtime_error("fault campaign: good run exceeded " +
+                               std::to_string(kGoodRunMaxCycles) + " cycles");
     good.tick();
     if (good.now() % cfg.checkpoint_every == 0) {
       cps.push_back(Checkpoint{good, rec.calls().size(), rec.r29().size()});

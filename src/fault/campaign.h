@@ -42,6 +42,10 @@ enum class Module : u8 { kFwd, kHdcu, kIcu };
 
 const char* module_name(Module m);
 
+/// The good run's cycle bound: a campaign whose fault-free run has not
+/// halted the graded core by then throws instead of grading.
+inline constexpr u64 kGoodRunMaxCycles = 20'000'000;
+
 /// Executor plumbing (checkpoint, merge_dirs, shard range, interrupt, sink)
 /// comes from UnitPlumbing. Fault-specific readings: the shard range is over
 /// the *simulated* fault list, and out-of-range faults hold a kNotExcited
@@ -54,7 +58,6 @@ struct CampaignConfig : UnitPlumbing {
   Module module = Module::kFwd;
   unsigned core_id = 0;  // core under grade
   isa::CoreKind kind = isa::CoreKind::kA;
-  u64 max_cycles = 20'000'000;  // good-run bound
   u32 checkpoint_every = 4096;  // cycles between checkpoints
   /// Simulate every Nth net of the fault list (deterministic sampling speed
   /// knob for the benches; 1 = exhaustive; 0 is rejected, see sample_faults).

@@ -1,6 +1,7 @@
 #include "perf/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 namespace detstl::perf::json {
@@ -69,8 +70,13 @@ struct Parser {
           case 'f': out += '\f'; break;
           case 'u': {
             if (pos + 4 > text.size()) return fail("truncated \\u escape");
-            const unsigned long cp =
-                std::strtoul(text.substr(pos, 4).c_str(), nullptr, 16);
+            // Exactly four hex digits: from_chars takes no sign, space or
+            // 0x prefix, and a short read is an error, not a stop.
+            unsigned cp = 0;
+            const char* hex = text.data() + pos;
+            const auto [end, ec] = std::from_chars(hex, hex + 4, cp, 16);
+            if (ec != std::errc{} || end != hex + 4)
+              return fail("\\u escape needs four hex digits");
             pos += 4;
             // Emitter only produces \u00XX control escapes; anything in the
             // BMP is decoded to UTF-8 for robustness.

@@ -70,8 +70,8 @@ fault::ConfigHasher schedule_hasher(fault::PayloadKind kind, u64 seed,
       .u64v(sup.watchdog_floor)
       .u32v(sup.max_attempts)
       .u32v(sup.fallback_attempts)
-      .u64v(sup.backoff_base)
-      .u64v(sup.backoff_cap)
+      .u64v(kBackoffBase)
+      .u64v(kBackoffCap)
       .u64v(sup.global_budget);
   return h;
 }
@@ -143,18 +143,19 @@ u64 checkpoint_config_hash(const CampaignSpec& spec, const SchedulePlan& plan) {
   fault::ConfigHasher h =
       schedule_hasher(fault::PayloadKind::kDisturbanceRuns, spec.seed,
                       spec.runs, spec.cores, plan, spec.supervisor);
+  // The window's upper bound hashes as 0 and the kind list as empty: the
+  // plan always derives both (the calibration, every transient kind).
   const DisturbanceSpec& d = spec.disturb;
   h.u32v(d.count)
-      .u64v(d.window_lo)
-      .u64v(d.window_hi)
+      .u64v(kWindowLo)
+      .u64v(0)
       .u32v(d.stall_cycles)
-      .u32v(d.stuck_period)
-      .u32v(d.stuck_repeats)
-      .u32v(d.irq_sources)
-      .u32v(static_cast<u32>(d.kinds.size()))
-      .f64v(d.permanent_chance);
-  for (const DisturbanceKind k : d.kinds) h.u8v(static_cast<u8>(k));
-  h.u64v(fault::soc_image_fingerprint(plan.soc));
+      .u32v(kStuckPeriod)
+      .u32v(kStuckRepeats)
+      .u32v(kIrqSources)
+      .u32v(0)
+      .f64v(d.permanent_chance)
+      .u64v(fault::soc_image_fingerprint(plan.soc));
   return h.digest();
 }
 
@@ -167,10 +168,8 @@ CampaignResult run_disturbance_campaign(const CampaignSpec& spec) {
          return checkpoint_config_hash(spec, plan);
        },
        .run = [&](const SchedulePlan& plan, u64 run_seed) {
-         DisturbanceSpec d = spec.disturb;
-         if (d.window_hi == 0)
-           d.window_hi = d.window_lo + calibrated_horizon(plan, spec.cores);
-         DisturbanceInjector injector(make_plan(d, run_seed, spec.cores));
+         DisturbanceInjector injector(make_plan(spec.disturb, run_seed, spec.cores,
+                                                calibrated_horizon(plan, spec.cores)));
          StlSupervisor sup(plan.soc, plan.schedule, spec.supervisor);
          RunRecord rec{run_seed, sup.run(&injector)};
          rec.result.injections = injector.stats();

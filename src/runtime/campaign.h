@@ -51,7 +51,7 @@ struct RunCampaignSpec : fault::UnitPlumbing {
 
 struct CampaignSpec : RunCampaignSpec {
   CampaignSpec() : RunCampaignSpec(0xD15B0001, 16) {}
-  DisturbanceSpec disturb{};  // window_hi 0 = derived from the calibration
+  DisturbanceSpec disturb{};  // arrival horizon: calibrated_horizon(plan, cores)
 };
 
 struct RunRecord {
@@ -108,10 +108,10 @@ std::vector<u8> serialize_run_record(const RunRecord& rec);
 bool deserialize_run_record(const std::vector<u8>& bytes, RunRecord& out);
 
 /// The hash a disturbance-campaign checkpoint manifest binds to: seed, run
-/// count, cores, routine names, the full supervisor and disturbance configs
-/// (window_hi as given, before calibration), and the schedule plan's SoC
-/// image fingerprint. Deliberately EXCLUDES threads, checkpoint, interrupt
-/// and sink.
+/// count, cores, routine names, the supervisor and disturbance configs with
+/// the fixed plan constants (the calibrated window bound hashed as 0), and
+/// the schedule plan's SoC image fingerprint. Deliberately EXCLUDES threads,
+/// checkpoint, interrupt and sink.
 u64 checkpoint_config_hash(const CampaignSpec& spec, const SchedulePlan& plan);
 
 /// Per-run seed: splitmix64-style mix of the master seed and the run index,
@@ -226,9 +226,9 @@ RunCampaignResult<Record> run_supervised_campaign(
   return res;
 }
 
-/// The disturbance kind: each run replays make_plan(disturb, run seed)
-/// through a DisturbanceInjector. Throws std::runtime_error on an unknown
-/// routine name or a bad core count.
+/// The disturbance kind: each run replays make_plan(disturb, run seed,
+/// cores, calibrated_horizon) through a DisturbanceInjector. Throws
+/// std::runtime_error on an unknown routine name or a bad core count.
 CampaignResult run_disturbance_campaign(const CampaignSpec& spec);
 
 /// Deterministic per-core recovery report (no wall-clock, no thread count —

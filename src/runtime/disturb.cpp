@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace detstl::runtime {
 
@@ -20,32 +21,31 @@ const char* disturbance_name(DisturbanceKind k) {
   return "?";
 }
 
-DisturbancePlan make_plan(const DisturbanceSpec& spec, u64 seed, unsigned num_cores) {
-  static const DisturbanceKind kTransient[] = {
+DisturbancePlan make_plan(const DisturbanceSpec& spec, u64 seed, unsigned num_cores,
+                          u64 horizon) {
+  static constexpr DisturbanceKind kTransient[] = {
       DisturbanceKind::kIrq,        DisturbanceKind::kICacheInvalidate,
       DisturbanceKind::kDCacheInvalidate, DisturbanceKind::kICacheFlip,
       DisturbanceKind::kDCacheFlip, DisturbanceKind::kSpuriousEviction,
       DisturbanceKind::kBusStall,   DisturbanceKind::kStuckBit,
   };
-  std::vector<DisturbanceKind> kinds = spec.kinds;
-  if (kinds.empty()) kinds.assign(std::begin(kTransient), std::end(kTransient));
 
   Rng rng(seed);
-  const u64 hi = spec.window_hi > spec.window_lo ? spec.window_hi : spec.window_lo + 1;
+  const u64 hi = kWindowLo + std::max<u64>(horizon, 1);
   DisturbancePlan plan;
   plan.items.reserve(spec.count + 1);
   for (unsigned i = 0; i < spec.count; ++i) {
     Disturbance d;
-    d.kind = kinds[rng.below(kinds.size())];
+    d.kind = kTransient[rng.below(std::size(kTransient))];
     d.core = static_cast<u8>(rng.below(num_cores));
-    d.cycle = rng.range(spec.window_lo, hi);
+    d.cycle = rng.range(kWindowLo, hi);
     d.pick = rng.next_u64();
     switch (d.kind) {
-      case DisturbanceKind::kIrq: d.param = spec.irq_sources; break;
+      case DisturbanceKind::kIrq: d.param = kIrqSources; break;
       case DisturbanceKind::kBusStall: d.param = spec.stall_cycles; break;
       case DisturbanceKind::kStuckBit:
-        d.param = spec.stuck_period;
-        d.repeats = spec.stuck_repeats;
+        d.param = kStuckPeriod;
+        d.repeats = kStuckRepeats;
         break;
       default: break;
     }
@@ -55,7 +55,7 @@ DisturbancePlan make_plan(const DisturbanceSpec& spec, u64 seed, unsigned num_co
     Disturbance d;
     d.kind = DisturbanceKind::kFlashCorrupt;
     d.core = static_cast<u8>(rng.below(num_cores));
-    d.cycle = rng.range(spec.window_lo, hi);
+    d.cycle = rng.range(kWindowLo, hi);
     d.pick = rng.next_u64();
     plan.items.push_back(d);
   }

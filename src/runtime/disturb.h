@@ -52,18 +52,19 @@ struct Disturbance {
   u32 repeats = 1;  // kStuckBit re-applications
 };
 
-/// Plan-generation knobs (tools/stlrun exposes these).
+/// The fixed plan parameters. The arrival window opens at kWindowLo; its
+/// length is make_plan's horizon.
+inline constexpr u64 kWindowLo = 200;
+inline constexpr u32 kStuckPeriod = 48;   // kStuckBit re-application period
+inline constexpr u32 kStuckRepeats = 64;  // kStuckBit lifetime in applications
+inline constexpr u32 kIrqSources = 1u << static_cast<unsigned>(isa::IcuSource::kSoftware);
+
+/// Plan-generation knobs: the ones stlrun's flags and stlserve specs set.
+/// Items are drawn from the eight transient kinds; kFlashCorrupt, the
+/// permanent kind, enters only via permanent_chance.
 struct DisturbanceSpec {
   unsigned count = 6;        // disturbances drawn per run
-  u64 window_lo = 200;       // earliest application tick
-  u64 window_hi = 0;         // latest; 0 = caller derives from calibration
   u32 stall_cycles = 150;    // kBusStall burst length
-  u32 stuck_period = 48;     // kStuckBit re-application period
-  u32 stuck_repeats = 64;    // kStuckBit lifetime in applications
-  u32 irq_sources = 1u << static_cast<unsigned>(isa::IcuSource::kSoftware);
-  /// Kinds to draw from; empty = every transient kind (no kFlashCorrupt —
-  /// permanent faults enter only via permanent_chance).
-  std::vector<DisturbanceKind> kinds;
   /// Probability that a run additionally draws one permanent kFlashCorrupt.
   double permanent_chance = 0.0;
 };
@@ -72,8 +73,11 @@ struct DisturbancePlan {
   std::vector<Disturbance> items;  // sorted by cycle
 };
 
-/// Derive a plan from (spec, seed): same inputs, same plan, bit for bit.
-DisturbancePlan make_plan(const DisturbanceSpec& spec, u64 seed, unsigned num_cores);
+/// Derive a plan from (spec, seed, cores, horizon): same inputs, same plan,
+/// bit for bit. Items apply at ticks in [kWindowLo, kWindowLo +
+/// max(horizon, 1)]; campaigns pass calibrated_horizon (runtime/campaign.h).
+DisturbancePlan make_plan(const DisturbanceSpec& spec, u64 seed, unsigned num_cores,
+                          u64 horizon);
 
 /// What the injector needs to know about the supervised schedule: where the
 /// current routine's golden constants live (kFlashCorrupt targets) and which

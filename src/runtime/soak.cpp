@@ -85,7 +85,7 @@ void SoakInjector::poll(soc::Soc& soc, const InjectTargets& targets) {
 void SoakInjector::apply(const SoakUpset& u, u32 index, soc::Soc& soc,
                          const InjectTargets& targets) {
   const unsigned site_idx = static_cast<unsigned>(u.site);
-  const unsigned c = u.core % std::max(1u, soc.num_cores());
+  const unsigned c = u.core % soc.num_cores();
   bool applied = false;
   u32 addr = 0;
   u32 bit = 0;

@@ -208,7 +208,7 @@ void StlSupervisor::finish_attempt(unsigned c, AttemptStatus status, u32 signatu
     // Retry with reload: the relaunch re-enters the wrapper from the top,
     // so cache invalidation + the loading loop rebuild the whole context.
     const u64 backoff =
-        std::min(cfg_.backoff_base << (x.attempt - 1), cfg_.backoff_cap);
+        std::min(kBackoffBase << (x.attempt - 1), kBackoffCap);
     emit_decision(c, Decision::kRetry, static_cast<u32>(backoff));
     soc_.park_core(c);  // also stops a still-spinning core after a timeout
     x.state = CoreState::kBackoff;
@@ -221,7 +221,7 @@ void StlSupervisor::finish_attempt(unsigned c, AttemptStatus status, u32 signatu
     x.rung = 1;
     x.attempt = 0;
     x.state = CoreState::kBackoff;
-    x.resume_at = soc_.now() + cfg_.backoff_base;
+    x.resume_at = soc_.now() + kBackoffBase;
     return;
   }
   // Ladder exhausted: the routine cannot be made to pass on this core.

@@ -38,6 +38,11 @@
 
 namespace detstl::runtime {
 
+/// Idle ticks before retry k of a rung: kBackoffBase << (k-1), at most
+/// kBackoffCap. Entering the fallback rung waits kBackoffBase.
+inline constexpr u64 kBackoffBase = 64;
+inline constexpr u64 kBackoffCap = 4'096;
+
 struct SupervisorConfig {
   /// Watchdog budget per attempt (watchdog_budget below). The margin
   /// absorbs bus interference the calibration run never saw (calibration is
@@ -47,8 +52,6 @@ struct SupervisorConfig {
   u64 watchdog_floor = 2'000;
   unsigned max_attempts = 3;        // attempts on the cached rung
   unsigned fallback_attempts = 2;   // attempts on the uncacheable rung
-  u64 backoff_base = 64;            // idle ticks before retry k: base << (k-1)
-  u64 backoff_cap = 4'096;
   u64 global_budget = 30'000'000;   // SoC-tick ceiling for the whole schedule
 };
 

@@ -7,9 +7,8 @@
 namespace detstl::soc {
 
 Soc::Soc(const SocConfig& cfg) : cfg_(cfg) {
-  assert(cfg.num_cores >= 1 && cfg.num_cores <= kMaxCores);
-  cores_.reserve(cfg.num_cores);
-  for (unsigned i = 0; i < cfg.num_cores; ++i) {
+  cores_.reserve(kMaxCores);
+  for (unsigned i = 0; i < kMaxCores; ++i) {
     cpu::CpuConfig cc;
     cc.kind = static_cast<isa::CoreKind>(i);
     cc.core_id = i;

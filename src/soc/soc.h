@@ -22,9 +22,9 @@ namespace detstl::soc {
 
 inline constexpr unsigned kMaxCores = 3;
 
-/// Core i is always of kind i: A and B (32-bit), then C (64-bit).
+/// Every SoC has all kMaxCores cores; core i is always of kind i: A and B
+/// (32-bit), then C (64-bit). Unused cores stay inactive (set_active).
 struct SocConfig {
-  unsigned num_cores = 3;
   mem::MemSystemConfig mem{};
   /// Cycles each core is held in reset after reset() — the "initial SoC
   /// configuration" that staggers the cores' bus activity.
@@ -46,7 +46,7 @@ class Soc {
   explicit Soc(const SocConfig& cfg = {});
 
   const SocConfig& config() const { return cfg_; }
-  unsigned num_cores() const { return cfg_.num_cores; }
+  unsigned num_cores() const { return kMaxCores; }
 
   cpu::Cpu& core(unsigned i) { return cores_[i]; }
   const cpu::Cpu& core(unsigned i) const { return cores_[i]; }

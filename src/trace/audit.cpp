@@ -10,11 +10,11 @@ namespace detstl::trace {
 
 namespace {
 
-core::BuildEnv env_for_core(unsigned core, bool write_allocate, bool perf) {
-  core::BuildEnv env = core::quickstart_env(core, write_allocate);
-  env.use_perf_counters = perf;
-  return env;
-}
+/// The audited core and the cycle bound of each audit run.
+constexpr unsigned kGradedCore = 0;
+constexpr u64 kMaxCycles = 10'000'000;
+static_assert(core::kQuickstartStagger[kGradedCore] == 0,
+              "the graded core leaves reset first in both runs");
 
 struct RunOutcome {
   std::vector<Event> window;  // [exec-loop begin .. signature-check begin]
@@ -29,13 +29,12 @@ struct RunOutcome {
 
 RunOutcome run_once(const core::BuiltTest& graded,
                     const std::vector<core::BuiltTest>& neighbors,
-                    const AuditOptions& opts, bool contended) {
+                    bool contended) {
   soc::SocConfig cfg;
-  cfg.start_delay = opts.stagger;
-  cfg.start_delay[opts.graded_core] = 0;
+  cfg.start_delay = core::kQuickstartStagger;
   soc::Soc soc(cfg);
   soc.load_program(graded.prog);
-  soc.set_boot(opts.graded_core, graded.prog.entry());
+  soc.set_boot(kGradedCore, graded.prog.entry());
   if (contended) {
     for (const auto& t : neighbors) {
       soc.load_program(t.prog);
@@ -43,7 +42,7 @@ RunOutcome run_once(const core::BuiltTest& graded,
     }
   }
 
-  StreamCapture cap(static_cast<u8>(opts.graded_core));
+  StreamCapture cap(static_cast<u8>(kGradedCore));
   perf::Registry registry;
   PhaseMetrics metrics(registry);
   FanoutSink fan;
@@ -52,17 +51,17 @@ RunOutcome run_once(const core::BuiltTest& graded,
   soc.set_trace_sink(&fan);
 
   soc.reset();
-  const auto res = soc.run(opts.max_cycles);
+  const auto res = soc.run(kMaxCycles);
 
   RunOutcome out;
   out.timed_out = res.timed_out;
-  out.graded_cycles = soc.core(opts.graded_core).perf().cycles;
+  out.graded_cycles = soc.core(kGradedCore).perf().cycles;
   for (unsigned c = 0; c < soc.num_cores(); ++c) {
-    if (c == opts.graded_core) continue;
+    if (c == kGradedCore) continue;
     for (unsigned port = 0; port < 3; ++port)
       out.neighbor_grants += soc.bus().stats(c * 3 + port).grants;
   }
-  const auto v = core::read_verdict(soc, soc::mailbox_addr(opts.graded_core));
+  const auto v = core::read_verdict(soc, soc::mailbox_addr(kGradedCore));
   out.pass = v.status == soc::kStatusPass && v.signature == graded.golden;
   out.violations = metrics.violations();
 
@@ -135,24 +134,23 @@ RunOutcome run_once(const core::BuiltTest& graded,
 }  // namespace
 
 AuditResult audit_determinism(const core::SelfTestRoutine& routine,
-                              const AuditOptions& opts) {
+                              bool write_allocate) {
   AuditResult r;
 
-  core::BuiltTest graded = core::build_wrapped(
-      routine, core::WrapperKind::kCacheBased,
-      env_for_core(opts.graded_core, opts.write_allocate, opts.use_perf_counters));
+  core::BuiltTest graded =
+      core::build_wrapped(routine, core::WrapperKind::kCacheBased,
+                          core::quickstart_env(kGradedCore, write_allocate));
   // Neighbours run plain-wrapped (uncached) copies: every fetch crosses the
   // shared bus, so the graded core's whole run executes under contention.
   std::vector<core::BuiltTest> neighbors;
   for (unsigned c = 0; c < soc::kMaxCores; ++c) {
-    if (c == opts.graded_core) continue;
-    neighbors.push_back(core::build_wrapped(
-        routine, core::WrapperKind::kPlain,
-        env_for_core(c, opts.write_allocate, opts.use_perf_counters)));
+    if (c == kGradedCore) continue;
+    neighbors.push_back(core::build_wrapped(routine, core::WrapperKind::kPlain,
+                                            core::quickstart_env(c, write_allocate)));
   }
 
-  const RunOutcome solo = run_once(graded, neighbors, opts, /*contended=*/false);
-  const RunOutcome cont = run_once(graded, neighbors, opts, /*contended=*/true);
+  const RunOutcome solo = run_once(graded, neighbors, /*contended=*/false);
+  const RunOutcome cont = run_once(graded, neighbors, /*contended=*/true);
 
   r.solo_cycles = solo.graded_cycles;
   r.contended_cycles = cont.graded_cycles;

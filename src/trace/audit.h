@@ -23,7 +23,6 @@
 // Both are exposed through the tools/detscope CLI and run in the tier-1
 // test suite (tests/test_trace.cpp).
 
-#include <array>
 #include <string>
 #include <vector>
 
@@ -46,16 +45,6 @@ class FanoutSink final : public EventSink {
   std::vector<EventSink*> sinks_;
 };
 
-struct AuditOptions {
-  unsigned graded_core = 0;
-  bool write_allocate = true;
-  bool use_perf_counters = false;
-  /// Reset stagger of the contended run (the quickstart scenario's worst
-  /// case). The graded core's own stagger is forced to 0 in both runs.
-  std::array<u32, 3> stagger = {0, 3, 7};
-  u64 max_cycles = 10'000'000;
-};
-
 struct AuditResult {
   bool streams_identical = false;  // rebased execution-loop streams match
   bool invariant_clean = false;    // no exec-loop bus submits / misses, both runs
@@ -72,10 +61,14 @@ struct AuditResult {
   bool passed() const { return streams_identical && invariant_clean && verdicts_pass; }
 };
 
-/// Audit one routine under the cache-based wrapper. The routine must be
-/// cache-wrappable (every built-in routine is; see core::routine_registry).
+/// Audit one routine under the cache-based wrapper on core A, every core
+/// built from core::quickstart_env(core, write_allocate) without
+/// performance counters. The contended run resets the cores with
+/// core::kQuickstartStagger (core A's own delay is 0); each run stops
+/// after 10 M cycles. The routine must be cache-wrappable (every built-in
+/// routine is; see core::routine_registry).
 AuditResult audit_determinism(const core::SelfTestRoutine& routine,
-                              const AuditOptions& opts = {});
+                              bool write_allocate = true);
 
 struct CampaignAuditResult {
   bool streams_identical = false;

@@ -52,8 +52,11 @@ EventFileResult read_events_file(const std::string& path) {
               std::to_string(version);
     return r;
   }
+  // Compare in records, not bytes: count * 24 wraps in u64 for a crafted
+  // count of 2^61 and up.
   const u64 count = load64(p + 8);
-  if (blob.size() != kHeaderBytes + count * kEventRecordBytes) {
+  const std::size_t body = blob.size() - kHeaderBytes;
+  if (body % kEventRecordBytes != 0 || count != body / kEventRecordBytes) {
     r.error = path + ": truncated (" + std::to_string(blob.size()) +
               " bytes for " + std::to_string(count) + " records)";
     return r;

@@ -75,6 +75,11 @@ TEST(Table1, StallsGrowSuperlinearly) {
   for (const auto& r : rows) EXPECT_GT(r.if_stalls, r.mem_stalls);
 }
 
+TEST(Table1, StaggerCountOutsideItsRangeThrows) {
+  EXPECT_THROW(run_table1(0), std::invalid_argument);
+  EXPECT_THROW(run_table1(kTable1Staggers + 1), std::invalid_argument);
+}
+
 TEST(Table4, TcmReservesMemoryCacheDoesNot) {
   const auto rows = run_table4();
   ASSERT_EQ(rows.size(), 2u);

@@ -201,6 +201,24 @@ TEST(PerfJson, MalformedDocumentsFailWithReason) {
   EXPECT_FALSE(from_json("{\"stlperf_schema\": 1", back, &err));
   EXPECT_FALSE(from_json("[1,2,3]", back, &err));
   EXPECT_FALSE(err.empty());
+
+  // A \u escape is exactly four hex digits: no sign, space or 0x prefix,
+  // and no stopping at the first non-hex character (\u00zz once decoded to
+  // a NUL that cut the rendered report short).
+  const std::string text = to_json(sample_report());
+  const std::string quoted = "\"unit\"";
+  const std::size_t at = text.find(quoted);
+  ASSERT_NE(at, std::string::npos);
+  const auto with_name = [&](const std::string& name) {
+    return std::string(text).replace(at, quoted.size(), "\"" + name + "\"");
+  };
+  for (const char* bad : {"ab\\u00zzcd\\u-041", "\\u-041", "\\u +41", "\\u0x41"}) {
+    err.clear();
+    EXPECT_FALSE(from_json(with_name(bad), back, &err)) << bad;
+    EXPECT_NE(err.find("four hex digits"), std::string::npos) << bad << ": " << err;
+  }
+  ASSERT_TRUE(from_json(with_name("\\u0041b\\u00e9"), back, &err)) << err;
+  EXPECT_EQ(back.name, "Ab\xc3\xa9");
 }
 
 TEST(PerfJson, ExactU64ValuesSurviveTheNumberModel) {

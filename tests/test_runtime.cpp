@@ -464,8 +464,7 @@ u64 plan_digest(const PlanCase& c) {
   spec.count = c.count;
   spec.stall_cycles = c.stall;
   spec.permanent_chance = c.permanent;
-  spec.window_hi = spec.window_lo + c.horizon;
-  const DisturbancePlan plan = make_plan(spec, c.seed, c.cores);
+  const DisturbancePlan plan = make_plan(spec, c.seed, c.cores, c.horizon);
   std::vector<u8> out;
   put32(out, static_cast<u32>(plan.items.size()));
   for (const Disturbance& d : plan.items) {

@@ -497,6 +497,20 @@ TEST(TraceIo, RejectsGarbageAndTruncation) {
   std::fclose(f);
   EXPECT_FALSE(trace::read_events_file(path).ok);
   EXPECT_FALSE(trace::read_events_file(path + ".missing").ok);
+
+  // A bare header claiming 2^61 records: count * 24 wraps to 0 in u64, so
+  // a byte-size comparison alone would accept it and then reserve 2^61.
+  ASSERT_TRUE(trace::write_events_file(path, {}));
+  f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  u8 count[8];
+  store_le(count, u64{1} << 61, 8);
+  ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(count, 1, sizeof count, f), sizeof count);
+  std::fclose(f);
+  const auto wrapped = trace::read_events_file(path);
+  EXPECT_FALSE(wrapped.ok);
+  EXPECT_NE(wrapped.error.find("truncated"), std::string::npos) << wrapped.error;
   std::remove(path.c_str());
 }
 

@@ -31,7 +31,6 @@
 #include "exp/experiments.h"
 #include "perf/session.h"
 #include "trace/audit.h"
-#include "trace/capture.h"
 #include "trace/chrome_trace.h"
 #include "trace/phase_metrics.h"
 #include "trace/trace_io.h"
@@ -98,7 +97,8 @@ std::string requester_name(unsigned id) {
 }
 
 /// The quickstart scenario `run` and `metrics` execute: one routine,
-/// cache-wrapped on the first `cores` cores, resets skewed by 0/3/7 cycles.
+/// cache-wrapped on the first `cores` cores, resets skewed by
+/// core::kQuickstartStagger.
 struct Quickstart {
   std::string routine = "fwd-pc";
   unsigned cores = 3;
@@ -121,7 +121,7 @@ struct Quickstart {
       tests.push_back(core::build_wrapped(*r, core::WrapperKind::kCacheBased,
                                           core::quickstart_env(c, wa)));
     soc::SocConfig cfg;
-    cfg.start_delay = {0, 3, 7};
+    cfg.start_delay = core::kQuickstartStagger;
     soc::Soc soc(cfg);
     for (const auto& t : tests) {
       soc.load_program(t.prog);
@@ -150,13 +150,13 @@ int cmd_run(cli::Args& args) {
   perf::Registry registry;
   trace::PhaseMetrics metrics(registry);
   trace::FanoutSink fan;
+  // The writer's buffer is the one copy of the stream: --trace renders it,
+  // --events writes it as a DSEV file.
   trace::ChromeTraceWriter writer;
-  trace::StreamCapture capture;
   writer.set_include_hits(hits);
   writer.set_include_beats(beats);
   fan.add(&metrics);
-  if (!trace_path.empty()) fan.add(&writer);
-  if (!events_path.empty()) fan.add(&capture);
+  if (!trace_path.empty() || !events_path.empty()) fan.add(&writer);
   soc.set_trace_sink(&fan);
 
   soc.reset();
@@ -208,22 +208,22 @@ int cmd_run(cli::Args& args) {
                 writer.size());
   }
   if (!events_path.empty()) {
-    if (!trace::write_events_file(events_path, capture.events())) {
+    if (!trace::write_events_file(events_path, writer.events())) {
       std::fprintf(stderr, "detscope: cannot write %s\n", events_path.c_str());
       return 1;
     }
     std::printf("event stream written to %s (%zu events)\n",
-                events_path.c_str(), capture.events().size());
+                events_path.c_str(), writer.size());
   }
   return all_pass && violations.empty() ? 0 : 1;
 }
 
 int cmd_audit(cli::Args& args) {
   std::string routine_name = "all";
-  trace::AuditOptions opts;
+  bool wa = true;
   while (args.next()) {
     if (args.is("--routine")) routine_name = args.value();
-    else if (args.is("--wa")) opts.write_allocate = require_on_off(args);
+    else if (args.is("--wa")) wa = require_on_off(args);
     else return unknown_option(args);
   }
 
@@ -237,7 +237,7 @@ int cmd_audit(cli::Args& args) {
   bool all_pass = true;
   for (const auto* t : targets) {
     const auto routine = t->make();
-    const auto r = trace::audit_determinism(*routine, opts);
+    const auto r = trace::audit_determinism(*routine, wa);
     all_pass &= r.passed();
     std::printf(
         "%-10s %s  window %zu events, solo %llu cyc vs contended %llu cyc "
