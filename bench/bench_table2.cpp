@@ -19,15 +19,15 @@ int main(int argc, char** argv) {
   const auto opts = bench::parse_options(
       argc, argv,
       bench::kProgress | bench::kTrace | bench::kMetrics | bench::kCampaign);
+  const unsigned stride =
+      bench::env_unsigned(opts, "DETSTL_FAULT_STRIDE", 1, /*lo=*/1);
+  const unsigned scenarios = bench::env_unsigned(opts, "DETSTL_SCENARIOS", 0);
   const auto tracer = bench::make_trace_writer(opts);
   bench::print_header(
       "Table II (forwarding-logic fault simulation, no PCs)",
       "A: 53,298 faults, 64.14-75.19% no-cache, 79.61% cached; "
       "B: 57,506, 63.61-79.59%, 82.08%; C: 113,212, 56.24-66.48%, 68.79%");
 
-  const unsigned stride =
-      bench::env_unsigned(opts, "DETSTL_FAULT_STRIDE", 1, /*lo=*/1);
-  const unsigned scenarios = bench::env_unsigned(opts, "DETSTL_SCENARIOS", 0);
   perf::Session session("table2");
   session.hash_knob("fault_stride", stride);
   session.hash_knob("scenarios", scenarios);

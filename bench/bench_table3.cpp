@@ -20,14 +20,14 @@ int main(int argc, char** argv) {
   const auto opts = bench::parse_options(
       argc, argv,
       bench::kProgress | bench::kTrace | bench::kMetrics | bench::kCampaign);
+  const unsigned stride =
+      bench::env_unsigned(opts, "DETSTL_FAULT_STRIDE", 1, /*lo=*/1);
   const auto tracer = bench::make_trace_writer(opts);
   bench::print_header(
       "Table III (ICU and HDCU fault simulation)",
       "A: ICU 46.57->51.36%, HDCU 62.53->70.37%; B: ICU 46.39->50.97%, "
       "HDCU 63.84->70.12%; C: ICU 54.94->60.91%, HDCU 65.66->68.09%");
 
-  const unsigned stride =
-      bench::env_unsigned(opts, "DETSTL_FAULT_STRIDE", 1, /*lo=*/1);
   perf::Session session("table3");
   session.hash_knob("fault_stride", stride);
   const auto t0 = std::chrono::steady_clock::now();

@@ -52,13 +52,13 @@ void touch(const std::string& path) {
 }
 
 /// One heartbeat record = one completed unit, 8 bytes little-endian
-/// carrying the unit's index. Size/8 is the beat count the watchdogs and
-/// the pace estimator use; the last record names the current run.
+/// carrying the unit's index. The hang watchdog watches the file grow;
+/// size/8 is the beat count and the last record names the current run.
 constexpr std::uintmax_t kHeartbeatRecordBytes = 8;
 
 void append_run_index(const std::string& path, u64 unit) {
   std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) return;  // heartbeat loss degrades to the wall-clock budget
+  if (f == nullptr) return;  // a lost beat reads as a hang, as a stall would
   u8 rec[kHeartbeatRecordBytes];
   store_le(rec, unit, sizeof rec);
   std::fwrite(rec, 1, sizeof rec, f);
@@ -218,31 +218,21 @@ std::vector<ShardPlan> plan_shards(u64 runs, unsigned workers,
   return out;
 }
 
-u64 shard_budget_ms(double per_run_ms, u64 remaining_runs, u64 floor_ms) {
-  if (per_run_ms <= 0.0) return floor_ms;
-  const double budget =
-      16.0 * per_run_ms * static_cast<double>(std::max<u64>(1, remaining_runs)) +
-      1'000.0;
-  return std::max<u64>(floor_ms, static_cast<u64>(budget));
-}
-
 namespace {
 
-/// Everything a forked worker needs, built by the supervisor.
+/// What a forked worker runs: the supervisor's own spec and shard plan,
+/// which the child sees in its copy of the supervisor's memory.
 struct WorkerArgs {
-  ServeSpec spec;
-  u64 begin = 0;
-  u64 end = 0;
-  std::string dir;        // this shard's checkpoint subdir
-  /// Touched at startup; one 8-byte little-endian record per completed
-  /// unit, carrying the unit's index (the run index for "disturbance", the
-  /// fault index for "fault"), written by UnitPlumbing::on_run_complete.
-  /// The supervisor reads the file size for liveness/pace and the last
-  /// record for its progress and hang notes.
-  std::string heartbeat;
-  bool no_fsync = false;
-  std::string chaos_action;  // empty = none
-  u64 chaos_after = 0;
+  const ServeSpec& spec;
+  /// The shard's range and subdir. Its heartbeat is touched at startup and
+  /// gains one 8-byte little-endian record per completed unit, carrying
+  /// the unit's index (the run index for "disturbance", the fault index for
+  /// "fault"), written by UnitPlumbing::on_run_complete. The supervisor
+  /// reads the file size for liveness and the last record for its progress
+  /// and hang notes.
+  const ShardPlan& plan;
+  bool no_fsync;
+  const ChaosRule* chaos;  // nullptr = none
 };
 
 /// Run one shard to completion: resume the subdir's journal when present,
@@ -251,29 +241,27 @@ struct WorkerArgs {
 /// (supervisor quarantines the subdir), 3 drained (resumable).
 int worker_main(const WorkerArgs& a) {
   try {
-    fs::create_directories(a.dir);
-    touch(a.heartbeat);
+    fs::create_directories(a.plan.dir);
+    touch(a.plan.heartbeat);
 
     // Heartbeat + chaos, shared by both kinds: one run-index record per
     // completed unit, then the chaos self-destruct when its count is due.
     std::atomic<u64> completed{0};
     const auto beat = [&a, &completed](u64 unit) {
-      append_run_index(a.heartbeat, unit);
+      append_run_index(a.plan.heartbeat, unit);
       const u64 c = completed.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (a.chaos_action.empty() || c != a.chaos_after) return;
-      if (a.chaos_action == "kill-after" || a.chaos_action == "kill-every") {
-#ifndef _WIN32
-        ::kill(::getpid(), SIGKILL);  // a real crash: no drain, no final flush
-#endif
-      } else if (a.chaos_action == "hang-after") {
+      if (a.chaos == nullptr || c != a.chaos->after) return;
+      if (a.chaos->action == "hang-after")
         for (;;) std::this_thread::sleep_for(std::chrono::seconds(10));
-      }
+#ifndef _WIN32
+      ::kill(::getpid(), SIGKILL);  // a real crash: no drain, no final flush
+#endif
     };
 
     fault::UnitPlumbing p;
-    p.unit_begin = a.begin;
-    p.unit_end = a.end;
-    p.checkpoint.dir = a.dir;
+    p.unit_begin = a.plan.begin;
+    p.unit_end = a.plan.end;
+    p.checkpoint.dir = a.plan.dir;
     p.checkpoint.interval = a.spec.checkpoint_interval;
     p.checkpoint.fsync =
         a.no_fsync ? fault::FsyncPolicy::kNone : fault::FsyncPolicy::kEveryShard;
@@ -311,11 +299,9 @@ struct Shard {
   ShardState state = ShardState::kPending;
   unsigned spawns = 0;  // 1 initial + respawns
   pid_t pid = -1;
-  Clock::time_point spawn_time;
   Clock::time_point next_spawn;  // backoff deadline (kPending)
   std::uintmax_t hb_size = 0;
-  u64 runs_left_at_spawn = 0;  // sizes the derived whole-shard budget
-  Clock::time_point hb_change;
+  Clock::time_point hb_change;  // last heartbeat growth, or the spawn
   Clock::time_point last_progress_note;  // throttles the per-shard note
   bool chaos_spent = false;  // one-shot chaos rules already delivered
 };
@@ -323,15 +309,16 @@ struct Shard {
 /// Minimum spacing of a shard's "at run N" progress notes.
 constexpr u64 kProgressNoteMs = 2'000;
 
+/// Respawn backoff ceiling: respawn k waits min(base << (k-1), this).
+constexpr u64 kBackoffCapMs = 2'000;
+
 struct Supervisor {
   Supervisor(const ServeSpec& s, const ServeConfig& c) : spec(s), cfg(c) {}
 
   const ServeSpec& spec;
   const ServeConfig& cfg;
   std::vector<Shard> shards;
-  std::vector<std::uintmax_t> hb_base;  // heartbeat bytes at supervisor start
   ServeStats stats;
-  Clock::time_point t0 = Clock::now();
 
   void note(const char* fmt, ...) const
       __attribute__((format(printf, 2, 3))) {
@@ -353,33 +340,15 @@ struct Supervisor {
     return nullptr;
   }
 
-  WorkerArgs worker_args(unsigned shard_idx, const ChaosRule* chaos) const {
-    const Shard& s = shards[shard_idx];
-    WorkerArgs wa;
-    wa.spec = spec;
-    wa.begin = s.plan.begin;
-    wa.end = s.plan.end;
-    wa.dir = s.plan.dir;
-    wa.heartbeat = s.plan.heartbeat;
-    wa.no_fsync = cfg.no_fsync;
-    if (chaos != nullptr) {
-      wa.chaos_action = chaos->action;
-      wa.chaos_after = chaos->after;
-    }
-    return wa;
-  }
-
   void spawn(unsigned shard_idx) {
     Shard& s = shards[shard_idx];
-    const ChaosRule* chaos = chaos_for(shard_idx, s);
-    const WorkerArgs wa = worker_args(shard_idx, chaos);
-    if (chaos != nullptr) s.chaos_spent = true;
+    const WorkerArgs wa{spec, s.plan, cfg.no_fsync, chaos_for(shard_idx, s)};
+    if (wa.chaos != nullptr) s.chaos_spent = true;
 
     // A plain fork is safe here: no thread exists while supervise() runs.
-    // Threads start only in the in-process fallback and the merge, both
-    // after it, so the child inherits no lock another thread held. It does
-    // inherit the parent's stop request and drain-handler flag, which
-    // reset_for_child() clears.
+    // Threads start only in the merge, after it, so the child inherits no
+    // lock another thread held. It does inherit the parent's stop request
+    // and drain-handler flag, which reset_for_child() clears.
     const pid_t pid = ::fork();
     if (pid < 0) throw std::runtime_error("stlserve: fork failed");
     if (pid == 0) {
@@ -389,11 +358,8 @@ struct Supervisor {
     s.pid = pid;
     s.state = ShardState::kRunning;
     ++s.spawns;
-    s.spawn_time = s.hb_change = s.last_progress_note = Clock::now();
+    s.hb_change = s.last_progress_note = Clock::now();
     s.hb_size = file_size_or_zero(s.plan.heartbeat);
-    const u64 total = s.plan.end - s.plan.begin;
-    s.runs_left_at_spawn =
-        total - std::min<u64>(s.hb_size / kHeartbeatRecordBytes, total);
     note("shard %u [%llu, %llu) -> pid %ld (spawn %u)", shard_idx,
          static_cast<unsigned long long>(s.plan.begin),
          static_cast<unsigned long long>(s.plan.end), static_cast<long>(pid),
@@ -423,15 +389,15 @@ struct Supervisor {
     }
     if (s.spawns > cfg.max_respawns) {
       s.state = ShardState::kFailed;
-      note("shard %u: %u spawns exhausted (last %s %d) — will fall back "
-           "in-process",
+      note("shard %u: %u spawns exhausted (last %s %d) — the merge "
+           "re-executes its unjournalled units",
            shard_idx, s.spawns, code < 0 ? "signal" : "exit",
            code < 0 ? -code : code);
       return;
     }
     const u64 shift = std::min<unsigned>(s.spawns - 1, 16);
     const u64 backoff = std::min<u64>(
-        static_cast<u64>(cfg.backoff_base_ms) << shift, cfg.backoff_cap_ms);
+        static_cast<u64>(cfg.backoff_base_ms) << shift, kBackoffCapMs);
     s.state = ShardState::kPending;
     s.next_spawn = Clock::now() + std::chrono::milliseconds(backoff);
     ++stats.respawns;
@@ -452,22 +418,10 @@ struct Supervisor {
     }
   }
 
-  /// Campaign-wide pace from heartbeat growth since this supervisor
-  /// started; 0 until enough beats arrived to be meaningful. One beat is
-  /// one 8-byte run-index record.
-  double observed_per_run_ms(Clock::time_point now) const {
-    u64 beats = 0;
-    for (unsigned k = 0; k < shards.size(); ++k) {
-      const std::uintmax_t sz = shards[k].hb_size;
-      beats += sz > hb_base[k] ? (sz - hb_base[k]) / kHeartbeatRecordBytes : 0;
-    }
-    if (beats < 8) return 0.0;
-    return static_cast<double>(ms_between(t0, now)) / static_cast<double>(beats);
-  }
-
+  /// SIGKILL every worker whose heartbeat has not grown for
+  /// hang_timeout_ms: a worker that keeps completing units is never killed.
   void watchdogs() {
     const Clock::time_point now = Clock::now();
-    const double pace = observed_per_run_ms(now);
     for (unsigned k = 0; k < shards.size(); ++k) {
       Shard& s = shards[k];
       if (s.state != ShardState::kRunning) continue;
@@ -490,17 +444,8 @@ struct Supervisor {
                static_cast<unsigned long long>(total));
         }
       }
-      const u64 stale_ms = ms_between(std::max(s.spawn_time, s.hb_change), now);
-      bool hung = stale_ms > cfg.hang_timeout_ms;
-      if (!hung) {
-        // The budget runs from spawn, so it covers the runs left at spawn.
-        u64 budget = cfg.shard_timeout_ms;
-        if (budget == 0 && pace > 0.0)
-          budget = shard_budget_ms(pace, s.runs_left_at_spawn,
-                                   cfg.hang_timeout_ms);
-        hung = budget != 0 && ms_between(s.spawn_time, now) > budget;
-      }
-      if (!hung) continue;
+      const u64 stale_ms = ms_between(s.hb_change, now);
+      if (stale_ms <= cfg.hang_timeout_ms) continue;
       // SIGKILL first: a wedged simulator loop never sees SIGTERM's
       // cooperative drain, and the journal is crash-safe by construction.
       ::kill(s.pid, SIGKILL);
@@ -571,11 +516,25 @@ ServeResult run_campaign(const ServeSpec& spec, const ServeConfig& cfg) {
     throw std::runtime_error("stlserve: a work directory is required");
   fs::create_directories(cfg.work_dir);
   const std::string spec_path = cfg.work_dir + "/" + kSpecFileName;
-  if (!cfg.resume && fs::exists(spec_path))
-    throw std::runtime_error("stlserve: '" + cfg.work_dir +
-                             "' already holds a campaign — resume it or point "
-                             "at a clean directory");
-  if (!fs::exists(spec_path)) {
+  if (fs::exists(spec_path)) {
+    if (!cfg.resume)
+      throw std::runtime_error("stlserve: '" + cfg.work_dir +
+                               "' already holds a campaign — resume it or "
+                               "point at a clean directory");
+    // Only the worker count and the flush interval may change on resume:
+    // any other key names a different campaign, whose journals the workers
+    // would refuse and quarantine one subdir at a time.
+    ServeSpec held;
+    std::string err;
+    if (!load_spec_file(spec_path, held, &err))
+      throw fault::CheckpointMismatch(spec_path + ": " + err);
+    held.workers = spec.workers;
+    held.checkpoint_interval = spec.checkpoint_interval;
+    if (spec_to_json(held) != spec_to_json(spec))
+      throw fault::CheckpointMismatch(
+          "'" + cfg.work_dir + "' holds a different campaign (" + spec_path +
+          "); resume it without --spec or point at a clean directory");
+  } else {
     std::FILE* f = std::fopen(spec_path.c_str(), "wb");
     if (f == nullptr)
       throw std::runtime_error("stlserve: cannot write " + spec_path);
@@ -596,9 +555,6 @@ ServeResult run_campaign(const ServeSpec& spec, const ServeConfig& cfg) {
     sup.shards.push_back(std::move(sh));
   }
   sup.stats.shards = static_cast<unsigned>(sup.shards.size());
-  sup.hb_base.resize(sup.shards.size());
-  for (unsigned k = 0; k < sup.shards.size(); ++k)
-    sup.hb_base[k] = file_size_or_zero(sup.shards[k].plan.heartbeat);
 
   ServeResult out;
   if (!sup.supervise()) {
@@ -607,30 +563,13 @@ ServeResult run_campaign(const ServeSpec& spec, const ServeConfig& cfg) {
     return out;
   }
 
-  // Degradation floor: shards whose respawn budget ran dry execute in THIS
-  // process, resuming their own journal — the campaign completes as long as
-  // the supervisor itself survives.
-  for (unsigned k = 0; k < sup.shards.size(); ++k) {
-    Shard& s = sup.shards[k];
-    if (s.state != ShardState::kFailed) continue;
-    ++sup.stats.fallbacks;
-    sup.note("shard %u: executing in-process (degraded)", k);
-    const int rc = worker_main(sup.worker_args(k, nullptr));
-    if (rc == 3) {
-      out.stats = sup.stats;
-      out.interrupted = true;
-      return out;
-    }
-    if (rc != 0)
-      throw std::runtime_error("stlserve: shard " + std::to_string(k) +
-                               " failed even in-process (exit " +
-                               std::to_string(rc) + ")");
-    s.state = ShardState::kDone;
-  }
-
-  // Post-hoc merge: load every shard journal; any unit no journal covers is
-  // re-executed right here (the merge_dirs contract), so the result is
-  // byte-identical to the single-process campaign.
+  // Post-hoc merge, and the degradation floor: load every shard journal and
+  // re-execute right here, on all hardware threads, every unit no journal
+  // covers (the merge_dirs contract), a FAILED shard's included. The result
+  // is byte-identical to the single-process campaign as long as the
+  // supervisor itself survives. The merge journals nothing: after a drain
+  // here, `--resume` respawns the FAILED shard's worker, which re-runs
+  // every unit its own journal lacks.
   fault::UnitPlumbing merge;
   for (const Shard& s : sup.shards) merge.merge_dirs.push_back(s.plan.dir);
   merge.interrupt = &fault::global_interrupt();

@@ -18,21 +18,21 @@
 //   spawn ──▶ RUNNING ──exit 0──▶ DONE
 //               │
 //               ├─ death (crash / nonzero exit / signal)
-//               ├─ hang  (heartbeat stale past the budget, or the whole
-//               │         shard past its calibrated wall-clock budget)
+//               ├─ hang  (heartbeat stale past hang_timeout_ms)
 //               │         → SIGKILL the worker first
 //               └─ corrupt journal (worker exits with the mismatch code)
 //                         → quarantine the subdir (*.corrupt-N), run fresh
 //               then: attempts <= max_respawns → respawn with exponential
 //                     backoff, RESUMING the shard's own journal;
-//                     attempts exhausted → degrade to in-process execution
-//                     of the shard range in the supervisor itself.
+//                     attempts exhausted → FAILED: the merge re-executes
+//                     every unit the shard's journal does not cover.
 //
 // The journal IS the IPC: workers print nothing and share nothing but their
 // subdir. Post-hoc the supervisor merges every subdir
-// (fault::UnitPlumbing::merge_dirs) and re-executes any unit no journal
-// covers, so the final result is byte-identical to the single-process run
-// no matter what was killed, hung or corrupted along the way.
+// (fault::UnitPlumbing::merge_dirs) and re-executes in-process, on all
+// hardware threads, any unit no journal covers, so the final result is
+// byte-identical to the single-process run no matter what was killed, hung
+// or corrupted along the way.
 //
 // A SIGTERM/SIGINT to the supervisor is forwarded to the workers; everyone
 // drains cooperatively and `stlserve run --resume` continues the campaign
@@ -50,7 +50,9 @@ namespace detstl::serve {
 /// worker itself after `after` completed runs. Actions: "kill-after"
 /// (raise SIGKILL; first spawn of the shard only), "hang-after" (spin
 /// forever; first spawn only), "kill-every" (SIGKILL on EVERY spawn —
-/// drives the respawn-exhaustion → in-process-fallback path).
+/// drives the respawn-exhaustion → merge re-execution path). A rule whose
+/// `shard` is not one of the planned shards never fires; stlserve rejects
+/// it as a usage error.
 struct ChaosRule {
   unsigned shard = 0;
   std::string action;  // kill-after | hang-after | kill-every
@@ -61,16 +63,12 @@ struct ServeConfig {
   std::string work_dir;      // per-campaign checkpoint root (required)
   unsigned workers = 0;      // worker processes; 0 = spec.workers
   bool resume = false;       // resume an interrupted campaign in work_dir
-  unsigned max_respawns = 3;      // respawns per shard before fallback
+  unsigned max_respawns = 3;      // respawns per shard before it is FAILED
   unsigned backoff_base_ms = 100; // respawn k waits base << (k-1), capped
-  unsigned backoff_cap_ms = 2'000;
   /// A worker whose heartbeat has not advanced for this long is declared
-  /// hung and SIGKILLed. Also the grace period after spawn.
+  /// hung and SIGKILLed. Also the grace period after spawn. The only hang
+  /// detector: a worker that keeps completing units is never killed.
   unsigned hang_timeout_ms = 10'000;
-  /// Whole-shard wall-clock budget, counted from spawn; 0 = derived from the
-  /// observed pace and the runs left at spawn via shard_budget_ms() once
-  /// enough heartbeats arrived.
-  u64 shard_timeout_ms = 0;
   unsigned poll_ms = 25;     // supervisor poll period
   bool quiet = false;        // suppress supervision notes on stderr
   bool no_fsync = false;     // workers skip per-shard fsync (tests/CI)
@@ -91,12 +89,6 @@ struct ShardPlan {
 std::vector<ShardPlan> plan_shards(u64 runs, unsigned workers,
                                    const std::string& work_dir);
 
-/// Wall-clock budget for a shard with `remaining_runs` left at an observed
-/// pace of `per_run_ms`: generous (16x the expected time plus slack) so
-/// only a truly wedged worker trips it, never a slow one. Pure;
-/// unit-tested directly.
-u64 shard_budget_ms(double per_run_ms, u64 remaining_runs, u64 floor_ms);
-
 /// Supervision outcome counters (host-side observability; never part of
 /// the campaign's determinism contract).
 struct ServeStats {
@@ -104,7 +96,6 @@ struct ServeStats {
   unsigned respawns = 0;        // worker deaths answered with a respawn
   unsigned hung_killed = 0;     // workers SIGKILLed by a watchdog
   unsigned dirs_quarantined = 0;  // whole subdirs set aside (*.corrupt-N)
-  unsigned fallbacks = 0;       // shards degraded to in-process execution
   u64 merge_reexecuted = 0;     // runs no journal covered, re-run at merge
   u32 shards_corrupt = 0;       // corrupt journal files quarantined
   u64 records_resumed = 0;      // records accepted at the final merge
@@ -133,7 +124,8 @@ std::string render_result(const ServeSpec& spec, const ServeResult& result,
 /// Orchestrate the whole campaign: partition, spawn, supervise, heal,
 /// merge. Throws std::runtime_error / fault::CheckpointMismatch on
 /// unrecoverable setup errors (bad work dir, unknown routine, foreign
-/// checkpoint).
+/// checkpoint, a resume whose spec differs from the work dir's in any key
+/// but `workers` and `checkpoint_interval`), all before any worker spawns.
 ServeResult run_campaign(const ServeSpec& spec, const ServeConfig& cfg);
 
 }  // namespace detstl::serve

@@ -1,6 +1,7 @@
 #include "serve/spec.h"
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "common/json_escape.h"
 #include "common/parse.h"
@@ -125,6 +126,17 @@ bool parse_spec(const std::string& json_text, ServeSpec& out, std::string* err) 
   }
   out = std::move(s);
   return true;
+}
+
+bool load_spec_file(const std::string& path, ServeSpec& out, std::string* err) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) throw std::runtime_error("cannot read '" + path + "'");
+  std::string text;
+  char buf[1 << 14];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  return parse_spec(text, out, err);
 }
 
 std::string spec_to_json(const ServeSpec& spec) {

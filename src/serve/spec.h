@@ -2,7 +2,7 @@
 // JSON campaign spec for the stlserve orchestrator (docs/runtime.md
 // "stlserve"). A spec names WHAT to run — the campaign parameters the
 // single-process tools take on their command lines — plus the default
-// worker count; HOW it is supervised (respawns, watchdog budgets, chaos
+// worker count; HOW it is supervised (respawns, hang timeout, chaos
 // injection) lives in serve::ServeConfig and never enters the spec, so one
 // spec file describes the same campaign on a laptop and on a fan-out host.
 //
@@ -67,6 +67,10 @@ struct ServeSpec {
 /// (when non-null) on syntax errors, unknown keys, wrong types or
 /// out-of-range values.
 bool parse_spec(const std::string& json_text, ServeSpec& out, std::string* err);
+
+/// parse_spec over the contents of the file at `path`. Throws
+/// std::runtime_error when the file cannot be read.
+bool load_spec_file(const std::string& path, ServeSpec& out, std::string* err);
 
 /// Canonical JSON serialisation of a spec (round-trips through
 /// parse_spec). Persisted into the work dir as campaign-spec.json so

@@ -1,19 +1,19 @@
 // stlserve — supervised multi-process campaign orchestrator (src/serve/,
 // docs/runtime.md "stlserve"). Accepts a JSON campaign spec, partitions the
 // runs into one shard per worker process, forks one worker per shard, each
-// journaling into its own checkpoint subdir, supervises them (heartbeats,
-// wall-clock watchdogs, PID liveness), heals failures (respawn with
-// backoff, subdir quarantine, in-process fallback) and merges the journals
-// into a report byte-identical to `stlrun campaign` with the same
-// parameters.
+// journaling into its own checkpoint subdir, supervises them (heartbeat
+// staleness, PID liveness), heals failures (respawn with backoff, subdir
+// quarantine) and merges the journals, re-executing in-process whatever no
+// journal covers, into a report byte-identical to `stlrun campaign` with
+// the same parameters.
 //
 // Exit codes follow tools/cli_util.h: 0 done, 1 failure, 2 usage error,
 // 3 interrupted but resumable (`stlserve run --dir D --resume`).
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "cli_util.h"
 #include "serve/serve.h"
@@ -39,32 +39,16 @@ void usage(std::FILE* out) {
       "  --workers N            override the spec's worker-process count\n"
       "  --resume               resume an interrupted campaign in --dir\n"
       "                         (reads DIR/campaign-spec.json; --spec optional)\n"
-      "  --max-respawns N       respawns per shard before in-process fallback "
-      "(default 3)\n"
       "  --backoff-base-ms N    respawn backoff base (default 100)\n"
-      "  --backoff-cap-ms N     respawn backoff cap (default 2000)\n"
-      "  --hang-timeout-ms N    heartbeat staleness budget (default 10000)\n"
-      "  --shard-timeout-ms N   fixed whole-shard budget (default: calibrated)\n"
-      "  --poll-ms N            supervisor poll period (default 25)\n"
+      "  --hang-timeout-ms N    kill a worker whose heartbeat is this stale\n"
+      "                         (default 10000)\n"
       "  --no-fsync             workers skip per-shard fsync\n"
-      "  --chaos K:ACTION:N     chaos drill: shard K's worker applies ACTION\n"
-      "                         (kill-after | hang-after | kill-every) after N "
-      "runs\n"
+      "  --chaos K:ACTION:N     chaos drill: shard K (below the shard count)\n"
+      "                         applies ACTION (kill-after | hang-after |\n"
+      "                         kill-every) after N runs\n"
       "  --digest-only          print only the outcome digest\n"
       "  --quiet                suppress supervision notes on stderr\n",
       out);
-}
-
-std::string read_text_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr)
-    throw std::runtime_error("cannot read '" + path + "'");
-  std::string out;
-  char buf[1 << 14];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
 }
 
 serve::ChaosRule parse_chaos(const std::string& text) {
@@ -95,7 +79,7 @@ serve::ChaosRule parse_chaos(const std::string& text) {
 serve::ServeSpec load_spec(const std::string& path) {
   serve::ServeSpec spec;
   std::string err;
-  if (!serve::parse_spec(read_text_file(path), spec, &err)) {
+  if (!serve::load_spec_file(path, spec, &err)) {
     std::fprintf(stderr, "%s: %s: %s\n", kTool, path.c_str(), err.c_str());
     std::exit(cli::kExitUsage);
   }
@@ -117,18 +101,10 @@ int cmd_run(int argc, char** argv) {
       cfg.workers = args.unsigned_in(1, 64);
     } else if (args.is("--resume")) {
       cfg.resume = true;
-    } else if (args.is("--max-respawns")) {
-      cfg.max_respawns = args.unsigned_in(0, 100);
     } else if (args.is("--backoff-base-ms")) {
       cfg.backoff_base_ms = args.unsigned_in(1, 60'000);
-    } else if (args.is("--backoff-cap-ms")) {
-      cfg.backoff_cap_ms = args.unsigned_in(1, 600'000);
     } else if (args.is("--hang-timeout-ms")) {
       cfg.hang_timeout_ms = args.unsigned_in(50, 600'000);
-    } else if (args.is("--shard-timeout-ms")) {
-      cfg.shard_timeout_ms = args.u64_in(1, 86'400'000);
-    } else if (args.is("--poll-ms")) {
-      cfg.poll_ms = args.unsigned_in(1, 10'000);
     } else if (args.is("--no-fsync")) {
       cfg.no_fsync = true;
     } else if (args.is("--chaos")) {
@@ -159,14 +135,29 @@ int cmd_run(int argc, char** argv) {
     spec_path = cfg.work_dir + "/campaign-spec.json";
   }
   const serve::ServeSpec spec = load_spec(spec_path);
+  if (!cfg.chaos.empty()) {
+    const std::size_t shards =
+        serve::plan_shards(serve::spec_unit_count(spec),
+                           cfg.workers != 0 ? cfg.workers : spec.workers,
+                           cfg.work_dir)
+            .size();
+    for (const serve::ChaosRule& r : cfg.chaos)
+      if (r.shard >= shards) {
+        std::fprintf(stderr,
+                     "%s: --chaos names shard %u, but the campaign has %zu "
+                     "shard(s)\n",
+                     kTool, r.shard, shards);
+        return cli::kExitUsage;
+      }
+  }
 
   const serve::ServeResult sr = serve::run_campaign(spec, cfg);
   std::fprintf(stderr,
                "%s: %u shard(s): %u respawn(s), %u hung kill(s), %u subdir(s) "
-               "quarantined, %u in-process fallback(s); merge: %llu record(s) "
-               "resumed, %u corrupt shard file(s), %llu run(s) re-executed\n",
+               "quarantined; merge: %llu record(s) resumed, %u corrupt shard "
+               "file(s), %llu run(s) re-executed\n",
                kTool, sr.stats.shards, sr.stats.respawns, sr.stats.hung_killed,
-               sr.stats.dirs_quarantined, sr.stats.fallbacks,
+               sr.stats.dirs_quarantined,
                static_cast<unsigned long long>(sr.stats.records_resumed),
                sr.stats.shards_corrupt,
                static_cast<unsigned long long>(sr.stats.merge_reexecuted));
