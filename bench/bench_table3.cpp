@@ -52,8 +52,10 @@ int main(int argc, char** argv) {
   }
   t.print();
   const unsigned threads = opts.campaign.threads;
-  std::printf("\nwall-clock: %.1f s (threads=%u%s)\n", wall, threads,
-              threads == 0 ? " = all hardware threads" : "");
+  // Host time goes to stderr, so stdout is the same bytes on every run.
+  std::printf("\n");
+  std::fprintf(stderr, "wall-clock: %.1f s (threads=%u%s)\n", wall, threads,
+               threads == 0 ? " = all hardware threads" : "");
 
   bool shape_ok = true;
   double icu_ab_cached = 0, icu_c_cached = 0;

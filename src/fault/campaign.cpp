@@ -400,19 +400,10 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
         res.detected_signature + res.detected_verdict + res.detected_watchdog;
   };
 
-  // Simulated work executed by this process (stlperf): screen replays and
-  // detection cycles accumulate via relaxed atomics — commutative sums, so
-  // the totals are identical at any thread count.
-  std::atomic<u64> screen_calls_total{0};
-  std::atomic<u64> detection_cycles_total{0};
-
   // Common tail of the complete and the drained (interrupted) exit paths:
   // journal everything completed so far and stamp the wall clock.
   const auto finish = [&] {
     res.ckpt = driver.finish();
-    res.screen_calls = screen_calls_total.load(std::memory_order_relaxed);
-    res.sim_cycles =
-        res.good_cycles + detection_cycles_total.load(std::memory_order_relaxed);
     res.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
             .count();
@@ -446,7 +437,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
           screen.observe(replayed);
           screen.clock();  // a no-op for the flop-free modules
         }
-        screen_calls_total.fetch_add(replayed, std::memory_order_relaxed);
         perf::sim_totals().add(perf::SimStat::kScreenCalls, replayed);
         u64 excited_here = 0;
         for (std::size_t j = 0; j < n; ++j) {
@@ -496,8 +486,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
     install(graded, model);
 
     while (!graded.halted() && !cmp.detected() && s.now() < watchdog) s.tick();
-    detection_cycles_total.fetch_add(s.now() - resume_cycle,
-                                     std::memory_order_relaxed);
     perf::sim_totals().add(perf::SimStat::kDetectionCycles, s.now() - resume_cycle);
     perf::sim_totals().add(perf::SimStat::kDetectionModuleCalls, model.calls());
     perf::sim_totals().add(perf::SimStat::kDetectionModuleEvals, model.evals());

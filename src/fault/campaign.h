@@ -100,18 +100,10 @@ struct CampaignResult {
   u64 good_cycles = 0;      // graded core cycles, reset -> halt
   core::TestVerdict good_verdict;
   std::vector<FaultOutcome> outcomes;  // per simulated fault
-  /// Simulated work executed by THIS process: good-run cycles plus every
-  /// detection re-run's cycles (sim_cycles), and module calls replayed by
-  /// the excitation screen (screen_calls). Byte-identical across thread
-  /// counts (sums of per-unit deterministic work), but NOT across
-  /// straight-vs-resumed runs — resume skips re-simulating journalled
-  /// faults, which is the point. Hence excluded from canonical_bytes();
-  /// the stlperf sim subtree carries them instead (tests/test_perf.cpp).
-  u64 sim_cycles = 0;
-  u64 screen_calls = 0;
   /// Equivalence classes among the sampled faults: how many faults phases 1
-  /// and 2 actually simulate (netlist/equivalence.h). A work count like
-  /// screen_calls, excluded from canonical_bytes().
+  /// and 2 actually simulate (netlist/equivalence.h). A work count,
+  /// excluded from canonical_bytes(). The simulated work itself (good-run,
+  /// screen and detection counts) goes to perf::sim_totals() only.
   u64 fault_classes = 0;
   double wall_seconds = 0;  // host wall-clock of the whole campaign
   unsigned threads_used = 0;  // resolved worker count (cfg.threads == 0 case)

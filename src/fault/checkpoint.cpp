@@ -352,14 +352,11 @@ MultiLoadedCheckpoint load_checkpoint_dirs(const std::vector<std::string>& dirs,
     CheckpointConfig cfg;
     cfg.dir = d;
     cfg.resume = true;
-    if (!checkpoint_present(cfg)) {
-      // The shard's worker never reached its first manifest write (or the
-      // directory was never created). Its units are simply absent; the
-      // caller re-executes them. A *present but mismatched* manifest still
-      // throws below.
-      ++out.dirs_absent;
-      continue;
-    }
+    // The shard's worker never reached its first manifest write (or the
+    // directory was never created). Its units are simply absent; the
+    // caller re-executes them. A *present but mismatched* manifest still
+    // throws below.
+    if (!checkpoint_present(cfg)) continue;
     LoadedCheckpoint one = load_checkpoint(cfg, kind, config_hash, sink);
     out.shards_loaded += one.shards_loaded;
     out.shards_corrupt += one.shards_corrupt;

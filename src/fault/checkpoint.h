@@ -250,16 +250,15 @@ LoadedCheckpoint load_checkpoint(const CheckpointConfig& cfg, PayloadKind kind,
 /// several per-shard checkpoint directories — all bound to the SAME config
 /// hash, since a shard range is deliberately excluded from it — as one
 /// record stream, directories in the given order, shards by number within
-/// each. A directory that never got far enough to hold a manifest is counted
-/// in `dirs_absent` and skipped (its units are simply missing, to be
-/// re-executed by the caller); a directory bound to a DIFFERENT campaign
+/// each. A directory that never got far enough to hold a manifest is
+/// skipped (its units are simply missing, to be re-executed by the
+/// caller); a directory bound to a DIFFERENT campaign
 /// still throws CheckpointMismatch — silent cross-campaign merges stay
 /// impossible.
 struct MultiLoadedCheckpoint {
   std::vector<ShardRecord> records;
   u32 shards_loaded = 0;
   u32 shards_corrupt = 0;
-  u32 dirs_absent = 0;
 };
 MultiLoadedCheckpoint load_checkpoint_dirs(const std::vector<std::string>& dirs,
                                            PayloadKind kind, u64 config_hash,

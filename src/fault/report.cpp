@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/table.h"
-#include "perf/sampler.h"
 
 namespace detstl::fault {
 
@@ -86,38 +85,6 @@ std::string render_report(const CampaignReport& rep, const std::string& title) {
                TextTable::fmt_fixed(r.coverage_percent_of_total(), 2) +
                    (r.simulated_faults == r.total_faults ? "" : " (lower bound)")});
   summary.row({"fault-free run [cycles]", TextTable::fmt_int(static_cast<long long>(r.good_cycles))});
-  summary.row({"wall-clock [s]", TextTable::fmt_fixed(r.wall_seconds, 2)});
-  summary.row({"worker threads", TextTable::fmt_int(static_cast<long long>(r.threads_used))});
-  // stlperf observability rows: sim work is deterministic per thread count
-  // (not per resume); sim-MHz and RSS are host readings like wall-clock.
-  summary.row({"simulated cycles (good + detection)",
-               TextTable::fmt_int(static_cast<long long>(r.sim_cycles))});
-  summary.row({"screen calls (phase 1 replays)",
-               TextTable::fmt_int(static_cast<long long>(r.screen_calls))});
-  summary.row({"sim-MHz",
-               TextTable::fmt_fixed(
-                   r.wall_seconds > 0.0
-                       ? static_cast<double>(r.sim_cycles) / r.wall_seconds / 1e6
-                       : 0.0,
-                   3)});
-  summary.row({"peak RSS [KiB]",
-               TextTable::fmt_int(static_cast<long long>(perf::peak_rss_kb()))});
-
-  // Checkpoint/resume bookkeeping, only when the campaign journalled. Kept
-  // out of the summary table so checkpointed and plain runs of the same
-  // campaign produce the same summary block.
-  std::string ckpt_str;
-  if (r.ckpt.enabled) {
-    TextTable ckpt(title + " — checkpoint/resume");
-    ckpt.header({"metric", "value"});
-    ckpt.row({"shards loaded", TextTable::fmt_int(r.ckpt.shards_loaded)});
-    ckpt.row({"faults skipped via resume",
-              TextTable::fmt_int(static_cast<long long>(r.ckpt.records_resumed))});
-    ckpt.row({"corrupt shards quarantined", TextTable::fmt_int(r.ckpt.shards_corrupt)});
-    ckpt.row({"shards flushed", TextTable::fmt_int(r.ckpt.shards_flushed)});
-    ckpt.row({"interrupted (resumable)", r.ckpt.interrupted ? "yes" : "no"});
-    ckpt_str = ckpt.str();
-  }
 
   TextTable dict(title + " — coverage by gate class");
   dict.header({"gate class", "faults", "detected", "FC [%]"});
@@ -126,7 +93,7 @@ std::string render_report(const CampaignReport& rep, const std::string& title) {
               TextTable::fmt_int(static_cast<long long>(c.detected)),
               TextTable::fmt_fixed(c.coverage_percent(), 2)});
   }
-  return summary.str() + ckpt_str + dict.str();
+  return summary.str() + dict.str();
 }
 
 }  // namespace detstl::fault

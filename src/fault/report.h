@@ -36,7 +36,10 @@ const char* outcome_name(FaultOutcome o);
 CampaignReport make_report(const CampaignResult& result, const netlist::Netlist& nl,
                            u32 fault_stride);
 
-/// Human-readable rendering (outcome summary + gate-class dictionary).
+/// Human-readable rendering (outcome summary + gate-class dictionary). It
+/// prints outcomes only, so the text is the same bytes at any thread or
+/// worker count and across kill/resume; simulated work is perf::sim_totals()'s
+/// and host time the caller's (stderr, stlperf).
 std::string render_report(const CampaignReport& report, const std::string& title);
 
 }  // namespace detstl::fault

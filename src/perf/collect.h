@@ -103,8 +103,6 @@ inline void collect_fault_result(Registry& reg, const fault::CampaignResult& r,
   reg.add_counter("campaign.faults.detected_watchdog", labels,
                   r.detected_watchdog);
   reg.add_counter("campaign.good_cycles", labels, r.good_cycles);
-  reg.add_counter("campaign.sim_cycles", labels, r.sim_cycles);
-  reg.add_counter("campaign.screen_calls", labels, r.screen_calls);
   collect_campaign_host(reg, r.simulated_faults, r.wall_seconds, r.threads_used,
                         r.ckpt, labels);
 }

@@ -47,7 +47,7 @@ std::uintmax_t file_size_or_zero(const std::string& path) {
 void touch(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "ab");
   if (f == nullptr)
-    throw std::runtime_error("stlserve: cannot create " + path);
+    throw std::runtime_error("cannot create " + path);
   std::fclose(f);
 }
 
@@ -285,7 +285,7 @@ int worker_main(const WorkerArgs& a) {
 #ifdef _WIN32
 
 ServeResult run_campaign(const ServeSpec&, const ServeConfig&) {
-  throw std::runtime_error("stlserve: multi-process supervision requires POSIX");
+  throw std::runtime_error("multi-process supervision requires POSIX");
 }
 
 #else
@@ -350,7 +350,7 @@ struct Supervisor {
     // lock another thread held. It does inherit the parent's stop request
     // and drain-handler flag, which reset_for_child() clears.
     const pid_t pid = ::fork();
-    if (pid < 0) throw std::runtime_error("stlserve: fork failed");
+    if (pid < 0) throw std::runtime_error("fork failed");
     if (pid == 0) {
       fault::reset_for_child();
       ::_exit(worker_main(wa));
@@ -513,12 +513,12 @@ struct Supervisor {
 
 ServeResult run_campaign(const ServeSpec& spec, const ServeConfig& cfg) {
   if (cfg.work_dir.empty())
-    throw std::runtime_error("stlserve: a work directory is required");
+    throw std::runtime_error("a work directory is required");
   fs::create_directories(cfg.work_dir);
   const std::string spec_path = cfg.work_dir + "/" + kSpecFileName;
   if (fs::exists(spec_path)) {
     if (!cfg.resume)
-      throw std::runtime_error("stlserve: '" + cfg.work_dir +
+      throw std::runtime_error("'" + cfg.work_dir +
                                "' already holds a campaign — resume it or "
                                "point at a clean directory");
     // Only the worker count and the flush interval may change on resume:
@@ -537,7 +537,7 @@ ServeResult run_campaign(const ServeSpec& spec, const ServeConfig& cfg) {
   } else {
     std::FILE* f = std::fopen(spec_path.c_str(), "wb");
     if (f == nullptr)
-      throw std::runtime_error("stlserve: cannot write " + spec_path);
+      throw std::runtime_error("cannot write " + spec_path);
     const std::string json = spec_to_json(spec);
     std::fwrite(json.data(), 1, json.size(), f);
     std::fclose(f);

@@ -17,9 +17,11 @@
 #include "exp/experiments.h"
 #include "fault/campaign.h"
 #include "fault/checkpoint.h"
+#include "fault/report.h"
 #include "fault/work_queue.h"
 #include "netlist/equivalence.h"
 #include "netlist/modules.h"
+#include "perf/simstats.h"
 #include "runtime/campaign.h"
 #include "runtime/soak.h"
 #include "trace/capture.h"
@@ -412,9 +414,32 @@ CampaignResult run_icu(unsigned threads, const CheckpointConfig& ckpt = {},
   return campaign.run();
 }
 
-const CampaignResult& icu_baseline() {
-  static const CampaignResult r = run_icu(1);
-  return r;
+/// Detection cycles this process simulated since `from`: the
+/// kDetectionCycles delta of perf::sim_totals().
+u64 detection_cycles(const perf::SimSnapshot& from) {
+  return perf::sim_totals().snapshot().since(from)[perf::SimStat::kDetectionCycles];
+}
+
+/// The straight ICU run and the detection cycles it simulated.
+struct IcuBaseline {
+  CampaignResult result;
+  u64 detection_cycles = 0;
+};
+
+const IcuBaseline& icu_baseline() {
+  static const IcuBaseline b = [] {
+    const perf::SimSnapshot from = perf::sim_totals().snapshot();
+    IcuBaseline out{run_icu(1)};
+    out.detection_cycles = detection_cycles(from);
+    return out;
+  }();
+  return b;
+}
+
+/// The printed report of an ICU campaign result.
+std::string icu_report(const CampaignResult& r) {
+  static const netlist::Netlist nl = module_netlist(Module::kIcu, isa::CoreKind::kA);
+  return render_report(make_report(r, nl, 1), "icu");
 }
 
 /// True when unit `split` cuts an excited class in two: one member lies
@@ -427,20 +452,18 @@ bool splits_an_excited_class(u64 split) {
   }();
   for (u64 j = split; j < classes.class_of.size(); ++j)
     if (classes.representative[classes.class_of[j]] < split &&
-        icu_baseline().outcomes[j] != FaultOutcome::kNotExcited)
+        icu_baseline().result.outcomes[j] != FaultOutcome::kNotExcited)
       return true;
   return false;
 }
 
 /// The first multiple of `align` that cuts an excited class in two.
 u64 class_split_point(u64 align) {
-  for (u64 split = align; split < icu_baseline().simulated_faults; split += align)
+  for (u64 split = align; split < icu_baseline().result.simulated_faults;
+       split += align)
     if (splits_an_excited_class(split)) return split;
   return 0;
 }
-
-/// Detection cycles a campaign simulated in this process.
-u64 detection_cycles(const CampaignResult& r) { return r.sim_cycles - r.good_cycles; }
 
 TEST(CheckpointCampaign, KillInsideAnEquivalenceClassResumesByteIdentical) {
   const auto& base = icu_baseline();
@@ -452,19 +475,25 @@ TEST(CheckpointCampaign, KillInsideAnEquivalenceClassResumesByteIdentical) {
   const auto dir = scratch_dir("fault-class-kill");
   InterruptToken token;
   token.arm_after(split);
+  perf::SimSnapshot from = perf::sim_totals().snapshot();
   const auto killed = run_icu(1, make_cfg(dir, 4), &token);
+  const u64 killed_cycles = detection_cycles(from);
   ASSERT_TRUE(killed.ckpt.interrupted);
 
   token.clear();
+  from = perf::sim_totals().snapshot();
   const auto resumed = run_icu(2, make_cfg(dir, 4, true), &token);
+  const u64 resumed_cycles = detection_cycles(from);
   EXPECT_FALSE(resumed.ckpt.interrupted);
   EXPECT_EQ(resumed.ckpt.records_resumed, split);
   EXPECT_TRUE(splits_an_excited_class(resumed.ckpt.records_resumed));
-  EXPECT_EQ(resumed.canonical_bytes(), base.canonical_bytes());
+  EXPECT_EQ(resumed.canonical_bytes(), base.result.canonical_bytes());
+  // The printed report holds outcomes only: the same bytes at another
+  // thread count and after a kill.
+  EXPECT_EQ(icu_report(resumed), icu_report(base.result));
   // Each excited class was detected once over both processes: a class the
   // kill cut in two takes its journalled member's outcome on resume.
-  EXPECT_EQ(detection_cycles(killed) + detection_cycles(resumed),
-            detection_cycles(base));
+  EXPECT_EQ(killed_cycles + resumed_cycles, base.detection_cycles);
 }
 
 TEST(CheckpointCampaign, ShardSplitInsideAnEquivalenceClassMergesByteIdentical) {
@@ -474,20 +503,26 @@ TEST(CheckpointCampaign, ShardSplitInsideAnEquivalenceClassMergesByteIdentical) 
 
   const auto a = scratch_dir("fault-class-shard-a");
   const auto b = scratch_dir("fault-class-shard-b");
-  const auto first = run_icu(2, make_cfg(a, 8), nullptr, 0, split);
-  (void)run_icu(2, make_cfg(b, 8), nullptr, split, base.simulated_faults);
+  perf::SimSnapshot from = perf::sim_totals().snapshot();
+  (void)run_icu(2, make_cfg(a, 8), nullptr, 0, split);
+  const u64 first_cycles = detection_cycles(from);
+  (void)run_icu(2, make_cfg(b, 8), nullptr, split, base.result.simulated_faults);
 
+  from = perf::sim_totals().snapshot();
   const auto merged = run_icu(2, {}, nullptr, 0, 0, {a.string(), b.string()});
-  EXPECT_EQ(merged.ckpt.records_resumed, base.simulated_faults);
-  EXPECT_EQ(detection_cycles(merged), 0u);  // nothing re-simulated
-  EXPECT_EQ(merged.canonical_bytes(), base.canonical_bytes());
+  EXPECT_EQ(merged.ckpt.records_resumed, base.result.simulated_faults);
+  EXPECT_EQ(detection_cycles(from), 0u);  // nothing re-simulated
+  EXPECT_EQ(merged.canonical_bytes(), base.result.canonical_bytes());
+  EXPECT_EQ(icu_report(merged), icu_report(base.result));
 
   // Merging the first shard alone re-executes the rest, except the classes
   // a merged member already decides.
+  from = perf::sim_totals().snapshot();
   const auto partial = run_icu(2, {}, nullptr, 0, 0, {a.string()});
   EXPECT_EQ(partial.ckpt.records_resumed, split);
-  EXPECT_EQ(partial.canonical_bytes(), base.canonical_bytes());
-  EXPECT_EQ(detection_cycles(first) + detection_cycles(partial), detection_cycles(base));
+  EXPECT_EQ(partial.canonical_bytes(), base.result.canonical_bytes());
+  EXPECT_EQ(icu_report(partial), icu_report(base.result));
+  EXPECT_EQ(first_cycles + detection_cycles(from), base.detection_cycles);
 }
 
 TEST(CheckpointCampaign, ForeignManifestRejectedEndToEnd) {

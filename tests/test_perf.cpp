@@ -385,33 +385,30 @@ TEST(ThreadInvariance, FaultCampaignSimSubtreeByteIdenticalAt1_2_8Threads) {
   const auto r8 = run_fwd_campaign(8);
   const SimSnapshot s8 = sim_totals().snapshot();
 
-  // The new CampaignResult observability fields are thread-invariant...
-  EXPECT_GT(r1.sim_cycles, r1.good_cycles);  // detection re-runs happened
-  EXPECT_GT(r1.screen_calls, 0u);
-  EXPECT_EQ(r1.sim_cycles, r2.sim_cycles);
-  EXPECT_EQ(r1.sim_cycles, r8.sim_cycles);
-  EXPECT_EQ(r1.screen_calls, r2.screen_calls);
-  EXPECT_EQ(r1.screen_calls, r8.screen_calls);
+  // The class count is thread-invariant and outside the resume contract's
+  // canonical bytes.
   EXPECT_GT(r1.fault_classes, 0u);
   EXPECT_LE(r1.fault_classes, r1.simulated_faults);
   EXPECT_EQ(r1.fault_classes, r8.fault_classes);
-  // ...and excluded from the resume contract's canonical bytes.
   EXPECT_EQ(r1.canonical_bytes(), r2.canonical_bytes());
   EXPECT_EQ(r1.canonical_bytes(), r8.canonical_bytes());
 
-  // The process-global sim totals advanced identically per campaign.
+  // The process-global sim totals, the one home of the campaign's work
+  // counts, advanced identically per campaign.
   const SimSnapshot d1 = s1.since(s0), d2 = s2.since(s1), d8 = s8.since(s2);
   EXPECT_EQ(d1.v, d2.v);
   EXPECT_EQ(d1.v, d8.v);
   // Campaign work lands in the campaign stats; the golden run build_wrapped
   // executes while assembling the routine lands in kSocRunCycles.
-  EXPECT_EQ(d1[SimStat::kGoodRunCycles] + d1[SimStat::kDetectionCycles],
-            r1.sim_cycles);
+  EXPECT_EQ(d1[SimStat::kGoodRunCycles], r1.good_cycles);
   EXPECT_GT(d1[SimStat::kSocRunCycles], 0u);
   EXPECT_EQ(d1[SimStat::kFaultUnits], r1.simulated_faults);
-  // The detection replicas' memoised module models: calls answered and
-  // netlist settles taken, the same at every thread count.
-  for (const SimStat s : {SimStat::kDetectionModuleCalls, SimStat::kDetectionModuleEvals}) {
+  // Screen replays, detection re-run cycles, and the detection replicas'
+  // memoised module models (calls answered and netlist settles taken): all
+  // happened, the same at every thread count.
+  for (const SimStat s : {SimStat::kScreenCalls, SimStat::kDetectionCycles,
+                          SimStat::kDetectionModuleCalls,
+                          SimStat::kDetectionModuleEvals}) {
     EXPECT_GT(d1[s], 0u) << sim_stat_name(s);
     EXPECT_EQ(d1[s], d2[s]) << sim_stat_name(s);
     EXPECT_EQ(d1[s], d8[s]) << sim_stat_name(s);
