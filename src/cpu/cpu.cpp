@@ -69,6 +69,29 @@ bool Cpu::pipeline_empty() const {
          !memwb_[0].valid && !memwb_[1].valid && div_busy_ == 0;
 }
 
+bool Cpu::same_pcs_and_regs(const Cpu& o) const {
+  return next_fetch_ == o.next_fetch_ && next_issue_pc_ == o.next_issue_pc_ &&
+         std::equal(std::begin(regs_), std::end(regs_), std::begin(o.regs_));
+}
+
+bool Cpu::same_state(const Cpu& o) const {
+  const auto same_latches = [](const SlotInstr (&a)[2], const SlotInstr (&b)[2]) {
+    return a[0].same_state(b[0]) && a[1].same_state(b[1]);
+  };
+  return same_pcs_and_regs(o) && icu_.state() == o.icu_.state() &&
+         mstatus_ == o.mstatus_ && mtvec_ == o.mtvec_ && mepc_ == o.mepc_ &&
+         mcause_ == o.mcause_ && mie_ == o.mie_ && mfpc_ == o.mfpc_ &&
+         same_latches(ex_, o.ex_) && same_latches(exmem_, o.exmem_) &&
+         same_latches(memwb_, o.memwb_) && fq_len_ == o.fq_len_ &&
+         std::equal(fq_.begin(), fq_.begin() + fq_len_, o.fq_.begin()) &&
+         halted_ == o.halted_ && halting_ == o.halting_ && flush_ == o.flush_ &&
+         redirect_pc_ == o.redirect_pc_ && redirect_pending_ == o.redirect_pending_ &&
+         skip_before_ == o.skip_before_ && div_busy_ == o.div_busy_ &&
+         drain_for_irq_ == o.drain_for_irq_ && icu_events_ == o.icu_events_ &&
+         icu_clear_ == o.icu_clear_ && icu_ack_ == o.icu_ack_ &&
+         icu_out_ == o.icu_out_ && memsys_.same_state(o.memsys_);
+}
+
 bool Cpu::inject_pipeline_upset(u64 pick) {
   SlotInstr* latches[] = {&ex_[0], &ex_[1], &exmem_[0], &exmem_[1], &memwb_[0], &memwb_[1]};
   SlotInstr* valid[6];
@@ -362,6 +385,7 @@ void Cpu::execute_slot(SlotInstr& slot, u64 op_a, u64 op_b) {
 void Cpu::exec_system(SlotInstr& slot, u32 rs1_val) {
   switch (slot.in.op) {
     case Op::kCsrr:
+      if (isa::is_counter_csr(slot.in.csr)) ++counter_reads_;
       slot.result = csr_read_internal(static_cast<Csr>(slot.in.csr));
       break;
     case Op::kCsrw:

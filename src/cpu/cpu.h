@@ -91,6 +91,22 @@ class Cpu {
   /// Behavioural ICU state (for checkpoint restore into netlist models).
   const IcuState& icu_state() const { return icu_; }
 
+  /// Counter-CSR reads (isa::is_counter_csr) this core has executed since
+  /// construction. Those reads are the only way the free-running counters
+  /// that same_state skips reach architectural state.
+  u64 counter_reads() const { return counter_reads_; }
+
+  /// Clock-blind state equality (soc::same_state): registers, CSRs, the ICU,
+  /// the pipeline latches, the fetch queue, the control state and the memory
+  /// system. Not compared: the performance counters, counter_reads(), the
+  /// hook and sink pointers, the trace recorder and the phase tracker (it
+  /// moves only while a sink is installed and feeds only trace events).
+  bool same_state(const Cpu& o) const;
+
+  /// The cheap part of same_state: the fetch and issue PCs and the
+  /// register file.
+  bool same_pcs_and_regs(const Cpu& o) const;
+
   /// OR external event strobes into this cycle's ICU inputs — an
   /// asynchronous interrupt arriving mid-run (runtime::DisturbanceInjector).
   /// Travels the same synchroniser/recognition path as pipeline-raised
@@ -122,11 +138,22 @@ class Cpu {
     u32 store_data = 0;
     bool mem_requested = false;
     bool mem_done = false;
+
+    bool operator==(const SlotInstr&) const = default;
+    /// Every field but trace_id, a trace-recorder handle. An invalid
+    /// latch's stale fields still count: the hazard and forwarding inputs
+    /// read them.
+    bool same_state(SlotInstr o) const {
+      o.trace_id = trace_id;
+      return *this == o;
+    }
   };
 
   struct FetchEntry {
     u32 pc = 0;
     u32 word = 0;
+
+    bool operator==(const FetchEntry&) const = default;
   };
 
   // Stage evaluation helpers (called from cycle() in order).
@@ -169,6 +196,7 @@ class Cpu {
   u32 mcause_ = 0;
   u32 mie_ = 0;
   u32 mfpc_ = 0;
+  u64 counter_reads_ = 0;  // never reset, so equal counts mean no read between
 
   // Pipeline latches
   SlotInstr ex_[2];      // packet in EX this cycle

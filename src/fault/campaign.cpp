@@ -1,6 +1,7 @@
 #include "fault/campaign.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <memory>
@@ -8,6 +9,7 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "fault/livelock.h"
 #include "fault/unit_driver.h"
 #include "fault/work_queue.h"
 #include "netlist/equivalence.h"
@@ -60,6 +62,30 @@ class RecorderTap final : public cpu::ModuleTap {
   std::size_t marker_idx_ = SIZE_MAX;
 };
 
+/// Counts what RecorderTap records, the positions a checkpoint stores: the
+/// graded module's calls and the r29 writes.
+template <class In>
+class CountingTap final : public cpu::ModuleTap {
+ public:
+  void on_hdcu(u64, const cpu::HdcuIn&, const cpu::HdcuOut&) override {
+    calls_ += std::is_same_v<In, cpu::HdcuIn>;
+  }
+  void on_fwd(u64, const cpu::FwdIn&, const cpu::FwdOut&) override {
+    calls_ += std::is_same_v<In, cpu::FwdIn>;
+  }
+  void on_icu(u64, const cpu::IcuIn&, const cpu::IcuOut&) override {
+    calls_ += std::is_same_v<In, cpu::IcuIn>;
+  }
+  void on_wb(u64, unsigned rd, u32) override { r29_ += rd == core::kSignatureReg; }
+
+  std::size_t calls() const { return calls_; }
+  std::size_t r29() const { return r29_; }
+
+ private:
+  std::size_t calls_ = 0;
+  std::size_t r29_ = 0;
+};
+
 /// Compares the faulty run's checked signature writes against the good
 /// sequence. Two soundness rules:
 ///  * in marker mode, comparison is armed only once the execution loop starts
@@ -96,6 +122,10 @@ class CompareTap final : public cpu::ModuleTap {
   /// Persistent signature divergence observed.
   bool detected() const { return diverged_run_ >= kPersist; }
 
+  /// What steers the tap's later verdicts: its position in the good trace,
+  /// whether it is armed, and the current mismatch run.
+  std::array<u64, 3> state() const { return {idx_, armed_, diverged_run_}; }
+
  private:
   const std::vector<u32>* good_;
   std::size_t idx_;
@@ -109,6 +139,10 @@ struct Checkpoint {
   std::size_t call_idx;
   std::size_t r29_idx;
 };
+
+/// The good run is cut into this many equal stretches, and phase 2 gets a
+/// checkpoint at the start of each (docs/fault_simulation.md, "Phase 2").
+constexpr u64 kEvenCheckpoints = 16;
 
 /// Completed work units between two progress emissions within a phase.
 constexpr u64 kProgressEvery = 64;
@@ -460,6 +494,31 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
   emit_phase(trace::EventKind::kCampaignPhaseEnd, CampaignPhase::kScreening,
              static_cast<u32>(res.excited), 0);
 
+  // --- Evenly spaced checkpoints for phase 2 ---------------------------------------
+  // Most good runs are shorter than checkpoint_every, so all their replicas
+  // would restart at cycle 0. A second good run, silent (no sink), adds one
+  // checkpoint every ceil(good_cycles / kEvenCheckpoints) cycles. The
+  // positions depend on the good run alone, so every class restarts from
+  // the same checkpoint in a straight, a resumed or a sharded run.
+  CountingTap<typename Mod::In> counter;
+  {
+    const u64 every = (res.good_cycles + kEvenCheckpoints - 1) / kEvenCheckpoints;
+    soc::Soc s = cps.front().soc;
+    s.set_trace_sink(nullptr);
+    s.core(cfg.core_id).hooks().tap = &counter;
+    while (!s.core(cfg.core_id).halted()) {
+      s.tick();
+      if (s.now() % every == 0 && s.now() % cfg.checkpoint_every != 0 &&
+          s.now() < res.good_cycles)
+        cps.push_back(Checkpoint{s, counter.calls(), counter.r29()});
+    }
+    assert(s.now() == res.good_cycles && "the good run is deterministic");
+    perf::sim_totals().add(perf::SimStat::kGoodRunCycles, s.now());
+    std::sort(cps.begin(), cps.end(), [](const Checkpoint& a, const Checkpoint& b) {
+      return a.soc.now() < b.soc.now();
+    });
+  }
+
   // --- Phase 2: detection of excited faults, sharded by fault index ---------------
   const u64 watchdog = res.good_cycles * 2 + 10'000;
 
@@ -485,7 +544,24 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const SocFactory& factory
     model.set_fault(faults[i]);
     install(graded, model);
 
-    while (!graded.halted() && !cmp.detected() && s.now() < watchdog) s.tick();
+    // A replica still running past the good run's length may be hung: from
+    // there on, a repeating state ends it at once (fault/livelock.h).
+    LivelockDetector livelock(cfg.core_id);
+    const auto side = [&](std::vector<u64>& out) {
+      const auto tap = cmp.state();
+      out.insert(out.end(), tap.begin(), tap.end());
+      const auto flops = model.flops();
+      out.insert(out.end(), flops.begin(), flops.end());
+    };
+    while (!graded.halted() && !cmp.detected() && s.now() < watchdog) {
+      if (s.now() > res.good_cycles && livelock.repeats(s, side)) {
+        perf::sim_totals().add(perf::SimStat::kLivelockExits, 1);
+        perf::sim_totals().add(perf::SimStat::kLivelockSkippedCycles,
+                               watchdog - s.now());
+        break;  // neither halted nor detected: a watchdog outcome below
+      }
+      s.tick();
+    }
     perf::sim_totals().add(perf::SimStat::kDetectionCycles, s.now() - resume_cycle);
     perf::sim_totals().add(perf::SimStat::kDetectionModuleCalls, model.calls());
     perf::sim_totals().add(perf::SimStat::kDetectionModuleEvals, model.evals());

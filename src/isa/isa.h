@@ -156,6 +156,7 @@ struct Instr {
   u32 raw = 0;   // original encoding
 
   bool valid() const { return op != Op::kInvalid; }
+  bool operator==(const Instr&) const = default;
 };
 
 // ----------------------------------------------------------------------------

@@ -83,6 +83,17 @@ void SharedBus::cancel_requester(unsigned id) {
   slots_[id].state = SlotState::kIdle;
 }
 
+bool SharedBus::same_state(const SharedBus& o) const {
+  for (unsigned id = 0; id < kMaxBusRequesters; ++id) {
+    const Slot& a = slots_[id];
+    const Slot& b = o.slots_[id];
+    if (a.state != b.state || a.req != b.req || a.rdata != b.rdata) return false;
+  }
+  return grant_valid_ == o.grant_valid_ && grant_id_ == o.grant_id_ &&
+         cycles_left_ == o.cycles_left_ && rr_next_ == o.rr_next_ &&
+         stall_cycles_ == o.stall_cycles_;
+}
+
 void SharedBus::tick(Flash& flash, Sram& sram) {
   ++now_;
   if (stall_cycles_ > 0) {

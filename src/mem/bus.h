@@ -36,6 +36,8 @@ struct BusReq {
   bool write = false;
   bool amo_add = false; // atomic fetch-and-add of wdata[0]; rdata = old value
   Beats wdata{};
+
+  bool operator==(const BusReq&) const = default;
 };
 
 /// Per-requester arbitration counters (diagnostics / contention evidence).
@@ -102,6 +104,13 @@ class SharedBus {
 
   void set_trace_sink(trace::EventSink* sink) { sink_ = sink; }
   trace::EventSink* trace_sink() const { return sink_; }
+
+  /// Clock-blind state equality (soc::same_state): the slots, the grant and
+  /// arbitration state and any injected stall still to run. Not compared:
+  /// the bus clock, the transaction and stall-tick counts, the per-requester
+  /// stats, each slot's submit_cycle (it feeds only the wait stats) and the
+  /// sink.
+  bool same_state(const SharedBus& o) const;
 
  private:
   enum class SlotState : u8 { kIdle, kWaiting, kInService, kComplete };

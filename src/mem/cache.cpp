@@ -1,6 +1,7 @@
 #include "mem/cache.h"
 
 #include <algorithm>
+#include <compare>
 
 namespace detstl::mem {
 
@@ -126,6 +127,26 @@ void Cache::invalidate_all() {
     l.lru = 0;
   }
   lru_clock_ = 0;
+}
+
+bool Cache::same_state(const Cache& o) const {
+  if (cfg_ != o.cfg_) return false;
+  for (u32 set = 0; set < cfg_.num_sets(); ++set) {
+    const Line* a = &lines_[set * cfg_.ways];
+    const Line* b = &o.lines_[set * cfg_.ways];
+    for (u32 w = 0; w < cfg_.ways; ++w) {
+      if (a[w].valid != b[w].valid) return false;
+      if (!a[w].valid) continue;
+      if (a[w].dirty != b[w].dirty || a[w].tag != b[w].tag || a[w].data != b[w].data)
+        return false;
+      // victim_way picks the valid line with the lowest stamp, so only the
+      // stamps' order among valid lines steers the cache.
+      for (u32 v = 0; v < w; ++v)
+        if (a[v].valid && (a[v].lru <=> a[w].lru) != (b[v].lru <=> b[w].lru))
+          return false;
+    }
+  }
+  return true;
 }
 
 u32 Cache::valid_lines() const {

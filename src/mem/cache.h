@@ -24,6 +24,8 @@ struct CacheConfig {
   u32 line_bytes = 32;
 
   u32 num_sets() const { return size_bytes / (ways * line_bytes); }
+
+  bool operator==(const CacheConfig&) const = default;
 };
 
 struct CacheStats {
@@ -76,6 +78,12 @@ class Cache {
 
   /// Number of valid lines (diagnostics).
   u32 valid_lines() const;
+
+  /// Clock-blind state equality (soc::same_state): the valid lines' tags,
+  /// dirty bits and data, and each set's LRU order among its valid lines.
+  /// The LRU stamps themselves grow forever and the stats only count, so
+  /// neither is compared; an invalid line's stale fields are never read.
+  bool same_state(const Cache& o) const;
 
   /// Set index `addr` maps to (diagnostics / tracing).
   u32 set_of(u32 addr) const { return set_index(addr); }

@@ -118,6 +118,14 @@ class Flash {
 
   void invalidate_buffer() { buf_line_.fill(kInvalidLine); }
 
+  /// State equality (soc::same_state): the line buffers and the image. The
+  /// image compares by pointer: copies share one table and every load builds
+  /// a new one, so one pointer means one content, and two tables that hold
+  /// the same bytes read as different, which errs on the safe side.
+  bool same_state(const Flash& o) const {
+    return image_ == o.image_ && buf_line_ == o.buf_line_;
+  }
+
  private:
   using Image = std::array<std::shared_ptr<const Page>, kNumPages>;
   static constexpr u32 kInvalidLine = 0xffffffffu;

@@ -52,6 +52,13 @@ void MemSystem::cache_op(u32 op_bits) {
 
 void MemSystem::set_cache_cfg(u32 cfg_bits) { cache_cfg_ = cfg_bits & 0x7; }
 
+bool MemSystem::same_state(const MemSystem& o) const {
+  return core_id_ == o.core_id_ && cache_cfg_ == o.cache_cfg_ &&
+         islot_ == o.islot_ && ihead_ == o.ihead_ && dstate_ == o.dstate_ &&
+         dop_ == o.dop_ && drdata_ == o.drdata_ && icache_.same_state(o.icache_) &&
+         dcache_.same_state(o.dcache_) && itcm_ == o.itcm_ && dtcm_ == o.dtcm_;
+}
+
 // ----------------------------------------------------------------------------
 // Instruction port
 // ----------------------------------------------------------------------------

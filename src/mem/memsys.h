@@ -79,6 +79,8 @@ class MemSystem {
     bool write = false;
     bool amo_add = false;
     u32 wdata = 0;
+
+    bool operator==(const DataOp&) const = default;
   };
   void data_request(const DataOp& op, SharedBus& bus);
   bool data_busy() const { return dstate_ != DState::kIdle; }
@@ -104,6 +106,11 @@ class MemSystem {
   /// installs it via Cpu::set_trace_sink; null = tracing off.
   void set_trace_sink(trace::EventSink* sink) { sink_ = sink; }
   trace::EventSink* trace_sink() const { return sink_; }
+
+  /// Clock-blind state equality (soc::same_state): caches, TCMs, cache
+  /// configuration and both port state machines; not the trace clock or
+  /// the sink.
+  bool same_state(const MemSystem& o) const;
 
  private:
   enum class IState : u8 { kIdle, kBusDirect, kRefill, kDone };
@@ -134,6 +141,8 @@ class MemSystem {
     u32 addr = 0;
     u64 data = 0;
     bool discard = false;
+
+    bool operator==(const IFetchSlot&) const = default;
   };
   std::array<IFetchSlot, 2> islot_{};
   unsigned ihead_ = 0;  // oldest active/completed slot

@@ -40,6 +40,8 @@ class Sram {
     return kSramFirstCycles + (beats - 1) * kSramBeatCycles;
   }
 
+  bool operator==(const Sram&) const = default;
+
  private:
   std::vector<u8> bytes_;
 };

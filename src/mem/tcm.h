@@ -39,6 +39,8 @@ class Tcm {
     return static_cast<u64>(read(addr, 4)) | (static_cast<u64>(read(addr + 4, 4)) << 32);
   }
 
+  bool operator==(const Tcm&) const = default;
+
  private:
   u32 base_;
   std::vector<u8> bytes_;

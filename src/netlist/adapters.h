@@ -13,6 +13,7 @@
 // (docs/fault_simulation.md, "Memoised module evaluation").
 
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -70,6 +71,10 @@ class NetlistModel : public Mod::Model {
   /// eval and clock calls so far, and the Netlist::eval passes they took.
   u64 calls() const { return calls_; }
   u64 evals() const { return evals_; }
+
+  /// The flops, one word of lanes each: the model's state, which the SoC
+  /// does not hold. Empty for the combinational modules.
+  std::span<const u64> flops() const { return state_.flops; }
 
  protected:
   /// The memo entry of `in` under the current flops. A miss settles the

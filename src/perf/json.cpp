@@ -13,9 +13,13 @@ const Value* Value::find(const std::string& key) const {
   return nullptr;
 }
 
-u64 Value::as_u64() const {
-  if (type != Type::kNumber) return 0;
-  return std::strtoull(raw.c_str(), nullptr, 10);
+std::optional<u64> Value::as_u64() const {
+  if (type != Type::kNumber) return std::nullopt;
+  u64 v = 0;
+  const char* end = raw.data() + raw.size();
+  const auto [ptr, ec] = std::from_chars(raw.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
 }
 
 namespace {

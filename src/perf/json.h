@@ -5,6 +5,7 @@
 // raw text so u64 counters round-trip exactly — a double would truncate
 // above 2^53.
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,8 +33,10 @@ struct Value {
   /// Object member lookup; nullptr when absent or not an object.
   const Value* find(const std::string& key) const;
 
-  /// Exact u64 from the raw number text (0 when not a number).
-  u64 as_u64() const;
+  /// Exact u64 from the raw number text: only a plain non-negative decimal
+  /// integer that fits in 64 bits, else nullopt (a sign, a fraction or an
+  /// exponent is never read as a count).
+  std::optional<u64> as_u64() const;
   double as_double() const { return number; }
 };
 

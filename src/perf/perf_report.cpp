@@ -1,5 +1,6 @@
 #include "perf/perf_report.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -129,6 +130,28 @@ std::string to_json(const PerfReport& rep) {
 
 namespace {
 
+/// Reads `v` into `out` when it is a count: a plain non-negative decimal
+/// integer that fits in 64 bits. Otherwise stores why `what` is malformed.
+bool read_count(const json::Value& v, const std::string& what, u64& out,
+                std::string* err) {
+  if (const std::optional<u64> n = v.as_u64()) {
+    out = *n;
+    return true;
+  }
+  if (err != nullptr && err->empty())
+    *err = "malformed " + what + (v.is_number() ? " " + v.raw : "") +
+           " (expected a non-negative integer)";
+  return false;
+}
+
+/// Reads a "0x"-prefixed hex hash that fits in 64 bits into `out`.
+bool read_hash(const std::string& text, u64& out) {
+  if (!text.starts_with("0x")) return false;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data() + 2, end, out, 16);
+  return ec == std::errc{} && ptr == end;
+}
+
 bool parse_metric_list(const json::Value& list, MetricSource source,
                        Registry& reg, std::string* err) {
   const auto fail = [err](const std::string& why) {
@@ -146,7 +169,9 @@ bool parse_metric_list(const json::Value& list, MetricSource source,
     if (kind->str == "counter") {
       const json::Value* v = e.find("value");
       if (v == nullptr || !v->is_number()) return fail("counter without value");
-      reg.set_counter(name->str, labels->str, v->as_u64(), source);
+      u64 n = 0;
+      if (!read_count(*v, "counter " + name->str, n, err)) return false;
+      reg.set_counter(name->str, labels->str, n, source);
     } else if (kind->str == "gauge") {
       const json::Value* v = e.find("value");
       if (v == nullptr || !v->is_number()) return fail("gauge without value");
@@ -162,14 +187,19 @@ bool parse_metric_list(const json::Value& list, MetricSource source,
       if (total == nullptr || sum == nullptr)
         return fail("histogram without totals");
       HistogramData h;
-      for (const json::Value& b : bounds->arr) h.bounds.push_back(b.as_u64());
+      const std::string what = "histogram " + name->str;
+      h.bounds.resize(bounds->arr.size());
+      h.counts.resize(counts->arr.size());
+      for (std::size_t i = 0; i < h.bounds.size(); ++i)
+        if (!read_count(bounds->arr[i], what + " bound", h.bounds[i], err)) return false;
       u64 count_sum = 0;
-      for (const json::Value& c : counts->arr) {
-        h.counts.push_back(c.as_u64());
-        count_sum += h.counts.back();
+      for (std::size_t i = 0; i < h.counts.size(); ++i) {
+        if (!read_count(counts->arr[i], what + " count", h.counts[i], err)) return false;
+        count_sum += h.counts[i];
       }
-      h.total = total->as_u64();
-      h.sum = sum->as_u64();
+      if (!read_count(*total, what + " total", h.total, err) ||
+          !read_count(*sum, what + " sum", h.sum, err))
+        return false;
       if (count_sum != h.total) return fail("histogram counts/total mismatch");
       reg.set_histogram(name->str, labels->str, std::move(h), source);
     } else {
@@ -198,35 +228,38 @@ bool from_json(const std::string& text, PerfReport& out, std::string* err) {
                 std::to_string(kPerfSchemaVersion) + ")");
 
   PerfReport rep;
-  rep.schema = static_cast<u32>(schema->as_u64());
+  rep.schema = kPerfSchemaVersion;
   const json::Value* name = root.find("name");
   if (name == nullptr || !name->is_string()) return fail("missing name");
   rep.name = name->str;
   if (const json::Value* v = root.find("detstl_version"); v != nullptr)
     rep.detstl_version = v->str;
-  if (const json::Value* v = root.find("config_hash");
-      v != nullptr && v->is_string())
-    rep.config_hash = std::strtoull(v->str.c_str(), nullptr, 16);
+  if (const json::Value* v = root.find("config_hash"); v != nullptr) {
+    if (!v->is_string() || !read_hash(v->str, rep.config_hash))
+      return fail("malformed config_hash (expected \"0x\" and 64-bit hex)");
+  }
 
   const json::Value* sim = root.find("sim");
   const json::Value* host = root.find("host");
   if (sim == nullptr || !sim->is_object()) return fail("missing sim object");
   if (host == nullptr || !host->is_object()) return fail("missing host object");
 
-  if (const json::Value* v = sim->find("cycles"); v != nullptr)
-    rep.sim_cycles = v->as_u64();
-  else
-    return fail("missing sim.cycles");
-  if (const json::Value* v = sim->find("units"); v != nullptr)
-    rep.sim_units = v->as_u64();
+  const json::Value* cycles = sim->find("cycles");
+  if (cycles == nullptr) return fail("missing sim.cycles");
+  if (!read_count(*cycles, "sim.cycles", rep.sim_cycles, err)) return false;
+  if (const json::Value* v = sim->find("units");
+      v != nullptr && !read_count(*v, "sim.units", rep.sim_units, err))
+    return false;
   if (const json::Value* v = sim->find("phases"); v != nullptr && v->is_array()) {
     for (const json::Value& p : v->arr) {
       PhaseStats ps;
       if (const json::Value* n = p.find("name"); n != nullptr) ps.name = n->str;
-      if (const json::Value* c = p.find("cycles"); c != nullptr)
-        ps.sim_cycles = c->as_u64();
-      if (const json::Value* u = p.find("units"); u != nullptr)
-        ps.units = u->as_u64();
+      if (const json::Value* c = p.find("cycles");
+          c != nullptr && !read_count(*c, "phase cycles", ps.sim_cycles, err))
+        return false;
+      if (const json::Value* u = p.find("units");
+          u != nullptr && !read_count(*u, "phase units", ps.units, err))
+        return false;
       rep.phases.push_back(std::move(ps));
     }
   }
@@ -238,8 +271,11 @@ bool from_json(const std::string& text, PerfReport& out, std::string* err) {
     rep.wall_s = v->as_double();
   if (const json::Value* v = host->find("cpu_s"); v != nullptr)
     rep.cpu_s = v->as_double();
-  if (const json::Value* v = host->find("peak_rss_kb"); v != nullptr)
-    rep.peak_rss_kb = static_cast<long>(v->as_u64());
+  if (const json::Value* v = host->find("peak_rss_kb"); v != nullptr) {
+    u64 kb = 0;
+    if (!read_count(*v, "host.peak_rss_kb", kb, err)) return false;
+    rep.peak_rss_kb = static_cast<long>(kb);
+  }
   if (const json::Value* v = host->find("phases"); v != nullptr && v->is_array()) {
     for (std::size_t i = 0; i < v->arr.size() && i < rep.phases.size(); ++i)
       if (const json::Value* w = v->arr[i].find("wall_s"); w != nullptr)

@@ -10,6 +10,8 @@ const char* sim_stat_name(SimStat s) {
     case SimStat::kFaultUnits: return "fault_units";
     case SimStat::kDetectionModuleCalls: return "detection_module_calls";
     case SimStat::kDetectionModuleEvals: return "detection_module_evals";
+    case SimStat::kLivelockExits: return "livelock_exits";
+    case SimStat::kLivelockSkippedCycles: return "livelock_skipped_cycles";
     case SimStat::kDisturbRuns: return "disturb_runs";
     case SimStat::kDisturbCycles: return "disturb_cycles";
     case SimStat::kSocRunCycles: return "soc_run_cycles";

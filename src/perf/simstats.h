@@ -17,7 +17,9 @@
 namespace detstl::perf {
 
 enum class SimStat : unsigned {
-  kGoodRunCycles,    // fault campaign: good-run SoC ticks
+  // fault campaign: good-run SoC ticks, the traced run and the silent
+  // re-run that places phase 2's evenly spaced checkpoints
+  kGoodRunCycles,
   kScreenCalls,      // fault campaign: module calls replayed in the 64-lane screen
   kDetectionCycles,  // fault campaign: SoC ticks across every detection re-run
   kFaultUnits,       // fault campaign: fault units completed this process
@@ -25,6 +27,10 @@ enum class SimStat : unsigned {
   // models, and the Netlist::eval passes they took (the rest hit the memo)
   kDetectionModuleCalls,
   kDetectionModuleEvals,
+  // fault campaign: detection replicas ended by the livelock exit
+  // (fault/livelock.h), and the watchdog ticks they did not simulate
+  kLivelockExits,
+  kLivelockSkippedCycles,
   kDisturbRuns,      // supervised-run campaigns (disturbance, soak): runs completed
   // supervised-run campaigns: SoC ticks actually simulated, every run's
   // first pass plus the soak isolation probes that were simulated (from

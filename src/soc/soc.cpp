@@ -128,6 +128,15 @@ void Soc::debug_write32(u32 addr, u32 value) {
   sram_.write32(addr, value);
 }
 
+bool same_state(const Soc& a, const Soc& b) {
+  if (a.active_ != b.active_ || a.boot_pc_ != b.boot_pc_ ||
+      !a.flash_.same_state(b.flash_) || !a.bus_.same_state(b.bus_))
+    return false;
+  for (unsigned i = 0; i < kMaxCores; ++i)
+    if (!a.cores_[i].same_state(b.cores_[i])) return false;
+  return a.sram_ == b.sram_;
+}
+
 void Soc::flip_ram_bit(u32 addr, unsigned bit) {
   assert(mem::is_sram(addr));
   sram_.write32(addr, sram_.read32(addr) ^ (u32{1} << (bit % 32)));

@@ -114,6 +114,8 @@ class Soc {
   /// exactly like real silicon).
   void flip_ram_bit(u32 addr, unsigned bit);
 
+  friend bool same_state(const Soc& a, const Soc& b);
+
  private:
   SocConfig cfg_;
   std::vector<cpu::Cpu> cores_;
@@ -125,5 +127,16 @@ class Soc {
   u64 now_ = 0;
   trace::EventSink* trace_sink_ = nullptr;
 };
+
+/// Clock-blind state equality: true when `a` and `b` differ at most in
+/// their free-running clocks and counters. Two such SoCs tick through equal
+/// states as long as no core reads a counter CSR (cpu::Cpu::counter_reads)
+/// and every start delay has run out (Soc::tick compares the clock with
+/// them). Compared: every core (Cpu::same_state), the active flags and boot
+/// PCs, the flash line buffers and image pointer, SRAM, and the bus slots
+/// and grant state. Skipped: the clocks of the SoC, the bus and the memory
+/// systems, every counter and statistic, the hook and sink pointers and the
+/// trace recorders.
+bool same_state(const Soc& a, const Soc& b);
 
 }  // namespace detstl::soc

@@ -10,12 +10,15 @@
 
 #include "core/routines.h"
 #include "exp/experiments.h"
+#include "fault/livelock.h"
 #include "fault/report.h"
+#include "isa/assembler.h"
 
 namespace detstl::fault {
 namespace {
 
 using core::WrapperKind;
+using namespace isa;
 
 CampaignResult run_icu_campaign(WrapperKind w, unsigned cores, u32 stride,
                                 u32 checkpoint_every) {
@@ -47,18 +50,20 @@ TEST(Campaign, FaultFreeRunPassesAndFaultsAreFound) {
 
 TEST(Campaign, CheckpointPlacementDoesNotChangeOutcomes) {
   // The same campaign with dense and sparse checkpoints must classify every
-  // fault identically: restoring from a checkpoint is a pure optimisation.
+  // fault identically, down to how it was detected: restoring from a
+  // checkpoint is a pure optimisation. (A livelock exit that misread a
+  // verdict as a hang would still agree on detected-or-not.)
   const auto dense = run_icu_campaign(WrapperKind::kCacheBased, 3, 3, 256);
   const auto sparse = run_icu_campaign(WrapperKind::kCacheBased, 3, 3, 1'000'000);
   ASSERT_EQ(dense.outcomes.size(), sparse.outcomes.size());
-  for (std::size_t i = 0; i < dense.outcomes.size(); ++i) {
-    const bool d1 = dense.outcomes[i] != FaultOutcome::kNotExcited &&
-                    dense.outcomes[i] != FaultOutcome::kUndetected;
-    const bool d2 = sparse.outcomes[i] != FaultOutcome::kNotExcited &&
-                    sparse.outcomes[i] != FaultOutcome::kUndetected;
-    ASSERT_EQ(d1, d2) << "fault " << i << " detection differs with checkpointing";
-  }
-  EXPECT_EQ(dense.detected, sparse.detected);
+  for (std::size_t i = 0; i < dense.outcomes.size(); ++i)
+    ASSERT_EQ(dense.outcomes[i], sparse.outcomes[i])
+        << "fault " << i << " outcome differs with checkpointing";
+  EXPECT_EQ(dense.canonical_bytes(), sparse.canonical_bytes());
+  // Every way a fault ends shows up.
+  EXPECT_GT(dense.detected_signature, 0u);
+  EXPECT_GT(dense.detected_verdict, 0u);
+  EXPECT_GT(dense.detected_watchdog, 0u);
 }
 
 TEST(Campaign, StrideSamplesDeterministically) {
@@ -96,6 +101,77 @@ TEST(Campaign, HdcuStallStuckHighIsCaughtByWatchdogOrVerdict) {
   const auto res = campaign.run();
   EXPECT_GT(res.detected_watchdog, 0u);
   EXPECT_GT(res.coverage_percent(), 30.0);
+}
+
+/// Counts the graded core's writes of the signature register.
+struct SignatureWrites final : cpu::ModuleTap {
+  u64 n = 0;
+  void on_wb(u64, unsigned rd, u32) override { n += rd == core::kSignatureReg; }
+};
+
+TEST(LivelockDetector, FiresOnAWedgedPipelineThatEndsAtTheWatchdog) {
+  // The fault of Campaign.HdcuStallStuckHighIsCaughtByWatchdogOrVerdict:
+  // the HDCU's stall output stuck at 1 holds every packet in EX forever.
+  const auto routine = core::make_fwd_test(true);
+  exp::Scenario sc{1, {0, 0, 0}, 0, 0, "t"};
+  soc::Soc start = exp::scenario_factory(
+      exp::build_scenario_tests(*routine, WrapperKind::kPlain, sc, 0, true), sc, 0)();
+  start.reset();
+  soc::Soc good = start;
+  ASSERT_FALSE(good.run(kGoodRunMaxCycles).timed_out);
+  const u64 good_cycles = good.now();
+  const u64 watchdog = good_cycles * 2 + 10'000;  // the campaign's
+
+  const netlist::HdcuNetlist hdcu(isa::CoreKind::kA);
+  netlist::NetlistHazard model(hdcu);
+  model.set_fault(netlist::Fault{hdcu.outputs().back(), true});  // the stall output
+  SignatureWrites sig;
+  soc::Soc s = start;
+  s.core(0).hooks() = cpu::CpuHooks{.hazard = &model, .tap = &sig};
+  LivelockDetector livelock(0);
+  const auto side = [&](std::vector<u64>& out) { out.push_back(sig.n); };
+  u64 fired_at = 0;
+  while (!s.core(0).halted() && s.now() < watchdog) {
+    if (s.now() > good_cycles && livelock.repeats(s, side)) {
+      fired_at = s.now();
+      break;
+    }
+    s.tick();
+  }
+  ASSERT_GT(fired_at, 0u) << "no livelock exit before the watchdog";
+
+  // Simulated on, the run neither halts nor writes another signature.
+  const u64 sig_at_exit = sig.n;
+  while (!s.core(0).halted() && s.now() < watchdog) s.tick();
+  EXPECT_EQ(s.now(), watchdog);
+  EXPECT_FALSE(s.core(0).halted());
+  EXPECT_EQ(sig.n, sig_at_exit);
+}
+
+TEST(LivelockDetector, ALoopThatReadsACounterNeverFires) {
+  // The loop spins until bit 11 of `cycle` is set. Between two reads its
+  // state repeats, clocks aside, so without the counter-read guard the
+  // detector would call the run periodic; it halts after 2,048 cycles.
+  Assembler a(mem::kFlashBase + 0x2000);
+  a.label("wait");
+  a.csrr(R1, Csr::kCycle);
+  a.srli(R1, R1, 11);
+  a.andi(R1, R1, 1);
+  a.beq(R1, R0, "wait");
+  a.halt();
+  const isa::Program p = a.assemble();
+  soc::Soc s;
+  s.load_program(p);
+  s.set_boot(0, p.entry());
+  s.reset();
+  LivelockDetector livelock(0);
+  const auto side = [](std::vector<u64>&) {};
+  while (!s.core(0).halted() && s.now() < 100'000) {
+    ASSERT_FALSE(livelock.repeats(s, side)) << "fired at cycle " << s.now();
+    s.tick();
+  }
+  EXPECT_TRUE(s.core(0).halted());
+  EXPECT_GE(s.now(), 2048u);
 }
 
 TEST(Campaign, ModuleNames) {

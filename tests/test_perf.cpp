@@ -221,6 +221,37 @@ TEST(PerfJson, MalformedDocumentsFailWithReason) {
   EXPECT_EQ(back.name, "Ab\xc3\xa9");
 }
 
+TEST(PerfJson, MalformedNumbersAreRejected) {
+  // A count is a plain non-negative decimal integer that fits in 64 bits,
+  // and the config hash is "0x" and hex: a negative count once printed as
+  // -50,148, an exponent read as 1 and a non-hex hash as zero.
+  const std::string text = to_json(sample_report());
+  const auto with = [&](const std::string& from, const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return std::string(text).replace(at, from.size(), to);
+  };
+  PerfReport back;
+  std::string err;
+  ASSERT_TRUE(from_json(text, back, &err)) << err;
+  for (const char* bad : {"-50148", "1.5e3", "18446744073709551616"}) {
+    err.clear();
+    EXPECT_FALSE(from_json(with("\"cycles\": 123456", std::string("\"cycles\": ") + bad),
+                           back, &err))
+        << bad;
+    EXPECT_NE(err.find("sim.cycles"), std::string::npos) << bad << ": " << err;
+  }
+  err.clear();
+  EXPECT_FALSE(from_json(with("\"value\": 99000", "\"value\": -1"), back, &err));
+  EXPECT_NE(err.find("counter cpu.instret"), std::string::npos) << err;
+  for (const char* bad : {"zz15e26534487a7de9", "deadbeefcafef00d", "0x", "0x-1",
+                          "0x1ffffffffffffffff"}) {
+    err.clear();
+    EXPECT_FALSE(from_json(with("0xdeadbeefcafef00d", bad), back, &err)) << bad;
+    EXPECT_NE(err.find("config_hash"), std::string::npos) << bad << ": " << err;
+  }
+}
+
 TEST(PerfJson, ExactU64ValuesSurviveTheNumberModel) {
   PerfReport rep = sample_report();
   rep.sim_cycles = 0xffffffffffffffffull;  // would lose precision as double
@@ -398,9 +429,11 @@ TEST(ThreadInvariance, FaultCampaignSimSubtreeByteIdenticalAt1_2_8Threads) {
   const SimSnapshot d1 = s1.since(s0), d2 = s2.since(s1), d8 = s8.since(s2);
   EXPECT_EQ(d1.v, d2.v);
   EXPECT_EQ(d1.v, d8.v);
-  // Campaign work lands in the campaign stats; the golden run build_wrapped
-  // executes while assembling the routine lands in kSocRunCycles.
-  EXPECT_EQ(d1[SimStat::kGoodRunCycles], r1.good_cycles);
+  // Campaign work lands in the campaign stats: the good run twice (once
+  // traced, once to place phase 2's evenly spaced checkpoints). The golden
+  // run build_wrapped executes while assembling the routine lands in
+  // kSocRunCycles.
+  EXPECT_EQ(d1[SimStat::kGoodRunCycles], 2 * r1.good_cycles);
   EXPECT_GT(d1[SimStat::kSocRunCycles], 0u);
   EXPECT_EQ(d1[SimStat::kFaultUnits], r1.simulated_faults);
   // Screen replays, detection re-run cycles, and the detection replicas'

@@ -242,6 +242,154 @@ TEST(SocCheckpoint, CopyDivergesIndependently) {
 }
 
 // ----------------------------------------------------------------------------
+// Clock-blind state equality (soc::same_state)
+// ----------------------------------------------------------------------------
+
+/// The cached quickstart run once a dirty D-cache line is resident and
+/// core A holds a valid pipeline latch: caches, latches and bus all busy.
+soc::Soc busy_soc() {
+  soc::Soc s = quickstart_soc();
+  s.reset();
+  EXPECT_TRUE(run_until(s, dirty_dline_resident));
+  EXPECT_TRUE(run_until(s, [](const soc::Soc& now) {
+    soc::Soc probe = now;
+    return probe.core(0).inject_pipeline_upset(0);
+  }));
+  return s;
+}
+
+/// The quickstart run to halt and then on until every in-flight bus
+/// transaction has landed: from here on only the clocks move.
+soc::Soc drained_soc() {
+  soc::Soc s = quickstart_soc();
+  s.reset();
+  EXPECT_FALSE(s.run(1'000'000).timed_out);
+  for (int i = 0; i < 64; ++i) s.tick();
+  return s;
+}
+
+TEST(SameState, ACopyEqualsItsOriginal) {
+  const soc::Soc s = busy_soc();
+  const soc::Soc copy = s;
+  EXPECT_TRUE(soc::same_state(copy, s));
+  EXPECT_TRUE(soc::same_state(s, s));
+}
+
+TEST(SameState, AHaltedSocTickedOnStaysEqual) {
+  const soc::Soc s = drained_soc();
+  soc::Soc later = s;
+  for (int i = 0; i < 100; ++i) later.tick();
+  later.core(0).perf().cycles += 7;
+  later.core(1).memsys().dcache().stats().hits += 3;
+  EXPECT_EQ(later.now(), s.now() + 100);
+  EXPECT_EQ(later.bus().now(), s.bus().now() + 100);
+  EXPECT_TRUE(soc::same_state(later, s));
+}
+
+TEST(SameState, CachesCompareTagsDirtyBitsDataAndLruOrder) {
+  // 64 sets of two 32-byte ways: x and y share a set.
+  const mem::CacheConfig cfg{.size_bytes = 4096, .ways = 2, .line_bytes = 32};
+  const u32 x = mem::kSramBase + 0x100, y = x + 64 * 32;
+  const mem::Beats words{1, 2, 3, 4, 5, 6, 7, 8};
+  mem::Cache a(cfg);
+  a.fill(x, words);
+  a.fill(y, words);
+  // Stamps x=2, y=3 against x=1, y=2 and another hit count: same order.
+  mem::Cache b(cfg);
+  b.fill(x, words);
+  ASSERT_TRUE(b.lookup(x));
+  b.fill(y, words);
+  EXPECT_TRUE(a.same_state(b));
+  EXPECT_TRUE(b.same_state(a));
+
+  const auto differs = [&](const char* what, auto&& change) {
+    mem::Cache c = a;
+    change(c);
+    EXPECT_FALSE(a.same_state(c)) << what;
+    EXPECT_FALSE(c.same_state(a)) << what;
+  };
+  differs("LRU order", [&](mem::Cache& c) { ASSERT_TRUE(c.lookup(x)); });
+  differs("line data", [&](mem::Cache& c) { ASSERT_TRUE(c.flip_bit(y, 40)); });
+  // y is the most recent line, so the write's touch keeps the order.
+  differs("dirty bit", [&](mem::Cache& c) { c.write(y, c.read(y, 4), 4); });
+  differs("tag", [&](mem::Cache& c) {
+    // x's way holds another line of the set, with the same words and stamp.
+    c = mem::Cache(cfg);
+    c.fill(x + 2 * 64 * 32, words);
+    c.fill(y, words);
+  });
+}
+
+TEST(SameState, EachSingleChangeIsADifference) {
+  const auto differs = [](const soc::Soc& base, const char* what, auto&& change) {
+    soc::Soc s = base;
+    change(s);
+    EXPECT_FALSE(soc::same_state(s, base)) << what;
+    EXPECT_FALSE(soc::same_state(base, s)) << what;
+  };
+  const soc::Soc busy = busy_soc();
+  differs(busy, "register", [](soc::Soc& s) { s.core(1).set_reg(7, s.core(1).reg(7) ^ 1); });
+  differs(busy, "latch result",
+          [](soc::Soc& s) { ASSERT_TRUE(s.core(0).inject_pipeline_upset(0)); });
+  differs(busy, "SRAM byte", [](soc::Soc& s) { s.flip_ram_bit(mem::kSramBase + 0x7000, 3); });
+  differs(busy, "TCM byte", [](soc::Soc& s) {
+    mem::Tcm& t = s.core(2).memsys().dtcm();
+    t.write8(mem::kDtcmBase + 9, t.read8(mem::kDtcmBase + 9) ^ 0x10);
+  });
+  differs(busy, "cache line data", [](soc::Soc& s) {
+    for (unsigned c = 0; c < s.num_cores(); ++c) {
+      mem::Cache& d = s.core(c).memsys().dcache();
+      if (!d.resident_lines().empty()) {
+        ASSERT_TRUE(d.flip_bit(d.resident_lines().front(), 5));
+        return;
+      }
+    }
+    FAIL() << "no resident D-cache line";
+  });
+
+  const soc::Soc drained = drained_soc();
+  differs(drained, "bus slot", [](soc::Soc& s) {
+    s.bus().submit(4, mem::BusReq{.addr = mem::kSramBase, .bytes = 4});
+  });
+  differs(drained, "flash line buffer", [](soc::Soc& s) {
+    (void)s.flash().access_cycles(mem::kFlashBase + 0x40000, 8, 3);
+  });
+}
+
+TEST(SameState, AnIcuFlopIsADifference) {
+  // Core A enables every interrupt source but leaves mstatus.IE clear, so
+  // an event sets the pending bits and runs the two-stage synchroniser
+  // without ever trapping. The same event one cycle apart leaves the two
+  // SoCs differing only in the synchroniser's second flop: the pending
+  // bits and the ICU's latched output agree.
+  Assembler a(mem::kFlashBase + 0x2000);
+  a.li(R1, (1u << isa::kNumIcuSources) - 1);
+  a.csrw(Csr::kMie, R1);
+  a.label("spin");
+  a.addi(R2, R2, 1);
+  a.jal(R0, "spin");
+  const isa::Program p = a.assemble();
+  soc::Soc early;
+  early.load_program(p);
+  early.set_boot(0, p.entry());
+  early.reset();
+  for (int i = 0; i < 200; ++i) early.tick();
+  ASSERT_EQ(early.core(0).csr_read(Csr::kMie), (1u << isa::kNumIcuSources) - 1);
+  soc::Soc late = early;
+
+  early.core(0).inject_icu_event(1);
+  early.tick();
+  late.tick();
+  late.core(0).inject_icu_event(1);
+  early.tick();
+  late.tick();
+  ASSERT_NE(early.core(0).icu_state().state(), late.core(0).icu_state().state());
+  ASSERT_EQ(early.core(0).icu_state().pending(), late.core(0).icu_state().pending());
+  ASSERT_EQ(early.core(0).csr_read(Csr::kMip), late.core(0).csr_read(Csr::kMip));
+  EXPECT_FALSE(soc::same_state(early, late));
+}
+
+// ----------------------------------------------------------------------------
 // Determinism across identical runs
 // ----------------------------------------------------------------------------
 
